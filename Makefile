@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all check vet lint vet-unitchecker vet-hotpath vet-contracts pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
+.PHONY: all check vet perfbench-check lint vet-unitchecker vet-hotpath vet-contracts pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
 
 # Benchmarks gated by the regression harness (hot-path device benches, fleet
 # orchestration, and the ablations). BENCH_COUNT samples each; perfstat takes
@@ -22,10 +22,16 @@ ENGINE_BENCH_PATTERN = ^(BenchmarkEngine_Passthrough$$|BenchmarkEngine_TLSMix$$|
 
 all: check
 
-check: vet lint vet-unitchecker vet-contracts escapes build test conformance race race-lanes crosscensor armsrace
+check: vet perfbench-check lint vet-unitchecker vet-contracts escapes build test conformance race race-lanes crosscensor armsrace
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-check vets and tests the benchmark module. perfbench/ has its own
+# go.mod, so the root ./... patterns skip it, and an internal API change could
+# otherwise break `bash perfbench/run.sh` with every other target green.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # tspu-vet enforces the determinism contract (no wall clock, no ambient
 # randomness, no map-order-dependent output), the hot-path contract (no

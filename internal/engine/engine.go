@@ -62,9 +62,6 @@ type Item struct {
 	key     packet.FlowKey4
 }
 
-// Key returns the item's canonical compact flow key (valid after Process).
-func (it *Item) Key() packet.FlowKey4 { return it.key }
-
 // outPkt is a chain survivor awaiting post-barrier delivery.
 type outPkt struct {
 	pkt *packet.Packet
@@ -161,12 +158,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// NumLanes reports the lane count shared by the device chain.
-func (e *Engine) NumLanes() int { return e.lanes }
-
-// Pending reports queued, not-yet-processed packets.
-func (e *Engine) Pending() int { return e.n }
 
 // Totals reports lifetime packets pushed through Process, batches run, and
 // Drop verdicts.

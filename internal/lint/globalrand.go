@@ -86,10 +86,9 @@ func runGlobalrand(pass *analysis.Pass) (any, error) {
 		pass:   pass,
 		what:   "ambient randomness",
 		advice: "derive entropy from sim.Rand / sim.StreamSeed instead, or mark the calling function //tspuvet:impure <reason>",
-		// walltime owns //tspuvet:impure validation and assertion semantics;
-		// here the stamp only silences transitive diagnostics.
-		validateStamps: false,
-		stampAsserts:   false,
+		// walltime owns //tspuvet:impure validation (markerRules) and
+		// assertion semantics; here the stamp only silences transitive
+		// diagnostics.
 	}
 	pr.run(direct)
 	return nil, nil

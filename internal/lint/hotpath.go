@@ -74,83 +74,38 @@ type AllocFact struct {
 // AFact marks AllocFact as a serializable analysis fact.
 func (*AllocFact) AFact() {}
 
-const (
-	hotpathVerb  = "hotpath"
-	coldpathVerb = "coldpath"
-)
-
-// funcNode is one function in the package call graph.
-type funcNode struct {
-	fn    *types.Func
-	decl  *ast.FuncDecl
-	name  string // display name: "Device.Handle" or "checksum"
-	root  bool
-	cold  bool
-	edges []*funcNode // callees, in source order, deduplicated
-	// parent is the BFS predecessor on the first path found from a root;
-	// nil for roots themselves.
-	parent  *funcNode
-	reached bool
-	// alloc is the function's allocation taint when facts are enabled: its
-	// first unexcused allocating construct, local or reached through calls.
-	alloc *AllocFact
-}
-
 func runHotpath(pass *analysis.Pass) (any, error) {
-	nodes, order := hotpathNodes(pass)
-	if len(nodes) == 0 {
+	marks := bindMarkers(pass)
+	g := newCallGraph(pass)
+	roots, cold := map[*funcNode]bool{}, map[*funcNode]bool{}
+	for _, n := range g.order {
+		_, hot := marks.funcMarker(n.fn, hotpathVerb)
+		_, cut := marks.funcMarker(n.fn, coldpathVerb)
+		if hot && cut {
+			pass.Reportf(n.decl.Pos(), "%s is marked both //tspuvet:hotpath and //tspuvet:coldpath; pick one", n.name)
+		}
+		if hot {
+			roots[n] = true
+		} else if cut {
+			cold[n] = true
+		}
+	}
+	if len(roots) == 0 && !pass.FactsEnabled() {
+		// Without facts there is nothing to compute for a package with no
+		// hot roots. With facts, every function still feeds AllocFact
+		// probing so allocation taint crosses this package.
 		return nil, nil
 	}
 
-	// Call-graph edges, in source order so BFS parent chains are stable.
-	for _, n := range order {
-		seen := map[*funcNode]bool{}
-		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			target, ok := nodes[callee]
-			if !ok || seen[target] {
-				return true
-			}
-			seen[target] = true
-			n.edges = append(n.edges, target)
-			return true
-		})
-	}
-
-	// BFS from the roots. Cold functions terminate traversal: they are
-	// declared off-contract, with a reason, at their declaration.
-	var queue []*funcNode
-	for _, n := range order {
-		if n.root {
-			n.reached = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, callee := range n.edges {
-			if callee.reached || callee.cold {
-				continue
-			}
-			callee.reached = true
-			callee.parent = n
-			queue = append(queue, callee)
-		}
-	}
+	// Cold functions terminate traversal: they are declared off-contract,
+	// with a reason, at their declaration.
+	g.reach(func(n *funcNode) bool { return roots[n] }, func(n *funcNode) bool { return cold[n] })
 
 	if pass.FactsEnabled() {
-		hotpathFacts(pass, order)
+		hotpathFacts(pass, g, cold)
 	}
 
-	for _, n := range order {
+	for _, n := range g.order {
 		if n.reached {
 			checkHotFunc(pass, n)
 		}
@@ -163,7 +118,7 @@ func runHotpath(pass *analysis.Pass) (any, error) {
 // same hotChecker walk as the diagnostics pass, but collecting instead of
 // reporting, and honoring //tspuvet:allow hotpath lines — an excused
 // pool-refill must not taint its callers.
-func hotpathFacts(pass *analysis.Pass, order []*funcNode) {
+func hotpathFacts(pass *analysis.Pass, g *callGraph, cold map[*funcNode]bool) {
 	allowed := map[string]map[int]bool{}
 	for _, f := range pass.Files {
 		fname := pass.Fset.Position(f.Pos()).Filename
@@ -181,9 +136,12 @@ func hotpathFacts(pass *analysis.Pass, order []*funcNode) {
 		return allowed[p.Filename][p.Line] || allowed[p.Filename][p.Line-1]
 	}
 
+	// alloc is each function's allocation taint: its first unexcused
+	// allocating construct, local or reached through calls.
+	alloc := map[*funcNode]*AllocFact{}
 	qual := func(n *funcNode) string { return pass.Pkg.Name() + "." + n.name }
-	for _, n := range order {
-		if n.cold {
+	for _, n := range g.order {
+		if cold[n] {
 			continue
 		}
 		c := &hotChecker{
@@ -196,18 +154,18 @@ func hotpathFacts(pass *analysis.Pass, order []*funcNode) {
 			if excused(pos) {
 				return
 			}
-			if n.alloc == nil || pos < best {
+			if alloc[n] == nil || pos < best {
 				best = pos
-				n.alloc = &AllocFact{What: msg, Chain: []string{qual(n)}}
+				alloc[n] = &AllocFact{What: msg, Chain: []string{qual(n)}}
 			}
 		}
 		c.onFactCall = func(pos token.Pos, af *AllocFact) {
 			if excused(pos) {
 				return
 			}
-			if n.alloc == nil || pos < best {
+			if alloc[n] == nil || pos < best {
 				best = pos
-				n.alloc = &AllocFact{What: af.What, Chain: append([]string{qual(n)}, af.Chain...)}
+				alloc[n] = &AllocFact{What: af.What, Chain: append([]string{qual(n)}, af.Chain...)}
 			}
 		}
 		c.prepass(n.decl.Body)
@@ -219,165 +177,26 @@ func hotpathFacts(pass *analysis.Pass, order []*funcNode) {
 	// never replacing an assigned fact terminates cycles.
 	for changed := true; changed; {
 		changed = false
-		for _, n := range order {
-			if n.cold || n.alloc != nil {
+		for _, n := range g.order {
+			if cold[n] || alloc[n] != nil {
 				continue
 			}
 			for _, callee := range n.edges {
-				if callee.cold || callee.alloc == nil {
+				if cold[callee] || alloc[callee] == nil {
 					continue
 				}
-				n.alloc = &AllocFact{What: callee.alloc.What, Chain: append([]string{qual(n)}, callee.alloc.Chain...)}
+				alloc[n] = &AllocFact{What: alloc[callee].What, Chain: append([]string{qual(n)}, alloc[callee].Chain...)}
 				changed = true
 				break
 			}
 		}
 	}
 
-	for _, n := range order {
-		if n.alloc != nil && !n.cold {
-			pass.ExportObjectFact(n.fn, n.alloc)
+	for _, n := range g.order {
+		if alloc[n] != nil {
+			pass.ExportObjectFact(n.fn, alloc[n])
 		}
 	}
-}
-
-// hotpathNodes collects every declared function plus its hotpath/coldpath
-// marks, reporting malformed or misplaced marker comments. The returned
-// slice preserves source order.
-func hotpathNodes(pass *analysis.Pass) (map[*types.Func]*funcNode, []*funcNode) {
-	nodes := map[*types.Func]*funcNode{}
-	var order []*funcNode
-	consumed := map[*ast.Comment]bool{}
-	anyMark := false
-
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &funcNode{fn: fn, decl: fd, name: funcDisplayName(fd)}
-			if fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					verb, rest, ok := markerOf(c)
-					if !ok {
-						continue
-					}
-					consumed[c] = true
-					anyMark = true
-					switch verb {
-					case hotpathVerb:
-						n.root = true
-					case coldpathVerb:
-						if strings.TrimSpace(rest) == "" {
-							pass.Reportf(c.Pos(), "//tspuvet:coldpath on %s is missing a reason: "+
-								"cutting a function out of the hot-path contract must explain itself", n.name)
-						}
-						n.cold = true
-					}
-				}
-			}
-			if n.root && n.cold {
-				pass.Reportf(fd.Pos(), "%s is marked both //tspuvet:hotpath and //tspuvet:coldpath; pick one", n.name)
-				n.cold = false
-			}
-			nodes[fn] = n
-			order = append(order, n)
-		}
-	}
-
-	// A marker comment not consumed by a function declaration's doc group is
-	// attached to nothing and silently enforces nothing.
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				verb, _, ok := markerOf(c)
-				if !ok || consumed[c] {
-					continue
-				}
-				anyMark = true
-				pass.Reportf(c.Pos(), "//tspuvet:%s must be the doc comment of a function declaration", verb)
-			}
-		}
-	}
-	if !anyMark && !pass.FactsEnabled() {
-		// A mark-free package has no hot roots to check; without facts there
-		// is nothing else to compute. With facts, the node table still feeds
-		// AllocFact probing so allocation taint crosses this package.
-		return nil, nil
-	}
-	return nodes, order
-}
-
-// markerOf parses a //tspuvet:hotpath or //tspuvet:coldpath comment.
-func markerOf(c *ast.Comment) (verb, rest string, ok bool) {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return "", "", false
-	}
-	body := strings.TrimPrefix(c.Text, directivePrefix)
-	// A later "//" ends the marker, mirroring ParseDirectives: reasons
-	// cannot contain it, and the golden fixtures put want annotations there.
-	if i := strings.Index(body, "//"); i >= 0 {
-		body = strings.TrimSpace(body[:i])
-	}
-	verb, rest, _ = strings.Cut(body, " ")
-	if verb != hotpathVerb && verb != coldpathVerb {
-		return "", "", false
-	}
-	return verb, rest, true
-}
-
-// funcDisplayName renders "Recv.Name" for methods, "Name" for functions.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if se, ok := t.(*ast.StarExpr); ok {
-		t = se.X
-	}
-	if ix, ok := t.(*ast.IndexExpr); ok { // generic receiver
-		t = ix.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
-// calleeFunc resolves a call's static callee, or nil for dynamic calls
-// (function values, interface methods) and builtins.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-// chainLabel renders the diagnostic suffix locating n relative to its root.
-func chainLabel(n *funcNode) string {
-	if n.parent == nil {
-		return fmt.Sprintf("hot path root %s", n.name)
-	}
-	var names []string
-	for m := n; m != nil; m = m.parent {
-		names = append(names, m.name)
-	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return "reached via " + strings.Join(names, " → ")
 }
 
 // allocatingStdlib maps package path → function names whose every call
@@ -438,7 +257,7 @@ type hotChecker struct {
 func checkHotFunc(pass *analysis.Pass, n *funcNode) {
 	c := &hotChecker{
 		pass:        pass,
-		chain:       chainLabel(n),
+		chain:       chainLabel(n, "hot path root"),
 		freshSlices: map[types.Object]bool{},
 		mapKeyConvs: map[*ast.CallExpr]bool{},
 	}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"tspusim/internal/lint/analysis"
 )
@@ -75,11 +74,6 @@ type LaneEntryFact struct {
 // AFact marks LaneEntryFact as a serializable analysis fact.
 func (*LaneEntryFact) AFact() {}
 
-const (
-	laneVerb      = "lane"
-	laneownedVerb = "laneowned"
-)
-
 // laneParamNames are accepted names for the lane-index parameter.
 var laneParamNames = map[string]bool{
 	"lane": true, "l": true, "laneID": true, "shard": true, "shardID": true,
@@ -87,62 +81,39 @@ var laneParamNames = map[string]bool{
 
 func runLanecheck(pass *analysis.Pass) (any, error) {
 	c := &laneChecker{pass: pass, owned: map[*types.TypeName]bool{}}
-	nodes, order := c.collect()
-	if nodes == nil {
-		return nil, nil
+	marks := bindMarkers(pass)
+	for _, tn := range marks.types[laneownedVerb] {
+		c.owned[tn] = true
+	}
+	g := newCallGraph(pass)
+	roots := map[*funcNode]bool{}
+	for _, n := range g.order {
+		m, ok := marks.funcMarker(n.fn, laneVerb)
+		if !ok {
+			continue
+		}
+		roots[n] = true
+		// The lane identity is either an integer lane parameter or a
+		// lane-owned receiver (a per-lane pipe or shard whose methods run on
+		// that lane).
+		laneObj, laneIndex := laneParam(pass.TypesInfo, n.decl)
+		if laneObj == nil && !c.laneOwnedRecv(n.decl) {
+			pass.Reportf(m.pos, "//tspuvet:lane on %s: a lane entry point needs an "+
+				"integer lane parameter named lane, l, laneID, shard, or shardID, "+
+				"or a //tspuvet:laneowned receiver", n.name)
+		}
+		if pass.FactsEnabled() {
+			pass.ExportObjectFact(n.fn, &LaneEntryFact{LaneParam: laneIndex})
+		}
 	}
 	if pass.FactsEnabled() {
 		for tn := range c.owned {
 			pass.ExportObjectFact(tn, &LaneOwnedFact{})
 		}
-		for _, n := range order {
-			if n.root {
-				pass.ExportObjectFact(n.fn, &LaneEntryFact{LaneParam: laneParamIndex(pass.TypesInfo, n.decl)})
-			}
-		}
 	}
 
-	// Call-graph edges and BFS from the lane roots, mirroring hotpath.
-	for _, n := range order {
-		seen := map[*funcNode]bool{}
-		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			target, ok := nodes[callee]
-			if !ok || seen[target] {
-				return true
-			}
-			seen[target] = true
-			n.edges = append(n.edges, target)
-			return true
-		})
-	}
-	var queue []*funcNode
-	for _, n := range order {
-		if n.root {
-			n.reached = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, callee := range n.edges {
-			if callee.reached {
-				continue
-			}
-			callee.reached = true
-			callee.parent = n
-			queue = append(queue, callee)
-		}
-	}
-	for _, n := range order {
+	g.reach(func(n *funcNode) bool { return roots[n] }, func(*funcNode) bool { return false })
+	for _, n := range g.order {
 		if n.reached {
 			c.checkFunc(n)
 		}
@@ -171,118 +142,6 @@ func (c *laneChecker) isOwned(tn *types.TypeName) bool {
 	return false
 }
 
-// collect gathers lane/laneowned markers (validating placement) and builds
-// the function-node table. Returns nil when the package carries no markers.
-func (c *laneChecker) collect() (map[*types.Func]*funcNode, []*funcNode) {
-	nodes := map[*types.Func]*funcNode{}
-	var order []*funcNode
-	consumed := map[*ast.Comment]bool{}
-	anyMark := false
-
-	// Pass 1: type markers, so function-marker validation can ask whether a
-	// receiver is lane-owned regardless of declaration order.
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.GenDecl)
-			if !ok || d.Tok != token.TYPE {
-				continue
-			}
-			markSpecs := func(doc *ast.CommentGroup, specs []ast.Spec) {
-				if doc == nil {
-					return
-				}
-				for _, cm := range doc.List {
-					verb, ok := laneMarkerOf(cm)
-					if !ok {
-						continue
-					}
-					consumed[cm] = true
-					anyMark = true
-					if verb == laneVerb {
-						c.pass.Reportf(cm.Pos(), "//tspuvet:lane belongs on a function declaration, not on a type")
-						continue
-					}
-					for _, spec := range specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if tn, ok := c.pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-							c.owned[tn] = true
-						}
-					}
-				}
-			}
-			markSpecs(d.Doc, d.Specs)
-			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					markSpecs(ts.Doc, []ast.Spec{spec})
-				}
-			}
-		}
-	}
-
-	// Pass 2: function markers and the node table.
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
-				continue
-			}
-			fn, ok := c.pass.TypesInfo.Defs[d.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &funcNode{fn: fn, decl: d, name: funcDisplayName(d)}
-			if d.Doc != nil {
-				for _, cm := range d.Doc.List {
-					verb, ok := laneMarkerOf(cm)
-					if !ok {
-						continue
-					}
-					consumed[cm] = true
-					anyMark = true
-					switch verb {
-					case laneVerb:
-						n.root = true
-						// The lane identity is either an integer lane parameter
-						// or a lane-owned receiver (a per-lane pipe or shard
-						// whose methods run on that lane).
-						if laneParamObj(c.pass.TypesInfo, d) == nil && !c.laneOwnedRecv(d) {
-							c.pass.Reportf(cm.Pos(), "//tspuvet:lane on %s: a lane entry point needs an "+
-								"integer lane parameter named lane, l, laneID, shard, or shardID, "+
-								"or a //tspuvet:laneowned receiver", n.name)
-						}
-					case laneownedVerb:
-						c.pass.Reportf(cm.Pos(), "//tspuvet:laneowned belongs on a type declaration, not on function %s", n.name)
-					}
-				}
-			}
-			nodes[fn] = n
-			order = append(order, n)
-		}
-	}
-
-	// A marker attached to nothing silently enforces nothing.
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				verb, ok := laneMarkerOf(cm)
-				if !ok || consumed[cm] {
-					continue
-				}
-				anyMark = true
-				c.pass.Reportf(cm.Pos(), "//tspuvet:%s must be the doc comment of a %s declaration",
-					verb, map[string]string{laneVerb: "function", laneownedVerb: "type"}[verb])
-			}
-		}
-	}
-	if !anyMark {
-		return nil, nil
-	}
-	return nodes, order
-}
-
 // laneOwnedRecv reports whether fd is a method on a lane-owned type.
 func (c *laneChecker) laneOwnedRecv(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -299,29 +158,10 @@ func (c *laneChecker) laneOwnedRecv(fd *ast.FuncDecl) bool {
 	return ok && c.isOwned(named.Obj())
 }
 
-// laneMarkerOf parses a //tspuvet:lane or //tspuvet:laneowned comment.
-func laneMarkerOf(c *ast.Comment) (string, bool) {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return "", false
-	}
-	body := strings.TrimPrefix(c.Text, directivePrefix)
-	if i := strings.Index(body, "//"); i >= 0 {
-		body = strings.TrimSpace(body[:i])
-	}
-	verb, _, _ := strings.Cut(body, " ")
-	if verb != laneVerb && verb != laneownedVerb {
-		return "", false
-	}
-	return verb, true
-}
-
-// laneParamIndex returns the flattened parameter index of the declared
-// lane-index parameter (receiver excluded, matching call-argument positions),
-// or -1 when the function has none.
-func laneParamIndex(info *types.Info, fd *ast.FuncDecl) int {
-	if fd.Type.Params == nil {
-		return -1
-	}
+// laneParam finds the declared lane-index parameter of a function and its
+// flattened index (receiver excluded, matching call-argument positions), or
+// nil and -1 when the function has none.
+func laneParam(info *types.Info, fd *ast.FuncDecl) (types.Object, int) {
 	i := 0
 	for _, field := range fd.Type.Params.List {
 		if len(field.Names) == 0 {
@@ -329,39 +169,15 @@ func laneParamIndex(info *types.Info, fd *ast.FuncDecl) int {
 			continue
 		}
 		for _, name := range field.Names {
-			if laneParamNames[name.Name] {
-				if obj := info.Defs[name]; obj != nil {
-					if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-						return i
-					}
+			if obj := info.Defs[name]; obj != nil && laneParamNames[name.Name] {
+				if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+					return obj, i
 				}
 			}
 			i++
 		}
 	}
-	return -1
-}
-
-// laneParamObj finds the declared lane-index parameter of a function.
-func laneParamObj(info *types.Info, fd *ast.FuncDecl) types.Object {
-	if fd.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if !laneParamNames[name.Name] {
-				continue
-			}
-			obj := info.Defs[name]
-			if obj == nil {
-				continue
-			}
-			if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-				return obj
-			}
-		}
-	}
-	return nil
+	return nil, -1
 }
 
 // laneClass classifies what memory an expression's chain roots in.
@@ -414,7 +230,7 @@ func (c *laneChecker) checkFunc(n *funcNode) {
 	}
 	collect(n.decl.Recv)
 	collect(n.decl.Type.Params)
-	w.laneObj = laneParamObj(info, n.decl)
+	w.laneObj, _ = laneParam(info, n.decl)
 	w.prepass()
 	w.walk()
 }
@@ -710,22 +526,7 @@ func (w *laneWalker) checkRand(call *ast.CallExpr) {
 func (w *laneWalker) reportf(pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	w.c.pass.Report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(
-		"%s (%s); fix it or justify with //tspuvet:allow lanecheck: <reason>", msg, laneChainLabel(w.n))})
-}
-
-// laneChainLabel mirrors chainLabel with lane wording.
-func laneChainLabel(n *funcNode) string {
-	if n.parent == nil {
-		return fmt.Sprintf("lane entry point %s", n.name)
-	}
-	var names []string
-	for m := n; m != nil; m = m.parent {
-		names = append(names, m.name)
-	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return "reached via " + strings.Join(names, " → ")
+		"%s (%s); fix it or justify with //tspuvet:allow lanecheck: <reason>", msg, chainLabel(w.n, "lane entry point"))})
 }
 
 // isPacketNamed reports whether named is packet.Packet.

@@ -16,8 +16,9 @@
 //   - hotpath: a call graph rooted at every //tspuvet:hotpath function;
 //     allocating constructs on reachable paths are diagnostics with their
 //     call chain. //tspuvet:coldpath <reason> cuts a callee out.
-//   - synccheck: sync primitives copied by value, WaitGroup.Add inside the
-//     goroutine it accounts for, channel sends in select without default.
+//   - synccheck: WaitGroup.Add inside the goroutine it accounts for,
+//     channel sends in select without default. (Sync primitives copied by
+//     value are go vet's copylocks check.)
 //   - retaincheck: taint analysis over *packet.Packet parameters and their
 //     payload-derived slices; a packet must not flow into a store that
 //     outlives the call unless it passes through a Clone/Marshal-style copy
@@ -45,16 +46,35 @@
 // declaring package are all diagnosed at the first call site in checked
 // code, with the full reached-via chain.
 //
+// Every marker the suite reads shares one grammar, //tspuvet:<verb> [reason],
+// parsed in one place; a later "//" ends the marker, so a reason cannot
+// contain it. One rule table fixes where each verb goes and whether it needs
+// a reason:
+//
+//	verb        placement                                       reason
+//	allow       the excused line, or alone on the line above    required, as <analyzer>: <reason>
+//	retains     the retaining line, or alone on the line above  required
+//	hotpath     doc comment of a function declaration           none
+//	coldpath    doc comment of a function declaration           required
+//	lane        doc comment of a function declaration           none
+//	laneowned   doc comment of a type declaration               none
+//	impure      the line of a function declaration, or above    required
+//	closedenum  doc comment of a type declaration               none
+//
+// A declaration marker placed anywhere else, or missing its reason, is a
+// diagnostic of the analyzer that consumes it (impure: walltime); a malformed
+// or unknown suppression is an allowdirective diagnostic.
+//
 // Exceptions are declared inline, next to the code they excuse:
 //
 //	start := time.Now() //tspuvet:allow walltime: orchestrator wall time is diagnostic only
 //
 // A directive suppresses diagnostics of the named analyzer on its own line
 // or on the line immediately below it (so it can trail the offending line or
-// sit on its own line above it). The reason is mandatory.
-// //tspuvet:retains <reason> is sugar for a retaincheck suppression with the
-// same placement rules: it marks a deliberate packet-retention site and rots
-// into a diagnostic the moment the line stops retaining.
+// sit on its own line above it). //tspuvet:retains <reason> is sugar for a
+// retaincheck suppression with the same placement rules: it marks a
+// deliberate packet-retention site and rots into a diagnostic the moment the
+// line stops retaining.
 package lint
 
 import (
@@ -89,8 +109,6 @@ var Suppressible = map[string]bool{
 // suppressibleNames is the sorted human-readable list for diagnostics.
 const suppressibleNames = "globalrand, hotpath, lanecheck, maporder, poolcheck, retaincheck, statecheck, synccheck, walltime"
 
-const directivePrefix = "//tspuvet:"
-
 // Directive is one parsed suppression comment: //tspuvet:allow, or
 // //tspuvet:retains (which suppresses retaincheck).
 type Directive struct {
@@ -109,59 +127,46 @@ func ParseDirectives(fset *token.FileSet, file *ast.File, report func(analysis.D
 	var dirs []Directive
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, directivePrefix) {
+			verb, rest, ok := parseMarker(c)
+			if !ok {
 				continue
 			}
-			body := strings.TrimPrefix(c.Text, directivePrefix)
-			// A later "//" ends the directive (trailing commentary, and the
-			// golden fixtures' want annotations); reasons cannot contain it.
-			if i := strings.Index(body, "//"); i >= 0 {
-				body = strings.TrimSpace(body[:i])
-			}
-			verb, rest, _ := strings.Cut(body, " ")
-			if verb == "hotpath" || verb == "coldpath" {
-				// Hot-path annotations are validated by the hotpath analyzer
-				// itself (attachment, reasons); they are not suppressions.
+			if rule, known := markerRules[verb]; known && rule.place != onLine {
+				// Declaration markers are not suppressions; bindMarkers
+				// validates them for the analyzer that owns the verb.
 				continue
 			}
-			if verb == "lane" || verb == "laneowned" {
-				// Lane markers are validated by the lanecheck analyzer
-				// (attachment to the right declaration kind).
-				continue
-			}
-			if verb == "impure" {
-				// Purity stamps are validated by the walltime analyzer
-				// (attachment to a function declaration, reason present) and
-				// consumed by both purity analyzers; they are declarations,
-				// not suppressions, so Suppress never sees them.
-				continue
-			}
-			if verb == "closedenum" {
-				// Closed-enum markers are validated by the statecheck
-				// analyzer (attachment to an enum type declaration).
-				continue
-			}
-			if verb == "retains" {
+			d := Directive{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line, Verb: verb}
+			switch verb {
+			case retainsVerb:
 				// A deliberate packet-retention site: sugar for a retaincheck
 				// suppression, so the used/unused bookkeeping in Suppress
 				// applies to it unchanged.
-				reason := strings.TrimSpace(rest)
-				if reason == "" {
-					report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-						"//tspuvet:retains is missing a reason: deliberate packet retention must explain " +
-							"who owns the copy and when it is dropped")})
+				if rest == "" {
+					report(analysis.Diagnostic{Pos: c.Pos(), Message: missingReason(verb, "")})
 					continue
 				}
-				dirs = append(dirs, Directive{
-					Pos:      c.Pos(),
-					Line:     fset.Position(c.Pos()).Line,
-					Verb:     verb,
-					Analyzer: Retaincheck.Name,
-					Reason:   reason,
-				})
-				continue
-			}
-			if verb != "allow" {
+				d.Analyzer, d.Reason = Retaincheck.Name, rest
+			case allowVerb:
+				name, reason, ok := strings.Cut(rest, ":")
+				name = strings.TrimSpace(name)
+				reason = strings.TrimSpace(reason)
+				if !ok || name == "" {
+					report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
+						"malformed //tspuvet:allow directive %q: want //tspuvet:allow <analyzer>: <reason>", c.Text)})
+					continue
+				}
+				if !Suppressible[name] {
+					report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
+						"//tspuvet:allow names unknown analyzer %q (suppressible: %s)", name, suppressibleNames)})
+					continue
+				}
+				if reason == "" {
+					report(analysis.Diagnostic{Pos: c.Pos(), Message: missingReason(verb, " "+name)})
+					continue
+				}
+				d.Analyzer, d.Reason = name, reason
+			default:
 				report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
 					"unknown tspuvet directive %q (recognized: //tspuvet:allow <analyzer>: <reason>, "+
 						"//tspuvet:retains <reason>, //tspuvet:hotpath, //tspuvet:coldpath <reason>, "+
@@ -169,31 +174,7 @@ func ParseDirectives(fset *token.FileSet, file *ast.File, report func(analysis.D
 						"//tspuvet:closedenum)", verb)})
 				continue
 			}
-			name, reason, ok := strings.Cut(rest, ":")
-			name = strings.TrimSpace(name)
-			reason = strings.TrimSpace(reason)
-			if !ok || name == "" {
-				report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-					"malformed //tspuvet:allow directive %q: want //tspuvet:allow <analyzer>: <reason>", c.Text)})
-				continue
-			}
-			if !Suppressible[name] {
-				report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-					"//tspuvet:allow names unknown analyzer %q (suppressible: %s)", name, suppressibleNames)})
-				continue
-			}
-			if reason == "" {
-				report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-					"//tspuvet:allow %s is missing a reason: the allowlist must explain itself", name)})
-				continue
-			}
-			dirs = append(dirs, Directive{
-				Pos:      c.Pos(),
-				Line:     fset.Position(c.Pos()).Line,
-				Verb:     verb,
-				Analyzer: name,
-				Reason:   reason,
-			})
+			dirs = append(dirs, d)
 		}
 	}
 	return dirs
@@ -243,7 +224,7 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnosti
 		if !used[dir] && ran[dir.Analyzer] {
 			msg := fmt.Sprintf("unused //tspuvet:allow %s directive: it no longer suppresses any diagnostic; delete it",
 				dir.Analyzer)
-			if dir.Verb == "retains" {
+			if dir.Verb == retainsVerb {
 				msg = "unused //tspuvet:retains directive: the annotated line no longer retains a packet; delete it"
 			}
 			kept = append(kept, analysis.Diagnostic{

@@ -28,56 +28,24 @@ type ImpureFact struct {
 // AFact marks ImpureFact as a serializable analysis fact.
 func (*ImpureFact) AFact() {}
 
-const impureVerb = "impure"
-
-// impureMarkerOf parses a //tspuvet:impure comment, returning its reason.
-func impureMarkerOf(c *ast.Comment) (reason string, ok bool) {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return "", false
-	}
-	body := strings.TrimPrefix(c.Text, directivePrefix)
-	// A later "//" ends the marker, mirroring ParseDirectives.
-	if i := strings.Index(body, "//"); i >= 0 {
-		body = strings.TrimSpace(body[:i])
-	}
-	verb, rest, _ := strings.Cut(body, " ")
-	if verb != impureVerb {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
-}
-
-// purityNode is one package-level function in the purity call graph.
-type purityNode struct {
-	fn      *types.Func
-	decl    *ast.FuncDecl
-	name    string // qualified display name: "fleet.Runner.runJob"
-	fact    *ImpureFact
-	stamped bool
-	edges   []*purityNode // same-package static callees, source order
-}
-
 // importedImpureCall is one call site whose static callee lives in another
 // package and carries an ImpureFact there.
 type importedImpureCall struct {
-	node *purityNode
+	node *funcNode
 	pos  token.Pos
 	fact *ImpureFact
 }
 
 // purityRun is the transitive half shared by walltime and globalrand: given
-// each analyzer's own direct sites, it parses //tspuvet:impure stamps, builds
-// the package call graph, imports dependency facts, propagates the taint, and
-// reports cross-package calls into tainted code.
+// each analyzer's own direct sites, it reads //tspuvet:impure stamps from the
+// marker table, walks the package call graph, imports dependency facts,
+// propagates the taint, and reports cross-package calls into tainted code.
 type purityRun struct {
 	pass *analysis.Pass
 	// what names the taint in diagnostics ("wall-clock time").
 	what string
 	// advice closes the diagnostic with the analyzer's fix.
 	advice string
-	// validateStamps: exactly one analyzer (walltime) owns //tspuvet:impure
-	// attachment and reason validation, so the suite reports each problem once.
-	validateStamps bool
 	// stampAsserts: for walltime the stamp is an assertion — a stamped
 	// function is impure even before the analyzer can see why, which is what
 	// lets cmd-layer mains terminate every chain. globalrand only lets the
@@ -90,67 +58,19 @@ type purityRun struct {
 // ("time.Now"); the caller has already reported those sites positionally.
 func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 	pass := pr.pass
+	marks := bindMarkers(pass)
+	g := newCallGraph(pass)
+	qual := func(n *funcNode) string { return pass.Pkg.Name() + "." + n.name }
 
-	// Collect package-level functions, in source order.
-	// Declarations are keyed by file AND line: packages hold many files, and
-	// line numbers alone collide across them (a test file's declaration at
-	// line 63 must not steal a stamp aimed at fleet.go's line 63).
-	type fileLine struct {
-		file string
-		line int
-	}
-	var order []*purityNode
-	nodes := map[*types.Func]*purityNode{}
-	byLine := map[fileLine]*purityNode{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &purityNode{fn: fn, decl: fd, name: pass.Pkg.Name() + "." + funcDisplayName(fd)}
-			nodes[fn] = n
-			order = append(order, n)
-			pos := pass.Fset.Position(fd.Pos())
-			byLine[fileLine{pos.Filename, pos.Line}] = n
-		}
-	}
-
-	// Attach //tspuvet:impure stamps: a stamp binds to the function declared
-	// on its own line or the line below (the usual directive placement).
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				reason, ok := impureMarkerOf(c)
-				if !ok {
-					continue
-				}
-				pos := pass.Fset.Position(c.Pos())
-				n := byLine[fileLine{pos.Filename, pos.Line}]
-				if n == nil {
-					n = byLine[fileLine{pos.Filename, pos.Line + 1}]
-				}
-				if n == nil {
-					if pr.validateStamps {
-						pass.Reportf(c.Pos(), "//tspuvet:impure must be the doc comment of a function declaration")
-					}
-					continue
-				}
-				if reason == "" {
-					if pr.validateStamps {
-						pass.Reportf(c.Pos(), "//tspuvet:impure on %s is missing a reason: declaring a function "+
-							"off the determinism contract must explain itself", n.name)
-					}
-					continue
-				}
-				n.stamped = true
-				if pr.stampAsserts {
-					n.fact = &ImpureFact{Reason: reason, Chain: []string{n.name}}
-				}
+	// A //tspuvet:impure stamp with its reason marks a function impure by
+	// declaration.
+	facts := map[*funcNode]*ImpureFact{}
+	stamped := map[*funcNode]bool{}
+	for _, n := range g.order {
+		if m, ok := marks.funcMarker(n.fn, impureVerb); ok && m.reason != "" {
+			stamped[n] = true
+			if pr.stampAsserts {
+				facts[n] = &ImpureFact{Reason: m.reason, Chain: []string{qual(n)}}
 			}
 		}
 	}
@@ -162,11 +82,11 @@ func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 		if !ok {
 			continue
 		}
-		n := nodes[fn]
-		if n == nil || n.fact != nil {
+		n := g.nodes[fn]
+		if n == nil || facts[n] != nil {
 			continue
 		}
-		n.fact = &ImpureFact{Reason: site, Chain: []string{n.name, site}}
+		facts[n] = &ImpureFact{Reason: site, Chain: []string{qual(n), site}}
 	}
 
 	if !pass.FactsEnabled() {
@@ -175,34 +95,20 @@ func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 		return
 	}
 
-	// Call graph edges plus cross-package fact imports, in source order.
+	// Cross-package fact imports, in source order.
 	var imported []importedImpureCall
-	for _, n := range order {
-		seen := map[*purityNode]bool{}
-		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			if callee.Pkg() == pass.Pkg {
-				if target := nodes[callee]; target != nil && !seen[target] {
-					seen[target] = true
-					n.edges = append(n.edges, target)
-				}
-				return true
+	for _, n := range g.order {
+		staticCalls(pass.TypesInfo, n.decl.Body, func(call *ast.CallExpr, callee *types.Func) {
+			if callee.Pkg() == nil || callee.Pkg() == pass.Pkg {
+				return
 			}
 			var fact ImpureFact
 			if pass.ImportObjectFact(callee, &fact) {
 				imported = append(imported, importedImpureCall{node: n, pos: call.Pos(), fact: &fact})
-				if n.fact == nil {
-					n.fact = &ImpureFact{Reason: fact.Reason, Chain: append([]string{n.name}, fact.Chain...)}
+				if facts[n] == nil {
+					facts[n] = &ImpureFact{Reason: fact.Reason, Chain: append([]string{qual(n)}, fact.Chain...)}
 				}
 			}
-			return true
 		})
 	}
 
@@ -211,13 +117,13 @@ func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 	// and terminates on call cycles.
 	for changed := true; changed; {
 		changed = false
-		for _, n := range order {
-			if n.fact != nil {
+		for _, n := range g.order {
+			if facts[n] != nil {
 				continue
 			}
 			for _, callee := range n.edges {
-				if callee.fact != nil {
-					n.fact = &ImpureFact{Reason: callee.fact.Reason, Chain: append([]string{n.name}, callee.fact.Chain...)}
+				if f := facts[callee]; f != nil {
+					facts[n] = &ImpureFact{Reason: f.Reason, Chain: append([]string{qual(n)}, f.Chain...)}
 					changed = true
 					break
 				}
@@ -230,16 +136,16 @@ func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 	// locally. Stamped functions have declared themselves impure — their
 	// callers inherit the fact and the conversation moves one frame up.
 	for _, ic := range imported {
-		if ic.node.stamped {
+		if stamped[ic.node] {
 			continue
 		}
 		pass.Reportf(ic.pos, "call to %s reaches %s (reached via %s); %s",
 			ic.fact.Chain[0], pr.what, strings.Join(ic.fact.Chain, " → "), pr.advice)
 	}
 
-	for _, n := range order {
-		if n.fact != nil {
-			pass.ExportObjectFact(n.fn, n.fact)
+	for _, n := range g.order {
+		if facts[n] != nil {
+			pass.ExportObjectFact(n.fn, facts[n])
 		}
 	}
 }

@@ -89,38 +89,22 @@ var retainCopyNames = map[string]bool{
 func runRetaincheck(pass *analysis.Pass) (any, error) {
 	c := &retainChecker{
 		pass:     pass,
-		decls:    map[*types.Func]*ast.FuncDecl{},
+		graph:    newCallGraph(pass),
 		memo:     map[retainKey]*retainSummary{},
 		reported: map[string]bool{},
 		facts:    map[*types.Func]*RetainsFact{},
 	}
-	var order []*ast.FuncDecl
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				c.decls[fn] = fd
-				order = append(order, fd)
-			}
-		}
-	}
-	for _, fd := range order {
-		fn := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		mask := c.packetMask(fd)
-		if mask != 0 {
-			c.currentRoot = fn
-			c.analyze(fn, fd, mask, nil)
+	for _, n := range c.graph.order {
+		if mask := c.packetMask(n.decl); mask != 0 {
+			c.currentRoot = n.fn
+			c.analyze(n.fn, n.decl, mask, nil)
 		}
 	}
 	c.currentRoot = nil
 	if pass.FactsEnabled() {
-		for _, fd := range order {
-			fn := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if f := c.facts[fn]; f != nil {
-				pass.ExportObjectFact(fn, f)
+		for _, n := range c.graph.order {
+			if f := c.facts[n.fn]; f != nil {
+				pass.ExportObjectFact(n.fn, f)
 			}
 		}
 	}
@@ -142,7 +126,7 @@ type retainSummary struct {
 
 type retainChecker struct {
 	pass     *analysis.Pass
-	decls    map[*types.Func]*ast.FuncDecl
+	graph    *callGraph
 	memo     map[retainKey]*retainSummary
 	reported map[string]bool
 	// currentRoot is the taint root whose analysis is in flight, so transitive
@@ -549,9 +533,9 @@ func (s *retainScope) taintedCall(call *ast.CallExpr) bool {
 	}
 	fn := calleeFunc(info, call)
 	if fn != nil && fn.Pkg() == s.c.pass.Pkg {
-		if decl := s.c.decls[fn]; decl != nil {
-			mask := s.callMask(call, decl)
-			sum := s.c.analyze(fn, decl, mask, s.chain)
+		if n := s.c.graph.nodes[fn]; n != nil {
+			mask := s.callMask(call, n.decl)
+			sum := s.c.analyze(fn, n.decl, mask, s.chain)
 			return sum.returnsTaint
 		}
 	}

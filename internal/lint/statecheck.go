@@ -40,8 +40,6 @@ var Statecheck = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{(*EnumFact)(nil)},
 }
 
-const closedenumVerb = "closedenum"
-
 // EnumFact carries a closed enum's membership to importing packages: the
 // declaration-ordered members, deduplicated by constant value.
 type EnumFact struct {
@@ -61,7 +59,7 @@ type EnumMember struct {
 
 func runStatecheck(pass *analysis.Pass) (any, error) {
 	c := &stateChecker{pass: pass, enums: map[*types.TypeName]*EnumFact{}}
-	marked := c.collectMarked()
+	marked := bindMarkers(pass).types[closedenumVerb]
 	for _, tn := range marked {
 		members := c.collectMembers(tn)
 		if len(members) == 0 {
@@ -91,70 +89,6 @@ func runStatecheck(pass *analysis.Pass) (any, error) {
 type stateChecker struct {
 	pass  *analysis.Pass
 	enums map[*types.TypeName]*EnumFact
-}
-
-// collectMarked gathers //tspuvet:closedenum-marked type names in source
-// order, validating marker placement like the lane markers do.
-func (c *stateChecker) collectMarked() []*types.TypeName {
-	var marked []*types.TypeName
-	consumed := map[*ast.Comment]bool{}
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.GenDecl)
-			if !ok || d.Tok != token.TYPE {
-				continue
-			}
-			markSpecs := func(doc *ast.CommentGroup, specs []ast.Spec) {
-				if doc == nil {
-					return
-				}
-				for _, cm := range doc.List {
-					if !closedenumMarker(cm) {
-						continue
-					}
-					consumed[cm] = true
-					for _, spec := range specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if tn, ok := c.pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-							marked = append(marked, tn)
-						}
-					}
-				}
-			}
-			markSpecs(d.Doc, d.Specs)
-			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					markSpecs(ts.Doc, []ast.Spec{spec})
-				}
-			}
-		}
-	}
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if closedenumMarker(cm) && !consumed[cm] {
-					c.pass.Reportf(cm.Pos(), "//tspuvet:closedenum must be the doc comment of a type declaration")
-				}
-			}
-		}
-	}
-	return marked
-}
-
-// closedenumMarker parses a //tspuvet:closedenum comment.
-func closedenumMarker(c *ast.Comment) bool {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return false
-	}
-	body := strings.TrimPrefix(c.Text, directivePrefix)
-	if i := strings.Index(body, "//"); i >= 0 {
-		body = strings.TrimSpace(body[:i])
-	}
-	verb, _, _ := strings.Cut(body, " ")
-	return verb == closedenumVerb
 }
 
 // collectMembers walks package-level const declarations in source order and

@@ -8,12 +8,9 @@ import (
 )
 
 // Synccheck guards the fleet orchestrator's worker pool — the module's only
-// concurrent code path — against the three synchronization mistakes that a
+// concurrent code path — against the two synchronization mistakes that a
 // deterministic-by-construction test suite is least likely to surface:
 //
-//   - copying a sync.Mutex/RWMutex/WaitGroup/Once/Cond by value (as a
-//     receiver, parameter, or assignment), which silently forks the lock
-//     state so two goroutines synchronize on different copies;
 //   - calling WaitGroup.Add inside the goroutine it accounts for, which
 //     races the matching Wait: the counter can hit zero before the spawned
 //     goroutine ever ran;
@@ -23,13 +20,15 @@ import (
 //     deadlock (fleet's attempt goroutines send on a buffered channel for
 //     exactly this reason).
 //
-// The race detector cross-checks these findings dynamically in CI; the
-// analyzer makes them build failures before a scheduler ever gets the chance
-// to interleave them badly.
+// Copying a sync primitive by value is go vet's copylocks check, which
+// `make vet` runs; synccheck does not repeat it. The race detector
+// cross-checks these findings dynamically in CI; the analyzer makes them
+// build failures before a scheduler ever gets the chance to interleave them
+// badly.
 var Synccheck = &analysis.Analyzer{
 	Name: "synccheck",
-	Doc: "flag sync primitives copied by value, WaitGroup.Add inside the " +
-		"spawned goroutine, and channel sends in select without default",
+	Doc: "flag WaitGroup.Add inside the spawned goroutine and channel sends " +
+		"in select without default",
 	Run: runSynccheck,
 }
 
@@ -37,12 +36,6 @@ func runSynccheck(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkSyncSignature(pass, n.Recv, n.Type)
-			case *ast.FuncLit:
-				checkSyncSignature(pass, nil, n.Type)
-			case *ast.AssignStmt:
-				checkSyncAssign(pass, n)
 			case *ast.GoStmt:
 				checkGoAdd(pass, n)
 			case *ast.SelectStmt:
@@ -52,96 +45,6 @@ func runSynccheck(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-// syncLockPath names the sync types whose value copy is always a bug.
-var syncLockTypes = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-}
-
-// containsSyncLock reports whether t holds one of the sync primitives by
-// value (directly, embedded in a struct, or as an array element), and names
-// the first one found. Pointers stop the search: sharing through a pointer
-// is the correct shape.
-func containsSyncLock(t types.Type, depth int) (string, bool) {
-	if t == nil || depth > 6 {
-		return "", false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return "sync." + obj.Name(), true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name, ok := containsSyncLock(u.Field(i).Type(), depth+1); ok {
-				return name, true
-			}
-		}
-	case *types.Array:
-		return containsSyncLock(u.Elem(), depth+1)
-	}
-	return "", false
-}
-
-// checkSyncSignature flags by-value receivers and parameters that carry a
-// lock.
-func checkSyncSignature(pass *analysis.Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypesInfo.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if name, ok := containsSyncLock(t, 0); ok {
-				pass.Reportf(field.Pos(), "%s copies %s by value; pass a pointer so goroutines share one lock state", what, name)
-			}
-		}
-	}
-	check(recv, "receiver")
-	check(ft.Params, "parameter")
-}
-
-// checkSyncAssign flags assignments whose RHS copies a lock-bearing value:
-// dereferences, plain variable reads, and field selections. Composite
-// literals constructing a zero value are initialization, not a copy of live
-// state, and stay legal.
-func checkSyncAssign(pass *analysis.Pass, n *ast.AssignStmt) {
-	for i, rhs := range n.Rhs {
-		// `_ = v` discards the copy immediately; no second lock state lives.
-		if len(n.Lhs) == len(n.Rhs) {
-			if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-				continue
-			}
-		}
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		default:
-			continue
-		}
-		t := pass.TypesInfo.TypeOf(rhs)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if name, ok := containsSyncLock(t, 0); ok {
-			pass.Reportf(rhs.Pos(), "assignment copies %s by value; two copies synchronize nothing", name)
-		}
-	}
 }
 
 // checkGoAdd flags wg.Add calls lexically inside the spawned goroutine.

@@ -116,3 +116,9 @@ type misplaced struct {
 	//tspuvet:coldpath fields cannot be cold // want `must be the doc comment of a function declaration`
 	f int
 }
+
+// both carries contradictory markers; the analyzer keeps it a root.
+//
+//tspuvet:hotpath
+//tspuvet:coldpath contradicts the root marker above
+func both() {} // want `both is marked both //tspuvet:hotpath and //tspuvet:coldpath; pick one`

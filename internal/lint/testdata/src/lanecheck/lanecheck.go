@@ -124,3 +124,11 @@ func floating() {
 	//tspuvet:lane // want `//tspuvet:lane must be the doc comment of a function declaration`
 	_ = 0
 }
+
+// laneType puts the function marker on a type.
+//
+//tspuvet:lane // want `//tspuvet:lane belongs on a function declaration, not on a type`
+type laneType struct{}
+
+//tspuvet:laneowned // want `//tspuvet:laneowned must be the doc comment of a type declaration`
+var notAType = 0

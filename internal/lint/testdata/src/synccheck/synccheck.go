@@ -1,40 +1,14 @@
-// Package synccheck exercises the three worker-pool synchronization bugs the
+// Package synccheck exercises the two worker-pool synchronization bugs the
 // synccheck analyzer forbids, plus the legal shapes on either side of each
-// rule: pointer passing, zero-value initialization, Add before go, and
-// selects that either have a default or only receive.
+// rule: Add before go, and selects that either have a default or only
+// receive.
 package synccheck
 
 import "sync"
 
 type pool struct {
-	mu    sync.Mutex
 	wg    sync.WaitGroup
 	tasks chan int
-}
-
-// byValue copies the whole pool, locks and all.
-func byValue(p pool) { // want `parameter copies sync.Mutex by value`
-	p.mu.Lock()
-	defer p.mu.Unlock()
-}
-
-// valueRecv copies the receiver's locks on every call.
-func (p pool) valueRecv() {} // want `receiver copies sync.Mutex by value`
-
-// ptrRecv shares one lock state: legal.
-func (p *pool) ptrRecv(f func(*sync.Mutex)) {
-	f(&p.mu)
-}
-
-func copies(p *pool, mu *sync.Mutex) {
-	q := *p // want `assignment copies sync.Mutex by value`
-	_ = q
-	mu2 := *mu // want `assignment copies sync.Mutex by value`
-	_ = mu2
-	var fresh sync.Mutex = sync.Mutex{} // zero-value initialization, not a copy: legal
-	_ = fresh
-	ptr := &p.mu // taking the address shares, not copies: legal
-	_ = ptr
 }
 
 func addInsideGoroutine(p *pool) {

@@ -52,3 +52,9 @@ func shadowed() int {
 	var time fakeClock
 	return time.Now()
 }
+
+//tspuvet:impure fixture: a stamp binds only to a function declaration // want `//tspuvet:impure must be the doc comment of a function declaration`
+var stamped = 0
+
+//tspuvet:impure // want `//tspuvet:impure on walltime.unexplained is missing a reason: declaring a function off the determinism contract must explain itself`
+func unexplained() {}

@@ -87,8 +87,7 @@ func runWalltime(pass *analysis.Pass) (any, error) {
 		what: "wall-clock time",
 		advice: "take the clock from the virtual sim.Sim instead, or mark the calling " +
 			"function //tspuvet:impure <reason> if it is orchestration code",
-		validateStamps: true,
-		stampAsserts:   true,
+		stampAsserts: true,
 	}
 	pr.run(direct)
 	return nil, nil

@@ -89,6 +89,11 @@ type Link struct {
 	a, b  *Iface
 	delay time.Duration
 	mbs   []Middlebox
+	// pipes holds one pipe per chain position, built at Attach, so a packet
+	// crossing the chain allocates nothing. A middlebox may keep its pipe
+	// (tspu fragment queues do), so each pointer stays fixed for the link's
+	// lifetime.
+	pipes []*linkPipe
 	taps  []*Capture
 	// loss drops packets at wire entry with the given probability, driven
 	// by a seeded stream so lossy runs stay reproducible. The paper repeats
@@ -117,7 +122,10 @@ func (l *Link) Delay() time.Duration { return l.delay }
 
 // Attach appends a middlebox to the chain (closest to B among those already
 // attached).
-func (l *Link) Attach(mb Middlebox) { l.mbs = append(l.mbs, mb) }
+func (l *Link) Attach(mb Middlebox) {
+	l.pipes = append(l.pipes, &linkPipe{link: l, idx: len(l.mbs)})
+	l.mbs = append(l.mbs, mb)
+}
 
 // Middleboxes returns the chain in physical order.
 func (l *Link) Middleboxes() []Middlebox { return l.mbs }
@@ -160,9 +168,7 @@ func (l *Link) process(pkt *packet.Packet, dir Direction, idx int) {
 		step = -1
 	}
 	for ; idx >= 0 && idx < len(l.mbs); idx += step {
-		mb := l.mbs[idx]
-		pipe := &linkPipe{link: l, dir: dir, idx: idx}
-		if mb.Handle(pipe, pkt, dir) == Drop {
+		if l.mbs[idx].Handle(l.pipes[idx], pkt, dir) == Drop {
 			return
 		}
 	}
@@ -176,10 +182,9 @@ func (l *Link) process(pkt *packet.Packet, dir Direction, idx int) {
 	l.net.Sim.After(l.delay, dv.run)
 }
 
-// linkPipe implements Pipe for one middlebox invocation.
+// linkPipe implements Pipe for the middlebox at one chain position.
 type linkPipe struct {
 	link *Link
-	dir  Direction
 	idx  int
 }
 

@@ -462,3 +462,35 @@ func TestLinkLossDeterministic(t *testing.T) {
 		t.Fatal("lossy runs diverged under the same seed")
 	}
 }
+
+// passMB forwards every packet untouched.
+type passMB struct{}
+
+func (passMB) Name() string                                  { return "pass" }
+func (passMB) Handle(Pipe, *packet.Packet, Direction) Action { return Pass }
+
+// TestLinkTraversalDoesNotAllocate pins the per-packet chain walk at zero
+// allocations: each chain position reuses the pipe built when its
+// middlebox was attached.
+func TestLinkTraversalDoesNotAllocate(t *testing.T) {
+	s := sim.New()
+	n := New(s)
+	a, b := n.AddHost("a"), n.AddHost("b")
+	link := n.Connect(a.AddIface(packet.MustAddr("10.0.0.1")), b.AddIface(packet.MustAddr("10.0.0.2")), time.Millisecond)
+	link.Attach(passMB{})
+	link.Attach(passMB{})
+	delivered := 0
+	b.SetHandler(func(*packet.Packet) { delivered++ })
+	pkt := packet.NewTCP(a.Addr(), b.Addr(), 40000, 443, packet.FlagsPSHACK, 1, 1, nil)
+	send := func() {
+		link.transmit(link.A(), pkt)
+		s.Run()
+	}
+	send() // warm the delivery pool and the event queue
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("link traversal allocates %.1f times per packet, want 0", allocs)
+	}
+	if delivered != 102 {
+		t.Fatalf("delivered %d packets, want 102", delivered)
+	}
+}
