@@ -164,8 +164,8 @@ bench-all:
 # path must be byte-identical across two independent runs too.
 fleet-smoke:
 	$(GO) build -o /tmp/tspu-lab ./cmd/tspu-lab
-	/tmp/tspu-lab -exp table2,fig12 -seeds 3 -workers 1 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 > /tmp/fleet-w1.txt
-	/tmp/tspu-lab -exp table2,fig12 -seeds 3 -workers 8 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 > /tmp/fleet-w8.txt
+	/tmp/tspu-lab -exp table2,fig12,fig9,table3 -seeds 3 -workers 1 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 > /tmp/fleet-w1.txt
+	/tmp/tspu-lab -exp table2,fig12,fig9,table3 -seeds 3 -workers 8 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 > /tmp/fleet-w8.txt
 	diff /tmp/fleet-w1.txt /tmp/fleet-w8.txt && echo "fleet deterministic"
 	/tmp/tspu-lab -exp table2,fig12 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 2>/dev/null > /tmp/seq-a.txt
 	/tmp/tspu-lab -exp table2,fig12 -endpoints 200 -ases 12 -echo 50 -tranco 200 -registry 200 2>/dev/null > /tmp/seq-b.txt

@@ -70,9 +70,9 @@ func TestArmsRaceLedgerGolden(t *testing.T) {
 		t.Errorf("want >= 1 pinned evasion defeated by a counter-evolved posture, got %d", defeats)
 	}
 
-	out := led.Render() + "\n" + armsrace.RunPortability(led).Render()
+	out := led.Render().String() + "\n" + armsrace.RunPortability(led).Render().String()
 	golden := filepath.Join("testdata", "armsrace_ledger.golden")
-	if *updateMatrix {
+	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -200,11 +200,11 @@ func TestArmsRacePortabilityControls(t *testing.T) {
 //
 //tspuvet:impure the test exists to prove the wall-clock-adjacent fleet path is seed-pure where it counts: the ledger bytes it compares
 func TestArmsRaceWorkerIndependence(t *testing.T) {
-	base := defaultRace(t).Render()
+	base := defaultRace(t).Render().String()
 	for _, w := range []int{4, 8} {
 		cfg := armsrace.DefaultConfig()
 		cfg.Workers = w
-		if got := armsrace.Run(cfg).Render(); got != base {
+		if got := armsrace.Run(cfg).Render().String(); got != base {
 			t.Fatalf("ledger differs at workers=%d", w)
 		}
 	}

@@ -6,6 +6,12 @@
 //	tspu-lab -exp table1,fig4
 //	tspu-lab -exp all -seed 7 -endpoints 4000 -ases 160
 //
+// -pcap, -dot and -topo write one artifact and exit: a Fig. 2-style
+// blocking capture, the Fig. 10/11 traceroute graph, or the lab topology
+// (Fig. 1 style), the last two as Graphviz DOT with TSPU links in red:
+//
+//	tspu-lab -seed 3 -endpoints 400 -ases 20 -dot out.dot
+//
 // Multi-seed fleet runs fan (experiment, seed, shard) jobs across workers
 // and aggregate the per-seed statistics; the aggregate report is
 // byte-identical for any -workers value:
@@ -23,6 +29,7 @@ import (
 	"tspusim"
 	"tspusim/internal/fleet"
 	"tspusim/internal/hostnet"
+	"tspusim/internal/measure"
 	"tspusim/internal/netem"
 	"tspusim/internal/tlsx"
 	"tspusim/internal/topo"
@@ -40,6 +47,8 @@ func main() {
 		tranco    = flag.Int("tranco", 2000, "Tranco list size (paper: 11,325)")
 		registry  = flag.Int("registry", 2000, "registry sample size (paper: 10,000)")
 		pcapPath  = flag.String("pcap", "", "write a Fig. 2-style SNI-I blocking capture to this .pcap file and exit")
+		dotPath   = flag.String("dot", "", "write the Fig. 10/11 traceroute graph as Graphviz DOT to this file and exit")
+		topoPath  = flag.String("topo", "", "write the lab topology (Fig. 1 style) as Graphviz DOT to this file and exit")
 		outDir    = flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 		workers   = flag.Int("workers", 0, "fleet worker goroutines (0 = sequential legacy path)")
 		seeds     = flag.Int("seeds", 1, "replicas per experiment, each on a derived seed")
@@ -64,10 +73,6 @@ func main() {
 		return
 	}
 
-	ids := tspusim.IDs()
-	if *exp != "all" {
-		ids = strings.Split(*exp, ",")
-	}
 	opts := tspusim.Options{
 		Seed:      *seed,
 		Endpoints: *endpoints,
@@ -80,6 +85,19 @@ func main() {
 		}(),
 		TrancoN:   *tranco,
 		RegistryN: *registry,
+	}
+
+	if *dotPath != "" || *topoPath != "" {
+		if err := writeDOT(tspusim.NewLab(opts), *dotPath, *topoPath); err != nil {
+			fmt.Fprintln(os.Stderr, "dot:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	ids := tspusim.IDs()
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
 	}
 
 	var clean []string
@@ -199,6 +217,26 @@ func writeOut(dir, name, content string) error {
 func stderrIsTerminal() bool {
 	fi, err := os.Stderr.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}
+
+// writeDOT writes the lab topology to topoPath and the traceroute graph of
+// every TSPU-positive endpoint to dotPath; an empty path skips that graph.
+func writeDOT(lab *tspusim.Lab, dotPath, topoPath string) error {
+	if topoPath != "" {
+		if err := os.WriteFile(topoPath, []byte(lab.TopologyDOT(false)), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (render with: neato -Tsvg %s)\n", topoPath, topoPath)
+	}
+	if dotPath == "" {
+		return nil
+	}
+	study := measure.RunTracerouteStudy(lab, measure.FragScan(lab, false, true))
+	if err := os.WriteFile(dotPath, []byte(study.DOT), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d traceroutes; render with: dot -Tsvg %s)\n", dotPath, len(study.Traces), dotPath)
+	return nil
 }
 
 // writeBlockingPCAP captures an SNI-I blocking exchange on the vantage's

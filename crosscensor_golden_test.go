@@ -10,7 +10,7 @@ import (
 	"tspusim/internal/fleet"
 )
 
-var updateMatrix = flag.Bool("update", false, "rewrite testdata/crosscensor_matrix.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens of this package from this run")
 
 func crossCensorOpts() Options {
 	return Options{Seed: 1, Endpoints: 20, ASes: 2, TrancoN: 50, RegistryN: 50}
@@ -28,7 +28,7 @@ func TestCrossCensorGoldenMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "crosscensor_matrix.golden")
-	if *updateMatrix {
+	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -30,28 +30,28 @@ func JobRunner(base Options) fleet.RunFunc {
 		if !ok {
 			return "", nil, fmt.Errorf("tspusim: unknown experiment %q", job.Exp)
 		}
-		opts := base
-		opts.Seed = job.Seed
-		if job.Shards > 1 && opts.Endpoints > 0 {
-			opts.Endpoints /= job.Shards
-			if opts.Endpoints < 1 {
-				opts.Endpoints = 1
-			}
-		}
 		s := jobSims.Get().(*sim.Sim)
 		s.Reset()
-		lab := topo.BuildOn(s, opts)
-		var out string
-		var stats []fleet.Stat
-		if e.Stats != nil {
-			out, stats = e.Stats(lab)
-		} else {
-			out = e.Run(lab)
-			stats = fleet.ExtractStats(out)
-		}
+		doc := e.Run(topo.BuildOn(s, jobOptions(base, job)))
+		out, stats := e.Header()+"\n"+doc.String(), doc.Stats()
 		jobSims.Put(s)
-		return e.Header() + "\n" + out, stats, nil
+		return out, stats, nil
 	}
+}
+
+// jobOptions derives a job's lab options from base: the job's seed, and the
+// (defaulted) endpoint population split across the job's shards.
+func jobOptions(base Options, job fleet.Job) Options {
+	opts := base
+	opts.Defaults()
+	opts.Seed = job.Seed
+	if job.Shards > 1 {
+		opts.Endpoints /= job.Shards
+		if opts.Endpoints < 1 {
+			opts.Endpoints = 1
+		}
+	}
+	return opts
 }
 
 // RunFleet plans and executes ids × seeds × shards jobs over the worker pool

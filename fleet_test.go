@@ -1,6 +1,9 @@
 package tspusim
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -87,22 +90,84 @@ func TestFleetShardsSplitPopulation(t *testing.T) {
 	}
 }
 
-// TestExperimentStatsHook: experiments with a Stats hook (table1) emit
-// ordered labelled stats matching the table layout.
+// TestExperimentStatsHook: table1's typed Doc emits one stat per cell,
+// keyed "<vantage>/<column>" and valued as the failure percentage the text
+// renders, in table order.
 func TestExperimentStatsHook(t *testing.T) {
 	e, ok := Find("table1")
-	if !ok || e.Stats == nil {
-		t.Fatal("table1 must expose a Stats hook")
+	if !ok {
+		t.Fatal("table1 missing")
 	}
 	lab := NewLab(Options{Seed: 2, Endpoints: 60, ASes: 4, EchoServers: 20, TrancoN: 60, RegistryN: 60})
-	out, stats := e.Stats(lab)
+	doc := e.Run(lab)
+	stats := doc.Stats()
 	if len(stats) != 15 {
 		t.Fatalf("table1 stats has %d cells, want 15 (3 vantages x 5 types)", len(stats))
 	}
-	if stats[0].Key != "rostelecom/SNI-I fail%" {
-		t.Fatalf("first stat key %q", stats[0].Key)
+	if stats[0].Key != "rostelecom/SNI-I" || stats[14].Key != "obit/IP-Based" {
+		t.Fatalf("stat keys %q .. %q", stats[0].Key, stats[14].Key)
 	}
-	if !strings.Contains(out, "Table 1") {
-		t.Fatalf("Stats output missing artifact:\n%s", out)
+	for _, st := range stats {
+		cell := fmt.Sprintf("%.4f%%", st.Value)
+		if !strings.Contains(doc.String(), cell) {
+			t.Errorf("stat %s = %v: rendered table has no %s cell", st.Key, st.Value, cell)
+		}
+	}
+	if !strings.Contains(doc.String(), "Table 1") {
+		t.Fatalf("Doc missing artifact:\n%s", doc)
+	}
+}
+
+// TestJobShardsSplitDefaultPopulation: with Endpoints left at zero, a
+// 4-shard job splits the lab's default 2000-endpoint population, not
+// builds four full-size labs.
+func TestJobShardsSplitDefaultPopulation(t *testing.T) {
+	job := fleet.Plan(1, []string{"fig9"}, 1, 4)[0]
+	lab := NewLab(jobOptions(Options{Seed: 1, TrancoN: 50, RegistryN: 50}, job))
+	if got := lab.Opts.Endpoints; got != 500 {
+		t.Fatalf("4-shard job built a lab for %d endpoints, want 500", got)
+	}
+	if got := len(lab.Endpoints); got > 500 {
+		t.Fatalf("4-shard job built %d endpoints, want at most 500", got)
+	}
+}
+
+// TestFleetAggregateGolden pins the multi-seed aggregate — stat keys, their
+// order, and their moments — for the experiments whose replicas differ, so
+// a renamed or reshaped stat shows up as a reviewed diff. Every key must be
+// unique within a job's stats, or replicas would aggregate unrelated
+// numbers. Regenerate deliberately with:
+// go test -run TestFleetAggregateGolden -update .
+func TestFleetAggregateGolden(t *testing.T) {
+	opts := Options{Seed: 1, Endpoints: 200, ASes: 12, EchoServers: 50, TrancoN: 200, RegistryN: 200}
+	ids := []string{"fig9", "fig12", "table3", "usval", "propagation", "webconn"}
+	rep := RunFleet(opts, ids, 3, 1, fleet.Config{Workers: 2})
+	for _, res := range rep.Results {
+		if res.Failed() {
+			t.Fatalf("%s failed: %v", res.Job.Label(), res.Err)
+		}
+		seen := map[string]bool{}
+		for _, st := range res.Stats {
+			if seen[st.Key] {
+				t.Errorf("%s: duplicate stat key %q", res.Job.Label(), st.Key)
+			}
+			seen[st.Key] = true
+		}
+	}
+	out := rep.RenderAggregate()
+	golden := filepath.Join("testdata", "fleet_aggregate.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(out))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if out != string(want) {
+		t.Fatalf("fleet aggregate drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", golden, out, want)
 	}
 }

@@ -282,14 +282,15 @@ func (l *Ledger) AllPins() []Pin {
 
 // Render prints the race ledger: one round table per family, then the pin
 // and defeat registers.
-func (l *Ledger) Render() string {
-	var b strings.Builder
-	b.WriteString("== Arms race: evasion search vs. counter-evolving censors ==\n")
-	fmt.Fprintf(&b, "stimulus: %s; search %d rounds x pop %d x gen %d per family; corpus seed %#x\n\n",
-		BlockedDomain, l.Config.Rounds, l.Config.Population, l.Config.Generations, CorpusSeed)
+func (l *Ledger) Render() *report.Doc {
+	doc := new(report.Doc).
+		Text("== Arms race: evasion search vs. counter-evolving censors ==\n").
+		Textf("stimulus: %s; search %d rounds x pop %d x gen %d per family; corpus seed %#x\n\n",
+			BlockedDomain, l.Config.Rounds, l.Config.Population, l.Config.Generations, CorpusSeed)
 
 	rounds := report.NewTable("Rounds (posture entering the round; pins frozen post-shrink)",
 		"Censor", "Round", "Posture", "Cands", "New pins", "Defeated", "Counter-move")
+	rounds.LabelCols = 2
 	for _, fl := range l.Families {
 		if fl.NotApplicable {
 			rounds.AddRow(fl.Family, "-", "-", "-",
@@ -306,10 +307,9 @@ func (l *Ledger) Render() string {
 				orDash(strings.Join(rl.Defeated, " ")), move)
 		}
 	}
-	b.WriteString(rounds.String())
-
 	pins := report.NewTable("Pinned evasions (one-minimal; frozen as golden traces under testdata/evasions/)",
 		"Censor", "Strategy", "Found r", "Posture", "Fate")
+	pins.LabelCols = 2
 	for _, p := range l.AllPins() {
 		fate := "survives the race"
 		if p.DefeatedRound != 0 {
@@ -317,15 +317,14 @@ func (l *Ledger) Render() string {
 		}
 		pins.AddRow(p.Family, p.Genome.String(), p.Round, postureLabel(p.Posture), fate)
 	}
-	b.WriteString(pins.String())
-
 	var defeats int
 	for _, fl := range l.Families {
 		defeats += len(fl.Defeats)
 	}
-	fmt.Fprintf(&b, "pins: %d, defeats: %d, surviving: %d\n",
-		len(l.AllPins()), defeats, len(l.SurvivingPins()))
-	return b.String()
+	return doc.Add(rounds, pins).
+		Textf("pins: %d, ", len(l.AllPins())).
+		Textf("defeats: %d, ", defeats).
+		Textf("surviving: %d\n", len(l.SurvivingPins()))
 }
 
 func orDash(s string) string {

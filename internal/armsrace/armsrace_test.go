@@ -275,12 +275,12 @@ func TestRaceSmallConfig(t *testing.T) {
 		Families: famAll[:1]} // tspu only
 	a := Run(cfg)
 	if len(a.Families) != 1 || len(a.Families[0].Pins) < 1 {
-		t.Fatalf("trimmed race found no tspu pins:\n%s", a.Render())
+		t.Fatalf("trimmed race found no tspu pins:\n%s", a.Render().String())
 	}
-	if b := Run(cfg); a.Render() != b.Render() {
+	if b := Run(cfg); a.Render().String() != b.Render().String() {
 		t.Fatal("trimmed race is not deterministic across runs")
 	}
-	if !strings.Contains(a.Render(), "tspu") {
+	if !strings.Contains(a.Render().String(), "tspu") {
 		t.Fatal("ledger missing family name")
 	}
 }

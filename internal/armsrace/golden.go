@@ -229,7 +229,7 @@ func (pm *Portability) Cell(genome, family string) string {
 }
 
 // Render prints the transfer matrix.
-func (pm *Portability) Render() string {
+func (pm *Portability) Render() *report.Doc {
 	headers := append([]string{"Strategy", "Plane"}, pm.Families...)
 	t := report.NewTable("Strategy portability (pinned evasions vs. every unmodified censor)", headers...)
 	for i, row := range pm.Strategies {
@@ -239,5 +239,5 @@ func (pm *Portability) Render() string {
 		}
 		t.AddRow(cells...)
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }

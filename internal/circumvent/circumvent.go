@@ -270,7 +270,7 @@ func Matrix(lab *topo.Lab, vantage string, server *hostnet.Stack) []Outcome {
 }
 
 // Render prints a strategy x behavior matrix.
-func Render(title string, outcomes []Outcome) string {
+func Render(title string, outcomes []Outcome) *report.Doc {
 	targets := Targets()
 	headers := []string{"Strategy", "Side"}
 	for _, t := range targets {
@@ -298,5 +298,5 @@ func Render(title string, outcomes []Outcome) string {
 		}
 		tb.AddRow(row...)
 	}
-	return tb.String()
+	return new(report.Doc).Add(tb)
 }

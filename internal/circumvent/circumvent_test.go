@@ -44,7 +44,7 @@ func TestMatrixAgainstSymmetricDevice(t *testing.T) {
 			t.Errorf("%s vs %s: evaded=%v, want %v", o.Strategy, o.Behavior, o.Evaded, want)
 		}
 	}
-	if !strings.Contains(Render("matrix", outcomes), "EVADES") {
+	if !strings.Contains(Render("matrix", outcomes).String(), "EVADES") {
 		t.Fatal("render missing evasions")
 	}
 }

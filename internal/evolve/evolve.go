@@ -16,6 +16,7 @@ import (
 	"tspusim/internal/circumvent"
 	"tspusim/internal/hostnet"
 	"tspusim/internal/packet"
+	"tspusim/internal/report"
 	"tspusim/internal/sim"
 	"tspusim/internal/tlsx"
 	"tspusim/internal/topo"
@@ -346,22 +347,24 @@ func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discover
 }
 
 // Render summarizes a search.
-func Render(results []Discovered) string {
-	var b strings.Builder
-	b.WriteString("== Geneva-style evasion search against the TSPU model ==\n")
+// The ranked genome list carries no stats: a rank is not a stable key.
+func Render(results []Discovered) *report.Doc {
 	full, tried := 0, len(results)
 	for _, d := range results {
 		if d.Fitness == 3 {
 			full++
 		}
 	}
-	fmt.Fprintf(&b, "candidates evaluated: %d, full evasions found: %d\n", tried, full)
+	doc := new(report.Doc).
+		Text("== Geneva-style evasion search against the TSPU model ==\n").
+		Textf("candidates evaluated: %d, ", tried).
+		Textf("full evasions found: %d\n", full)
 	top := results
 	if len(top) > 8 {
 		top = top[:8]
 	}
 	for _, d := range top {
-		fmt.Fprintf(&b, "  fitness %d/3  %s\n", d.Fitness, d.Genome)
+		doc.Text(fmt.Sprintf("  fitness %d/3  %s\n", d.Fitness, d.Genome))
 	}
-	return b.String()
+	return doc
 }

@@ -35,7 +35,7 @@ func TestSearchFindsEvasions(t *testing.T) {
 	if g.SegmentSize == 0 && g.FragmentPayload == 0 && g.PadBeforeSNI == 0 && !g.PrependRecord {
 		t.Fatalf("winner uses no effective gene: %s", g)
 	}
-	if !strings.Contains(Render(results), "full evasions") {
+	if !strings.Contains(Render(results).String(), "full evasions") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -29,10 +29,10 @@ func TestRenderAggregateInsertionOrderInvariant(t *testing.T) {
 		}
 	}
 	results := []JobResult{
-		mk(0, "table1", 0, "t1 seed0", []Stat{{"ER/SNI fail%", 1.5}, {"ER/QUIC fail%", 0.5}}),
-		mk(1, "table1", 1, "t1 seed1", []Stat{{"ER/SNI fail%", 2.5}, {"ER/QUIC fail%", 0.75}}),
-		mk(2, "fig12", 0, "hops seed0", []Stat{{"within2", 69.0}}),
-		mk(3, "fig12", 1, "hops seed1", []Stat{{"within2", 71.0}}),
+		mk(0, "table1", 0, "t1 seed0", []Stat{{Key: "ER/SNI fail%", Value: 1.5}, {Key: "ER/QUIC fail%", Value: 0.5}}),
+		mk(1, "table1", 1, "t1 seed1", []Stat{{Key: "ER/SNI fail%", Value: 2.5}, {Key: "ER/QUIC fail%", Value: 0.75}}),
+		mk(2, "fig12", 0, "hops seed0", []Stat{{Key: "within2", Value: 69.0}}),
+		mk(3, "fig12", 1, "hops seed1", []Stat{{Key: "within2", Value: 71.0}}),
 	}
 	fwd := buildReport(results)
 	reversed := make([]JobResult, 0, len(results))
@@ -54,9 +54,9 @@ func TestRenderAggregatePartialKeysStable(t *testing.T) {
 		return JobResult{Job: Job{Index: idx, Exp: "e", SeedIndex: idx, Shards: 1}, Output: "o" + string(rune('0'+idx)), Stats: stats}
 	}
 	results := []JobResult{
-		mk(0, []Stat{{"always", 1}, {"sometimes", 10}}),
-		mk(1, []Stat{{"always", 2}}),
-		mk(2, []Stat{{"always", 3}, {"sometimes", 30}}),
+		mk(0, []Stat{{Key: "always", Value: 1}, {Key: "sometimes", Value: 10}}),
+		mk(1, []Stat{{Key: "always", Value: 2}}),
+		mk(2, []Stat{{Key: "always", Value: 3}, {Key: "sometimes", Value: 30}}),
 	}
 	fwd := buildReport(results)
 	rev := buildReport([]JobResult{results[2], results[0], results[1]})

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"tspusim/internal/report"
 	"tspusim/internal/sim"
 )
 
@@ -71,12 +72,9 @@ func Plan(root uint64, ids []string, seeds, shards int) []Job {
 	return jobs
 }
 
-// Stat is one labelled numeric observation from a single job, kept in the
-// order the experiment emitted it so aggregate tables preserve row order.
-type Stat struct {
-	Key   string
-	Value float64
-}
+// Stat is one labelled numeric observation from a single job: a report
+// Doc's typed stats, in emission order.
+type Stat = report.Stat
 
 // RunFunc executes one job and returns its rendered output plus ordered
 // summary statistics for cross-seed aggregation.

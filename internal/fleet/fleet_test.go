@@ -211,37 +211,6 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestExtractStats(t *testing.T) {
-	text := "== Table X: sample (2000 trials) ==\n" +
-		"Vantage     SNI-I    QUIC\n" +
-		"----------  -------  ----\n" +
-		"rostelecom  0.1000%  0.0000%\n" +
-		"ertelecom   1.7000%  0.7000%\n" +
-		"within two hops: 72.2%\n" +
-		"counts 1,302 and (42)\n"
-	stats := ExtractStats(text)
-	want := []Stat{
-		{"rostelecom[0]", 0.1}, {"rostelecom[1]", 0},
-		{"ertelecom[0]", 1.7}, {"ertelecom[1]", 0.7},
-		{"within two hops:", 72.2},
-		{"counts[0]", 1302}, {"counts[1]", 42},
-	}
-	if len(stats) != len(want) {
-		t.Fatalf("extracted %d stats, want %d: %+v", len(stats), len(want), stats)
-	}
-	for i, w := range want {
-		if stats[i].Key != w.Key || stats[i].Value != w.Value {
-			t.Errorf("stat %d = %+v, want %+v", i, stats[i], w)
-		}
-	}
-	// Title lines must contribute nothing: their numerals are names.
-	for _, s := range stats {
-		if strings.Contains(s.Key, "Table") {
-			t.Errorf("title leaked into stats: %+v", s)
-		}
-	}
-}
-
 func TestAggregateStatsMoments(t *testing.T) {
 	jobs := Plan(1, []string{"m"}, 4, 1)
 	vals := []float64{1, 2, 3, 4}

@@ -142,8 +142,8 @@ func findSinks(pass *analysis.Pass, body *ast.BlockStmt) []sink {
 // callSinkKind classifies a call as an ordered sink: writes into a
 // strings.Builder or bytes.Buffer, fmt printing to a shared writer, or the
 // order-sensitive entry points of the report/fleet aggregation layers
-// (Table.AddRow keeps row order; Hist.Add and Contingency.Add are counters
-// and commute).
+// (Table.AddRow and the Doc appenders keep order; Hist.Add and
+// Contingency.Add are counters and commute).
 func callSinkKind(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -165,8 +165,13 @@ func callSinkKind(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		if (recv == "strings.Builder" || recv == "bytes.Buffer") && strings.HasPrefix(fn.Name(), "Write") {
 			return "writes into a " + recv, true
 		}
-		if strings.HasSuffix(fn.Pkg().Path(), "internal/report") && fn.Name() == "AddRow" {
-			return "adds ordered rows to a report table", true
+		if strings.HasSuffix(fn.Pkg().Path(), "internal/report") {
+			if fn.Name() == "AddRow" {
+				return "adds ordered rows to a report table", true
+			}
+			if recv == "report.Doc" && fn.Name() != "String" && fn.Name() != "Stats" {
+				return "adds ordered parts to a report Doc", true
+			}
 		}
 	}
 	if strings.HasSuffix(fn.Pkg().Path(), "internal/fleet") && strings.Contains(fn.Name(), "Aggregate") {

@@ -57,6 +57,15 @@ func tableRows(m map[string]float64) *report.Table {
 	return t
 }
 
+// docLines feeds a report Doc, whose part order is presentation order.
+func docLines(m map[string]int) *report.Doc {
+	d := new(report.Doc)
+	for k, v := range m { // want `map iteration order is random but the loop body adds ordered parts to a report Doc`
+		d.Textf("%s: %d\n", k, v)
+	}
+	return d
+}
+
 // reductions commute: sums, min/max, counters, and map-to-map writes need no
 // directive and no sort.
 func reductions(m map[string]int) (int, int, map[int]int, *report.Hist) {

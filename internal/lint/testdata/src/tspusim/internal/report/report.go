@@ -16,3 +16,8 @@ func NewHist(title string) *Hist { return &Hist{counts: map[int]int{}} }
 
 // Add is a commutative counter — legal from a map range.
 func (h *Hist) Add(b int) { h.counts[b]++ }
+
+type Doc struct{ parts []string }
+
+// Textf appends in order — feeding it from a map range is a violation.
+func (d *Doc) Textf(format string, args ...any) *Doc { d.parts = append(d.parts, format); return d }

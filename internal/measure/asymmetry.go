@@ -1,9 +1,7 @@
 package measure
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
 
 	"tspusim/internal/hostnet"
 	"tspusim/internal/report"
@@ -126,19 +124,17 @@ func nodeOfAddr(lab *topo.Lab, a netip.Addr) string {
 }
 
 // Render prints the comparison.
-func (r *AsymmetryResult) Render() string {
+func (r *AsymmetryResult) Render() *report.Doc {
 	t := report.NewTable("Routing asymmetry (§7.1.1): bidirectional TCP traceroutes",
 		"Vantage", "Fwd hops", "Rev hops", "Asymmetric")
 	for _, row := range r.Rows {
 		t.AddRow(row.Vantage, len(row.ForwardHops), len(row.ReverseHops), row.Asymmetric)
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
+	doc := new(report.Doc).Add(t)
 	for _, row := range r.Rows {
 		if row.Asymmetric {
-			fmt.Fprintf(&b, "%s: reverse path traverses routers the forward path never touched\n", row.Vantage)
+			doc.Textf("%s: reverse path traverses routers the forward path never touched\n", row.Vantage)
 		}
 	}
-	b.WriteString("paper: upstream and downstream traffic traverse different hops on all three vantages\n")
-	return b.String()
+	return doc.Text("paper: upstream and downstream traffic traverse different hops on all three vantages\n")
 }

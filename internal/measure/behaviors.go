@@ -2,7 +2,6 @@ package measure
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"tspusim/internal/hostnet"
@@ -16,17 +15,16 @@ import (
 
 // BehaviorTraces reproduces Fig. 2: a packet-level trace of each blocking
 // behavior, captured at the client side (what a Russian user's tcpdump would
-// show).
-func BehaviorTraces(lab *topo.Lab) string {
-	var b strings.Builder
+// show). Packet lines carry no stats; each behavior's bracketed summary does.
+func BehaviorTraces(lab *topo.Lab) *report.Doc {
+	doc := new(report.Doc)
 	v := vantageOf(lab, topo.ERTelecom)
 
-	run := func(title string, script func() []string) {
-		fmt.Fprintf(&b, "--- %s ---\n", title)
-		for _, line := range script() {
-			fmt.Fprintf(&b, "  %s\n", line)
-		}
-		b.WriteByte('\n')
+	step := func(format string, args ...any) { doc.Textf("  "+format+"\n", args...) }
+	run := func(title string, script func()) {
+		doc.Textf("--- %s ---\n", title)
+		script()
+		doc.Text("\n")
 	}
 
 	lab.US1.Listen(443, hostnet.ListenOptions{
@@ -36,28 +34,26 @@ func BehaviorTraces(lab *topo.Lab) string {
 		},
 	})
 
-	connTrace := func(domain string) []string {
-		var lines []string
+	connTrace := func(domain string) {
 		conn := v.Stack.Dial(lab.US1.Addr(), 443, hostnet.DialOptions{})
-		lines = append(lines, "-> SYN")
+		step("-> SYN")
 		conn.OnPacket = func(p *packet.Packet) {
-			lines = append(lines, "<- "+p.TCP.Flags.String()+payloadNote(p))
+			step("<- %s%s", p.TCP.Flags.String(), payloadNote(p))
 		}
 		conn.OnEstablished = func() {
-			lines = append(lines, "-> ACK")
-			lines = append(lines, fmt.Sprintf("-> ClientHello (SNI=%s)", domain))
+			step("-> ACK")
+			step("-> ClientHello (SNI=%s)", domain)
 			conn.Send(CH(domain))
 		}
 		lab.Sim.Run()
 		conn.Close()
-		return lines
 	}
 
-	run("SNI-Based (I): RST/ACK rewriting ("+DomainSNI1+")", func() []string {
-		return connTrace(DomainSNI1)
+	run("SNI-Based (I): RST/ACK rewriting ("+DomainSNI1+")", func() {
+		connTrace(DomainSNI1)
 	})
-	run("SNI-Based (II): allowance then symmetric drops ("+DomainSNI2+")", func() []string {
-		lines := connTrace(DomainSNI2)
+	run("SNI-Based (II): allowance then symmetric drops ("+DomainSNI2+")", func() {
+		connTrace(DomainSNI2)
 		f := NewFlow(lab, v.Stack, lab.US1, 443)
 		defer f.Close()
 		f.L(packet.FlagSYN, nil)
@@ -68,20 +64,18 @@ func BehaviorTraces(lab *topo.Lab) string {
 		for i := 0; i < 12; i++ {
 			f.L(packet.FlagsPSHACK, []byte("data"))
 		}
-		lines = append(lines, fmt.Sprintf("   [raw flow: %d of 12 post-trigger packets delivered, then symmetric drops]",
-			len(f.RemoteGot)-before))
-		return lines
+		step("   [raw flow: %d of 12 post-trigger packets delivered, then symmetric drops]",
+			len(f.RemoteGot)-before)
 	})
-	run("SNI-Based (IV): split handshake backup drop ("+DomainSNI14+")", func() []string {
-		var lines []string
+	run("SNI-Based (IV): split handshake backup drop ("+DomainSNI14+")", func() {
 		us2 := lab.US2.Listen(443, hostnet.ListenOptions{SplitHandshake: true})
 		conn := v.Stack.Dial(lab.US2.Addr(), 443, hostnet.DialOptions{})
-		lines = append(lines, "-> SYN")
+		step("-> SYN")
 		conn.OnPacket = func(p *packet.Packet) {
-			lines = append(lines, "<- "+p.TCP.Flags.String())
+			step("<- %s", p.TCP.Flags.String())
 		}
 		conn.OnEstablished = func() {
-			lines = append(lines, fmt.Sprintf("-> ClientHello (SNI=%s)", DomainSNI14))
+			step("-> ClientHello (SNI=%s)", DomainSNI14)
 			conn.Send(CH(DomainSNI14))
 		}
 		lab.Sim.Run()
@@ -91,21 +85,17 @@ func BehaviorTraces(lab *topo.Lab) string {
 				delivered = true
 			}
 		}
-		lines = append(lines, fmt.Sprintf("   [ClientHello delivered to server: %v — backup drops everything]", delivered))
+		step("   [ClientHello delivered to server: %v — backup drops everything]", delivered)
 		conn.Close()
-		return lines
 	})
-	run("IP-Based: outgoing dropped, inbound responses rewritten", func() []string {
-		var lines []string
+	run("IP-Based: outgoing dropped, inbound responses rewritten", func() {
 		conn := v.Stack.Dial(lab.TorAddr, 9001, hostnet.DialOptions{})
 		lab.Sim.Run()
-		lines = append(lines, "-> SYN to blocked IP")
-		lines = append(lines, fmt.Sprintf("   [replies received: %d — dropped at the TSPU]", len(conn.Packets)))
+		step("-> SYN to blocked IP")
+		step("   [replies received: %d — dropped at the TSPU]", len(conn.Packets))
 		conn.Close()
-		return lines
 	})
-	run("QUIC: v1 initial triggers full drop", func() []string {
-		var lines []string
+	run("QUIC: v1 initial triggers full drop", func() {
 		sport := v.Stack.EphemeralPort()
 		got := 0
 		lab.US1.BindUDP(443, func(p *packet.Packet) { got++ })
@@ -113,12 +103,11 @@ func BehaviorTraces(lab *topo.Lab) string {
 		v.Stack.SendUDP(lab.US1.Addr(), sport, 443, []byte("second"))
 		v.Stack.SendUDP(lab.US1.Addr(), sport, 443, []byte("third"))
 		lab.Sim.Run()
-		lines = append(lines, "-> QUIC v1 Initial (1200 bytes)")
-		lines = append(lines, "-> two follow-up datagrams")
-		lines = append(lines, fmt.Sprintf("   [server received %d of 3 — everything after the trigger drops]", got))
-		return lines
+		step("-> QUIC v1 Initial (1200 bytes)")
+		step("-> two follow-up datagrams")
+		step("   [server received %d of 3 — everything after the trigger drops]", got)
 	})
-	return b.String()
+	return doc
 }
 
 func payloadNote(p *packet.Packet) string {
@@ -129,10 +118,10 @@ func payloadNote(p *packet.Packet) string {
 }
 
 // FragBehaviorTrace reproduces Fig. 3: fragments buffered at the device,
-// released together after the last arrives, TTLs rewritten.
-func FragBehaviorTrace(lab *topo.Lab) string {
-	var b strings.Builder
-	b.WriteString("== Fig. 3: TSPU handling of IP fragmentation ==\n")
+// released together after the last arrives, TTLs rewritten. The per-fragment
+// lines carry no stats: a position in the trace is not a stable key.
+func FragBehaviorTrace(lab *topo.Lab) *report.Doc {
+	doc := new(report.Doc).Text("== Fig. 3: TSPU handling of IP fragmentation ==\n")
 	v := vantageOf(lab, topo.ERTelecom)
 	type arrival struct {
 		at  time.Duration
@@ -153,7 +142,7 @@ func FragBehaviorTrace(lab *topo.Lab) string {
 	p.IP.ID = v.Stack.NextIPID()
 	frags, err := packet.FragmentCount(p, 3)
 	if err != nil {
-		return err.Error()
+		return doc.Text(err.Error())
 	}
 	frags[1].IP.TTL = 33 // distinct TTLs show the rewrite
 	frags[2].IP.TTL = 21
@@ -161,18 +150,18 @@ func FragBehaviorTrace(lab *topo.Lab) string {
 	for i, f := range frags {
 		f := f
 		sent := time.Duration(i) * 50 * time.Millisecond
-		fmt.Fprintf(&b, "t=%3dms send fragment[%d] offset=%d ttl=%d\n", sent/time.Millisecond, i, f.IP.FragOffset, f.IP.TTL)
+		doc.Text(fmt.Sprintf("t=%3dms send fragment[%d] offset=%d ttl=%d\n", sent/time.Millisecond, i, f.IP.FragOffset, f.IP.TTL))
 		lab.Sim.After(sent, func() { v.Stack.Send(f) })
 	}
 	lab.Sim.Run()
 	for i, a := range arrivals {
-		fmt.Fprintf(&b, "t=%3dms recv fragment[%d] offset=%d ttl=%d\n",
-			(a.at-base)/time.Millisecond, i, a.off, a.ttl)
+		doc.Text(fmt.Sprintf("t=%3dms recv fragment[%d] offset=%d ttl=%d\n",
+			(a.at-base)/time.Millisecond, i, a.off, a.ttl))
 	}
 	if len(arrivals) == 3 && arrivals[0].ttl == arrivals[1].ttl && arrivals[1].ttl == arrivals[2].ttl {
-		b.WriteString("all fragments released together after the last arrived, TTLs rewritten to the first fragment's\n")
+		doc.Text("all fragments released together after the last arrived, TTLs rewritten to the first fragment's\n")
 	}
-	return b.String()
+	return doc
 }
 
 // ThrottleResult is the SNI-III measurement.
@@ -217,13 +206,13 @@ func ThrottleMeasure(lab *topo.Lab) ThrottleResult {
 	}
 }
 
-// Render prints the throttling comparison.
-func (r ThrottleResult) Render() string {
-	return fmt.Sprintf("== SNI-III throttling (Feb 26 - Mar 4 2022 policy) ==\n"+
-		"throttled goodput: %8.0f B/s (paper: 600-700 B/s)\n"+
-		"control goodput:   %8.0f B/s\n"+
-		"slowdown:          %8.1fx\n",
-		r.GoodputBps, r.ControlBps, r.ControlBps/r.GoodputBps)
+// Render lays out the throttling comparison.
+func (r ThrottleResult) Render() *report.Doc {
+	return new(report.Doc).
+		Text("== SNI-III throttling (Feb 26 - Mar 4 2022 policy) ==\n").
+		Textf("throttled goodput: %8.0f B/s (paper: 600-700 B/s)\n", r.GoodputBps).
+		Textf("control goodput:   %8.0f B/s\n", r.ControlBps).
+		Textf("slowdown:          %8.1fx\n", r.ControlBps/r.GoodputBps)
 }
 
 // TracerouteStudy reproduces Fig. 10-12: traceroutes to every TSPU-positive
@@ -260,7 +249,7 @@ func RunTracerouteStudy(lab *topo.Lab, scan *FragScanResult) *TracerouteStudy {
 }
 
 // Render summarizes the study (Fig. 10's caption numbers).
-func (s *TracerouteStudy) Render(scale float64) string {
+func (s *TracerouteStudy) Render(scale float64) *report.Doc {
 	t := report.NewTable("Fig. 10/11: traceroutes with TSPU links",
 		"Metric", "Value", "Paper")
 	t.AddRow("traceroutes with TSPU on path", len(s.Traces), "> 1M")
@@ -268,7 +257,7 @@ func (s *TracerouteStudy) Render(scale float64) string {
 	t.AddRow("unique links (paper scale)", int(float64(s.UniqueLinks)*scale), "")
 	sizes := s.Cluster.Members()
 	if len(sizes) > 0 {
-		t.AddRow("largest shared link serves", fmt.Sprintf("%d endpoints", sizes[0]), "censorship-as-a-service (Fig. 11)")
+		t.AddRow("largest shared link serves", report.Numf("%.0f endpoints", float64(sizes[0])), "censorship-as-a-service (Fig. 11)")
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestBehaviorTracesFig2(t *testing.T) {
 	lab := topo.Build(topo.Options{Seed: 41, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
-	out := BehaviorTraces(lab)
+	out := BehaviorTraces(lab).String()
 	for _, want := range []string{
 		"SNI-Based (I)", "SNI-Based (II)", "SNI-Based (IV)",
 		"IP-Based", "QUIC",
@@ -25,7 +25,7 @@ func TestBehaviorTracesFig2(t *testing.T) {
 
 func TestFragBehaviorTraceFig3(t *testing.T) {
 	lab := topo.Build(topo.Options{Seed: 42, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
-	out := FragBehaviorTrace(lab)
+	out := FragBehaviorTrace(lab).String()
 	if !strings.Contains(out, "TTLs rewritten") {
 		t.Fatalf("Fig. 3 trace missing rewrite confirmation:\n%s", out)
 	}
@@ -47,7 +47,7 @@ func TestThrottleMeasureSNI3(t *testing.T) {
 	if res.ControlBps/res.GoodputBps < 5 {
 		t.Fatalf("slowdown only %.1fx", res.ControlBps/res.GoodputBps)
 	}
-	if !strings.Contains(res.Render(), "600-700") {
+	if !strings.Contains(res.Render().String(), "600-700") {
 		t.Fatal("render missing paper reference")
 	}
 	// Throttling must be inactive again after the measurement.
@@ -72,7 +72,7 @@ func TestTracerouteStudyFig10(t *testing.T) {
 	if !strings.Contains(study.DOT, "color=red") {
 		t.Fatal("DOT missing TSPU link marking")
 	}
-	if !strings.Contains(study.Render(lab.PaperScale()), "unique TSPU links") {
+	if !strings.Contains(study.Render(lab.PaperScale()).String(), "unique TSPU links") {
 		t.Fatal("render incomplete")
 	}
 	// Clustering effect: shared devices mean strictly fewer links than

@@ -216,8 +216,7 @@ func (mx *FingerprintMatrix) DistinctFingerprints() int {
 }
 
 // Render prints the matrix as the crosscensor experiment's report.
-func (mx *FingerprintMatrix) Render() string {
-	var b strings.Builder
+func (mx *FingerprintMatrix) Render() *report.Doc {
 	t := report.NewTable("Cross-censor fingerprint matrix (identical probe battery, one column per censor model)",
 		"Probe", "Censor", "Observed behavior")
 	for pi, p := range mx.Probes {
@@ -225,23 +224,19 @@ func (mx *FingerprintMatrix) Render() string {
 			t.AddRow(p.ID(), m.Name, mx.Cells[pi][mi])
 		}
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "models: %d (", len(mx.Models))
+	cites := make([]string, len(mx.Models))
 	for i, m := range mx.Models {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s: %s", m.Name, m.Cite)
+		cites[i] = m.Name + ": " + m.Cite
 	}
-	b.WriteString(")\n")
 	families := map[string]bool{}
 	for _, p := range mx.Probes {
 		families[p.Family] = true
 	}
-	fmt.Fprintf(&b, "probe families: %d, probes: %d, distinct fingerprints: %d/%d\n",
-		len(families), len(mx.Probes), mx.DistinctFingerprints(), len(mx.Models))
-	b.WriteString("stimulus domain: " + CrossBlockedDomain + " (installed in every model's tables); control: " + DomainControl + "\n")
-	return b.String()
+	return new(report.Doc).Add(t).
+		Textf("models: %d (%s)\n", len(mx.Models), strings.Join(cites, ", ")).
+		Textf("probe families: %d, probes: %d, distinct fingerprints: %d/%d\n",
+			len(families), len(mx.Probes), mx.DistinctFingerprints(), len(mx.Models)).
+		Text("stimulus domain: " + CrossBlockedDomain + " (installed in every model's tables); control: " + DomainControl + "\n")
 }
 
 // ---- probe implementations ----

@@ -12,14 +12,14 @@ import (
 // must fail loudly here, not just shift golden bytes.
 
 func TestCrossCensorDeterministic(t *testing.T) {
-	a := CrossCensor(1).Render()
-	b := CrossCensor(1).Render()
+	a := CrossCensor(1).Render().String()
+	b := CrossCensor(1).Render().String()
 	if a != b {
 		t.Fatal("CrossCensor output differs between identical runs")
 	}
 	// The matrix is a pure function of the model tables; the seed only feeds
 	// the TSPU's (unused, zero-failure-rate) rand stream.
-	c := CrossCensor(99).Render()
+	c := CrossCensor(99).Render().String()
 	if a != c {
 		t.Fatal("CrossCensor output depends on the seed; the battery must be behavior-only")
 	}
@@ -171,7 +171,7 @@ func TestCrossCensorControlColumn(t *testing.T) {
 }
 
 func TestCrossCensorRenderSummary(t *testing.T) {
-	out := CrossCensor(1).Render()
+	out := CrossCensor(1).Render().String()
 	for _, want := range []string{
 		"distinct fingerprints: 6/6",
 		"arXiv:2304.04835",

@@ -68,11 +68,11 @@ func Devices(lab *topo.Lab) *DeviceReport {
 }
 
 // Render prints the fleet table.
-func (r *DeviceReport) Render() string {
+func (r *DeviceReport) Render() *report.Doc {
 	t := report.NewTable("TSPU fleet counters after a mixed workload",
 		"Device", "Handled", "Triggers", "Rewritten", "Dropped", "Flows")
 	for _, row := range r.Rows {
 		t.AddRow(row.Name, row.Stats.Handled, row.Triggers, row.Stats.Rewritten, row.Stats.Dropped, row.Flows)
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }

@@ -89,8 +89,8 @@ func (r *SurveyResult) Counts() (tspu int, perISP map[string]int, tspuOnly int) 
 	return
 }
 
-// Render prints the Fig. 6 comparison.
-func (r *SurveyResult) Render() string {
+// Render lays out the Fig. 6 comparison.
+func (r *SurveyResult) Render() *report.Doc {
 	tspu, perISP, tspuOnly := r.Counts()
 	t := report.NewTable(fmt.Sprintf("Fig. 6: domains blocked (%s, %d tested)", r.List, len(r.Verdicts)),
 		"Mechanism", "Blocked")
@@ -99,7 +99,7 @@ func (r *SurveyResult) Render() string {
 		t.AddRow("resolver "+name, perISP[name])
 	}
 	t.AddRow("TSPU only (out-registry or ISP lag)", tspuOnly)
-	return t.String()
+	return new(report.Doc).Add(t)
 }
 
 // CategoryBreakdown runs the Fig. 7 pipeline: LDA-categorize the list and
@@ -130,8 +130,8 @@ func Categories(lab *topo.Lab, r *SurveyResult, topics, iters int) *CategoryBrea
 	return cb
 }
 
-// Render prints Fig. 7.
-func (cb *CategoryBreakdown) Render() string {
+// Render lays out Fig. 7.
+func (cb *CategoryBreakdown) Render() *report.Doc {
 	t := report.NewTable("Fig. 7: domain categories (LDA-labelled)", "Category", "All Sites", "Blocked by TSPU")
 	cats := append(workload.Categories(), workload.CatErrorPage)
 	for _, c := range cats {
@@ -140,7 +140,7 @@ func (cb *CategoryBreakdown) Render() string {
 		}
 		t.AddRow(c.String(), cb.All[c], cb.Blocked[c])
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }
 
 // Table3Result maps the paper's named domains to their observed behaviors.
@@ -220,20 +220,14 @@ func sni2Probe(lab *topo.Lab, v *topo.Vantage, domain string) bool {
 	return len(f.RemoteGot)-before < 12
 }
 
-// Render prints Table 3.
-func (r *Table3Result) Render() string {
+// Render lays out Table 3.
+func (r *Table3Result) Render() *report.Doc {
 	t := report.NewTable("Table 3: blocking types for named domains (measured vs paper)",
 		"Domain", "SNI-I", "SNI-II", "SNI-IV", "Matches paper")
-	mark := func(b bool) string {
-		if b {
-			return "x"
-		}
-		return "-"
-	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Domain, mark(row.SNI1), mark(row.SNI2), mark(row.SNI4), row.MatchesPaperBehaviors)
+		t.AddRow(row.Domain, report.Mark(row.SNI1), report.Mark(row.SNI2), report.Mark(row.SNI4), row.MatchesPaperBehaviors)
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }
 
 // Venn computes the Fig. 6 set diagram exactly: for every domain, which of
@@ -262,8 +256,8 @@ func (r *SurveyResult) Venn() map[string]int {
 	return out
 }
 
-// RenderVenn prints the region counts, largest first.
-func (r *SurveyResult) RenderVenn() string {
+// RenderVenn lays out the region counts, largest first.
+func (r *SurveyResult) RenderVenn() *report.Doc {
 	venn := r.Venn()
 	keys := make([]string, 0, len(venn))
 	for k := range venn {
@@ -279,5 +273,5 @@ func (r *SurveyResult) RenderVenn() string {
 	for _, k := range keys {
 		t.AddRow(k, venn[k])
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }

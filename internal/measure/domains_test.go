@@ -26,7 +26,7 @@ func TestDomainSurveyFig6(t *testing.T) {
 	if tspuOnly == 0 {
 		t.Fatal("no TSPU-only blocking despite ISP lag")
 	}
-	if !strings.Contains(res.Render(), "Fig. 6") {
+	if !strings.Contains(res.Render().String(), "Fig. 6") {
 		t.Fatal("render missing title")
 	}
 }
@@ -62,7 +62,7 @@ func TestCategoriesFig7(t *testing.T) {
 	if blockedTotal == 0 {
 		t.Fatal("no blocked categories")
 	}
-	if !strings.Contains(cb.Render(), "Fig. 7") {
+	if !strings.Contains(cb.Render().String(), "Fig. 7") {
 		t.Fatal("render missing title")
 	}
 }
@@ -80,7 +80,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 				row.ExpectedSNI1, row.ExpectedSNI2, row.ExpectedSNI4)
 		}
 	}
-	if !strings.Contains(res.Render(), "Table 3") {
+	if !strings.Contains(res.Render().String(), "Table 3") {
 		t.Fatal("render missing title")
 	}
 }
@@ -99,7 +99,7 @@ func TestCHFuzzFig13(t *testing.T) {
 			t.Errorf("%s: cosmetic change evaded blocking", r.Name)
 		}
 	}
-	if !strings.Contains(RenderCHFuzz(rows), "Fig. 13") {
+	if !strings.Contains(RenderCHFuzz(rows).String(), "Fig. 13") {
 		t.Fatal("render missing title")
 	}
 }
@@ -116,7 +116,7 @@ func TestQUICFuzzFig14(t *testing.T) {
 	if res.MinLen != 1001 {
 		t.Fatalf("MinLen = %d, want 1001", res.MinLen)
 	}
-	if !strings.Contains(res.Render(), "1001") {
+	if !strings.Contains(res.Render().String(), "1001") {
 		t.Fatal("render missing threshold")
 	}
 }
@@ -142,7 +142,7 @@ func TestVennRegions(t *testing.T) {
 	if !strings.Contains(best, "tspu") {
 		t.Fatalf("dominant region %q lacks tspu", best)
 	}
-	if !strings.Contains(res.RenderVenn(), "Venn") {
+	if !strings.Contains(res.RenderVenn().String(), "Venn") {
 		t.Fatal("render incomplete")
 	}
 }

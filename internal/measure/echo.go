@@ -131,10 +131,10 @@ func (r *EchoResult) Table5Echo() *report.Contingency {
 }
 
 // Render prints the Table 4 funnel.
-func (r *EchoResult) Render() string {
+func (r *EchoResult) Render() *report.Doc {
 	t := report.NewTable("Table 4: echo server measurements",
 		"", "Echo Servers", "Nmap-filtered", "TSPU-positive")
 	t.AddRow("IPs", r.Discovered, r.NmapFiltered, r.TSPUPositive)
 	t.AddRow("ASes", r.DiscoveredASes, r.FilteredASes, r.PositiveASes)
-	return t.String()
+	return new(report.Doc).Add(t)
 }

@@ -80,7 +80,7 @@ func StateExhaustion(lab *topo.Lab) *ExhaustResult {
 }
 
 // Render prints the provisioning table.
-func (r *ExhaustResult) Render() string {
+func (r *ExhaustResult) Render() *report.Doc {
 	t := report.NewTable(
 		fmt.Sprintf("State exhaustion (§8): SNI-I hold vs %d-flow flood", r.FloodFlows),
 		"Flow-table bound", "Blocking survived", "Pressure evictions")
@@ -91,7 +91,7 @@ func (r *ExhaustResult) Render() string {
 		}
 		t.AddRow(bound, row.Survived, row.Evictions)
 	}
-	return t.String() +
+	return new(report.Doc).Add(t).Text(
 		"paper: the TSPU trades evasion-resistance for cheap hardware near users;\n" +
-		"an under-provisioned flow table converts that trade-off into an evasion.\n"
+			"an under-provisioned flow table converts that trade-off into an evasion.\n")
 }

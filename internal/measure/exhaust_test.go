@@ -39,7 +39,7 @@ func TestStateExhaustion(t *testing.T) {
 			t.Errorf("bound %d: Evictions = %d, want evictions=%v", w.maxFlows, got.Evictions, w.evictions)
 		}
 	}
-	out := res.Render()
+	out := res.Render().String()
 	for _, s := range []string{"State exhaustion", "unlimited", "under-provisioned"} {
 		if !strings.Contains(out, s) {
 			t.Errorf("Render() missing %q:\n%s", s, out)

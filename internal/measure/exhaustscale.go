@@ -202,22 +202,23 @@ func exhaustProbe(e *engine.Engine, sport uint16) bool {
 }
 
 // Render prints the provisioning table.
-func (r *ExhaustScaleResult) Render() string {
+func (r *ExhaustScaleResult) Render() *report.Doc {
 	t := report.NewTable(
 		fmt.Sprintf("State exhaustion at scale (§8): SNI-I hold vs %d flows/s x %v flood",
 			r.Config.Rate, r.Config.Duration),
 		"Flow-table bound", "Offered", "Peak table", "Hold survived",
 		"Pressure evict", "Timeout evict", "Pool allocs", "Pool reuses", "Leaked")
-	for _, row := range r.Rows {
-		bound := "unlimited"
+	for i, row := range r.Rows {
+		var bound any = "unlimited"
 		if row.MaxFlows > 0 {
-			bound = fmt.Sprint(row.MaxFlows)
+			// Bounds scale with the offered load, so rows key by position.
+			bound = report.Keyed{Key: fmt.Sprintf("bound[%d]", i), Text: fmt.Sprint(row.MaxFlows)}
 		}
 		t.AddRow(bound, row.Offered, row.PeakTable, row.Survived,
 			row.PressureEvictions, row.TimeoutEvictions, row.PoolAllocs, row.PoolReuses, row.Leaked)
 	}
-	return t.String() +
+	return new(report.Doc).Add(t).Text(
 		"paper: provisioning is the evasion surface — a bounded table sheds the\n" +
-		"oldest state under flood, and the residual-censorship hold goes with it;\n" +
-		"at adequate provisioning the hold rides out millions of attacker flows.\n"
+			"oldest state under flood, and the residual-censorship hold goes with it;\n" +
+			"at adequate provisioning the hold rides out millions of attacker flows.\n")
 }

@@ -71,7 +71,7 @@ func TestStateExhaustionAtScale(t *testing.T) {
 		t.Fatalf("bounded run leaked %d entries", tiny.Leaked)
 	}
 
-	out := res.Render()
+	out := res.Render().String()
 	for _, want := range []string{"State exhaustion at scale", "unlimited", "provisioning"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

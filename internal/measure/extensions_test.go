@@ -39,7 +39,7 @@ func TestObservatoryComparison(t *testing.T) {
 	if res.Rates["control"][PlatformOONI] != 0 || res.Rates["control"][PlatformCP] != 0 {
 		t.Fatalf("control anomalies: %+v", res.Rates["control"])
 	}
-	if !strings.Contains(res.Render(), "censoredplanet") {
+	if !strings.Contains(res.Render().String(), "censoredplanet") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -74,7 +74,7 @@ func TestTimelineReplay(t *testing.T) {
 	if pMar.QUICWorks {
 		t.Fatal("Mar 2022: QUIC still works")
 	}
-	if !strings.Contains(RenderTimeline(samples), "2022-03-04") {
+	if !strings.Contains(RenderTimeline(samples).String(), "2022-03-04") {
 		t.Fatal("render incomplete")
 	}
 	// Monotonic virtual clock across phases.
@@ -95,7 +95,7 @@ func TestResidualCensorship(t *testing.T) {
 	if res.ReusedAfterExpiry {
 		t.Fatal("residual state outlived the SNI-I hold")
 	}
-	if res.Render() == "" {
+	if res.Render().String() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -133,7 +133,7 @@ func TestWebConnectivityLayers(t *testing.T) {
 	if counts[WebDNSFailure] != 0 {
 		t.Fatalf("unexpected dns failures: %v", counts)
 	}
-	if res.Render() == "" {
+	if res.Render().String() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -165,8 +165,8 @@ func TestPolicyPropagation(t *testing.T) {
 			t.Fatalf("%s resolver magically adopted the fresh domain", v)
 		}
 	}
-	if !strings.Contains(res.Render(), "onset spread") {
-		t.Fatalf("render incomplete:\n%s", res.Render())
+	if !strings.Contains(res.Render().String(), "onset spread") {
+		t.Fatalf("render incomplete:\n%s", res.Render().String())
 	}
 }
 
@@ -189,7 +189,7 @@ func TestRoutingAsymmetry(t *testing.T) {
 	if got[topo.ERTelecom] {
 		t.Fatal("ertelecom should be symmetric")
 	}
-	if !strings.Contains(res.Render(), "asymmetry") {
+	if !strings.Contains(res.Render().String(), "asymmetry") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -217,7 +217,7 @@ func TestDeviceReport(t *testing.T) {
 	if totalTriggers == 0 {
 		t.Fatal("workload produced no triggers")
 	}
-	if !strings.Contains(rep.Render(), "fleet") {
+	if !strings.Contains(rep.Render().String(), "fleet") {
 		t.Fatal("render incomplete")
 	}
 }

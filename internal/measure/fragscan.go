@@ -1,9 +1,7 @@
 package measure
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
 
 	"tspusim/internal/hostnet"
 	"tspusim/internal/packet"
@@ -178,7 +176,7 @@ func (r *FragScanResult) Table5Frag() *report.Contingency {
 }
 
 // Render prints the Fig. 9 port breakdown.
-func (r *FragScanResult) Render(scale float64) string {
+func (r *FragScanResult) Render(scale float64) *report.Doc {
 	t := report.NewTable("Fig. 9: endpoints with TSPU installations by port",
 		"Port", "Endpoints", "TSPU-like", "Rate", "Paper-scale endpoints")
 	total, pos := 0, 0
@@ -190,20 +188,11 @@ func (r *FragScanResult) Render(scale float64) string {
 		if n > 0 {
 			rate = float64(p) / float64(n)
 		}
-		t.AddRow(port, n, p, fmt.Sprintf("%.1f%%", 100*rate), int(float64(n)*scale))
+		t.AddRow(port, n, p, report.Numf("%.1f%%", 100*rate), int(float64(n)*scale))
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "total: %d/%d endpoints TSPU-like (%.2f%%; paper: 25.31%%), %d/%d ASes (paper: 650/4986)\n",
-		pos, total, 100*float64(pos)/float64(maxOf(total, 1)), r.PositiveASes, r.TotalASes)
-	return b.String()
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return new(report.Doc).Add(t).
+		Textf("total: %d/%d endpoints TSPU-like (%.2f%%; paper: 25.31%%), %d/%d ASes (paper: 650/4986)\n",
+			pos, total, 100*float64(pos)/float64(max(total, 1)), r.PositiveASes, r.TotalASes)
 }
 
 // USValidation scans a US control population for TSPU-like fragment
@@ -270,8 +259,9 @@ func (r *FragScanResult) LargeAS(threshold int) LargeASStats {
 }
 
 // Render prints the statistic.
-func (s LargeASStats) Render() string {
-	return fmt.Sprintf("large ASes (>= %d targets): %d, with TSPU: %d (%.0f%%; paper: >75%% of 85 large ASes)\n"+
-		"all ASes with TSPU-like behavior: %.1f%% (paper: 12.8%%)\n",
-		s.Threshold, s.LargeASes, s.WithTSPU, 100*s.FractionTSPU, 100*s.OverallASFrac)
+func (s LargeASStats) Render() *report.Doc {
+	return new(report.Doc).
+		Textf("large ASes (>= %d targets): %d, with TSPU: %d (%.0f%%; paper: >75%% of 85 large ASes)\n",
+			s.Threshold, s.LargeASes, s.WithTSPU, 100*s.FractionTSPU).
+		Textf("all ASes with TSPU-like behavior: %.1f%% (paper: 12.8%%)\n", 100*s.OverallASFrac)
 }

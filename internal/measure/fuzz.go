@@ -1,9 +1,6 @@
 package measure
 
 import (
-	"fmt"
-	"strings"
-
 	"tspusim/internal/packet"
 	"tspusim/internal/quicx"
 	"tspusim/internal/report"
@@ -55,7 +52,7 @@ func CHFuzz(lab *topo.Lab) []CHFuzzRow {
 }
 
 // RenderCHFuzz prints the Fig. 13 inspection map.
-func RenderCHFuzz(rows []CHFuzzRow) string {
+func RenderCHFuzz(rows []CHFuzzRow) *report.Doc {
 	t := report.NewTable("Fig. 13: ClientHello fields the TSPU inspects",
 		"Alteration", "Kind", "Still blocked")
 	for _, r := range rows {
@@ -68,7 +65,7 @@ func RenderCHFuzz(rows []CHFuzzRow) string {
 		}
 		t.AddRow(r.Name, kind, r.Blocked)
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }
 
 // QUICFuzzResult is the Fig. 14 boundary sweep.
@@ -126,13 +123,12 @@ func QUICFuzz(lab *topo.Lab) QUICFuzzResult {
 }
 
 // Render prints the Fig. 14 findings.
-func (r QUICFuzzResult) Render() string {
-	var b strings.Builder
-	b.WriteString("== Fig. 14: QUIC fingerprint boundaries ==\n")
-	fmt.Fprintf(&b, "minimum triggering payload: %d bytes (paper: 1001)\n", r.MinLen)
-	fmt.Fprintf(&b, "QUIC v1 blocked:        %v (paper: yes)\n", r.V1Blocked)
-	fmt.Fprintf(&b, "draft-29 blocked:       %v (paper: no — 0xff00001d evades)\n", r.Draft29Blocked)
-	fmt.Fprintf(&b, "quicping blocked:       %v (paper: no — 0xbabababa evades)\n", r.QuicpingBlocked)
-	fmt.Fprintf(&b, "udp/80 v1 blocked:      %v (paper: no — filter bound to :443)\n", r.Port80Blocked)
-	return b.String()
+func (r QUICFuzzResult) Render() *report.Doc {
+	return new(report.Doc).
+		Text("== Fig. 14: QUIC fingerprint boundaries ==\n").
+		Textf("minimum triggering payload: %d bytes (paper: 1001)\n", r.MinLen).
+		Textf("QUIC v1 blocked:        %v (paper: yes)\n", r.V1Blocked).
+		Textf("draft-29 blocked:       %v (paper: no — 0xff00001d evades)\n", r.Draft29Blocked).
+		Textf("quicping blocked:       %v (paper: no — 0xbabababa evades)\n", r.QuicpingBlocked).
+		Textf("udp/80 v1 blocked:      %v (paper: no — filter bound to :443)\n", r.Port80Blocked)
 }

@@ -2,9 +2,9 @@ package measure
 
 import (
 	"fmt"
-	"strings"
 
 	"tspusim/internal/packet"
+	"tspusim/internal/report"
 	"tspusim/internal/topo"
 )
 
@@ -46,13 +46,13 @@ func TTLLocalize(lab *topo.Lab, vantage string, maxTTL int) LocalizeResult {
 	return res
 }
 
-// Render prints the localization result.
-func (r LocalizeResult) Render() string {
+// Render lays out the localization result.
+func (r LocalizeResult) Render() *report.Doc {
+	doc := new(report.Doc).Textf("%s: ", r.Vantage)
 	if r.TriggerTTL == 0 {
-		return fmt.Sprintf("%s: no TSPU found on path\n", r.Vantage)
+		return doc.Text("no TSPU found on path\n")
 	}
-	return fmt.Sprintf("%s: TSPU between hop %d and hop %d (paper: within first three hops)\n",
-		r.Vantage, r.TriggerTTL-1, r.TriggerTTL)
+	return doc.Textf("TSPU between hop %d and hop %d (paper: within first three hops)\n", r.TriggerTTL-1, r.TriggerTTL)
 }
 
 // PartialVisibilityResult is the Fig. 8 (left) experiment: upstream-only
@@ -135,16 +135,15 @@ func (f *flowRemoteFirst) run(ttl int) bool {
 	return received-before < 12
 }
 
-// Render prints the partial-visibility result.
-func (r PartialVisibilityResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Fig. 8 (left): upstream-only TSPU devices from %s ==\n", r.Vantage)
+// Render lays out the partial-visibility result. The device list carries
+// no stats: a position in a variable-length list is not a stable key.
+func (r PartialVisibilityResult) Render() *report.Doc {
+	doc := new(report.Doc).Textf("== Fig. 8 (left): upstream-only TSPU devices from %s ==\n", r.Vantage)
 	if len(r.UpstreamOnlyTTLs) == 0 {
-		b.WriteString("none detected\n")
-		return b.String()
+		return doc.Text("none detected\n")
 	}
 	for _, ttl := range r.UpstreamOnlyTTLs {
-		fmt.Fprintf(&b, "upstream-only device between hop %d and %d\n", ttl-1, ttl)
+		doc.Text(fmt.Sprintf("upstream-only device between hop %d and %d\n", ttl-1, ttl))
 	}
-	return b.String()
+	return doc
 }

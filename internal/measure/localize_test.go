@@ -34,8 +34,8 @@ func TestTTLLocalizeTable(t *testing.T) {
 				t.Errorf("TriggerTTL = %d disagrees with topology's SymDeviceHop = %d",
 					res.TriggerTTL, want)
 			}
-			if !strings.Contains(res.Render(), "between hop") {
-				t.Errorf("Render() missing hop bracket: %q", res.Render())
+			if !strings.Contains(res.Render().String(), "between hop") {
+				t.Errorf("Render() missing hop bracket: %q", res.Render().String())
 			}
 		})
 	}
@@ -50,8 +50,8 @@ func TestTTLLocalizeNoDevice(t *testing.T) {
 	if res.TriggerTTL != 0 {
 		t.Fatalf("TriggerTTL = %d, want 0 with a 1-hop horizon", res.TriggerTTL)
 	}
-	if !strings.Contains(res.Render(), "no TSPU found") {
-		t.Errorf("Render() = %q, want a no-TSPU report", res.Render())
+	if !strings.Contains(res.Render().String(), "no TSPU found") {
+		t.Errorf("Render() = %q, want a no-TSPU report", res.Render().String())
 	}
 }
 
@@ -83,7 +83,7 @@ func TestPartialVisibilityTable(t *testing.T) {
 					t.Errorf("UpstreamOnlyTTLs[%d] = %d, want %d", i, res.UpstreamOnlyTTLs[i], want)
 				}
 			}
-			rendered := res.Render()
+			rendered := res.Render().String()
 			if len(tc.ttls) == 0 && !strings.Contains(rendered, "none detected") {
 				t.Errorf("Render() = %q, want none detected", rendered)
 			}

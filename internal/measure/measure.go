@@ -174,7 +174,8 @@ func vantageOf(lab *topo.Lab, name string) *topo.Vantage {
 	return v
 }
 
-// drainICMP runs the sim and returns whether an echo reply from dst arrived.
+// pingBlocked pings dst from st, runs the sim, and reports whether no echo
+// reply from dst came back — true means the ping was blocked.
 func pingBlocked(lab *topo.Lab, st *hostnet.Stack, dst netip.Addr) bool {
 	got := false
 	st.OnICMP(func(p *packet.Packet) {

@@ -119,15 +119,15 @@ func echoTrialEphemeral(lab *topo.Lab, ep *topo.Endpoint, domain string, n int) 
 }
 
 // Render prints the platform comparison.
-func (r *ObservatoryResult) Render() string {
+func (r *ObservatoryResult) Render() *report.Doc {
 	t := report.NewTable(
 		fmt.Sprintf("Observatory comparison (§5.3.2): anomaly rates, %d trials/cell", r.Trials),
 		"Domain class", PlatformOONI, PlatformCP)
 	for _, class := range []string{"out-registry (SNI-II)", "registry (SNI-I)", "control"} {
 		t.AddRow(class,
-			fmt.Sprintf("%.0f%%", 100*r.Rates[class][PlatformOONI]),
-			fmt.Sprintf("%.0f%%", 100*r.Rates[class][PlatformCP]))
+			report.Numf("%.0f%%", 100*r.Rates[class][PlatformOONI]),
+			report.Numf("%.0f%%", 100*r.Rates[class][PlatformCP]))
 	}
-	return t.String() +
-		"paper: OONI reports >70% anomalies for play.google.com; Censored Planet cannot detect it\n"
+	return new(report.Doc).Add(t).
+		Text("paper: OONI reports >70% anomalies for play.google.com; Censored Planet cannot detect it\n")
 }

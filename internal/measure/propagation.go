@@ -104,7 +104,7 @@ func probeBlocked(lab *topo.Lab, vantage, domain string) bool {
 }
 
 // Render prints the onset table.
-func (r *PropagationResult) Render() string {
+func (r *PropagationResult) Render() *report.Doc {
 	t := report.NewTable(
 		fmt.Sprintf("Policy propagation: %q pushed with %v jitter", r.Domain, r.Jitter),
 		"Vantage", "Blocking onset", "ISP resolver adopted")
@@ -115,14 +115,14 @@ func (r *PropagationResult) Render() string {
 	sort.Strings(keys)
 	var onsets []time.Duration
 	for _, k := range keys {
-		onset := "never"
+		var onset any = "never"
 		if r.Onset[k] >= 0 {
-			onset = fmt.Sprintf("%.0fs", r.Onset[k].Seconds())
+			onset = report.Numf("%.0fs", r.Onset[k].Seconds())
 			onsets = append(onsets, r.Onset[k])
 		}
 		t.AddRow(k, onset, r.ISPResolverAdopted[k])
 	}
-	var spread string
+	doc := new(report.Doc).Add(t)
 	if len(onsets) == len(keys) && len(onsets) > 0 {
 		min, max := onsets[0], onsets[0]
 		for _, o := range onsets {
@@ -133,7 +133,7 @@ func (r *PropagationResult) Render() string {
 				max = o
 			}
 		}
-		spread = fmt.Sprintf("onset spread: %.0fs — the nationwide uniformity of §2; ISP blocklists lag by days (Fig. 6)\n", (max - min).Seconds())
+		doc.Textf("onset spread: %.0fs — the nationwide uniformity of §2; ISP blocklists lag by days (Fig. 6)\n", (max - min).Seconds())
 	}
-	return t.String() + spread
+	return doc
 }

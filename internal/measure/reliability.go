@@ -130,19 +130,22 @@ func trialBlocked(lab *topo.Lab, v *topo.Vantage, typ tspu.BlockType, us2 *hostn
 	return false
 }
 
-// Render prints Table 1.
-func (r *ReliabilityResult) Render() string {
+// Table lays out Table 1; each cell's stat is the failure percentage.
+func (r *ReliabilityResult) Table() *report.Table {
 	t := report.NewTable(fmt.Sprintf("Table 1: TSPU trigger failure rates (%d trials/cell)", r.Trials),
 		append([]string{"Vantage"}, ReliabilityCols...)...)
 	for _, name := range Vantages {
 		row := []any{name}
 		for _, typ := range ReliabilityTypes {
-			row = append(row, fmt.Sprintf("%.4f%%", 100*r.Failures[name][typ]))
+			row = append(row, report.Numf("%.4f%%", 100*r.Failures[name][typ]))
 		}
 		t.AddRow(row...)
 	}
-	return t.String()
+	return t
 }
+
+// Render prints Table 1.
+func (r *ReliabilityResult) Render() string { return r.Table().String() }
 
 // ReliabilityConcurrent reruns the SNI-I cell with batched (overlapping)
 // connections. §5.2.1: "We also tried different levels of concurrency but

@@ -23,7 +23,7 @@ func TestTTLLocalize(t *testing.T) {
 		if res.TriggerTTL > 3 {
 			t.Fatalf("%s: device at trigger TTL %d", name, res.TriggerTTL)
 		}
-		if res.Render() == "" {
+		if res.Render().String() == "" {
 			t.Fatal("empty render")
 		}
 	}
@@ -44,7 +44,7 @@ func TestPartialVisibility(t *testing.T) {
 	if len(ert.UpstreamOnlyTTLs) != 0 {
 		t.Fatalf("ertelecom: spurious upstream-only device at %v", ert.UpstreamOnlyTTLs)
 	}
-	if rt.Render() == "" || ert.Render() == "" {
+	if rt.Render().String() == "" || ert.Render().String() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -79,7 +79,7 @@ func TestEchoMeasure(t *testing.T) {
 	if c.BB == 0 {
 		t.Fatal("no (B,B) cell")
 	}
-	if res.Render() == "" {
+	if res.Render().String() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -153,7 +153,7 @@ func TestFragLocalizationMatchesGroundTruth(t *testing.T) {
 	if res.HopHist.Total() == 0 || res.HopHist.FracAtOrBelow(2) < 0.4 {
 		t.Fatalf("hop histogram shape off: frac<=2 = %.2f", res.HopHist.FracAtOrBelow(2))
 	}
-	if res.Render(lab.PaperScale()) == "" {
+	if res.Render(lab.PaperScale()).String() == "" {
 		t.Fatal("empty render")
 	}
 }

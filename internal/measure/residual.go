@@ -1,10 +1,10 @@
 package measure
 
 import (
-	"fmt"
 	"time"
 
 	"tspusim/internal/packet"
+	"tspusim/internal/report"
 	"tspusim/internal/topo"
 )
 
@@ -71,11 +71,11 @@ func ResidualCensorship(lab *topo.Lab) ResidualResult {
 }
 
 // Render prints the methodology check.
-func (r ResidualResult) Render() string {
-	return fmt.Sprintf("== Residual censorship (§3 methodology) ==\n"+
-		"benign retry on the triggering port:      blocked=%v (residual state)\n"+
-		"benign retry on a fresh port:             blocked=%v\n"+
-		"triggering port after the 75s hold:       blocked=%v\n"+
-		"paper: tests must use fresh source ports; blocking state is per-flow and expires\n",
-		r.ReusedPortBlocked, r.FreshPortBlocked, r.ReusedAfterExpiry)
+func (r ResidualResult) Render() *report.Doc {
+	return new(report.Doc).
+		Text("== Residual censorship (§3 methodology) ==\n").
+		Textf("benign retry on the triggering port:      blocked=%v (residual state)\n", r.ReusedPortBlocked).
+		Textf("benign retry on a fresh port:             blocked=%v\n", r.FreshPortBlocked).
+		Textf("triggering port after the 75s hold:       blocked=%v\n", r.ReusedAfterExpiry).
+		Text("paper: tests must use fresh source ports; blocking state is per-flow and expires\n")
 }

@@ -28,7 +28,7 @@ func TestResidualCensorshipTable(t *testing.T) {
 			t.Errorf("%s: blocked=%v, want %v", c.name, c.got, c.want)
 		}
 	}
-	if !strings.Contains(res.Render(), "fresh source ports") {
-		t.Errorf("Render() missing methodology reference:\n%s", res.Render())
+	if !strings.Contains(res.Render().String(), "fresh source ports") {
+		t.Errorf("Render() missing methodology reference:\n%s", res.Render().String())
 	}
 }

@@ -156,21 +156,21 @@ func (r *ExploreResult) Stats() (total, validSNI1, green, remoteFirstValid int) 
 	return
 }
 
-// Render prints the Fig. 4 summary plus every green sequence.
-func (r *ExploreResult) Render() string {
+// Render lays out the Fig. 4 summary plus every green sequence.
+func (r *ExploreResult) Render() *report.Doc {
 	total, valid, green, remoteFirst := r.Stats()
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Fig. 4: TSPU triggering sequences (length <= 3) ==\n")
-	fmt.Fprintf(&b, "sequences tested:            %d\n", total)
-	fmt.Fprintf(&b, "valid SNI-I prefixes:        %d\n", valid)
-	fmt.Fprintf(&b, "remote-first valid prefixes: %d (paper: 0 — remote-first is never a valid prefix)\n", remoteFirst)
-	fmt.Fprintf(&b, "green (evade SNI-I, hit SNI-IV backup): %d\n", green)
+	doc := new(report.Doc).
+		Text("== Fig. 4: TSPU triggering sequences (length <= 3) ==\n").
+		Textf("sequences tested:            %d\n", total).
+		Textf("valid SNI-I prefixes:        %d\n", valid).
+		Textf("remote-first valid prefixes: %d (paper: 0 — remote-first is never a valid prefix)\n", remoteFirst).
+		Textf("green (evade SNI-I, hit SNI-IV backup): %d\n", green)
 	for _, v := range r.Verdicts {
 		if v.Green() {
-			fmt.Fprintf(&b, "  green: %s\n", SeqString(v.Seq))
+			doc.Textf("  green: %s\n", SeqString(v.Seq))
 		}
 	}
-	return b.String()
+	return doc
 }
 
 // BlockCheck selects how "blocked" is decided after a trigger, matching the
@@ -467,30 +467,30 @@ func Table8(lab *topo.Lab) []Table8Row {
 	return rows
 }
 
-// RenderTable2 prints Table 2 with paper-vs-measured columns.
-func RenderTable2(rows []Table2Row) string {
+// RenderTable2 lays out Table 2 with paper-vs-measured columns.
+func RenderTable2(rows []Table2Row) *report.Doc {
 	t := report.NewTable("Table 2: state timeout measurements (measured vs paper)",
 		"Sequence", "State", "Measured", "Paper")
 	for _, r := range rows {
-		m := "none"
+		var m any = "none"
 		if r.Found {
-			m = fmt.Sprintf("%.0fs", r.Timeout.Seconds())
+			m = report.Numf("%.0fs", r.Timeout.Seconds())
 		}
 		t.AddRow(r.Label, r.State, m, fmt.Sprintf("%.0fs", r.PaperVal.Seconds()))
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }
 
-// RenderTable8 prints Table 8.
-func RenderTable8(rows []Table8Row) string {
+// RenderTable8 lays out Table 8.
+func RenderTable8(rows []Table8Row) *report.Doc {
 	t := report.NewTable("Table 8: sequence timeout estimates (measured vs paper)",
 		"Sequence", "Action", "Paper-Action", "Timeout", "Paper-Timeout")
 	for _, r := range rows {
-		m := "none"
+		var m any = "none"
 		if r.Found {
-			m = fmt.Sprintf("%.0fs", r.Timeout.Seconds())
+			m = report.Numf("%.0fs", r.Timeout.Seconds())
 		}
 		t.AddRow(r.Seq, r.Action, r.PaperAct, m, fmt.Sprintf("%.0fs", r.PaperVal.Seconds()))
 	}
-	return t.String()
+	return new(report.Doc).Add(t)
 }

@@ -64,7 +64,7 @@ func TestExploreSequencesShape(t *testing.T) {
 	if valid == 0 || green == 0 {
 		t.Fatalf("valid=%d green=%d", valid, green)
 	}
-	if res.Render() == "" {
+	if res.Render().String() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -97,7 +97,7 @@ func TestTable2Timeouts(t *testing.T) {
 			t.Errorf("%s (%s): measured %v, device configured %v", r.Label, r.State, r.Timeout, expect)
 		}
 	}
-	if RenderTable2(rows) == "" {
+	if RenderTable2(rows).String() == "" {
 		t.Fatal("render empty")
 	}
 }
@@ -120,7 +120,7 @@ func TestTable8Actions(t *testing.T) {
 	if matches < 15 {
 		t.Fatalf("only %d/16 actions match the paper", matches)
 	}
-	if RenderTable8(rows) == "" {
+	if RenderTable8(rows).String() == "" {
 		t.Fatal("render empty")
 	}
 }

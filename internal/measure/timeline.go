@@ -1,13 +1,12 @@
 package measure
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"tspusim/internal/hostnet"
 	"tspusim/internal/packet"
 	"tspusim/internal/quicx"
+	"tspusim/internal/report"
 	"tspusim/internal/topo"
 	"tspusim/internal/tspu"
 	"tspusim/internal/workload"
@@ -141,14 +140,11 @@ func TimelineReplay(lab *topo.Lab) []TimelineSample {
 }
 
 // RenderTimeline prints the replay.
-func RenderTimeline(samples []TimelineSample) string {
-	var b strings.Builder
-	b.WriteString("== Policy timeline replay: one vantage living through 2021-2022 ==\n")
+func RenderTimeline(samples []TimelineSample) *report.Doc {
+	doc := new(report.Doc).Text("== Policy timeline replay: one vantage living through 2021-2022 ==\n")
 	for _, s := range samples {
-		fmt.Fprintf(&b, "%s\n", s.Phase)
-		fmt.Fprintf(&b, "  twitter goodput: %8.0f B/s   RST-blocked: %-5v   QUIC v1 works: %v\n",
-			s.TwitterGoodputBps, s.TwitterReset, s.QUICWorks)
+		doc.Textf("%s\n  twitter goodput: %8.0f B/s   RST-blocked: %-5v   QUIC v1 works: %v\n",
+			s.Phase, s.TwitterGoodputBps, s.TwitterReset, s.QUICWorks)
 	}
-	b.WriteString("paper: policing at 130 kbps (2021) -> 600-700 B/s (Feb 26) -> RST + QUIC filter (Mar 4)\n")
-	return b.String()
+	return doc.Text("paper: policing at 130 kbps (2021) -> 600-700 B/s (Feb 26) -> RST + QUIC filter (Mar 4)\n")
 }

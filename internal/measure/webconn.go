@@ -136,7 +136,7 @@ func (r *WebConnectivityResult) Counts() map[WebVerdict]int {
 }
 
 // Render prints the verdict distribution and the layering summary.
-func (r *WebConnectivityResult) Render() string {
+func (r *WebConnectivityResult) Render() *report.Doc {
 	counts := r.Counts()
 	t := report.NewTable(
 		fmt.Sprintf("Web connectivity from %s (%d domains)", r.Vantage, len(r.Tests)),
@@ -146,6 +146,6 @@ func (r *WebConnectivityResult) Render() string {
 	t.AddRow(WebTLSReset.String(), counts[WebTLSReset], "TSPU SNI-I reset (centralized mechanism)")
 	t.AddRow(WebHTTPAnomaly.String(), counts[WebHTTPAnomaly], "transfer failed/truncated")
 	t.AddRow(WebDNSFailure.String(), counts[WebDNSFailure], "no DNS answer")
-	return t.String() +
-		"tls-reset with clean DNS is the TSPU's signature: blocking the ISP never deployed\n"
+	return new(report.Doc).Add(t).
+		Text("tls-reset with clean DNS is the TSPU's signature: blocking the ISP never deployed\n")
 }

@@ -299,7 +299,7 @@ func (l *Lab) assignEchoAndLabels(r *sim.Rand, as *AS) {
 	}
 	// Echo share: favor upstream-only ASes so the Table 4 funnel has
 	// positives to find (the paper found them concentrated in 15 ASes).
-	p := float64(l.Opts.EchoServers) / float64(maxInt(1, l.Opts.Endpoints))
+	p := float64(l.Opts.EchoServers) / float64(max(1, l.Opts.Endpoints))
 	if as.Deploy == DeployUpstreamOnly {
 		p *= 4
 	}
@@ -383,11 +383,4 @@ func itoa(v int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

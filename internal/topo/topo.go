@@ -45,7 +45,8 @@ type Options struct {
 	LinkDelay time.Duration
 }
 
-func (o *Options) defaults() {
+// Defaults fills every zero-valued option with its laptop-scale default.
+func (o *Options) Defaults() {
 	if o.Endpoints == 0 {
 		o.Endpoints = 2000
 	}
@@ -252,7 +253,7 @@ func Build(opts Options) *Lab { return BuildOn(sim.New(), opts) }
 // so the event freelist built up by one job serves the next instead of being
 // reallocated per lab.
 func BuildOn(s *sim.Sim, opts Options) *Lab {
-	opts.defaults()
+	opts.Defaults()
 	l := &Lab{
 		Sim:      s,
 		Rand:     sim.NewRand(opts.Seed),

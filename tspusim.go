@@ -27,7 +27,6 @@ import (
 	"tspusim/internal/armsrace"
 	"tspusim/internal/circumvent"
 	"tspusim/internal/evolve"
-	"tspusim/internal/fleet"
 	"tspusim/internal/ispdpi"
 	"tspusim/internal/measure"
 	"tspusim/internal/report"
@@ -50,14 +49,10 @@ type Experiment struct {
 	Title string
 	// Paper cites where the artifact appears.
 	Paper string
-	// Run executes against a fresh or reused lab and returns the rendered
-	// artifact.
-	Run func(lab *Lab) string
-	// Stats, when non-nil, runs the experiment once and additionally
-	// returns ordered summary statistics for multi-seed fleet aggregation.
-	// Experiments without one are aggregated from numbers extracted out of
-	// their rendered text (fleet.ExtractStats).
-	Stats func(lab *Lab) (string, []fleet.Stat)
+	// Run executes against a fresh or reused lab and returns the typed
+	// artifact: its String is the rendered text, its Stats the numbers
+	// multi-seed fleet runs aggregate.
+	Run func(lab *Lab) *report.Doc
 }
 
 // Experiments returns the full per-experiment index of DESIGN.md, keyed and
@@ -68,64 +63,43 @@ func Experiments() []Experiment {
 	exps := []Experiment{
 		{
 			ID: "table1", Title: "TSPU trigger failure rates", Paper: "Table 1",
-			Run: func(lab *Lab) string {
-				return measure.Reliability(lab, 2000).Render()
-			},
-			Stats: func(lab *Lab) (string, []fleet.Stat) {
-				res := measure.Reliability(lab, 2000)
-				var stats []fleet.Stat
-				for _, v := range measure.Vantages {
-					for i, typ := range measure.ReliabilityTypes {
-						stats = append(stats, fleet.Stat{
-							Key:   v + "/" + measure.ReliabilityCols[i] + " fail%",
-							Value: 100 * res.Failures[v][typ],
-						})
-					}
-				}
-				return res.Render(), stats
-			},
+			Run: func(lab *Lab) *report.Doc { return new(report.Doc).Add(measure.Reliability(lab, 2000).Table()) },
 		},
 		{
 			ID: "table2", Title: "Connection-state timeout measurements", Paper: "Table 2, Fig. 5",
-			Run: func(lab *Lab) string {
-				return measure.RenderTable2(measure.Table2(lab))
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.RenderTable2(measure.Table2(lab)) },
 		},
 		{
 			ID: "table3", Title: "Blocking types for named domains", Paper: "Table 3",
-			Run: func(lab *Lab) string {
-				return measure.Table3(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.Table3(lab).Render() },
 		},
 		{
 			ID: "table4", Title: "Echo server measurements", Paper: "Table 4, Fig. 8 right",
-			Run: func(lab *Lab) string {
-				return measure.EchoMeasure(lab, 20).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.EchoMeasure(lab, 20).Render() },
 		},
 		{
 			ID: "table5", Title: "IP-block correlations (echo and fragmentation)", Paper: "Table 5",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				echo := measure.EchoMeasure(lab, 20)
 				scan := measure.FragScan(lab, true, false)
-				return echo.Table5Echo().String() + "\n" + scan.Table5Frag().String()
+				return new(report.Doc).
+					Section("echo", echo.Table5Echo()).Text("\n").
+					Section("frag", scan.Table5Frag())
 			},
 		},
 		{
 			ID: "table7", Title: "Documented conntrack timeouts", Paper: "Table 7",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				t := report.NewTable("Table 7: documented connection-tracking timeouts", "System", "State", "Timeout")
 				for _, row := range ispdpi.Table7() {
 					t.AddRow(row.System, row.State, row.Timeout.String())
 				}
-				return t.String()
+				return new(report.Doc).Add(t)
 			},
 		},
 		{
 			ID: "table8", Title: "Sequence timeout estimates", Paper: "Table 8",
-			Run: func(lab *Lab) string {
-				return measure.RenderTable8(measure.Table8(lab))
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.RenderTable8(measure.Table8(lab)) },
 		},
 		{
 			ID: "fig2", Title: "Blocking behavior packet traces", Paper: "Fig. 2",
@@ -137,118 +111,107 @@ func Experiments() []Experiment {
 		},
 		{
 			ID: "fig4", Title: "Triggering-sequence exploration", Paper: "Fig. 4",
-			Run: func(lab *Lab) string {
-				return measure.ExploreSequences(lab, topo.ERTelecom, 3).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.ExploreSequences(lab, topo.ERTelecom, 3).Render() },
 		},
 		{
 			ID: "fig6", Title: "ISP vs TSPU blocked-domain sets", Paper: "Fig. 6",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				reg := measure.DomainSurvey(lab, "registry-sample", lab.Registry)
 				tr := measure.DomainSurvey(lab, "tranco+CLBL", lab.Tranco)
-				return reg.Render() + reg.RenderVenn() + "\n" + tr.Render() + tr.RenderVenn()
+				return new(report.Doc).
+					Section(reg.List, new(report.Doc).Add(reg.Render(), reg.RenderVenn())).Text("\n").
+					Section(tr.List, new(report.Doc).Add(tr.Render(), tr.RenderVenn()))
 			},
 		},
 		{
 			ID: "fig7", Title: "Blocked-domain categories (LDA)", Paper: "Fig. 7",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				reg := measure.DomainSurvey(lab, "registry-sample", lab.Registry)
 				return measure.Categories(lab, reg, 12, 40).Render()
 			},
 		},
 		{
 			ID: "fig8", Title: "Partial-visibility (upstream-only) devices", Paper: "Fig. 8 left",
-			Run: func(lab *Lab) string {
-				out := ""
-				for _, v := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
-					out += measure.PartialVisibility(lab, v, 12).Render()
+			Run: func(lab *Lab) *report.Doc {
+				doc := new(report.Doc)
+				for _, v := range measure.Vantages {
+					doc.Section(v, measure.PartialVisibility(lab, v, 12).Render())
 				}
-				return out
+				return doc
 			},
 		},
 		{
 			ID: "fig9", Title: "Fragment-fingerprint scan by port", Paper: "Fig. 9",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				scan := measure.FragScan(lab, false, false)
 				// "Large" scales the paper's 5,000-of-4M threshold: ~2x the
 				// mean AS size (the weight distribution tops out near 2.4x).
 				threshold := 2 * len(lab.Endpoints) / len(lab.ASes)
-				return scan.Render(lab.PaperScale()) + scan.LargeAS(threshold).Render()
+				return new(report.Doc).Add(scan.Render(lab.PaperScale()), scan.LargeAS(threshold).Render())
 			},
 		},
 		{
 			ID: "fig10", Title: "Traceroutes with TSPU links", Paper: "Fig. 10, Fig. 11",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				scan := measure.FragScan(lab, false, true)
 				return measure.RunTracerouteStudy(lab, scan).Render(lab.PaperScale())
 			},
 		},
 		{
 			ID: "fig12", Title: "TSPU hop-distance histogram", Paper: "Fig. 12",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				scan := measure.FragScan(lab, false, true)
-				return scan.HopHist.String() +
-					fmt.Sprintf("within two hops: %.1f%% (paper: ~69%%)\n", 100*scan.HopHist.FracAtOrBelow(2))
+				return new(report.Doc).
+					Section("hops", scan.HopHist).
+					Textf("within two hops: %.1f%% (paper: ~69%%)\n", 100*scan.HopHist.FracAtOrBelow(2))
 			},
 		},
 		{
 			ID: "fig13", Title: "ClientHello inspection map", Paper: "Fig. 13",
-			Run: func(lab *Lab) string {
-				return measure.RenderCHFuzz(measure.CHFuzz(lab))
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.RenderCHFuzz(measure.CHFuzz(lab)) },
 		},
 		{
 			ID: "fig14", Title: "QUIC fingerprint boundaries", Paper: "Fig. 14",
-			Run: func(lab *Lab) string {
-				return measure.QUICFuzz(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.QUICFuzz(lab).Render() },
 		},
 		{
 			ID: "sni3", Title: "SNI-III throttling goodput", Paper: "§5.2",
-			Run: func(lab *Lab) string {
-				return measure.ThrottleMeasure(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.ThrottleMeasure(lab).Render() },
 		},
 		{
 			ID: "localize", Title: "TTL-limited device localization", Paper: "§7.1",
-			Run: func(lab *Lab) string {
-				out := ""
-				for _, v := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
-					out += measure.TTLLocalize(lab, v, 10).Render()
+			Run: func(lab *Lab) *report.Doc {
+				doc := new(report.Doc)
+				for _, v := range measure.Vantages {
+					doc.Section(v, measure.TTLLocalize(lab, v, 10).Render())
 				}
-				return out
+				return doc
 			},
 		},
 		{
 			ID: "usval", Title: "US fragment-limit false positives", Paper: "§7.2",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				eps := lab.BuildUSPopulation(1000)
 				res := measure.ValidateUS(lab, eps)
-				return fmt.Sprintf("US hosts with TSPU-like fragment limit: %d/%d (%.3f%%; paper: 0.708%%)\n",
+				return new(report.Doc).Textf("US hosts with TSPU-like fragment limit: %d/%d (%.3f%%; paper: 0.708%%)\n",
 					res.TSPULike, res.Total, 100*float64(res.TSPULike)/float64(res.Total))
 			},
 		},
 		{
 			ID: "observatory", Title: "OONI vs Censored Planet visibility", Paper: "§5.3.2",
-			Run: func(lab *Lab) string {
-				return measure.ObservatoryComparison(lab, 15).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.ObservatoryComparison(lab, 15).Render() },
 		},
 		{
 			ID: "timeline", Title: "Policy timeline replay 2021-2022", Paper: "§2, §5.2",
-			Run: func(lab *Lab) string {
-				return measure.RenderTimeline(measure.TimelineReplay(lab))
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.RenderTimeline(measure.TimelineReplay(lab)) },
 		},
 		{
 			ID: "exhaust", Title: "Conntrack state-exhaustion evasion", Paper: "§8 (provisioning)",
-			Run: func(lab *Lab) string {
-				return measure.StateExhaustion(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.StateExhaustion(lab).Render() },
 		},
 		{
 			ID: "exhaustscale", Title: "State exhaustion at scale (batch-engine flood)", Paper: "§5.3.3, §8 (provisioning)",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				// Offered load scales with the lab's population knob: the
 				// tspu-lab default (2000 endpoints) floods at 20k flows/s for
 				// a ~1.2M-flow concurrency plateau; -endpoints scales it up
@@ -267,45 +230,37 @@ func Experiments() []Experiment {
 		},
 		{
 			ID: "devices", Title: "TSPU fleet counters under a mixed workload", Paper: "(observability)",
-			Run: func(lab *Lab) string {
-				return measure.Devices(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.Devices(lab).Render() },
 		},
 		{
 			ID: "asymmetry", Title: "Bidirectional routing asymmetry", Paper: "§7.1.1",
-			Run: func(lab *Lab) string {
-				return measure.RoutingAsymmetry(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.RoutingAsymmetry(lab).Render() },
 		},
 		{
 			ID: "propagation", Title: "Central policy push: nationwide onset uniformity", Paper: "§2, §5.1",
-			Run: func(lab *Lab) string {
-				return measure.PolicyPropagation(lab, 8*time.Second).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.PolicyPropagation(lab, 8*time.Second).Render() },
 		},
 		{
 			ID: "webconn", Title: "OONI-style web connectivity (DNS+TLS+HTTP layering)", Paper: "§6.2",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				n := len(lab.Registry)
 				if n > 150 {
 					n = 150
 				}
-				out := ""
-				for _, v := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
-					out += measure.WebConnectivity(lab, v, lab.Registry[:n]).Render() + "\n"
+				doc := new(report.Doc)
+				for _, v := range measure.Vantages {
+					doc.Section(v, measure.WebConnectivity(lab, v, lab.Registry[:n]).Render()).Text("\n")
 				}
-				return out
+				return doc
 			},
 		},
 		{
 			ID: "residual", Title: "Residual censorship / fresh-port methodology", Paper: "§3",
-			Run: func(lab *Lab) string {
-				return measure.ResidualCensorship(lab).Render()
-			},
+			Run: func(lab *Lab) *report.Doc { return measure.ResidualCensorship(lab).Render() },
 		},
 		{
 			ID: "crosscensor", Title: "Cross-censor fingerprint matrix (TSPU vs TM vs IN vs ISP DPI)", Paper: "§3, §5-§7 vs arXiv:2304.04835, arXiv:1808.01708",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				// Runs on its own per-cell testbeds; the Lab contributes only
 				// the seed, so the matrix is identical at any -endpoints or
 				// -workers setting.
@@ -314,29 +269,27 @@ func Experiments() []Experiment {
 		},
 		{
 			ID: "armsrace", Title: "Arms race: evasion search vs. counter-evolving censors", Paper: "§8 / [38] + arXiv:2304.04835, arXiv:1808.01708",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				// Like crosscensor, the race is a conformance artifact: every
 				// trial runs on its own testbed derived from the fixed corpus
 				// seed, so the ledger is byte-identical for every lab seed,
 				// replica, and worker count.
 				led := armsrace.Run(armsrace.DefaultConfig())
-				return led.Render() + "\n" + armsrace.RunPortability(led).Render()
+				return new(report.Doc).Add(led.Render()).Text("\n").Add(armsrace.RunPortability(led).Render())
 			},
 		},
 		{
 			ID: "evolve", Title: "Geneva-style automated evasion search", Paper: "§8 / [38]",
-			Run: func(lab *Lab) string {
-				return evolve.Render(evolve.Search(lab, lab.US1, evolve.SearchOptions{}))
-			},
+			Run: func(lab *Lab) *report.Doc { return evolve.Render(evolve.Search(lab, lab.US1, evolve.SearchOptions{})) },
 		},
 		{
 			ID: "circum", Title: "Circumvention strategy matrix", Paper: "§8",
-			Run: func(lab *Lab) string {
+			Run: func(lab *Lab) *report.Doc {
 				sym := circumvent.Matrix(lab, topo.ERTelecom, lab.US1)
-				out := circumvent.Render("Circumvention vs one symmetric device (ER-Telecom -> US)", sym)
 				upstream := circumvent.Matrix(lab, topo.OBIT, lab.Paris)
-				out += "\n" + circumvent.Render("Circumvention through an upstream-only device (OBIT -> Paris)", upstream)
-				return out
+				return new(report.Doc).
+					Add(circumvent.Render("Circumvention vs one symmetric device (ER-Telecom -> US)", sym)).Text("\n").
+					Add(circumvent.Render("Circumvention through an upstream-only device (OBIT -> Paris)", upstream))
 			},
 		},
 	}
@@ -368,7 +321,7 @@ func Run(lab *Lab, id string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("tspusim: unknown experiment %q (use IDs from Experiments)", id)
 	}
-	return e.Header() + "\n" + e.Run(lab), nil
+	return e.Header() + "\n" + e.Run(lab).String(), nil
 }
 
 // IDs returns every experiment ID.

@@ -77,3 +77,19 @@ func TestRunSmokeEveryExperiment(t *testing.T) {
 		})
 	}
 }
+
+// Every experiment's stat keys must be unique within its Doc: fleet
+// aggregation merges replicas key by key, so a repeated key would average
+// unrelated numbers.
+func TestExperimentStatKeysUnique(t *testing.T) {
+	opts := Options{Seed: 2, Endpoints: 120, ASes: 10, EchoServers: 40, TrancoN: 120, RegistryN: 120}
+	for _, e := range Experiments() {
+		seen := map[string]bool{}
+		for _, st := range e.Run(NewLab(opts)).Stats() {
+			if seen[st.Key] {
+				t.Errorf("%s: duplicate stat key %q", e.ID, st.Key)
+			}
+			seen[st.Key] = true
+		}
+	}
+}
