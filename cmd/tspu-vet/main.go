@@ -74,6 +74,7 @@ var hotPathPackages = []string{
 	"./internal/tlsx",
 	"./internal/tspu",
 	"./internal/engine",
+	"./internal/netem",
 }
 
 func main() {

@@ -2,18 +2,11 @@
 // turns the one-packet-one-call simulator datapath into a line-rate system.
 // Packets are queued into a fixed-capacity ring, keyed once with the two-word
 // packet.FlowKey4, scattered by canonical host-pair hash into lanes, and run
-// through an in-order chain of TSPU devices via their sharded entry point —
-// every lane owning a disjoint slice of conntrack, fragment, and counter
-// state, so N workers process N lanes with no shared lock or aggregation
-// point.
-//
-// The chain semantics mirror netem.Link exactly: packets traveling AtoB
-// traverse device 0 first, BtoA the highest index first; a Drop verdict stops
-// traversal; a device injecting a packet (fragment release) re-enters the
-// chain one position past itself in the packet's direction of travel.
-// Virtual-clock scheduling from inside a lane is buffered and flushed to the
-// simulator after the batch barrier in lane order, because sim.Sim is
-// single-threaded by design.
+// through a multi-lane netem.Chain of TSPU devices, the executor netem.Link
+// also uses. Every lane owns a disjoint slice of conntrack, fragment, and
+// counter state, so N workers process N lanes with no shared lock. As its
+// chain's sink, the engine buffers each lane's survivors and After calls
+// until the batch barrier, because sim.Sim is single-threaded by design.
 //
 // Determinism does not depend on the worker count: lanes are disjoint,
 // per-lane processing preserves arrival order, flushes happen in lane order,
@@ -23,7 +16,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -88,24 +80,46 @@ type laneState struct {
 	drops uint64
 }
 
+// engineSink is an Engine in its role as the sink of its chain: what leaves
+// a lane is buffered in that lane's laneState until the batch barrier.
+type engineSink Engine
+
+// Deliver buffers a chain survivor for the post-barrier Deliver fan-out.
+//
+//tspuvet:hotpath
+//tspuvet:lane
+func (s *engineSink) Deliver(lane int, pkt *packet.Packet, dir netem.Direction) {
+	if s.deliver != nil {
+		ln := &s.lane[lane]
+		//tspuvet:retains lane out-buffer holds passed packets only until the post-batch deliver fan-out in Process
+		ln.out = append(ln.out, outPkt{pkt: pkt, dir: dir})
+	}
+}
+
+// After buffers fn for post-barrier scheduling. The simulator does not
+// advance during Process, so fn lands at the same virtual instant a direct
+// Sim.After call would have given it.
+//
+//tspuvet:lane
+func (s *engineSink) After(lane int, d time.Duration, fn func()) {
+	ln := &s.lane[lane]
+	ln.afterD = append(ln.afterD, d)
+	ln.afterF = append(ln.afterF, fn)
+}
+
 // Engine is the batch pipeline. It is driven from the simulator's thread:
 // Push/Process must not be called concurrently, but one Process call may fan
 // lanes out over Workers goroutines internally.
 type Engine struct {
-	sim      *sim.Sim
-	devices  []*tspu.Device
-	deliver  func(pkt *packet.Packet, dir netem.Direction)
-	lanes    int
-	mask     uint64
-	workers  int
-	batchCap int
+	sim     *sim.Sim
+	chain   *netem.Chain
+	deliver func(pkt *packet.Packet, dir netem.Direction)
+	mask    uint64
+	workers int
 
 	items []Item
 	n     int
 	lane  []laneState
-	// pipes[l][d] is the Pipe a device d invocation on lane l receives;
-	// prebuilt so the hot loop takes addresses instead of allocating.
-	pipes [][]lanePipe
 
 	// packets / batches / drops count lifetime totals.
 	packets uint64
@@ -113,8 +127,8 @@ type Engine struct {
 	drops   uint64
 }
 
-// New builds an engine. It panics on an empty chain or mismatched device
-// lane counts — both are construction bugs, not runtime conditions.
+// New builds an engine. An empty chain or mismatched device lane counts
+// (checked by netem.NewShardedChain) are construction bugs and panic.
 func New(cfg Config) *Engine {
 	if cfg.Sim == nil {
 		panic("engine: Config.Sim is required")
@@ -123,39 +137,19 @@ func New(cfg Config) *Engine {
 		panic("engine: no devices")
 	}
 	lanes := cfg.Devices[0].NumLanes()
-	for _, d := range cfg.Devices[1:] {
-		if d.NumLanes() != lanes {
-			panic(fmt.Sprintf("engine: device %q has %d lanes, want %d", d.Name(), d.NumLanes(), lanes))
-		}
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 512
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > lanes {
-		workers = lanes
-	}
+	workers := min(max(cfg.Workers, 1), lanes)
 	e := &Engine{
-		sim:      cfg.Sim,
-		devices:  cfg.Devices,
-		deliver:  cfg.Deliver,
-		lanes:    lanes,
-		mask:     uint64(lanes - 1),
-		workers:  workers,
-		batchCap: cfg.BatchSize,
-		items:    make([]Item, cfg.BatchSize),
-		lane:     make([]laneState, lanes),
-		pipes:    make([][]lanePipe, lanes),
+		sim:     cfg.Sim,
+		deliver: cfg.Deliver,
+		mask:    uint64(lanes - 1),
+		workers: workers,
+		items:   make([]Item, cfg.BatchSize),
+		lane:    make([]laneState, lanes),
 	}
-	for l := 0; l < lanes; l++ {
-		e.pipes[l] = make([]lanePipe, len(cfg.Devices))
-		for d := range cfg.Devices {
-			e.pipes[l][d] = lanePipe{e: e, lane: int32(l), idx: int32(d)}
-		}
-	}
+	e.chain = netem.NewShardedChain(cfg.Sim, (*engineSink)(e), lanes, cfg.Devices)
 	return e
 }
 
@@ -171,7 +165,7 @@ func (e *Engine) Totals() (packets, batches, drops uint64) {
 //
 //tspuvet:hotpath
 func (e *Engine) Push(pkt *packet.Packet, dir netem.Direction) bool {
-	if e.n == e.batchCap {
+	if e.n == len(e.items) {
 		return false
 	}
 	it := &e.items[e.n]
@@ -206,7 +200,7 @@ func (e *Engine) Process() []Item {
 	}
 	// Stage 2 — per-lane chain runs, workers over disjoint lanes.
 	if e.workers <= 1 {
-		for l := 0; l < e.lanes; l++ {
+		for l := range e.lane {
 			e.runLane(l, items)
 		}
 	} else {
@@ -215,7 +209,7 @@ func (e *Engine) Process() []Item {
 		for w := 0; w < e.workers; w++ {
 			go func(w int) { //tspuvet:allow hotpath: worker fan-out is once per batch (Workers>1 only), amortized across up to BatchSize packets
 				defer wg.Done()
-				for l := w; l < e.lanes; l += e.workers {
+				for l := w; l < len(e.lane); l += e.workers {
 					e.runLane(l, items)
 				}
 			}(w)
@@ -226,26 +220,20 @@ func (e *Engine) Process() []Item {
 	// lane order. The flush order is a pure function of lane assignment, so
 	// the simulator sees one deterministic schedule per trace regardless of
 	// Workers.
-	for l := 0; l < e.lanes; l++ {
+	for l := range e.lane {
 		ln := &e.lane[l]
 		e.drops += ln.drops
 		ln.drops = 0
 		for i, d := range ln.afterD {
 			e.sim.After(d, ln.afterF[i])
-			ln.afterF[i] = nil
 		}
-		ln.afterD = ln.afterD[:0]
-		ln.afterF = ln.afterF[:0]
-		if e.deliver != nil {
-			for _, op := range ln.out {
-				e.deliver(op.pkt, op.dir)
-			}
+		// out is empty unless Deliver is set (engineSink.Deliver).
+		for _, op := range ln.out {
+			e.deliver(op.pkt, op.dir)
 		}
-		for i := range ln.out {
-			ln.out[i] = outPkt{}
-		}
-		ln.out = ln.out[:0]
-		ln.q = ln.q[:0]
+		clear(ln.afterF)
+		clear(ln.out)
+		ln.afterD, ln.afterF, ln.out, ln.q = ln.afterD[:0], ln.afterF[:0], ln.out[:0], ln.q[:0]
 	}
 	e.packets += uint64(e.n)
 	e.batches++
@@ -263,80 +251,12 @@ func (e *Engine) runLane(l int, items []Item) {
 	ln := &e.lane[l]
 	for _, idx := range ln.q {
 		it := &items[idx]
-		start := 0
-		if it.Dir == netem.BtoA {
-			start = len(e.devices) - 1
-		}
 		//tspuvet:allow lanecheck: the scatter pass partitions items rows by lane — ln.q holds only this lane's indexes, so no two lanes write the same row
-		it.Verdict = e.runChain(ln, l, it.Pkt, it.Dir, it.key, start)
+		it.Verdict = e.chain.Run(l, it.Pkt, it.Dir, it.key)
 		if it.Verdict == netem.Drop {
 			ln.drops++
 		}
 	}
-}
-
-// runChain runs pkt through the device chain from index idx (inclusive) in
-// dir, mirroring netem.Link.process. Survivors are buffered for delivery.
-//
-//tspuvet:hotpath
-func (e *Engine) runChain(ln *laneState, l int, pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, idx int) netem.Action {
-	step := 1
-	if dir == netem.BtoA {
-		step = -1
-	}
-	for ; idx >= 0 && idx < len(e.devices); idx += step {
-		if e.devices[idx].HandleSharded(&e.pipes[l][idx], pkt, dir, key, l) == netem.Drop { //tspuvet:allow hotpath: interface wraps a prebuilt per-(lane,device) pipe pointer, no allocation
-			return netem.Drop
-		}
-	}
-	if e.deliver != nil {
-		//tspuvet:retains lane out-buffer holds passed packets only until the post-batch deliver fan-out in Process
-		ln.out = append(ln.out, outPkt{pkt: pkt, dir: dir})
-	}
-	return netem.Pass
-}
-
-// lanePipe implements netem.Pipe for one (lane, device) position. Inject
-// continues through the rest of the chain synchronously on the lane worker —
-// legal because an injected packet shares the flow's host pair and therefore
-// the lane — while After is buffered until the batch barrier, because the
-// simulator is not safe to call from lane workers.
-//
-//tspuvet:laneowned
-type lanePipe struct {
-	e    *Engine
-	lane int32
-	idx  int32
-}
-
-// Inject mirrors netem.linkPipe.Inject: the packet enters the chain one
-// position past this device in its direction of travel. Devices call it
-// through the Pipe interface from lane workers, so it is a lane entry point
-// in its own right (the receiver carries the lane).
-//
-//tspuvet:lane
-func (p *lanePipe) Inject(pkt *packet.Packet, dir netem.Direction) {
-	next := int(p.idx) + 1
-	if dir == netem.BtoA {
-		next = int(p.idx) - 1
-	}
-	key := packet.FlowKey4Of(pkt)
-	ln := &p.e.lane[p.lane]
-	p.e.runChain(ln, int(p.lane), pkt, dir, key, next)
-}
-
-func (p *lanePipe) Now() time.Duration { return p.e.sim.Now() }
-
-// After buffers the callback for post-barrier scheduling. The simulator does
-// not advance during Process, so flushing after the barrier registers fn at
-// the same virtual instant a direct call would have. Like Inject, it runs on
-// lane workers via the Pipe interface.
-//
-//tspuvet:lane
-func (p *lanePipe) After(d time.Duration, fn func()) {
-	ln := &p.e.lane[p.lane]
-	ln.afterD = append(ln.afterD, d)
-	ln.afterF = append(ln.afterF, fn)
 }
 
 // Advance drains due virtual-clock work — flushed After callbacks, fragment

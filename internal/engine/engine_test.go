@@ -16,7 +16,7 @@ import (
 // The engine's contract is byte-equivalence: batching, sharding, and worker
 // fan-out are performance structure, not behavior. Every test here drives
 // the same seeded trace through the batch pipeline and a sequential
-// reference and requires identical verdicts and wire bytes.
+// reference and requires identical verdicts, wire bytes, and survivors.
 
 var (
 	testLocal   = packet.MustAddr("10.0.0.2")
@@ -32,9 +32,11 @@ func testRemotes() []netip.Addr {
 }
 
 // testStream covers the datapath branches across many host pairs, so
-// packets spread over all lanes.
+// packets spread over all lanes. Fragment pairs come complete (released
+// through Pipe.Inject) and incomplete (left queued).
 func testStream(seed uint64, n int) []*packet.Packet {
 	rng := sim.NewRand(seed)
+	fragID := uint16(0)
 	remotes := testRemotes()
 	snis := []string{
 		"facebook.com", "api.twitter.com", "TWITTER.COM",
@@ -44,7 +46,7 @@ func testStream(seed uint64, n int) []*packet.Packet {
 	for len(pkts) < n {
 		remote := remotes[rng.Intn(len(remotes))]
 		sport := uint16(20000 + rng.Intn(32))
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
 		case 0:
 			pkts = append(pkts, packet.NewTCP(testLocal, remote, sport, 443, packet.FlagSYN, 1, 0, nil))
 		case 1:
@@ -77,6 +79,24 @@ func testStream(seed uint64, n int) []*packet.Packet {
 			} else {
 				pkts = append(pkts, packet.NewTCP(remote, testLocal, 443, sport, packet.FlagSYN, 5, 0, nil))
 			}
+		case 9:
+			var p *packet.Packet
+			if rng.Bool(0.5) {
+				spec := &tlsx.ClientHelloSpec{ServerName: snis[rng.Intn(len(snis))]}
+				p = packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, 2, 2, spec.Build())
+			} else {
+				p = packet.NewTCP(remote, testLocal, 443, sport, packet.FlagsPSHACK, 9, 9, []byte("HTTP/1.1 200 OK"))
+			}
+			fragID++
+			p.IP.ID = fragID
+			frags, err := packet.FragmentCount(p, 2)
+			if err != nil {
+				panic(err)
+			}
+			if rng.Bool(0.25) {
+				frags = frags[rng.Intn(2):][:1]
+			}
+			pkts = append(pkts, frags...)
 		}
 	}
 	return pkts
@@ -114,50 +134,67 @@ func testDevice(s *sim.Sim, name string, shards int, flowSeed uint64) *tspu.Devi
 	return d
 }
 
-// nullPipe is the sequential reference's Pipe: scheduling goes straight to
-// the simulator, injection is dropped (the reference streams carry no
-// fragments).
-type nullPipe struct{ s *sim.Sim }
-
-func (p nullPipe) Inject(pkt *packet.Packet, dir netem.Direction) {}
-func (p nullPipe) Now() time.Duration                             { return p.s.Now() }
-func (p nullPipe) After(d time.Duration, fn func())               { p.s.After(d, fn) }
-
-// refChainRun mirrors netem.Link.process over a device slice.
-func refChainRun(devs []*tspu.Device, pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
-	idx, step := 0, 1
-	if dir == netem.BtoA {
-		idx, step = len(devs)-1, -1
-	}
-	for ; idx >= 0 && idx < len(devs); idx += step {
-		if devs[idx].Handle(pipe, pkt, dir) == netem.Drop {
-			return netem.Drop
-		}
-	}
-	return netem.Pass
+// trace is one run's observable output: the per-item verdict+wire log in
+// push order, and the chain survivors grouped per flow — the engine flushes
+// survivors in lane order, so only each flow's own order is fixed.
+type trace struct {
+	log []string
+	out map[packet.FlowKey4][]string
+	// frags counts surviving fragments, which only released queues produce.
+	frags int
 }
 
-// runSequential produces the reference verdict+wire log.
-func runSequential(devs []*tspu.Device, s *sim.Sim, stream []*packet.Packet) []string {
-	pipe := nullPipe{s: s}
-	log := make([]string, 0, len(stream))
+func newTrace() *trace { return &trace{out: map[packet.FlowKey4][]string{}} }
+
+func (tr *trace) deliver(pkt *packet.Packet, dir netem.Direction) {
+	if pkt.IsFragment() {
+		tr.frags++
+	}
+	wire, _ := pkt.Marshal()
+	k := packet.FlowKey4Of(pkt)
+	tr.out[k] = append(tr.out[k], fmt.Sprintf("%v %x", dir, wire))
+}
+
+func (tr *trace) verdict(act netem.Action, pkt *packet.Packet) {
+	wire, _ := pkt.Marshal()
+	tr.log = append(tr.log, fmt.Sprintf("%v %x", act, wire))
+}
+
+// directSink is the sequential reference's chain sink, configured as a
+// Link's: scheduling goes straight to the simulator and survivors are
+// recorded as they leave the chain.
+type directSink struct {
+	s  *sim.Sim
+	tr *trace
+}
+
+func (d directSink) Deliver(_ int, pkt *packet.Packet, dir netem.Direction) { d.tr.deliver(pkt, dir) }
+func (d directSink) After(_ int, dt time.Duration, fn func())               { d.s.After(dt, fn) }
+
+// runSequential produces the reference trace: the devices as a one-lane
+// netem chain, one packet at a time through Device.Handle.
+func runSequential(devs []*tspu.Device, s *sim.Sim, stream []*packet.Packet) *trace {
+	tr := newTrace()
+	mbs := make([]netem.Middlebox, len(devs))
+	for i, d := range devs {
+		mbs[i] = d
+	}
+	chain := netem.NewChain(s, directSink{s: s, tr: tr}, mbs...)
 	for _, src := range stream {
 		p := src.Clone()
-		act := refChainRun(devs, pipe, p, testDir(p))
-		wire, _ := p.Marshal()
-		log = append(log, fmt.Sprintf("%v %x", act, wire))
+		tr.verdict(chain.Run(0, p, testDir(p), packet.FlowKey4{}), p)
 	}
-	return log
+	return tr
 }
 
-// runBatched produces the engine verdict+wire log, processing in batches of
-// batchSize.
-func runBatched(e *Engine, stream []*packet.Packet, batchSize int) []string {
-	log := make([]string, 0, len(stream))
+// runBatched produces the engine trace, processing in batches of batchSize.
+func runBatched(cfg Config, stream []*packet.Packet, batchSize int) *trace {
+	tr := newTrace()
+	cfg.Deliver = tr.deliver
+	e := New(cfg)
 	flush := func() {
 		for _, it := range e.Process() {
-			wire, _ := it.Pkt.Marshal()
-			log = append(log, fmt.Sprintf("%v %x", it.Verdict, wire))
+			tr.verdict(it.Verdict, it.Pkt)
 		}
 	}
 	queued := 0
@@ -175,17 +212,31 @@ func runBatched(e *Engine, stream []*packet.Packet, batchSize int) []string {
 		}
 	}
 	flush()
-	return log
+	return tr
 }
 
-func compareLogs(t *testing.T, label string, ref, got []string) {
+func compareTraces(t *testing.T, label string, ref, got *trace) {
 	t.Helper()
-	if len(ref) != len(got) {
-		t.Fatalf("%s: %d reference packets, %d engine packets", label, len(ref), len(got))
+	if len(ref.log) != len(got.log) {
+		t.Fatalf("%s: %d reference packets, %d engine packets", label, len(ref.log), len(got.log))
 	}
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("%s: packet %d diverged:\nsequential: %s\nbatched:    %s", label, i, ref[i], got[i])
+	for i := range ref.log {
+		if ref.log[i] != got.log[i] {
+			t.Fatalf("%s: packet %d diverged:\nsequential: %s\nbatched:    %s", label, i, ref.log[i], got.log[i])
+		}
+	}
+	if len(ref.out) != len(got.out) {
+		t.Fatalf("%s: survivors in %d reference flows, %d engine flows", label, len(ref.out), len(got.out))
+	}
+	for k, want := range ref.out {
+		have := got.out[k]
+		if len(have) != len(want) {
+			t.Fatalf("%s: flow %v: %d reference survivors, %d engine survivors", label, k, len(want), len(have))
+		}
+		for i := range want {
+			if want[i] != have[i] {
+				t.Fatalf("%s: flow %v survivor %d diverged:\nsequential: %s\nbatched:    %s", label, k, i, want[i], have[i])
+			}
 		}
 	}
 }
@@ -199,12 +250,14 @@ func TestBatchSequentialEquivalence(t *testing.T) {
 			seqSim := sim.New()
 			seqDev := testDevice(seqSim, "seq", 8, seed)
 			ref := runSequential([]*tspu.Device{seqDev}, seqSim, stream)
+			if ref.frags == 0 || seqDev.PendingFragQueues() == 0 {
+				t.Fatalf("seed=%d: %d fragments released, %d queues left open; the stream must do both", seed, ref.frags, seqDev.PendingFragQueues())
+			}
 
 			batSim := sim.New()
 			batDev := testDevice(batSim, "bat", 8, seed)
-			e := New(Config{Sim: batSim, Devices: []*tspu.Device{batDev}})
-			got := runBatched(e, stream, batchSize)
-			compareLogs(t, fmt.Sprintf("seed=%d batch=%d", seed, batchSize), ref, got)
+			got := runBatched(Config{Sim: batSim, Devices: []*tspu.Device{batDev}}, stream, batchSize)
+			compareTraces(t, fmt.Sprintf("seed=%d batch=%d", seed, batchSize), ref, got)
 		}
 	}
 }
@@ -226,9 +279,8 @@ func TestMultiDeviceChainEquivalence(t *testing.T) {
 		testDevice(batSim, "edge", 4, 100),
 		testDevice(batSim, "core", 4, 200),
 	}
-	e := New(Config{Sim: batSim, Devices: batDevs})
-	got := runBatched(e, stream, 64)
-	compareLogs(t, "two-device chain", ref, got)
+	got := runBatched(Config{Sim: batSim, Devices: batDevs}, stream, 64)
+	compareTraces(t, "two-device chain", ref, got)
 }
 
 // TestWorkerCountDeterminism pins that the worker count changes wall-clock
@@ -236,17 +288,16 @@ func TestMultiDeviceChainEquivalence(t *testing.T) {
 // -race this also exercises the lane-disjointness claim.
 func TestWorkerCountDeterminism(t *testing.T) {
 	stream := testStream(5, 2000)
-	var ref []string
+	var ref *trace
 	for _, workers := range []int{1, 2, 8} {
 		s := sim.New()
 		d := testDevice(s, "w", 8, 5)
-		e := New(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers})
-		got := runBatched(e, stream, 256)
+		got := runBatched(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers}, stream, 256)
 		if ref == nil {
 			ref = got
 			continue
 		}
-		compareLogs(t, fmt.Sprintf("workers=%d", workers), ref, got)
+		compareTraces(t, fmt.Sprintf("workers=%d", workers), ref, got)
 	}
 }
 
@@ -256,34 +307,32 @@ func TestWorkerCountDeterminism(t *testing.T) {
 // cross-check of the lanecheck analyzer's static lane-isolation contract.
 func TestEngineMultiWorkerRace(t *testing.T) {
 	stream := testStream(7, 4000)
-	var ref []string
+	var ref *trace
 	for _, workers := range []int{1, 8} {
 		s := sim.New()
 		d := testDevice(s, "mw", 8, 7)
-		e := New(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers})
-		got := runBatched(e, stream, 256)
+		got := runBatched(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers}, stream, 256)
 		if ref == nil {
 			ref = got
 			continue
 		}
-		compareLogs(t, fmt.Sprintf("workers=%d", workers), ref, got)
+		compareTraces(t, fmt.Sprintf("workers=%d", workers), ref, got)
 	}
 }
 
 // TestShardCountDeterminism pins that lane count is invisible in behavior.
 func TestShardCountDeterminism(t *testing.T) {
 	stream := testStream(6, 2000)
-	var ref []string
+	var ref *trace
 	for _, shards := range []int{1, 4, 8} {
 		s := sim.New()
 		d := testDevice(s, "s", shards, 6)
-		e := New(Config{Sim: s, Devices: []*tspu.Device{d}})
-		got := runBatched(e, stream, 256)
+		got := runBatched(Config{Sim: s, Devices: []*tspu.Device{d}}, stream, 256)
 		if ref == nil {
 			ref = got
 			continue
 		}
-		compareLogs(t, fmt.Sprintf("shards=%d", shards), ref, got)
+		compareTraces(t, fmt.Sprintf("shards=%d", shards), ref, got)
 	}
 }
 

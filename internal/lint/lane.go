@@ -292,7 +292,7 @@ func (w *laneWalker) class(e ast.Expr) laneClass {
 		base := w.class(e.X)
 		if base == classLaneLocal {
 			// A pointer field out of lane-local state into a non-lane-owned
-			// named struct (lanePipe.e -> *Engine) re-enters shared territory.
+			// named struct (chainPipe.c -> *Chain) re-enters shared territory.
 			if t := info.TypeOf(e); t != nil {
 				if p, ok := t.Underlying().(*types.Pointer); ok {
 					if named, ok := p.Elem().(*types.Named); ok && !w.c.isOwned(named.Obj()) && !isPacketNamed(named) {

@@ -56,9 +56,6 @@ func (c *Capture) Delivered() []CaptureRecord {
 	return out
 }
 
-// Clear empties the capture.
-func (c *Capture) Clear() { c.Records = c.Records[:0] }
-
 // Dump renders a human-readable trace, one packet per line, used by the
 // examples to print Fig. 2-style diagrams.
 func (c *Capture) Dump() string {

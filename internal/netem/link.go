@@ -71,8 +71,8 @@ type Middlebox interface {
 // Pipe lets a middlebox emit packets from its own position on the link and
 // schedule work on the virtual clock.
 type Pipe interface {
-	// Inject sends pkt onward in dir, entering the chain after (for the
-	// forward sense of dir) this middlebox, as if the device transmitted it.
+	// Inject sends pkt onward in dir from this middlebox's chain position,
+	// as if the device transmitted it.
 	Inject(pkt *packet.Packet, dir Direction)
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -81,19 +81,14 @@ type Pipe interface {
 }
 
 // Link is a full-duplex connection between two interfaces with an in-order
-// middlebox chain. Chain order is physical, from the A side to the B side:
-// packets traveling AtoB traverse index 0 first; BtoA traverse the highest
-// index first.
+// middlebox chain, traversed as Chain describes.
 type Link struct {
 	net   *Network
 	a, b  *Iface
 	delay time.Duration
-	mbs   []Middlebox
-	// pipes holds one pipe per chain position, built at Attach, so a packet
-	// crossing the chain allocates nothing. A middlebox may keep its pipe
-	// (tspu fragment queues do), so each pointer stays fixed for the link's
-	// lifetime.
-	pipes []*linkPipe
+	// chain is the one-lane middlebox chain; its sink is the link itself
+	// (linkSink), which schedules far-end delivery.
+	chain Chain
 	taps  []*Capture
 	// loss drops packets at wire entry with the given probability, driven
 	// by a seeded stream so lossy runs stay reproducible. The paper repeats
@@ -117,18 +112,13 @@ func (l *Link) A() *Iface { return l.a }
 // B returns the B-side interface.
 func (l *Link) B() *Iface { return l.b }
 
-// Delay returns the one-way propagation delay.
-func (l *Link) Delay() time.Duration { return l.delay }
-
 // Attach appends a middlebox to the chain (closest to B among those already
 // attached).
-func (l *Link) Attach(mb Middlebox) {
-	l.pipes = append(l.pipes, &linkPipe{link: l, idx: len(l.mbs)})
-	l.mbs = append(l.mbs, mb)
-}
+func (l *Link) Attach(mb Middlebox) { l.chain.attach(mb) }
 
-// Middleboxes returns the chain in physical order.
-func (l *Link) Middleboxes() []Middlebox { return l.mbs }
+// Middleboxes returns the live chain in physical order: writing its
+// elements rewires the link.
+func (l *Link) Middleboxes() []Middlebox { return l.chain.mbs }
 
 // Tap attaches a capture to the link, recording every packet that enters the
 // link (before the middlebox chain) and every packet delivered from it.
@@ -147,31 +137,15 @@ func (l *Link) transmit(from *Iface, pkt *packet.Packet) {
 		l.Lost++
 		return
 	}
-	start := l.entryIndex(dir)
-	l.process(pkt, dir, start)
+	l.chain.Run(0, pkt, dir, packet.FlowKey4{})
 }
 
-// entryIndex returns the first chain index a packet entering the link in dir
-// must traverse.
-func (l *Link) entryIndex(dir Direction) int {
-	if dir == AtoB {
-		return 0
-	}
-	return len(l.mbs) - 1
-}
+// linkSink is a Link in its role as the sink of its own chain.
+type linkSink Link
 
-// process runs the chain from index idx (inclusive) in dir and, if the packet
-// survives, schedules delivery at the far end.
-func (l *Link) process(pkt *packet.Packet, dir Direction, idx int) {
-	step := 1
-	if dir == BtoA {
-		step = -1
-	}
-	for ; idx >= 0 && idx < len(l.mbs); idx += step {
-		if l.mbs[idx].Handle(l.pipes[idx], pkt, dir) == Drop {
-			return
-		}
-	}
+// Deliver schedules a chain survivor's arrival at the far end.
+func (s *linkSink) Deliver(_ int, pkt *packet.Packet, dir Direction) {
+	l := (*Link)(s)
 	dst := l.b
 	if dir == BtoA {
 		dst = l.a
@@ -182,23 +156,4 @@ func (l *Link) process(pkt *packet.Packet, dir Direction, idx int) {
 	l.net.Sim.After(l.delay, dv.run)
 }
 
-// linkPipe implements Pipe for the middlebox at one chain position.
-type linkPipe struct {
-	link *Link
-	idx  int
-}
-
-func (p *linkPipe) Inject(pkt *packet.Packet, dir Direction) {
-	// AtoB traverses increasing chain indices, BtoA decreasing; in both
-	// cases the injected packet enters the chain one position past this
-	// middlebox in its direction of travel.
-	next := p.idx + 1
-	if dir == BtoA {
-		next = p.idx - 1
-	}
-	p.link.process(pkt, dir, next)
-}
-
-func (p *linkPipe) Now() time.Duration { return p.link.net.Sim.Now() }
-
-func (p *linkPipe) After(d time.Duration, fn func()) { p.link.net.Sim.After(d, fn) }
+func (s *linkSink) After(_ int, d time.Duration, fn func()) { s.net.Sim.After(d, fn) }

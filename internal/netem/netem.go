@@ -7,7 +7,8 @@
 // Middleboxes follow the XDP verdict model: for every packet crossing their
 // link they return Pass or Drop, and may inject packets of their own. The
 // TSPU device (internal/tspu), the ISP DPIs, and the comparator fragment
-// middleboxes all attach through this one interface.
+// middleboxes all attach through this one interface, and Chain is the one
+// executor that walks them, for links and the batch engine alike.
 package netem
 
 import (
@@ -138,9 +139,6 @@ func (nd *Node) Name() string { return nd.name }
 
 // IsRouter reports whether the node forwards packets.
 func (nd *Node) IsRouter() bool { return nd.router }
-
-// Ifaces returns the node's interfaces in creation order.
-func (nd *Node) Ifaces() []*Iface { return nd.ifaces }
 
 // SetHandler installs the local delivery handler (hosts and router control
 // planes).
@@ -291,9 +289,6 @@ func (i *Iface) Addr() netip.Addr { return i.addr }
 // Node returns the owning node.
 func (i *Iface) Node() *Node { return i.node }
 
-// Link returns the attached link, or nil.
-func (i *Iface) Link() *Link { return i.link }
-
 func (i *Iface) String() string {
 	return fmt.Sprintf("%s[%d]=%s", i.node.name, i.index, i.addr)
 }
@@ -304,6 +299,7 @@ func (n *Network) Connect(a, b *Iface, delay time.Duration) *Link {
 		panic("netem: interface already linked")
 	}
 	l := &Link{net: n, a: a, b: b, delay: delay}
+	l.chain = Chain{sim: n.Sim, sink: (*linkSink)(l)}
 	a.link = l
 	b.link = l
 	n.links = append(n.links, l)

@@ -286,22 +286,18 @@ func (d *Device) isLocalDir(dir netem.Direction) bool { return dir == d.cfg.Loca
 //tspuvet:hotpath
 func (d *Device) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
 	key := packet.FlowKey4Of(pkt)
-	return d.handleLane(pipe, pkt, dir, key, d.LaneOf(key))
+	return d.HandleSharded(pipe, pkt, dir, key, d.LaneOf(key))
 }
 
-// HandleSharded is the batch engine's entry point: identical to Handle, with
-// the flow key and lane precomputed by the caller (which already hashed the
-// key to route the packet to this worker). lane MUST equal LaneOf(key); the
-// caller owns that lane for the duration of the call.
+// HandleSharded implements netem.ShardedMiddlebox: identical to Handle,
+// with the flow key and lane supplied by a multi-lane netem.Chain, whose
+// caller already hashed the key to pick the lane (the batch engine's
+// scatter pass). lane MUST equal LaneOf(key); the caller owns that lane for
+// the duration of the call.
 //
 //tspuvet:hotpath
 //tspuvet:lane
 func (d *Device) HandleSharded(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, lane int) netem.Action {
-	return d.handleLane(pipe, pkt, dir, key, lane)
-}
-
-//tspuvet:hotpath
-func (d *Device) handleLane(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, lane int) netem.Action {
 	ln := &d.lanes[lane]
 	sh := &d.ct.shards[lane]
 	ln.stats.handled++
