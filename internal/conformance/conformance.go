@@ -16,7 +16,8 @@
 //     sim.StreamSeed so the same base seed always yields the same scenarios,
 //     and emits randomized flag sequences, clock advances straddling the
 //     Table 2 timeout boundaries, fragment permutations/overlaps/floods,
-//     QUIC/ICMP/IP-block traffic, and mid-flow policy swaps;
+//     QUIC/ICMP/IP-block traffic, mid-flow policy swaps, and small
+//     flow-table bounds;
 //
 //   - a differential executor (executor.go): replays one trace through a
 //     real tspu.Device attached to a netem link and through the oracle, and
@@ -99,6 +100,9 @@ const (
 	StepAdvance
 	// StepPolicy applies a mid-flow policy change through the Controller.
 	StepPolicy
+	// StepMaxFlows bounds the device's flow table (tspu.Device.SetMaxFlows),
+	// the §8 provisioning knob; zero removes the bound.
+	StepMaxFlows
 )
 
 // CHMode describes the ClientHello payload variant of a TCP step.
@@ -192,6 +196,9 @@ type Step struct {
 	Pol PolicyOp
 	Set string // "sni1" | "sni2" | "sni4" | "throttle"
 	On  bool   // toggle value for PolThrottle / PolQUICFilter
+
+	// StepMaxFlows.
+	MaxFlows int
 }
 
 // IsPacket reports whether the step puts at least one packet on the wire —

@@ -44,7 +44,7 @@ type Options struct {
 	// uses to prove the harness catches an off-by-one.
 	DeviceTimeouts *tspu.StateTimeouts
 	// Middlebox replaces the TSPU device under test (comparator runs against
-	// the ispdpi middleboxes). Policy steps become device-side no-ops.
+	// the ispdpi middleboxes). Policy and flow-bound steps become no-ops.
 	Middlebox netem.Middlebox
 	// NoState omits the per-step device-state lines; required for comparator
 	// middleboxes, which expose no TSPU-shaped counters.
@@ -132,6 +132,10 @@ func RunDevice(tr *Trace, opts Options) string {
 		case StepPolicy:
 			if ctrl != nil {
 				ctrl.Update(func(p *tspu.Policy) { applyPolicyStep(p, st) })
+			}
+		case StepMaxFlows:
+			if dev != nil {
+				dev.SetMaxFlows(st.MaxFlows)
 			}
 		default:
 			for _, pkt := range buildPackets(st) {

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tspusim/internal/packet"
@@ -89,7 +90,20 @@ func FromSeed(seed uint64) *Trace {
 	for len(t.Steps) < target {
 		appendRandom(rng, t)
 	}
+	boundFlows(sim.NewRand(sim.StreamSeed(seed, "maxflows")), t)
 	return t
+}
+
+// boundFlows bounds the flow table of a quarter of scenarios to one to three
+// entries, from a random step on, so pressure eviction competes with the
+// trace's six flow slots. It draws from its own stream, so a scenario's other
+// steps are the same with or without the bound.
+func boundFlows(rng *sim.Rand, t *Trace) {
+	if rng.Intn(4) != 0 {
+		return
+	}
+	at := rng.Intn(len(t.Steps) + 1)
+	t.Steps = slices.Insert(t.Steps, at, Step{Kind: StepMaxFlows, MaxFlows: rng.IntRange(1, 3)})
 }
 
 func appendRandom(rng *sim.Rand, t *Trace) {

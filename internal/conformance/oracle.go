@@ -22,6 +22,9 @@ type Oracle struct {
 	pol   oPolicy
 	flows map[int]*oFlow
 	frags map[oFragKey]*oQueue
+	// maxFlows bounds the flow table (zero: unbounded); born stamps each
+	// created entry for the FIFO capacity model (see insert).
+	maxFlows, born int
 
 	handled, fragBuf, dropped, rewritten, throttled int
 	trig                                            [6]int // indexed by oBlock
@@ -35,6 +38,7 @@ type oPolicy struct {
 
 // oFlow is one oracle conntrack entry.
 type oFlow struct {
+	born         int // creation order: lower is older
 	state        oState
 	originLocal  bool
 	expires      time.Duration
@@ -132,6 +136,9 @@ func (o *Oracle) Apply(s Step) []string {
 	case StepPolicy:
 		o.applyPolicy(s)
 		return nil
+	case StepMaxFlows:
+		o.maxFlows = s.MaxFlows
+		return nil
 	case StepTCP:
 		return o.stepTCP(s)
 	case StepUDP:
@@ -223,7 +230,7 @@ func (o *Oracle) observe(slot int, ev oEvent, bare, dirLocal bool) *oFlow {
 			sawSYNACK:   ev == evSYNACK,
 			expires:     o.now + timeoutOf(stateTimeoutName[st]),
 		}
-		o.flows[slot] = f
+		o.insert(slot, f)
 		return f
 	}
 	if ev == evSYNACK {
@@ -255,7 +262,7 @@ func (o *Oracle) observe(slot int, ev oEvent, bare, dirLocal bool) *oFlow {
 				originLocal: false,
 				expires:     o.now + timeoutOf(stateTimeoutName[r.To]),
 			}
-			o.flows[slot] = nf
+			o.insert(slot, nf)
 			return nf
 		}
 		f.state = r.To
@@ -269,6 +276,27 @@ func (o *Oracle) observe(slot int, ev oEvent, bare, dirLocal bool) *oFlow {
 	}
 	f.expires = exp
 	return f
+}
+
+// insert adds a newly created entry under the flow-table bound, the model of
+// §8's provisioning question: capacity is FIFO by entry. Every creation —
+// first sight, re-creation after lazy expiry, the bare-ACK restart — stamps
+// the entry as the newest, and while the table is over the bound the entry
+// with the oldest stamp is evicted, so never the newcomer. Entries that
+// expired but were not yet looked up still occupy the table, as on the device.
+func (o *Oracle) insert(slot int, f *oFlow) {
+	o.born++
+	f.born = o.born
+	o.flows[slot] = f
+	for o.maxFlows > 0 && len(o.flows) > o.maxFlows {
+		victim := slot
+		for s, g := range o.flows {
+			if g.born < o.flows[victim].born {
+				victim = s
+			}
+		}
+		delete(o.flows, victim)
+	}
 }
 
 // install puts a blocking hold on the flow and extends its lifetime to cover

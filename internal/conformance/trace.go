@@ -54,6 +54,8 @@ func (s Step) String() string {
 		return fmt.Sprintf("fragflood %s id=%d count=%d ttl=%d", dir, s.FragID, s.Count, s.TTL)
 	case StepAdvance:
 		return fmt.Sprintf("adv %s", s.Adv)
+	case StepMaxFlows:
+		return fmt.Sprintf("maxflows %d", s.MaxFlows)
 	case StepPolicy:
 		switch s.Pol {
 		case PolThrottle:
@@ -261,6 +263,17 @@ func parseStep(fields []string) (Step, error) {
 			return s, err
 		}
 		s.Adv = d
+		return s, nil
+	case "maxflows":
+		s.Kind = StepMaxFlows
+		if len(fields) < 2 {
+			return s, fmt.Errorf("missing flow bound")
+		}
+		n, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return s, err
+		}
+		s.MaxFlows = n
 		return s, nil
 	case "pol":
 		s.Kind = StepPolicy

@@ -10,7 +10,7 @@ import (
 // inference is heuristic — the direction of the first packet seen, refined
 // by SYN handling — and tricking it is the root of the split-handshake and
 // simultaneous-open evasions (§5.3.2).
-type Origin int
+type Origin uint8
 
 // Origins.
 const (
@@ -30,7 +30,7 @@ func (o Origin) String() string {
 // OS conntrack implementation (Table 7).
 //
 //tspuvet:closedenum
-type ConnState int
+type ConnState uint8
 
 // Connection-tracking states.
 const (
@@ -120,14 +120,26 @@ type blockState struct {
 
 // flowEntry is one conntrack record. Entries are pooled per-shard: a deleted
 // entry's memory is reused by the next flow instead of going to the garbage
-// collector, so flow churn does not allocate in steady state.
+// collector, so flow churn does not allocate in steady state. Each live entry
+// sits on two intrusive lists of its shard — insertion order for pressure
+// eviction (older/newer) and one timeout-wheel slot (wprev/wnext, wslot) —
+// so eviction and expiry find entries by pointer, never by key.
 //
 //tspuvet:laneowned
 type flowEntry struct {
 	key     packet.FlowKey4 // canonical compact 5-tuple
+	expires time.Duration
+	block   blockState
+	// older/newer link the shard's insertion-order list (resources.go).
+	older, newer *flowEntry
+	// wprev/wnext link the timeout-wheel slot list named by wslot (wheel.go).
+	wprev, wnext *flowEntry
+	// rollSeq counts per-flow random decisions consumed in PerFlowRand mode,
+	// so each roll on a flow draws a distinct, order-independent value.
+	rollSeq uint32
+	wslot   uint16
 	origin  Origin
 	state   ConnState
-	expires time.Duration
 	// sawRemoteSYN marks local-origin flows that later carried a SYN from
 	// the remote peer (split handshake / simultaneous open). These are the
 	// green paths of Fig. 4: the role heuristic is confused, SNI-I no longer
@@ -136,7 +148,6 @@ type flowEntry struct {
 	// sawSYNACK gates promotion to ESTABLISHED on a real handshake.
 	sawSYNACK bool
 	hasBlock  bool
-	block     blockState
 	// immune is a bitmask over BlockType recording trigger types this flow
 	// escaped via the device's per-connection failure roll (Table 1):
 	// retrying the same trigger on the same connection stays unblocked, a
@@ -145,13 +156,6 @@ type flowEntry struct {
 	// ipVerdictKnown/ipBlocked cache the per-flow IP-block decision.
 	ipVerdictKnown bool
 	ipBlocked      bool
-	// gen invalidates stale timeWheel references: release bumps it, so a
-	// wheel bucket holding an old (entry, gen) pair resolves to a no-op —
-	// the sim.Timer discipline applied to pooled flow entries.
-	gen uint32
-	// rollSeq counts per-flow random decisions consumed in PerFlowRand mode,
-	// so each roll on a flow draws a distinct, order-independent value.
-	rollSeq uint32
 }
 
 func (e *flowEntry) roleConfused() bool {
@@ -178,7 +182,7 @@ type ctShard struct {
 	// free is the entry pool, refilled as entries are deleted.
 	free []*flowEntry
 	// wheel indexes entries by expiry so sweeping visits only elapsed
-	// buckets instead of scanning the whole table (wheel.go).
+	// slots instead of scanning the whole table (wheel.go).
 	wheel timeWheel
 	// allocs / poolReuses account pool behavior: in steady state reuse grows
 	// and allocs stay flat — the leak check invariant.
@@ -227,17 +231,26 @@ func (ct *conntrack) shardFor(key packet.FlowKey4) *ctShard {
 
 func (ct *conntrack) numShards() int { return len(ct.shards) }
 
-// release recycles a deleted entry. The caller must have removed it from the
-// table; zeroing drops the token-bucket pointer so stopped throttles are
-// collectible, and the bumped generation kills any wheel reference still
-// pointing here.
+// release removes e from the table and from both of the shard's lists, then
+// recycles it. This is the only way an entry leaves a shard — lazy expiry,
+// pressure eviction, the bare-ACK restart and sweeps all come here — so a
+// re-created flow always starts over at the tail of the insertion order.
+// Zeroing drops the token-bucket pointer so stopped throttles are
+// collectible.
 func (sh *ctShard) release(e *flowEntry) {
 	e.checkLive("released")
-	g := e.gen
+	delete(sh.table, e.key)
+	sh.cap.unlink(e)
+	sh.wheel.unlink(e)
 	*e = flowEntry{}
-	e.gen = g + 1
 	poisonEntry(e)
 	sh.free = append(sh.free, e)
+}
+
+// expire releases an entry whose lifetime ran out and counts it.
+func (sh *ctShard) expire(e *flowEntry) {
+	sh.release(e)
+	sh.evictions++
 }
 
 func (sh *ctShard) allocEntry() *flowEntry {
@@ -261,9 +274,7 @@ func (sh *ctShard) lookup(key packet.FlowKey4, now time.Duration) *flowEntry {
 	}
 	e.checkLive("found in table")
 	if now >= e.expires {
-		delete(sh.table, key)
-		sh.evictions++
-		sh.release(e)
+		sh.expire(e)
 		return nil
 	}
 	return e
@@ -298,8 +309,8 @@ func (sh *ctShard) observe(key packet.FlowKey4, pkt *packet.Packet, dirLocal boo
 		ne.state = state
 		ne.expires = now + sh.timeouts.forState(state)
 		sh.table[key] = ne
-		sh.noteInsert(key)
 		sh.wheel.insert(ne)
+		sh.noteInsert(ne)
 		return ne
 	}
 
@@ -346,7 +357,6 @@ func (sh *ctShard) observe(key packet.FlowKey4, pkt *packet.Packet, dirLocal boo
 				// sequences are never valid prefixes. Data-bearing ACKs
 				// never restart — otherwise every trigger ClientHello would
 				// reset the flow it rides on.
-				delete(sh.table, key)
 				sh.release(e)
 				ne := newEntry(CTEstablished)
 				ne.origin = OriginRemote
@@ -359,7 +369,7 @@ func (sh *ctShard) observe(key packet.FlowKey4, pkt *packet.Packet, dirLocal boo
 	}
 	// Activity refreshes the state timer, but never shortens an active
 	// blocking hold. Expiry only ever moves later, which is what lets the
-	// timeout wheel hold a single lazy reference per entry.
+	// timeout wheel leave the entry in its slot until that slot fires.
 	exp := now + sh.timeouts.forState(e.state)
 	if e.hasBlock && e.block.until > exp {
 		exp = e.block.until
@@ -388,8 +398,8 @@ func (ct *conntrack) lookup(key packet.FlowKey4, now time.Duration) *flowEntry {
 }
 
 // setBlock installs a blocking state on the entry and extends its lifetime
-// to cover it. Expiry grows monotonically, so the entry's wheel reference
-// stays valid and re-buckets when its original slot fires.
+// to cover it. Expiry grows monotonically, so the entry stays in its wheel
+// slot and is re-bucketed when that slot fires.
 func (ct *conntrack) setBlock(e *flowEntry, typ BlockType, now time.Duration, allowance int, bucket *tokenBucket) {
 	e.hasBlock = true
 	e.block = blockState{

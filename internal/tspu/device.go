@@ -335,7 +335,6 @@ func (d *Device) maybeSweepLane(now time.Duration, sh *ctShard, ln *devLane) {
 	}
 	ln.lastSweep = now
 	sh.advanceWheel(now)
-	sh.compactFIFO()
 }
 
 // handleIPBlock implements IP-based blocking (§5.2): a Russian client's

@@ -8,16 +8,16 @@ package tspu
 // normal build compiles these hooks to no-ops (pooldebug_off.go), so the
 // datapath and its alloc budgets are unaffected.
 //
-// The poison works with, not instead of, the generation bump in release():
-// gen-carrying references (timeWheel) already self-invalidate; the scribble
-// catches the raw *flowEntry aliases the generation cannot see.
+// The shard itself holds no stale references: release() unlinks an entry
+// from the insertion-order and timeout-wheel lists before zeroing it. The
+// scribble catches the raw *flowEntry aliases held outside the shard.
 
 // poisonedState is far outside the ConnState enum; any guarded access to an
 // entry carrying it panics.
 const poisonedState ConnState = 0x7D
 
 // poisonEntry scribbles a just-released entry. Called by release() after the
-// zeroing wipe and generation bump, so gen survives.
+// zeroing wipe.
 func poisonEntry(e *flowEntry) {
 	e.state = poisonedState
 	e.expires = -1
@@ -26,11 +26,9 @@ func poisonEntry(e *flowEntry) {
 }
 
 // unpoisonEntry restores a pooled entry to the zero state allocEntry's
-// callers expect, keeping the bumped generation.
+// callers expect.
 func unpoisonEntry(e *flowEntry) {
-	g := e.gen
 	*e = flowEntry{}
-	e.gen = g
 }
 
 // checkLive panics when a poisoned (already released) entry is used. Wired

@@ -1,10 +1,6 @@
 package tspu
 
-import (
-	"time"
-
-	"tspusim/internal/packet"
-)
+import "time"
 
 // Resource management. §8 closes on the observation that the TSPU trades
 // resistance to evasion for cheap, commodity hardware near users: it does
@@ -15,12 +11,14 @@ import (
 // configured, a state-exhaustion flood can evict an active blocking entry —
 // turning the provisioning question into a measurable evasion.
 
-// capacity bookkeeping lives on each conntrack shard.
+// capacityState is a shard's flow-table bound and its insertion-order list:
+// every live entry, oldest first, threaded through flowEntry.older/newer. It
+// lives inside a ctShard and is only touched by the lane that owns it.
+//
+//tspuvet:laneowned
 type capacityState struct {
-	maxFlows int
-	// fifo holds insertion order for pressure eviction; stale keys are
-	// skipped at pop time.
-	fifo []packet.FlowKey4
+	maxFlows       int
+	oldest, newest *flowEntry
 	// pressureEvictions counts entries evicted to make room.
 	pressureEvictions int
 }
@@ -50,83 +48,52 @@ func (d *Device) PressureEvictions() int {
 	return n
 }
 
-// noteInsert records a new entry and, if over capacity, evicts the oldest
-// live entry that is not the one just inserted. Insertion order is tracked
-// even while unbounded, so enabling a bound later still has candidates; the
-// loop always consumes one queued key per iteration (the just-inserted key
-// terminates it), so it cannot spin even when the table holds entries the
-// queue no longer covers.
-func (sh *ctShard) noteInsert(key packet.FlowKey4) {
+// noteInsert appends a new entry at the tail of the insertion order and, if
+// the shard is over its bound, evicts from the head until it is not. Order is
+// tracked even while unbounded, so enabling a bound later still has
+// candidates. The entry just inserted is never its own victim.
+func (sh *ctShard) noteInsert(e *flowEntry) {
 	c := &sh.cap
-	c.fifo = append(c.fifo, key)
+	e.older = c.newest
+	if c.newest != nil {
+		c.newest.newer = e
+	} else {
+		c.oldest = e
+	}
+	c.newest = e
 	if c.maxFlows <= 0 {
 		return
 	}
-	for len(sh.table) > c.maxFlows && len(c.fifo) > 0 {
-		victim := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		if victim == key {
-			// Never evict the entry being inserted; put it back and stop —
-			// everything older in the queue is already gone.
-			c.fifo = append(c.fifo, victim)
-			return
-		}
-		if ve, live := sh.table[victim]; live {
-			delete(sh.table, victim)
-			sh.release(ve)
-			c.pressureEvictions++
-		}
+	for len(sh.table) > c.maxFlows && c.oldest != e {
+		sh.release(c.oldest)
+		c.pressureEvictions++
 	}
 }
 
-// compactFIFO drops queued keys whose entries are gone so the insertion
-// queue does not grow with total churn.
-func (sh *ctShard) compactFIFO() {
-	live := sh.cap.fifo[:0]
-	for _, k := range sh.cap.fifo {
-		if _, ok := sh.table[k]; ok {
-			live = append(live, k)
-		}
+// unlink removes e from the insertion-order list.
+func (c *capacityState) unlink(e *flowEntry) {
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.oldest = e.newer
 	}
-	sh.cap.fifo = live
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.newest = e.older
+	}
 }
 
 // Sweep removes expired entries immediately instead of waiting for lazy
 // eviction on next access; it returns the number reclaimed. Each shard
-// advances its timeout wheel, visiting only the buckets that elapsed —
+// advances its timeout wheel, visiting only the slots that elapsed —
 // reclaim cost scales with expired flows, not table size.
 //
 //tspuvet:coldpath periodic housekeeping, rate-limited to once per sweep interval
 func (ct *conntrack) Sweep(now time.Duration) int {
 	n := 0
 	for i := range ct.shards {
-		sh := &ct.shards[i]
-		n += sh.advanceWheel(now)
-		sh.compactFIFO()
-	}
-	return n
-}
-
-// sweepScan is the pre-wheel full-table scan, kept as the equivalence oracle
-// for the timeout wheel: after either sweep, no entry with expires <= now
-// remains, and both report the same reclaim count on the same table state.
-//
-//tspuvet:coldpath test oracle for wheel-vs-scan sweep equivalence
-func (ct *conntrack) sweepScan(now time.Duration) int {
-	n := 0
-	for i := range ct.shards {
-		sh := &ct.shards[i]
-		reclaimed := 0
-		for k, e := range sh.table {
-			if now >= e.expires {
-				delete(sh.table, k)
-				sh.release(e)
-				reclaimed++
-			}
-		}
-		sh.evictions += reclaimed
-		sh.compactFIFO()
-		n += reclaimed
+		n += ct.shards[i].advanceWheel(now)
 	}
 	return n
 }

@@ -118,3 +118,32 @@ func TestPressureEvictionNeverEvictsOwnInsert(t *testing.T) {
 		t.Fatal("latest flow lost its entry to its own insertion")
 	}
 }
+
+// TestPressureEvictsRecreatedFlowByEntry pins FIFO-by-entry eviction across
+// lazy expiry. K's SYN_SENT entry expires at 60 s, so the SYN at 70 s
+// re-creates K as the newest entry; the bound then has to evict X, the
+// oldest live entry, not K at the position of its first insert.
+func TestPressureEvictsRecreatedFlowByEntry(t *testing.T) {
+	ct := newShardedConntrack(DefaultTimeouts(), 1)
+	sh := &ct.shards[0]
+	sh.cap.maxFlows = 2
+	local := packet.MustAddr("10.0.0.2")
+	syn := func(remote string, at time.Duration) packet.FlowKey4 {
+		p := packet.NewTCP(local, packet.MustAddr(remote), 40000, 443, packet.FlagSYN, 1, 0, nil)
+		key := packet.FlowKey4Of(p)
+		sh.observe(key, p, true, at)
+		return key
+	}
+	k := syn("203.0.113.1", 0)
+	x := syn("203.0.113.2", 50*time.Second)
+	syn("203.0.113.1", 70*time.Second)
+	y := syn("203.0.113.3", 71*time.Second)
+	if sh.table[k] == nil || sh.table[y] == nil || sh.table[x] != nil {
+		t.Errorf("held K=%t X=%t Y=%t; FIFO by entry keeps the re-created K and the newest Y and evicts X",
+			sh.table[k] != nil, sh.table[x] != nil, sh.table[y] != nil)
+	}
+	if sh.cap.pressureEvictions != 1 || sh.evictions != 1 {
+		t.Errorf("pressure evictions %d, timeout evictions %d; want 1 and 1", sh.cap.pressureEvictions, sh.evictions)
+	}
+	checkLists(t, ct)
+}

@@ -228,9 +228,73 @@ func TestShardLaneParallelRace(t *testing.T) {
 	}
 }
 
+// sweepScan reclaims expired entries by scanning every table. It is the
+// equivalence oracle for the timeout wheel: after either sweep, no entry with
+// expires <= now remains, and both report the same reclaim count on the same
+// table state.
+func (ct *conntrack) sweepScan(now time.Duration) int {
+	n := 0
+	for i := range ct.shards {
+		sh := &ct.shards[i]
+		for _, e := range sh.table {
+			if now >= e.expires {
+				sh.expire(e)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkLists verifies the shard-list invariant every eviction and expiry path
+// relies on: the insertion-order list and the union of the wheel-slot lists
+// each hold exactly the table's entries, once each, with consistent
+// back-links and slot indexes. A node linked twice with consistent back-links
+// closes a cycle, so walks are bounded by the table size instead of keeping a
+// visited set; a wheel node is a table entry iff it is linked into the
+// insertion list, which the walk before has matched to the table.
+func checkLists(t testing.TB, ct *conntrack) {
+	t.Helper()
+	for i := range ct.shards {
+		sh := &ct.shards[i]
+		n := 0
+		var prev *flowEntry
+		for e := sh.cap.oldest; e != nil; e = e.newer {
+			if n++; n > len(sh.table) {
+				t.Fatalf("shard %d: insertion list longer than the table's %d entries", i, len(sh.table))
+			}
+			if e.older != prev || sh.table[e.key] != e {
+				t.Fatalf("shard %d: insertion list entry %d (%v) is mislinked or not the table's", i, n, e.key)
+			}
+			prev = e
+		}
+		if n != len(sh.table) || sh.cap.newest != prev {
+			t.Fatalf("shard %d: insertion list holds %d entries, table %d", i, n, len(sh.table))
+		}
+		n = 0
+		for slot, head := range sh.wheel.slots {
+			prev = nil
+			for e := head; e != nil; e = e.wnext {
+				if n++; n > len(sh.table) {
+					t.Fatalf("shard %d: wheel holds more than the table's %d entries", i, len(sh.table))
+				}
+				inserted := (e.older == nil && sh.cap.oldest == e) || (e.older != nil && e.older.newer == e)
+				if e.wprev != prev || int(e.wslot) != slot || !inserted {
+					t.Fatalf("shard %d: wheel slot %d entry %v is mislinked or not the table's", i, slot, e.key)
+				}
+				prev = e
+			}
+		}
+		if n != len(sh.table) {
+			t.Fatalf("shard %d: wheel holds %d entries, table %d", i, n, len(sh.table))
+		}
+	}
+}
+
 // observeStream drives an identical randomized observe/sweep history into a
-// conntrack, sweeping with the given function at the given times.
-func observeStream(ct *conntrack, seed uint64, steps int, sweep func(now time.Duration) int, sweepEvery int) (reclaims int, finalNow time.Duration) {
+// conntrack, sweeping with the given function at the given times and checking
+// the list invariant after every step.
+func observeStream(t testing.TB, ct *conntrack, seed uint64, steps int, sweep func(now time.Duration) int, sweepEvery int) (reclaims int, finalNow time.Duration) {
 	rng := sim.NewRand(seed)
 	local := packet.MustAddr("10.0.0.2")
 	now := time.Duration(0)
@@ -256,8 +320,10 @@ func observeStream(ct *conntrack, seed uint64, steps int, sweep func(now time.Du
 		if sweepEvery > 0 && i%sweepEvery == 0 {
 			reclaims += sweep(now)
 		}
+		checkLists(t, ct)
 	}
 	reclaims += sweep(now + 600*time.Second) // final: everything expires
+	checkLists(t, ct)
 	return reclaims, now + 600*time.Second
 }
 
@@ -271,31 +337,42 @@ func tableKeys(ct *conntrack) map[packet.FlowKey4]bool {
 	return keys
 }
 
-// TestWheelSweepEquivalence pins the timeout wheel against the retained
-// full-table scan: same observe history, same sweep times, same reclaim
-// counts, same surviving entries.
+// boundConntrack sets the same per-shard flow bound on every shard.
+func boundConntrack(ct *conntrack, perShard int) *conntrack {
+	for i := range ct.shards {
+		ct.shards[i].cap.maxFlows = perShard
+	}
+	return ct
+}
+
+// TestWheelSweepEquivalence pins the timeout wheel against the full-table
+// scan: same observe history, same sweep times, same reclaim counts, same
+// surviving entries — unbounded, and under a bound small enough that
+// pressure eviction interleaves with expiry.
 func TestWheelSweepEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		for _, sweepEvery := range []int{7, 113} { // frequent and rare (rare forces bucket clamping)
-			wheelCT := newShardedConntrack(DefaultTimeouts(), 4)
-			scanCT := newShardedConntrack(DefaultTimeouts(), 4)
-			wr, _ := observeStream(wheelCT, seed, 4000, wheelCT.Sweep, sweepEvery)
-			sr, _ := observeStream(scanCT, seed, 4000, scanCT.sweepScan, sweepEvery)
-			if wr != sr {
-				t.Fatalf("seed=%d every=%d: wheel reclaimed %d, scan %d", seed, sweepEvery, wr, sr)
-			}
-			wk, sk := tableKeys(wheelCT), tableKeys(scanCT)
-			if len(wk) != len(sk) {
-				t.Fatalf("seed=%d every=%d: wheel table %d entries, scan %d", seed, sweepEvery, len(wk), len(sk))
-			}
-			for k := range wk {
-				if !sk[k] {
-					t.Fatalf("seed=%d every=%d: wheel kept a key the scan evicted", seed, sweepEvery)
+		for _, sweepEvery := range []int{7, 113} { // frequent and rare (rare forces slot clamping)
+			for _, bound := range []int{0, 24} {
+				wheelCT := boundConntrack(newShardedConntrack(DefaultTimeouts(), 4), bound)
+				scanCT := boundConntrack(newShardedConntrack(DefaultTimeouts(), 4), bound)
+				wr, _ := observeStream(t, wheelCT, seed, 4000, wheelCT.Sweep, sweepEvery)
+				sr, _ := observeStream(t, scanCT, seed, 4000, scanCT.sweepScan, sweepEvery)
+				if wr != sr {
+					t.Fatalf("seed=%d every=%d bound=%d: wheel reclaimed %d, scan %d", seed, sweepEvery, bound, wr, sr)
 				}
-			}
-			if wheelCT.evictionCount() != scanCT.evictionCount() {
-				t.Fatalf("seed=%d every=%d: evictions wheel=%d scan=%d",
-					seed, sweepEvery, wheelCT.evictionCount(), scanCT.evictionCount())
+				wk, sk := tableKeys(wheelCT), tableKeys(scanCT)
+				if len(wk) != len(sk) {
+					t.Fatalf("seed=%d every=%d bound=%d: wheel table %d entries, scan %d", seed, sweepEvery, bound, len(wk), len(sk))
+				}
+				for k := range wk {
+					if !sk[k] {
+						t.Fatalf("seed=%d every=%d bound=%d: wheel kept a key the scan evicted", seed, sweepEvery, bound)
+					}
+				}
+				if wheelCT.evictionCount() != scanCT.evictionCount() {
+					t.Fatalf("seed=%d every=%d bound=%d: evictions wheel=%d scan=%d",
+						seed, sweepEvery, bound, wheelCT.evictionCount(), scanCT.evictionCount())
+				}
 			}
 		}
 	}
@@ -313,6 +390,7 @@ func TestShardPoolConservation(t *testing.T) {
 		for i := 0; i < 800; i++ {
 			remote := packet.MustAddr(fmt.Sprintf("203.0.%d.%d", i/250, 1+i%250))
 			ct.observe(packet.NewTCP(local, remote, uint16(30000+i%500), 443, packet.FlagSYN, 1, 0, nil), true, now)
+			checkLists(t, ct)
 		}
 		allocs, _, pooled := ct.poolStats()
 		if live := ct.size(); int(allocs) != live+pooled {
@@ -320,6 +398,7 @@ func TestShardPoolConservation(t *testing.T) {
 		}
 		now += 700 * time.Second // beyond every timeout
 		ct.Sweep(now)
+		checkLists(t, ct)
 		if got := ct.size(); got != 0 {
 			t.Fatalf("round %d: %d entries survived a sweep past all timeouts", round, got)
 		}

@@ -3,24 +3,24 @@ package tspu
 import "time"
 
 // timeWheel is the per-shard expiry index that replaces the global map-scan
-// sweep: a ring of time buckets, one per wheelGran of virtual time, holding
-// generation-checked references to flowEntries whose expiry falls in that
-// bucket's window. Sweeping advances the ring to the current time and visits
-// only the buckets that elapsed, so reclaim cost is proportional to the flows
+// sweep: a ring of time slots, one per wheelGran of virtual time, each the
+// head of an intrusive list of the flowEntries whose expiry falls in that
+// slot's window. Sweeping advances the ring to the current time and visits
+// only the slots that elapsed, so reclaim cost is proportional to the flows
 // that actually expired — not to the size of the table, which is what makes
 // million-flow conntracks sweepable at line rate.
 //
 // The wheel is deliberately lazy: an entry is inserted once at creation and
 // never moved when activity or a blocking hold extends its expiry (expiry is
 // monotonically nondecreasing — states only lengthen and the clock only
-// advances). When its original bucket fires, a still-live entry is simply
-// re-bucketed at its current expiry. An entry released for any other reason
-// (lazy lookup expiry, pressure eviction, the bare-ACK restart) bumps its
-// generation, turning the stale wheel reference into a no-op — the same
-// discipline sim.Timer uses for pooled events.
+// advances). When its slot fires, a still-live entry is simply re-bucketed at
+// its current expiry. An entry that leaves the table for any other reason
+// (lazy lookup expiry, pressure eviction, the bare-ACK restart) is unlinked
+// from its slot by ctShard.release, so every list holds live entries only
+// and the wheel's memory follows the live table.
 const (
-	// wheelGran is the bucket width. Table 2's timeouts are whole seconds,
-	// so nothing is gained by finer buckets.
+	// wheelGran is the slot width. Table 2's timeouts are whole seconds,
+	// so nothing is gained by finer slots.
 	wheelGran = time.Second
 	// wheelSlots is the ring size. At 1 s per slot it spans 512 s, past the
 	// longest measured lifetime (ESTABLISHED / SNI-II / QUIC at 480 s);
@@ -29,31 +29,24 @@ const (
 	wheelSlots = 512
 )
 
-//tspuvet:laneowned
-type wheelRef struct {
-	e   *flowEntry
-	gen uint32
-}
-
 // timeWheel indexes a shard's entries by expiry; it lives inside a ctShard
 // and is only ever advanced by the lane that owns that shard.
 //
 //tspuvet:laneowned
 type timeWheel struct {
-	slots [][]wheelRef
+	// slots[i] heads the list of entries linked through wprev/wnext whose
+	// wslot is i.
+	slots []*flowEntry
 	// base is the start of slots[cursor]'s window.
 	base   time.Duration
 	cursor int
-	// live counts references currently on the wheel, so an advance over a
-	// long idle gap can skip slot-by-slot walking when nothing is queued.
-	live int
 }
 
 func (w *timeWheel) init() {
-	w.slots = make([][]wheelRef, wheelSlots)
+	w.slots = make([]*flowEntry, wheelSlots)
 }
 
-// insert queues e for an expiry check at its current expires time.
+// insert links e at the head of the slot covering its current expires time.
 //
 //tspuvet:hotpath
 func (w *timeWheel) insert(e *flowEntry) {
@@ -65,85 +58,69 @@ func (w *timeWheel) insert(e *flowEntry) {
 		}
 	}
 	slot := (w.cursor + idx) & (wheelSlots - 1)
-	w.slots[slot] = append(w.slots[slot], wheelRef{e: e, gen: e.gen})
-	w.live++
+	head := w.slots[slot]
+	e.wprev, e.wnext, e.wslot = nil, head, uint16(slot)
+	if head != nil {
+		head.wprev = e
+	}
+	w.slots[slot] = e
 }
 
-// advance retires every bucket whose window ended at or before now, expiring
-// dead entries from the shard and re-bucketing live ones, then checks the
-// current (partial) bucket so the post-condition matches the map-scan sweep
-// exactly: after advance(now) no entry with expires <= now remains. Returns
-// the number of entries reclaimed.
+// unlink removes e from its slot's list.
+func (w *timeWheel) unlink(e *flowEntry) {
+	if e.wprev != nil {
+		e.wprev.wnext = e.wnext
+	} else {
+		w.slots[e.wslot] = e.wnext
+	}
+	if e.wnext != nil {
+		e.wnext.wprev = e.wprev
+	}
+}
+
+// advanceWheel retires every slot whose window ended at or before now,
+// expiring dead entries from the shard and re-bucketing live ones, then
+// checks the current (partial) slot so the post-condition matches the
+// map-scan sweep exactly: after advanceWheel(now) no entry with
+// expires <= now remains. Returns the number of entries reclaimed.
 //
 //tspuvet:coldpath sweep housekeeping, rate-limited to once per sweep interval
 func (sh *ctShard) advanceWheel(now time.Duration) int {
 	w := &sh.wheel
 	reclaimed := 0
 	for w.base+wheelGran <= now {
-		if w.live == 0 {
-			// Nothing queued anywhere: jump the ring to now in one step.
+		if len(sh.table) == 0 {
+			// Every live entry is on the wheel, so it is empty: jump the
+			// ring to now in one step.
 			w.base = now - (now % wheelGran)
 			break
 		}
 		cur := w.cursor
-		// Detach the bucket before processing: a re-insert with a clamped
-		// (beyond-horizon) expiry maps back to this very slot index, and must
-		// land in a fresh bucket rather than the one being drained.
-		slot := w.slots[cur]
-		w.slots[cur] = nil
-		w.live -= len(slot)
 		w.base += wheelGran
 		w.cursor = (cur + 1) & (wheelSlots - 1)
-		for _, ref := range slot {
-			reclaimed += sh.checkRef(ref, now)
-		}
-		if w.slots[cur] == nil {
-			// No clamped re-insert reused the index: zero the drained refs so
-			// they pin nothing and hand the capacity back to the ring.
-			for i := range slot {
-				slot[i] = wheelRef{}
+		// A clamped (beyond-horizon) re-insert maps back to cur. insert
+		// links at the head, ahead of the walk, so it is not visited again.
+		for e := w.slots[cur]; e != nil; {
+			next := e.wnext
+			if e.expires <= now {
+				sh.expire(e)
+				reclaimed++
+			} else {
+				w.unlink(e)
+				w.insert(e)
 			}
-			w.slots[cur] = slot[:0]
+			e = next
 		}
 	}
-	// Partial bucket: entries expiring inside the current window need a
-	// check too, without retiring the bucket.
-	cur := w.slots[w.cursor]
-	kept := cur[:0]
-	for _, ref := range cur {
-		if ref.e.gen != ref.gen {
-			w.live-- // stale: entry already released elsewhere
-			continue
+	// Partial slot: entries expiring inside the current window need a check
+	// too, without retiring the slot.
+	for e := w.slots[w.cursor]; e != nil; {
+		next := e.wnext
+		if e.expires <= now {
+			sh.expire(e)
+			reclaimed++
 		}
-		if ref.e.expires <= now {
-			reclaimed += sh.checkRef(ref, now)
-			w.live--
-			continue
-		}
-		kept = append(kept, ref)
+		e = next
 	}
-	// Zero the dropped tail so released entries are not pinned by the slice.
-	for i := len(kept); i < len(cur); i++ {
-		cur[i] = wheelRef{}
-	}
-	w.slots[w.cursor] = kept
 	return reclaimed
-}
-
-// checkRef resolves one wheel reference: stale references (the entry was
-// released and possibly reused since) are dropped, expired entries are
-// reclaimed, and still-live entries are re-bucketed at their extended expiry.
-func (sh *ctShard) checkRef(ref wheelRef, now time.Duration) int {
-	e := ref.e
-	if e.gen != ref.gen {
-		return 0 // entry was released by lookup/pressure/restart; ref is dead
-	}
-	if e.expires <= now {
-		delete(sh.table, e.key)
-		sh.evictions++
-		sh.release(e)
-		return 1
-	}
-	sh.wheel.insert(e)
-	return 0
 }
