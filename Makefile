@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all check vet perfbench-check lint vet-unitchecker vet-hotpath vet-contracts pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
+.PHONY: all check vet perfbench-check lint pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
 
 # Benchmarks gated by the regression harness (hot-path device benches, fleet
 # orchestration, and the ablations). BENCH_COUNT samples each; perfstat takes
@@ -22,7 +22,7 @@ ENGINE_BENCH_PATTERN = ^(BenchmarkEngine_Passthrough$$|BenchmarkEngine_TLSMix$$|
 
 all: check
 
-check: vet perfbench-check lint vet-unitchecker vet-contracts escapes build test conformance race race-lanes crosscensor armsrace
+check: vet perfbench-check lint escapes build test conformance race race-lanes crosscensor armsrace
 
 vet:
 	$(GO) vet ./...
@@ -40,34 +40,13 @@ perfbench-check:
 # //tspuvet:closedenum types stay exhaustive). The analysis is whole-program
 # by default: packages are checked in dependency order with facts (purity
 # taint, packet retention, lane entry points, enum membership) threaded
-# across package boundaries. Exceptions need a reasoned //tspuvet:allow
-# directive, and unused directives fail the build.
+# across package boundaries. tspu-vet runs one way — all ten analyzers over
+# the non-test files, whole-program — so this is the only analyzer target.
+# Exceptions need a reasoned //tspuvet:allow directive, and unused
+# directives fail the build.
 lint:
 	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
 	/tmp/tspu-vet ./...
-
-# vet-unitchecker runs the identical analyzer suite through the go vet
-# -vettool protocol: the go command schedules one unit per package (test
-# files included) and the facts travel between units as .vetx files instead
-# of in memory. Keeping this lane green proves the two fact transports stay
-# equivalent.
-vet-unitchecker:
-	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
-	$(GO) vet -vettool=/tmp/tspu-vet ./...
-
-# vet-hotpath runs only the hot-path allocation/purity analyzer — the fast
-# inner loop while working on per-packet code.
-vet-hotpath:
-	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
-	/tmp/tspu-vet -walltime=false -globalrand=false -maporder=false -synccheck=false ./...
-
-# vet-contracts runs only the ownership and lane-isolation analyzers —
-# retaincheck, lanecheck, poolcheck (plus allowdirective, so stale or
-# malformed suppressions still fail) — the focused inner loop while
-# annotating retention or lane contracts.
-vet-contracts:
-	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
-	/tmp/tspu-vet -walltime=false -globalrand=false -maporder=false -hotpath=false -synccheck=false ./...
 
 # pooldebug runs the tspu and sim suites with released pooled records
 # poisoned: use-after-release and double release panic instead of silently
@@ -77,7 +56,8 @@ pooldebug:
 
 # escapes is the compiler-backed half of the hot-path contract: diff the
 # escape-analysis diagnostics of the annotated packages against the
-# committed ESCAPES_baseline.json. Any new heap escape fails;
+# committed ESCAPES_baseline.json. Any new or grown heap escape fails, and
+# so does a baseline entry no longer produced at its recorded count;
 # escapes-update records a reviewed change (commit the diff).
 escapes:
 	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet

@@ -27,7 +27,6 @@ const evasionsDir = "testdata/evasions"
 // raceLedger memoizes the default-config race across the tests in this file.
 var raceLedger *armsrace.Ledger
 
-//tspuvet:impure the race runs on the fleet pool, which reads wall time for worker metrics; the asserted ledger bytes are seed-pure
 func defaultRace(t *testing.T) *armsrace.Ledger {
 	t.Helper()
 	if raceLedger == nil {
@@ -197,8 +196,6 @@ func TestArmsRacePortabilityControls(t *testing.T) {
 // TestArmsRaceWorkerIndependence: the whole race — search, shrink, defeats,
 // counter-moves — must be byte-identical at any fleet worker count, and the
 // registered experiment must render identically across replica seeds.
-//
-//tspuvet:impure the test exists to prove the wall-clock-adjacent fleet path is seed-pure where it counts: the ledger bytes it compares
 func TestArmsRaceWorkerIndependence(t *testing.T) {
 	base := defaultRace(t).Render().String()
 	for _, w := range []int{4, 8} {

@@ -54,8 +54,6 @@ func TestFleetUnknownExperimentFails(t *testing.T) {
 
 // TestFleetPanicIsolationWithRealJobs injects a panic into one job of a real
 // experiment sweep and checks the fleet survives with the rest intact.
-//
-//tspuvet:impure the fleet runner reads wall time for worker metrics; the test asserts failure routing, not timing
 func TestFleetPanicIsolationWithRealJobs(t *testing.T) {
 	base := fleetTestOpts()
 	jobs := fleet.Plan(base.Seed, []string{"table7", "fig12"}, 2, 1)

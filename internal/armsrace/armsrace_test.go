@@ -172,7 +172,6 @@ type recordPipe struct {
 }
 
 func (p *recordPipe) Inject(pkt *packet.Packet, dir netem.Direction) {
-	//tspuvet:retains test recorder owns watcher-built packets; nothing re-sends them
 	p.injected = append(p.injected, pkt)
 }
 func (p *recordPipe) Now() time.Duration               { return 0 }

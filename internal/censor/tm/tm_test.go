@@ -18,7 +18,7 @@ type capturePipe struct {
 }
 
 func (p *capturePipe) Inject(pkt *packet.Packet, dir netem.Direction) {
-	p.injected = append(p.injected, pkt) //tspuvet:retains the capture pipe exists to hold injected packets for assertions; the testbed is single-threaded
+	p.injected = append(p.injected, pkt)
 	p.dirs = append(p.dirs, dir)
 }
 func (p *capturePipe) Now() time.Duration               { return 0 }

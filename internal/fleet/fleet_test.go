@@ -130,7 +130,7 @@ func TestTimeoutIsTransientAndRetried(t *testing.T) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
-		time.Sleep(200 * time.Millisecond) //tspuvet:allow walltime: deliberately wedges the job so the real timeout fires
+		time.Sleep(200 * time.Millisecond)
 		return "never", nil, nil
 	}
 	rep := NewRunner(Config{Workers: 1, Timeout: 10 * time.Millisecond, Retries: 2, Backoff: time.Millisecond}).Run(jobs, run)

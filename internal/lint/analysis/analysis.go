@@ -9,7 +9,9 @@
 // passes with positional diagnostics, plus object facts (see Fact) so the
 // contract analyzers can follow calls across package boundaries. SSA is out
 // of scope — every tspu-vet analyzer is a function of one type-checked
-// package and the facts its dependencies exported.
+// package and the facts its dependencies exported. There is one way to run
+// an analyzer: whole-program, packages in dependency order, facts held in
+// one in-memory Store (nothing is serialized), so every Pass has Facts.
 package analysis
 
 import (
@@ -24,14 +26,10 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //tspuvet:allow directives. It must be a valid Go identifier.
 	Name string
-	// Doc is the one-paragraph help text shown by tspu-vet -help.
+	// Doc is the one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
-	// FactTypes lists prototypes of the fact types this analyzer exports or
-	// imports, so the driver can decode them from serialized .vetx files.
-	// Analyzers with no FactTypes are pure per-package passes.
-	FactTypes []Fact
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -48,32 +46,22 @@ type Pass struct {
 	// Report delivers one diagnostic. Set by the driver.
 	Report func(Diagnostic)
 
-	// Facts is this pass's view into the whole-program fact store, set by the
-	// driver when it runs packages in dependency order. Nil means facts are
-	// unavailable (a bare per-package run); analyzers must degrade to their
-	// per-package behavior then.
+	// Facts is this pass's view into the whole-program fact store. Every
+	// runner sets it: packages are analyzed in dependency order, so the
+	// facts of every dependency are already in the store.
 	Facts *FactSet
 }
 
-// FactsEnabled reports whether this pass can exchange facts across packages.
-func (p *Pass) FactsEnabled() bool { return p.Facts != nil }
-
 // ExportObjectFact attaches fact to obj (a package-level object of the
-// package being analyzed) for importing packages to see. No-op when facts
-// are disabled.
+// package being analyzed) for importing packages to see.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Facts != nil {
-		p.Facts.export(obj, fact)
-	}
+	p.Facts.export(obj, fact)
 }
 
 // ImportObjectFact copies the fact of ptr's type attached to obj into ptr,
 // reporting whether one existed. Works for objects of this package (exported
 // earlier in this pass) and of its dependencies.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
 	return p.Facts.imp(obj, ptr)
 }
 

@@ -1,17 +1,14 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a datum one analyzer attaches to a package-level object so that the
 // analysis of a *depending* package can see through the import boundary —
 // the same role x/tools' analysis.Fact plays. A fact type is a pointer to a
-// JSON-serializable struct and declares itself with the AFact marker method.
+// struct and declares itself with the AFact marker method.
 //
 // Facts attach to package-level functions, methods on package-level named
 // types, and package-level type names: those are the only objects an
@@ -20,7 +17,7 @@ import (
 // object is a no-op by design.
 type Fact interface{ AFact() }
 
-// objectKey renders the stable serialization key of a package-level object:
+// objectKey renders the stable cross-package key of a package-level object:
 // "Name" for functions, type names, vars, and consts; "Recv.Name" for
 // methods. It returns "" for objects that cannot carry facts (locals, fields,
 // interface methods without a concrete receiver).
@@ -57,29 +54,17 @@ type factKey struct {
 }
 
 // Store holds every exported object fact of one whole-program run. The driver
-// threads one Store through all packages in dependency order (standalone
-// mode) or rebuilds the relevant slice of it from .vetx files (unitchecker
-// mode); the two views are interchangeable because facts serialize to JSON.
+// threads one Store through all packages in dependency order.
 type Store struct {
 	m map[factKey]Fact
-	// typesByName maps "analyzer/TypeName" to the fact's concrete type, for
-	// decoding serialized facts. Built from the analyzers' FactTypes.
-	typesByName map[string]reflect.Type
 }
 
-// NewStore builds an empty store that can decode the fact types declared by
-// analyzers.
-func NewStore(analyzers ...*Analyzer) *Store {
-	s := &Store{m: map[factKey]Fact{}, typesByName: map[string]reflect.Type{}}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			s.typesByName[a.Name+"/"+factTypeName(f)] = reflect.TypeOf(f)
-		}
-	}
-	return s
+// NewStore builds an empty store.
+func NewStore() *Store {
+	return &Store{m: map[factKey]Fact{}}
 }
 
-// factTypeName is the serialized name of a fact's dynamic type.
+// factTypeName names a fact's dynamic type within the store's keys.
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	if t.Kind() == reflect.Pointer {
@@ -129,65 +114,4 @@ func (fs *FactSet) imp(obj types.Object, ptr Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// encodedFact is the serialized form of one fact in a .vetx file.
-type encodedFact struct {
-	Obj      string          `json:"obj"`
-	Analyzer string          `json:"analyzer"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// ExportPackage serializes every fact attached to objects of pkgPath, sorted
-// so the bytes are deterministic regardless of analysis order.
-func (s *Store) ExportPackage(pkgPath string) ([]byte, error) {
-	var out []encodedFact
-	for k, f := range s.m {
-		if k.pkg != pkgPath {
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("encoding fact %s/%s on %s: %w", k.analyzer, k.typ, k.obj, err)
-		}
-		out = append(out, encodedFact{Obj: k.obj, Analyzer: k.analyzer, Type: k.typ, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Type < b.Type
-	})
-	return json.Marshal(out)
-}
-
-// ImportPackage merges serialized facts back in as pkgPath's. Facts whose
-// analyzer or type is unknown to this store (an analyzer deselected by flags)
-// are skipped, not errors: the go command caches .vetx files across flag
-// sets.
-func (s *Store) ImportPackage(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil // an empty .vetx means "no facts", the pre-facts format
-	}
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", pkgPath, err)
-	}
-	for _, e := range in {
-		rt, ok := s.typesByName[e.Analyzer+"/"+e.Type]
-		if !ok {
-			continue
-		}
-		v := reflect.New(rt.Elem())
-		if err := json.Unmarshal(e.Data, v.Interface()); err != nil {
-			return fmt.Errorf("decoding %s/%s fact on %s.%s: %w", e.Analyzer, e.Type, pkgPath, e.Obj, err)
-		}
-		s.m[factKey{pkgPath, e.Obj, e.Analyzer, e.Type}] = v.Interface().(Fact)
-	}
-	return nil
 }

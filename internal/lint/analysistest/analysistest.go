@@ -6,8 +6,8 @@
 //	// want "regexp"
 //
 // comment (several quoted regexps may follow one want). The harness runs one
-// analyzer over the type-checked fixture and fails the test on any
-// unexpected diagnostic or unmatched expectation.
+// analyzer whole-program over the type-checked fixture packages and fails
+// the test on any unexpected diagnostic or unmatched expectation.
 //
 // Fixture imports resolve testdata-locally first (so fixtures can model
 // module-internal packages like tspusim/internal/report) and fall back to
@@ -33,43 +33,12 @@ import (
 	"tspusim/internal/lint/analysis"
 )
 
-// Run applies a to each fixture package (a path under dir/src) and checks
-// its diagnostics against the fixtures' want comments.
+// Run applies a to pkgPaths and every fixture-local package they pull in,
+// in dependency order with one shared fact store — the same whole-program
+// run tspu-vet makes. Want comments are checked in dependency packages too,
+// so one fixture tree pins both the local diagnostic that seeds a fact and
+// the cross-package diagnostic the fact produces.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	l := newLoader(filepath.Join(dir, "src"))
-	for _, path := range pkgPaths {
-		lp, err := l.load(path)
-		if err != nil {
-			t.Errorf("%s: loading fixture %s: %v", a.Name, path, err)
-			continue
-		}
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      l.fset,
-			Files:     lp.files,
-			Pkg:       lp.pkg,
-			TypesInfo: lp.info,
-			Report: func(d analysis.Diagnostic) {
-				d.Category = a.Name
-				diags = append(diags, d)
-			},
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Errorf("%s: running on %s: %v", a.Name, path, err)
-			continue
-		}
-		checkExpectations(t, a.Name, l.fset, lp.files, diags)
-	}
-}
-
-// RunFacts applies a to pkgPaths and every fixture-local package they pull
-// in, in dependency order with one shared fact store — the whole-program
-// analogue of Run. Want comments are checked in dependency packages too, so
-// one fixture tree pins both the local diagnostic that seeds a fact and the
-// cross-package diagnostic the fact produces.
-func RunFacts(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := newLoader(filepath.Join(dir, "src"))
 	for _, path := range pkgPaths {
@@ -78,7 +47,7 @@ func RunFacts(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string
 			return
 		}
 	}
-	store := analysis.NewStore(a)
+	store := analysis.NewStore()
 	// l.order is type-check completion order: a package's imports finish
 	// before it does, so walking it forward is dependency order.
 	diagsByPath := map[string][]analysis.Diagnostic{}

@@ -2,12 +2,12 @@
 // without golang.org/x/tools: package discovery and export data come from
 // `go list -export -deps -json` (which works offline against the build
 // cache), type information from go/types with the stdlib gc importer, and
-// the analyzers from internal/lint.
+// the analyzers from internal/lint. Check is the only entry point: it runs
+// the whole suite over the whole program, with facts held in memory.
 //
 // Only non-test files are analyzed. The determinism contract governs what
 // can reach experiment output; tests measure wall time and exercise the
-// orchestrator's real clocks deliberately, and go vet's own unitchecker path
-// (cmd/tspu-vet as -vettool) covers test files when wanted.
+// orchestrator's real clocks deliberately, so they are outside it.
 package driver
 
 import (
@@ -54,10 +54,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Check runs analyzers over the packages matching patterns (resolved by the
-// go command relative to dir; empty dir means the current directory) and
-// returns the surviving diagnostics after //tspuvet:allow suppression,
-// sorted by position.
+// Check runs the full lint.Analyzers suite over the packages matching
+// patterns (resolved by the go command relative to dir; empty dir means the
+// current directory) and returns the surviving diagnostics after
+// //tspuvet:allow suppression, sorted by position.
 //
 // The analysis is whole-program: every module package in the dependency
 // closure is analyzed in dependency order with one shared fact store, so the
@@ -65,11 +65,12 @@ func (d Diagnostic) String() string {
 // points, closed enums) are visible when its dependents are analyzed.
 // Diagnostics are reported only for the packages that matched patterns;
 // dependency-only packages contribute facts alone.
-func Check(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
+func Check(dir string, patterns []string) ([]Diagnostic, error) {
 	pkgs, exports, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
+	analyzers := lint.Analyzers()
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -87,7 +88,7 @@ func Check(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Dia
 		return os.Open(file)
 	})
 
-	store := analysis.NewStore(analyzers...)
+	store := analysis.NewStore()
 	var diags []Diagnostic
 	for _, lp := range dependencyOrder(pkgs) {
 		if lp.Standard || len(lp.GoFiles) == 0 {
@@ -153,14 +154,13 @@ func dependencyOrder(pkgs []*listPackage) []*listPackage {
 	return out
 }
 
-// CheckFiles analyzes one already-listed package given its files and an
-// import resolver — the unitchecker entry point shared with Check. A nil
-// store runs the analyzers in per-package mode (no cross-package facts).
-func CheckFiles(fset *token.FileSet, imp types.Importer, importPath string, filenames []string,
+// checkPackage parses, type-checks, and analyzes one listed package,
+// exporting its facts into store for the packages that import it.
+func checkPackage(fset *token.FileSet, imp types.Importer, lp *listPackage,
 	analyzers []*analysis.Analyzer, ran map[string]bool, store *analysis.Store) ([]Diagnostic, error) {
 	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +173,7 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, importPath string, file
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(importPath, fset, files, info)
+	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking: %w", err)
 	}
@@ -187,13 +187,11 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, importPath string, file
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
+			Facts:     store.View(name, pkg),
 			Report: func(d analysis.Diagnostic) {
 				d.Category = name
 				raw = append(raw, d)
 			},
-		}
-		if store != nil {
-			pass.Facts = store.View(name, pkg)
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", name, err)
@@ -205,15 +203,6 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, importPath string, file
 		out = append(out, Diagnostic{Pos: fset.Position(d.Pos), Analyzer: d.Category, Message: d.Message})
 	}
 	return out, nil
-}
-
-func checkPackage(fset *token.FileSet, imp types.Importer, lp *listPackage,
-	analyzers []*analysis.Analyzer, ran map[string]bool, store *analysis.Store) ([]Diagnostic, error) {
-	names := make([]string, len(lp.GoFiles))
-	for i, f := range lp.GoFiles {
-		names[i] = filepath.Join(lp.Dir, f)
-	}
-	return CheckFiles(fset, imp, lp.ImportPath, names, analyzers, ran, store)
 }
 
 // goList shells out once for targets and their full dependency closure with

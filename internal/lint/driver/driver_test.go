@@ -1,17 +1,13 @@
 package driver_test
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
-	"tspusim/internal/lint"
-	"tspusim/internal/lint/analysis"
 	"tspusim/internal/lint/driver"
 )
 
@@ -26,7 +22,7 @@ func TestCheckCorePackagesClean(t *testing.T) {
 	diags, err := driver.Check("", []string{
 		"tspusim/internal/sim",
 		"tspusim/internal/report",
-	}, lint.Analyzers())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +39,7 @@ func TestCheckFleetSuppressedByDirectives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go command")
 	}
-	diags, err := driver.Check("", []string{"tspusim/internal/fleet"}, lint.Analyzers())
+	diags, err := driver.Check("", []string{"tspusim/internal/fleet"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +102,7 @@ func TestCheckSyntheticModuleOrdering(t *testing.T) {
 		"a.go":   dirtyA,
 		"b.go":   dirtyB,
 	})
-	diags, err := driver.Check(dir, []string{"./..."}, lint.Analyzers())
+	diags, err := driver.Check(dir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +150,9 @@ func exitCode(t *testing.T, err error) int {
 	return ee.ExitCode()
 }
 
-// Exit codes through both entry points: standalone (0 clean / 1 dirty) and
-// the go vet -vettool protocol, where the go command itself writes the .cfg
-// files, invokes the tool per package, and surfaces its exit status — the
-// full unitchecker round-trip.
-func TestExitCodesAndVettoolRoundTrip(t *testing.T) {
+// The binary's exit codes: 0 on a clean module, 1 on a dirty one, with the
+// diagnostics on its output.
+func TestExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the tspu-vet binary")
 	}
@@ -172,87 +166,22 @@ func TestExitCodesAndVettoolRoundTrip(t *testing.T) {
 		"a.go":   "package synth\n\nfunc Fine() int { return 1 }\n",
 	})
 
-	run := func(dir string, args ...string) (int, string) {
-		cmd := exec.Command(args[0], args[1:]...)
+	run := func(dir string) (int, string) {
+		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
 		return exitCode(t, err), string(out)
 	}
 
-	if code, out := run(dirty, bin, "./..."); code != 1 {
-		t.Errorf("standalone on dirty module: exit %d, want 1\n%s", code, out)
-	}
-	if code, out := run(clean, bin, "./..."); code != 0 {
-		t.Errorf("standalone on clean module: exit %d, want 0\n%s", code, out)
-	}
-
-	code, out := run(dirty, "go", "vet", "-vettool="+bin, "./...")
-	if code == 0 {
-		t.Errorf("go vet -vettool on dirty module: exit 0, want nonzero\n%s", out)
+	code, out := run(dirty)
+	if code != 1 {
+		t.Errorf("dirty module: exit %d, want 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "walltime") || !strings.Contains(out, "hotpath") {
-		t.Errorf("vettool output missing expected diagnostics:\n%s", out)
+		t.Errorf("dirty module output missing expected diagnostics:\n%s", out)
 	}
-	if code, out := run(clean, "go", "vet", "-vettool="+bin, "./..."); code != 0 {
-		t.Errorf("go vet -vettool on clean module: exit %d, want 0\n%s", code, out)
-	}
-}
-
-// RunUnitchecker driven directly with a hand-written .cfg: the protocol's
-// exit codes (2 diagnostics, 0 clean, 0 facts-only) and the .vetx output
-// the go command expects, without the go command in the loop.
-func TestRunUnitcheckerCfg(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "p.go")
-	if err := os.WriteFile(src, []byte("package p\n\n//tspuvet:hotpath\nfunc Hot() *int { return new(int) }\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	ran := map[string]bool{}
-	for _, a := range lint.Analyzers() {
-		ran[a.Name] = true
-	}
-	writeCfg := func(cfg driver.UnitConfig) string {
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, cfg.ID+".cfg")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfg := writeCfg(driver.UnitConfig{ID: "unit", ImportPath: "synthunit/p", GoFiles: []string{src}, VetxOutput: vetx})
-	var got []driver.Diagnostic
-	code := driver.RunUnitchecker(cfg, lint.Analyzers(), ran, func(d []driver.Diagnostic) { got = d })
-	if code != 2 {
-		t.Errorf("dirty package: exit %d, want 2", code)
-	}
-	if len(got) != 1 || got[0].Analyzer != "hotpath" {
-		t.Errorf("diagnostics = %v, want one hotpath finding", got)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("vetx output not written: %v", err)
-	}
-
-	vetxOnly := filepath.Join(dir, "facts.vetx")
-	cfg = writeCfg(driver.UnitConfig{ID: "facts", ImportPath: "synthunit/p", GoFiles: []string{src}, VetxOnly: true, VetxOutput: vetxOnly})
-	if code := driver.RunUnitchecker(cfg, lint.Analyzers(), ran, func([]driver.Diagnostic) {}); code != 0 {
-		t.Errorf("facts-only request: exit %d, want 0", code)
-	}
-	if _, err := os.Stat(vetxOnly); err != nil {
-		t.Errorf("facts-only vetx not written: %v", err)
-	}
-
-	cleanSrc := filepath.Join(dir, "q.go")
-	if err := os.WriteFile(cleanSrc, []byte("package q\n\nfunc Fine() int { return 1 }\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfg = writeCfg(driver.UnitConfig{ID: "clean", ImportPath: "synthunit/q", GoFiles: []string{cleanSrc}})
-	if code := driver.RunUnitchecker(cfg, lint.Analyzers(), ran, func([]driver.Diagnostic) {}); code != 0 {
-		t.Errorf("clean package: exit %d, want 0", code)
+	if code, out := run(clean); code != 0 {
+		t.Errorf("clean module: exit %d, want 0\n%s", code, out)
 	}
 }
 
@@ -414,9 +343,9 @@ func checkSynthfactsDiags(t *testing.T, label string, diags []driver.Diagnostic)
 	}
 }
 
-// Whole-program standalone analysis over the synthfacts module: exactly one
-// surviving diagnostic per fact kind, every one in the consuming package and
-// invisible to per-package analysis, and the same output no matter what
+// Whole-program analysis over the synthfacts module: exactly one surviving
+// diagnostic per fact kind, every one in the consuming package and caused by
+// a fact dep exported, and the same output no matter what
 // order the packages are named in — dependency ordering, not argument
 // ordering, decides when facts are available.
 func TestCheckSynthfactsCrossPackage(t *testing.T) {
@@ -431,7 +360,7 @@ func TestCheckSynthfactsCrossPackage(t *testing.T) {
 	}
 	var first []driver.Diagnostic
 	for _, patterns := range orders {
-		diags, err := driver.Check(dir, patterns, lint.Analyzers())
+		diags, err := driver.Check(dir, patterns)
 		if err != nil {
 			t.Fatalf("Check(%v): %v", patterns, err)
 		}
@@ -448,157 +377,25 @@ func TestCheckSynthfactsCrossPackage(t *testing.T) {
 	}
 }
 
-// The same module through the go vet protocol: the go command schedules the
-// units, the .vetx files carry the facts between them, and the surviving
-// findings match standalone mode exactly.
-func TestVettoolSynthfactsRoundTrip(t *testing.T) {
+// The same module through the tspu-vet binary: exit 1, every cross-package
+// finding printed, and nothing from the excused twins or the dependency.
+func TestSynthfactsBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the tspu-vet binary")
 	}
 	bin := buildVet(t)
-	dir := writeSynthfacts(t)
-
 	cmd := exec.Command(bin, "./...")
-	cmd.Dir = dir
+	cmd.Dir = writeSynthfacts(t)
 	out, err := cmd.CombinedOutput()
 	if code := exitCode(t, err); code != 1 {
-		t.Errorf("standalone: exit %d, want 1\n%s", code, out)
+		t.Errorf("exit %d, want 1\n%s", code, out)
 	}
-
-	cmd = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	vetOut, err := cmd.CombinedOutput()
-	if code := exitCode(t, err); code == 0 {
-		t.Errorf("go vet -vettool: exit 0, want nonzero\n%s", vetOut)
-	}
-	for _, run := range [][]byte{out, vetOut} {
-		for _, w := range synthfactsWant {
-			if !strings.Contains(string(run), w.substr) {
-				t.Errorf("output missing %q:\n%s", w.substr, run)
-			}
-		}
-		if strings.Contains(string(run), "ForwardAllowed") || strings.Contains(string(run), "dep.go:") {
-			t.Errorf("suppressed or dependency-side finding leaked:\n%s", run)
+	for _, w := range synthfactsWant {
+		if !strings.Contains(string(out), w.substr) {
+			t.Errorf("output missing %q:\n%s", w.substr, out)
 		}
 	}
-}
-
-// goListExports shells out the way the driver does and returns the import
-// map and export-data paths the unitchecker cfg needs, letting the test
-// hand-write the .cfg files the go command would normally produce.
-func goListExports(t *testing.T, dir string) (importMap, packageFile map[string]string) {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Export", "./...")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	importMap = map[string]string{}
-	packageFile = map[string]string{}
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for dec.More() {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		importMap[p.ImportPath] = p.ImportPath
-		if p.Export != "" {
-			packageFile[p.ImportPath] = p.Export
-		}
-	}
-	return importMap, packageFile
-}
-
-// The unitchecker protocol with hand-written .cfg and .vetx files: dep
-// analyzes clean (its sites are excused) but still writes every fact kind to
-// its .vetx; feeding that file to top's unit resurfaces all four consumer
-// diagnostics; and a .vetx hand-crafted from scratch pins the on-disk fact
-// format — the diagnostic it produces can only have come from the file.
-func TestUnitcheckerSynthfactsVetx(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go command for export data")
-	}
-	dir := writeSynthfacts(t)
-	importMap, packageFile := goListExports(t, dir)
-	ran := map[string]bool{}
-	for _, a := range lint.Analyzers() {
-		ran[a.Name] = true
-	}
-	writeCfg := func(cfg driver.UnitConfig) string {
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, strings.ReplaceAll(cfg.ID, "/", "_")+".cfg")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	depVetx := filepath.Join(dir, "dep.vetx")
-	cfg := writeCfg(driver.UnitConfig{
-		ID: "synthfacts/dep", ImportPath: "synthfacts/dep",
-		GoFiles:   []string{filepath.Join(dir, "dep", "dep.go")},
-		ImportMap: importMap, PackageFile: packageFile,
-		VetxOutput: depVetx,
-	})
-	if code := driver.RunUnitchecker(cfg, lint.Analyzers(), ran, func(d []driver.Diagnostic) {
-		if len(d) > 0 {
-			t.Errorf("dep unit reported diagnostics: %v", d)
-		}
-	}); code != 0 {
-		t.Errorf("dep unit: exit %d, want 0 (all sites excused)", code)
-	}
-	vetx, err := os.ReadFile(depVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, typ := range []string{"ImpureFact", "RetainsFact", "AllocFact", "EnumFact"} {
-		if !strings.Contains(string(vetx), typ) {
-			t.Errorf("dep.vetx missing %s:\n%s", typ, vetx)
-		}
-	}
-
-	topGo := []string{filepath.Join(dir, "top", "top.go")}
-	cfg = writeCfg(driver.UnitConfig{
-		ID: "synthfacts/top", ImportPath: "synthfacts/top",
-		GoFiles:   topGo,
-		ImportMap: importMap, PackageFile: packageFile,
-		PackageVetx: map[string]string{"synthfacts/dep": depVetx},
-	})
-	var got []driver.Diagnostic
-	if code := driver.RunUnitchecker(cfg, lint.Analyzers(), ran, func(d []driver.Diagnostic) { got = d }); code != 2 {
-		t.Errorf("top unit: exit %d, want 2", code)
-	}
-	// The unit protocol emits per analyzer; normalize to position order
-	// before comparing against the standalone expectation.
-	sort.Slice(got, func(i, j int) bool { return got[i].Pos.Line < got[j].Pos.Line })
-	checkSynthfactsDiags(t, "top unit", got)
-
-	// A .vetx written by hand, never by the tool: if the diagnostic appears,
-	// the wire format is the one documented here. Only walltime runs, so the
-	// lone finding is traceable to the lone hand-written fact.
-	handVetx := filepath.Join(dir, "hand.vetx")
-	handFact := `[{"obj":"Stamp","analyzer":"walltime","type":"ImpureFact",` +
-		`"data":{"reason":"time.Now","chain":["dep.Stamp","time.Now"]}}]`
-	if err := os.WriteFile(handVetx, []byte(handFact), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfg = writeCfg(driver.UnitConfig{
-		ID: "synthfacts/top-hand", ImportPath: "synthfacts/top",
-		GoFiles:   topGo,
-		ImportMap: importMap, PackageFile: packageFile,
-		PackageVetx: map[string]string{"synthfacts/dep": handVetx},
-	})
-	got = nil
-	if code := driver.RunUnitchecker(cfg, []*analysis.Analyzer{lint.Walltime},
-		map[string]bool{"walltime": true}, func(d []driver.Diagnostic) { got = d }); code != 2 {
-		t.Errorf("hand-written vetx unit: exit %d, want 2", code)
-	}
-	if len(got) != 1 || got[0].Analyzer != "walltime" ||
-		!strings.Contains(got[0].Message, "reached via dep.Stamp → time.Now") {
-		t.Errorf("hand-written vetx: diagnostics = %v, want one walltime finding with the hand-written chain", got)
+	if strings.Contains(string(out), "ForwardAllowed") || strings.Contains(string(out), "dep.go:") {
+		t.Errorf("suppressed or dependency-side finding leaked:\n%s", out)
 	}
 }

@@ -10,9 +10,11 @@
 // constructs a human can name and chain back to a root, the escape gate
 // catches everything else — including allocations the analyzer's per-package
 // call graph cannot see across package boundaries. Any escape not present in
-// the baseline fails the gate; intentional changes are recorded by
-// regenerating the baseline with -update, which makes every new heap escape
-// a reviewed, committed decision.
+// the baseline fails the gate, and so does a baseline entry the build no
+// longer produces (a stale entry would let the escape come back unseen);
+// intentional changes are recorded by regenerating the baseline with
+// -update, which makes every change to the heap profile a reviewed,
+// committed decision.
 //
 // Reports drop line and column numbers on purpose: unrelated edits move
 // code, and a baseline keyed on positions would churn on every refactor.
@@ -24,6 +26,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -133,11 +136,10 @@ func (r *Report) Save(path string) error {
 }
 
 // Diff compares current against the baseline. Added lists escapes (or count
-// increases) absent from the baseline — each one fails the gate. Removed
-// lists baseline entries the current build no longer produces; they do not
-// fail, but leaving them rots the baseline, so callers surface them with a
-// suggestion to -update.
-func Diff(baseline, current *Report) (added, removed []string) {
+// increases) absent from the baseline; stale lists baseline entries the
+// current build no longer produces, or produces fewer times. Both fail the
+// gate.
+func Diff(baseline, current *Report) (added, stale []string) {
 	base := map[Escape]int{}
 	for _, e := range baseline.Escapes {
 		base[Escape{File: e.File, Message: e.Message}] = e.Count
@@ -155,11 +157,33 @@ func Diff(baseline, current *Report) (added, removed []string) {
 		}
 	}
 	for _, e := range baseline.Escapes {
-		if cur[Escape{File: e.File, Message: e.Message}] == 0 {
-			removed = append(removed, fmt.Sprintf("%s: %s", e.File, e.Message))
+		if n := cur[Escape{File: e.File, Message: e.Message}]; n < e.Count {
+			stale = append(stale, fmt.Sprintf("%s: %s (x%d, baseline x%d)", e.File, e.Message, n, e.Count))
 		}
 	}
 	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
+	sort.Strings(stale)
+	return added, stale
+}
+
+// Gate diffs current against baseline, writes every difference to w
+// (naming baselinePath, the file baseline was read from), and reports
+// whether the gate passes.
+func Gate(w io.Writer, baseline, current *Report, baselinePath string) bool {
+	added, stale := Diff(baseline, current)
+	for _, a := range added {
+		fmt.Fprintf(w, "tspu-vet -escapes: new heap escape: %s\n", a)
+	}
+	if len(added) > 0 {
+		fmt.Fprintf(w, "tspu-vet -escapes: %d new heap escape(s) not in %s; fix them or record the decision with -update\n",
+			len(added), baselinePath)
+	}
+	for _, s := range stale {
+		fmt.Fprintf(w, "tspu-vet -escapes: stale baseline entry: %s\n", s)
+	}
+	if len(stale) > 0 {
+		fmt.Fprintf(w, "tspu-vet -escapes: %d baseline escape(s) in %s no longer produced at the recorded count; record the removal with -update so a reintroduced escape fails the gate\n",
+			len(stale), baselinePath)
+	}
+	return len(added) == 0 && len(stale) == 0
 }

@@ -1,8 +1,11 @@
 package escape_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"tspusim/internal/lint/escape"
@@ -23,9 +26,9 @@ func TestDiffFlagsNewEscape(t *testing.T) {
 		escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 1},
 		escape.Escape{File: "p/a.go", Message: "&entry{} escapes to heap", Count: 2},
 	)
-	added, removed := escape.Diff(baseline, current)
-	if len(added) != 1 || len(removed) != 0 {
-		t.Fatalf("added=%v removed=%v, want exactly one added", added, removed)
+	added, stale := escape.Diff(baseline, current)
+	if len(added) != 1 || len(stale) != 0 {
+		t.Fatalf("added=%v stale=%v, want exactly one added", added, stale)
 	}
 	if want := "p/a.go: &entry{} escapes to heap (x2)"; added[0] != want {
 		t.Errorf("added[0] = %q, want %q", added[0], want)
@@ -45,17 +48,51 @@ func TestDiffCleanAndRemoved(t *testing.T) {
 		escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 1},
 		escape.Escape{File: "p/b.go", Message: "leaks param: q", Count: 1},
 	)
-	added, removed := escape.Diff(baseline, baseline)
-	if len(added) != 0 || len(removed) != 0 {
-		t.Fatalf("identical reports must diff clean, got added=%v removed=%v", added, removed)
+	added, stale := escape.Diff(baseline, baseline)
+	if len(added) != 0 || len(stale) != 0 {
+		t.Fatalf("identical reports must diff clean, got added=%v stale=%v", added, stale)
+	}
+	if !escape.Gate(io.Discard, baseline, baseline, "base.json") {
+		t.Error("identical reports failed the gate")
 	}
 
 	shrunk := report(
 		escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 1},
 	)
-	added, removed = escape.Diff(baseline, shrunk)
-	if len(added) != 0 || len(removed) != 1 {
-		t.Fatalf("removed escape must be reported without failing, got added=%v removed=%v", added, removed)
+	added, stale = escape.Diff(baseline, shrunk)
+	if want := []string{"p/b.go: leaks param: q (x0, baseline x1)"}; len(added) != 0 || !slices.Equal(stale, want) {
+		t.Fatalf("removed escape: added=%v stale=%v, want stale=%v", added, stale, want)
+	}
+}
+
+// A baseline entry the build no longer produces, or produces fewer times,
+// fails the gate with the -update hint: left in place, it would let the
+// escape come back without anyone seeing it.
+func TestGateFailsOnStaleEntries(t *testing.T) {
+	baseline := report(
+		escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 3},
+		escape.Escape{File: "p/b.go", Message: "leaks param: q", Count: 1},
+	)
+	for _, tc := range []struct {
+		name    string
+		current *escape.Report
+		want    string
+	}{
+		{"removed", report(
+			escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 3},
+		), "stale baseline entry: p/b.go: leaks param: q (x0, baseline x1)"},
+		{"decreased", report(
+			escape.Escape{File: "p/a.go", Message: "moved to heap: x", Count: 2},
+			escape.Escape{File: "p/b.go", Message: "leaks param: q", Count: 1},
+		), "stale baseline entry: p/a.go: moved to heap: x (x2, baseline x3)"},
+	} {
+		var out strings.Builder
+		if escape.Gate(&out, baseline, tc.current, "base.json") {
+			t.Errorf("%s: gate passed, want failure", tc.name)
+		}
+		if !strings.Contains(out.String(), tc.want) || !strings.Contains(out.String(), "-update") {
+			t.Errorf("%s: gate output %q, want %q and the -update hint", tc.name, out.String(), tc.want)
+		}
 	}
 }
 
@@ -117,8 +154,7 @@ func Stays() int {
 	// The synthetic-new-escape negative test against a live Collect run: a
 	// baseline recorded before the escape was written must fail the gate.
 	baseline := &escape.Report{GoVersion: rep.GoVersion, Packages: rep.Packages}
-	added, _ := escape.Diff(baseline, rep)
-	if len(added) == 0 {
+	if escape.Gate(io.Discard, baseline, rep, "base.json") {
 		t.Error("gate did not fail on a new escape against an empty baseline")
 	}
 }

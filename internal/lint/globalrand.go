@@ -15,7 +15,7 @@ import (
 // (auto-seeded, no Seed at all), and crypto/rand are all unreproducible by
 // construction, so the import itself is the violation.
 //
-// With facts enabled the check is also transitive: a function that uses an
+// The check is also transitive: a function that uses an
 // ambient-rand package (under an allowed import) exports an ImpureFact, the
 // taint propagates through calls exactly like walltime's, and cross-package
 // calls into tainted code are diagnostics. A //tspuvet:impure stamp on the
@@ -26,8 +26,7 @@ var Globalrand = &analysis.Analyzer{
 	Doc: "forbid math/rand, math/rand/v2, and crypto/rand imports and, transitively, " +
 		"calls into code that uses them; " +
 		"experiment entropy must derive from sim.Rand / sim.StreamSeed",
-	Run:       runGlobalrand,
-	FactTypes: []analysis.Fact{(*ImpureFact)(nil)},
+	Run: runGlobalrand,
 }
 
 var bannedRandImports = map[string]string{

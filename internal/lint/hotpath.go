@@ -39,26 +39,24 @@ import (
 // Device.Handle → conntrack.observe") so a violation deep in a helper is
 // attributable without re-deriving the graph by hand.
 //
-// With facts enabled the analysis is whole-program: every package-level
-// function (hot or not) is probed for its first allocating construct, lines
-// excused by //tspuvet:allow hotpath excluded, and functions that allocate —
-// directly or through calls — export an AllocFact. A hot-reachable function
+// The analysis is whole-program: every package-level function (hot or not)
+// is probed for its first allocating construct, lines excused by
+// //tspuvet:allow hotpath excluded, and functions that allocate — directly
+// or through calls — export an AllocFact. A hot-reachable function
 // calling an imported module function that carries an AllocFact is a
 // diagnostic carrying both chains: where the allocation lives in the callee
 // and how the hot path reached the call. Cold (//tspuvet:coldpath) functions
 // export no fact: declaring a function off-contract cuts the taint exactly
-// like it cuts same-package traversal. Without facts (a bare per-package
-// run) the analyzer behaves as before, and the escapegate — compiler escape
-// analysis over all annotated packages together — still checks the
-// composition end to end.
+// like it cuts same-package traversal. The escape gate — compiler escape
+// analysis over all annotated packages together — checks the composition
+// end to end.
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "forbid allocating constructs in functions reachable from a " +
 		"//tspuvet:hotpath root (fmt, string concat, boxing, escaping " +
 		"closures, defer in loops, map iteration, ...), following calls " +
 		"across packages via AllocFacts",
-	Run:       runHotpath,
-	FactTypes: []analysis.Fact{(*AllocFact)(nil)},
+	Run: runHotpath,
 }
 
 // AllocFact marks a package-level function that allocates on some path —
@@ -67,11 +65,11 @@ var Hotpath = &analysis.Analyzer{
 // function per hop). Hot-reachable code in importing packages treats a call
 // to a fact-bearing function exactly like a local allocating construct.
 type AllocFact struct {
-	What  string   `json:"what"`
-	Chain []string `json:"chain"`
+	What  string
+	Chain []string
 }
 
-// AFact marks AllocFact as a serializable analysis fact.
+// AFact marks AllocFact as an analysis fact.
 func (*AllocFact) AFact() {}
 
 func runHotpath(pass *analysis.Pass) (any, error) {
@@ -90,20 +88,11 @@ func runHotpath(pass *analysis.Pass) (any, error) {
 			cold[n] = true
 		}
 	}
-	if len(roots) == 0 && !pass.FactsEnabled() {
-		// Without facts there is nothing to compute for a package with no
-		// hot roots. With facts, every function still feeds AllocFact
-		// probing so allocation taint crosses this package.
-		return nil, nil
-	}
-
 	// Cold functions terminate traversal: they are declared off-contract,
 	// with a reason, at their declaration.
 	g.reach(func(n *funcNode) bool { return roots[n] }, func(n *funcNode) bool { return cold[n] })
 
-	if pass.FactsEnabled() {
-		hotpathFacts(pass, g, cold)
-	}
+	hotpathFacts(pass, g, cold)
 
 	for _, n := range g.order {
 		if n.reached {

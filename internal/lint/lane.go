@@ -52,8 +52,7 @@ var Lanecheck = &analysis.Analyzer{
 		"//tspuvet:laneowned sharded state only through the lane's own shard, " +
 		"indexed by the lane parameter; writes to shared structs and shared " +
 		"RNG draws are diagnostics; markers cross package seams as facts",
-	Run:       runLanecheck,
-	FactTypes: []analysis.Fact{(*LaneOwnedFact)(nil), (*LaneEntryFact)(nil)},
+	Run: runLanecheck,
 }
 
 // LaneOwnedFact marks a type declared //tspuvet:laneowned: a value of it is
@@ -61,17 +60,17 @@ var Lanecheck = &analysis.Analyzer{
 // shard state rather than shared memory.
 type LaneOwnedFact struct{}
 
-// AFact marks LaneOwnedFact as a serializable analysis fact.
+// AFact marks LaneOwnedFact as an analysis fact.
 func (*LaneOwnedFact) AFact() {}
 
 // LaneEntryFact marks a //tspuvet:lane entry point. LaneParam is the
 // flattened index of its integer lane parameter, or -1 when the lane
 // identity is a lane-owned receiver instead.
 type LaneEntryFact struct {
-	LaneParam int `json:"laneParam"`
+	LaneParam int
 }
 
-// AFact marks LaneEntryFact as a serializable analysis fact.
+// AFact marks LaneEntryFact as an analysis fact.
 func (*LaneEntryFact) AFact() {}
 
 // laneParamNames are accepted names for the lane-index parameter.
@@ -102,14 +101,10 @@ func runLanecheck(pass *analysis.Pass) (any, error) {
 				"integer lane parameter named lane, l, laneID, shard, or shardID, "+
 				"or a //tspuvet:laneowned receiver", n.name)
 		}
-		if pass.FactsEnabled() {
-			pass.ExportObjectFact(n.fn, &LaneEntryFact{LaneParam: laneIndex})
-		}
+		pass.ExportObjectFact(n.fn, &LaneEntryFact{LaneParam: laneIndex})
 	}
-	if pass.FactsEnabled() {
-		for tn := range c.owned {
-			pass.ExportObjectFact(tn, &LaneOwnedFact{})
-		}
+	for tn := range c.owned {
+		pass.ExportObjectFact(tn, &LaneOwnedFact{})
 	}
 
 	g.reach(func(n *funcNode) bool { return roots[n] }, func(*funcNode) bool { return false })

@@ -38,9 +38,9 @@
 //
 // The suite is whole-program: analyzers export facts about package objects
 // (ImpureFact, AllocFact, RetainsFact, LaneOwnedFact, LaneEntryFact,
-// EnumFact) that the driver threads through packages in dependency order —
-// in memory when tspu-vet runs standalone, through .vetx files when it runs
-// as a go vet -vettool. Transitive wall-clock and RNG use, cross-package
+// EnumFact) that the driver threads through packages in dependency order,
+// in one in-memory store; tspu-vet always runs the whole suite this way, over
+// non-test files. Transitive wall-clock and RNG use, cross-package
 // packet retention, allocation chains that cross package seams, lane
 // contracts on imported shard state, and enum exhaustiveness away from the
 // declaring package are all diagnosed at the first call site in checked
@@ -81,6 +81,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 
 	"tspusim/internal/lint/analysis"
@@ -91,23 +92,27 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Hotpath, Synccheck, Retaincheck, Lanecheck, Poolcheck, Statecheck, Allowdirective}
 }
 
-// Suppressible names the analyzers a //tspuvet:allow directive may target.
-// Allowdirective itself is excluded: suppressing the suppression checker
+// suppressible names the analyzers a //tspuvet:allow directive may target:
+// the suite minus allowdirective, because suppressing the suppression checker
 // would let the allowlist rot, which is the one thing it exists to prevent.
-var Suppressible = map[string]bool{
-	"walltime":    true,
-	"globalrand":  true,
-	"maporder":    true,
-	"hotpath":     true,
-	"synccheck":   true,
-	"retaincheck": true,
-	"lanecheck":   true,
-	"poolcheck":   true,
-	"statecheck":  true,
-}
+// Both are filled in init: Allowdirective's Run reads them, so a variable
+// initializer calling Analyzers would be an initialization cycle.
+var (
+	suppressible      = map[string]bool{}
+	suppressibleNames string // sorted, for diagnostics
+)
 
-// suppressibleNames is the sorted human-readable list for diagnostics.
-const suppressibleNames = "globalrand, hotpath, lanecheck, maporder, poolcheck, retaincheck, statecheck, synccheck, walltime"
+func init() {
+	var names []string
+	for _, a := range Analyzers() {
+		if a != Allowdirective {
+			suppressible[a.Name] = true
+			names = append(names, a.Name)
+		}
+	}
+	sort.Strings(names)
+	suppressibleNames = strings.Join(names, ", ")
+}
 
 // Directive is one parsed suppression comment: //tspuvet:allow, or
 // //tspuvet:retains (which suppresses retaincheck).
@@ -156,7 +161,7 @@ func ParseDirectives(fset *token.FileSet, file *ast.File, report func(analysis.D
 						"malformed //tspuvet:allow directive %q: want //tspuvet:allow <analyzer>: <reason>", c.Text)})
 					continue
 				}
-				if !Suppressible[name] {
+				if !suppressible[name] {
 					report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
 						"//tspuvet:allow names unknown analyzer %q (suppressible: %s)", name, suppressibleNames)})
 					continue
@@ -168,10 +173,7 @@ func ParseDirectives(fset *token.FileSet, file *ast.File, report func(analysis.D
 				d.Analyzer, d.Reason = name, reason
 			default:
 				report(analysis.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-					"unknown tspuvet directive %q (recognized: //tspuvet:allow <analyzer>: <reason>, "+
-						"//tspuvet:retains <reason>, //tspuvet:hotpath, //tspuvet:coldpath <reason>, "+
-						"//tspuvet:lane, //tspuvet:laneowned, //tspuvet:impure <reason>, "+
-						"//tspuvet:closedenum)", verb)})
+					"unknown tspuvet directive %q (recognized: %s)", verb, markerForms())})
 				continue
 			}
 			dirs = append(dirs, d)
@@ -208,7 +210,7 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnosti
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		suppressed := false
-		if Suppressible[d.Category] {
+		if suppressible[d.Category] {
 			for _, line := range []int{pos.Line, pos.Line - 1} {
 				for _, dir := range byKey[key{pos.Filename, line, d.Category}] {
 					used[dir] = true

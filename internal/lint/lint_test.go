@@ -72,26 +72,26 @@ func TestStatecheck(t *testing.T) {
 // taints its exported API, and the consuming package is held to it through
 // the ImpureFact.
 func TestPurityFacts(t *testing.T) {
-	analysistest.RunFacts(t, "testdata", lint.Walltime, "purityfacts")
+	analysistest.Run(t, "testdata", lint.Walltime, "purityfacts")
 }
 
 // TestHotpathFacts runs hotpath whole-program: an unmarked helper package's
 // allocations surface at hot call sites in the consumer via AllocFacts,
 // including a two-hop chain inside the helper.
 func TestHotpathFacts(t *testing.T) {
-	analysistest.RunFacts(t, "testdata", lint.Hotpath, "hotfacts")
+	analysistest.Run(t, "testdata", lint.Hotpath, "hotfacts")
 }
 
 // TestRetainFacts runs retaincheck whole-program: the stash helper's
 // package-level stores export RetainsFacts, so forwarding a live packet
 // across the package boundary is now a caller-side diagnostic too.
 func TestRetainFacts(t *testing.T) {
-	analysistest.RunFacts(t, "testdata", lint.Retaincheck, "retainfacts")
+	analysistest.Run(t, "testdata", lint.Retaincheck, "retainfacts")
 }
 
 // TestStatecheckFacts runs statecheck whole-program: enumdef's closed enum
 // membership travels as an EnumFact, and the consumer's switches are held
 // exhaustive against it.
 func TestStatecheckFacts(t *testing.T) {
-	analysistest.RunFacts(t, "testdata", lint.Statecheck, "statefacts")
+	analysistest.Run(t, "testdata", lint.Statecheck, "statefacts")
 }

@@ -35,6 +35,7 @@ const (
 
 // markerRule is one verb's placement and reason rule.
 type markerRule struct {
+	verb  string
 	place markerPlace
 	// owner is the analyzer that reports this verb's misplaced or reasonless
 	// markers, so the suite reports each problem once.
@@ -47,16 +48,43 @@ type markerRule struct {
 	named bool
 }
 
-// markerRules is the marker grammar: every //tspuvet: verb and where it goes.
-var markerRules = map[string]markerRule{
-	allowVerb:      {place: onLine, owner: "allowdirective", why: "the allowlist must explain itself"},
-	retainsVerb:    {place: onLine, owner: "allowdirective", why: "deliberate packet retention must explain who owns the copy and when it is dropped"},
-	hotpathVerb:    {place: onFunc, owner: "hotpath"},
-	coldpathVerb:   {place: onFunc, owner: "hotpath", why: "cutting a function out of the hot-path contract must explain itself"},
-	laneVerb:       {place: onFunc, owner: "lanecheck", named: true},
-	laneownedVerb:  {place: onType, owner: "lanecheck", named: true},
-	impureVerb:     {place: onStamp, owner: "walltime", why: "declaring a function off the determinism contract must explain itself"},
-	closedenumVerb: {place: onType, owner: "statecheck"},
+// markerGrammar is the marker grammar: every //tspuvet: verb and where it
+// goes, in the order diagnostics list them.
+var markerGrammar = []markerRule{
+	{verb: allowVerb, place: onLine, owner: "allowdirective", why: "the allowlist must explain itself"},
+	{verb: retainsVerb, place: onLine, owner: "allowdirective", why: "deliberate packet retention must explain who owns the copy and when it is dropped"},
+	{verb: hotpathVerb, place: onFunc, owner: "hotpath"},
+	{verb: coldpathVerb, place: onFunc, owner: "hotpath", why: "cutting a function out of the hot-path contract must explain itself"},
+	{verb: laneVerb, place: onFunc, owner: "lanecheck", named: true},
+	{verb: laneownedVerb, place: onType, owner: "lanecheck", named: true},
+	{verb: impureVerb, place: onStamp, owner: "walltime", why: "declaring a function off the determinism contract must explain itself"},
+	{verb: closedenumVerb, place: onType, owner: "statecheck"},
+}
+
+// markerRules indexes markerGrammar by verb.
+var markerRules = func() map[string]markerRule {
+	m := make(map[string]markerRule, len(markerGrammar))
+	for _, r := range markerGrammar {
+		m[r.verb] = r
+	}
+	return m
+}()
+
+// markerForms renders every verb's written form for the unknown-directive
+// diagnostic: allow names its analyzer, and a verb that demands a reason
+// shows one.
+func markerForms() string {
+	forms := make([]string, len(markerGrammar))
+	for i, r := range markerGrammar {
+		forms[i] = directivePrefix + r.verb
+		switch {
+		case r.verb == allowVerb:
+			forms[i] += " <analyzer>: <reason>"
+		case r.why != "":
+			forms[i] += " <reason>"
+		}
+	}
+	return strings.Join(forms, ", ")
 }
 
 // parseMarker splits a //tspuvet:<verb> [rest] comment. A later "//" ends

@@ -21,11 +21,11 @@ import (
 // by prepending themselves, so a diagnostic three package seams away still
 // names the original time.Now.
 type ImpureFact struct {
-	Reason string   `json:"reason"`
-	Chain  []string `json:"chain"`
+	Reason string
+	Chain  []string
 }
 
-// AFact marks ImpureFact as a serializable analysis fact.
+// AFact marks ImpureFact as an analysis fact.
 func (*ImpureFact) AFact() {}
 
 // importedImpureCall is one call site whose static callee lives in another
@@ -87,12 +87,6 @@ func (pr *purityRun) run(direct map[*ast.FuncDecl]string) {
 			continue
 		}
 		facts[n] = &ImpureFact{Reason: site, Chain: []string{qual(n), site}}
-	}
-
-	if !pass.FactsEnabled() {
-		// Per-package mode: direct sites were already reported; there is no
-		// store to propagate through.
-		return
 	}
 
 	// Cross-package fact imports, in source order.

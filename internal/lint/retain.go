@@ -57,8 +57,7 @@ var Retaincheck = &analysis.Analyzer{
 	Doc: "forbid storing a *packet.Packet parameter (or payload-derived " +
 		"slices) anywhere that outlives the call — across package seams via " +
 		"RetainsFacts — unless cloned first or annotated //tspuvet:retains <reason>",
-	Run:       runRetaincheck,
-	FactTypes: []analysis.Fact{(*RetainsFact)(nil)},
+	Run: runRetaincheck,
 }
 
 // RetainsFact marks a function that can retain packet-aliasing memory
@@ -69,11 +68,11 @@ var Retaincheck = &analysis.Analyzer{
 // exports the fact too — that is the point: the annotation excuses the site,
 // not the callers feeding it.
 type RetainsFact struct {
-	What  string   `json:"what"`
-	Chain []string `json:"chain"`
+	What  string
+	Chain []string
 }
 
-// AFact marks RetainsFact as a serializable analysis fact.
+// AFact marks RetainsFact as an analysis fact.
 func (*RetainsFact) AFact() {}
 
 // retainCopyNames are callees whose result (or destination argument) is a
@@ -101,11 +100,9 @@ func runRetaincheck(pass *analysis.Pass) (any, error) {
 		}
 	}
 	c.currentRoot = nil
-	if pass.FactsEnabled() {
-		for _, n := range c.graph.order {
-			if f := c.facts[n.fn]; f != nil {
-				pass.ExportObjectFact(n.fn, f)
-			}
+	for _, n := range c.graph.order {
+		if f := c.facts[n.fn]; f != nil {
+			pass.ExportObjectFact(n.fn, f)
 		}
 	}
 	return nil, nil

@@ -30,31 +30,29 @@ import (
 //
 // The members travel across package seams as an EnumFact on the type, so a
 // switch in internal/conformance over a tspu.ConnState is held to the same
-// standard as one next to the declaration. Without facts (per-package mode)
-// only same-package switches are checked.
+// standard as one next to the declaration.
 var Statecheck = &analysis.Analyzer{
 	Name: "statecheck",
 	Doc: "every switch over a //tspuvet:closedenum type must enumerate all " +
 		"members or justify its default with //tspuvet:allow statecheck: <reason>",
-	Run:       runStatecheck,
-	FactTypes: []analysis.Fact{(*EnumFact)(nil)},
+	Run: runStatecheck,
 }
 
 // EnumFact carries a closed enum's membership to importing packages: the
 // declaration-ordered members, deduplicated by constant value.
 type EnumFact struct {
-	Members []EnumMember `json:"members"`
+	Members []EnumMember
 }
 
-// AFact marks EnumFact as a serializable analysis fact.
+// AFact marks EnumFact as an analysis fact.
 func (*EnumFact) AFact() {}
 
 // EnumMember is one enum member: its canonical name (the first constant
 // declared with this value) and the exact constant value for matching case
 // clauses that spell a member differently (aliases, qualified names).
 type EnumMember struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
+	Name  string
+	Value string
 }
 
 func runStatecheck(pass *analysis.Pass) (any, error) {
@@ -68,11 +66,9 @@ func runStatecheck(pass *analysis.Pass) (any, error) {
 		}
 		c.enums[tn] = &EnumFact{Members: members}
 	}
-	if pass.FactsEnabled() {
-		for _, tn := range marked {
-			if ef := c.enums[tn]; ef != nil {
-				pass.ExportObjectFact(tn, ef)
-			}
+	for _, tn := range marked {
+		if ef := c.enums[tn]; ef != nil {
+			pass.ExportObjectFact(tn, ef)
 		}
 	}
 	for _, f := range pass.Files {

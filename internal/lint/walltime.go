@@ -33,8 +33,7 @@ var Walltime = &analysis.Analyzer{
 	Doc: "forbid wall-clock time (time.Now, time.Since, time.Sleep, timers), " +
 		"directly and transitively through calls; " +
 		"simulation code must use the virtual clock (sim.Sim)",
-	Run:       runWalltime,
-	FactTypes: []analysis.Fact{(*ImpureFact)(nil)},
+	Run: runWalltime,
 }
 
 // walltimeFuncs are the package-time functions that observe or depend on the

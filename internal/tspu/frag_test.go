@@ -14,7 +14,6 @@ import (
 func (l *lab) sendFragments(frags []*packet.Packet, gap time.Duration) {
 	for i, f := range frags {
 		f := f
-		//tspuvet:retains the test owns the pre-built fragments until each scheduled Send hands them to the wire
 		l.sim.After(time.Duration(i)*gap, func() { l.client.Send(f) })
 	}
 }

@@ -120,7 +120,6 @@ type capturePipe struct {
 }
 
 func (p *capturePipe) Inject(pkt *packet.Packet, dir netem.Direction) {
-	//tspuvet:retains the fuzz harness owns released fragments; the engine cloned them on buffering, so nothing downstream aliases these
 	p.injected = append(p.injected, pkt)
 }
 func (p *capturePipe) Now() time.Duration               { return p.s.Now() }
