@@ -11,6 +11,7 @@ package tspusim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -308,6 +309,41 @@ func BenchmarkLabBuild(b *testing.B) {
 			b.Fatal("empty lab")
 		}
 	}
+}
+
+// BenchmarkTable1Replica is one Table 1 fleet job: a default-scale lab and
+// 100 trials per cell on it. It reports the build and the trials as separate
+// metrics (time and heap allocations per lab build and per trial), so a
+// change shows which half it moved.
+func BenchmarkTable1Replica(b *testing.B) {
+	const trialsPerCell = 100
+	trials := len(measure.Vantages) * len(measure.ReliabilityTypes) * trialsPerCell
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	var build, run time.Duration
+	var buildAllocs, runAllocs uint64
+	for i := 0; i < b.N; i++ {
+		m0, t0 := mallocs(), time.Now()
+		lab := topo.Build(topo.Options{Seed: uint64(i + 1)})
+		t1, m1 := time.Now(), mallocs()
+		res := measure.Reliability(lab, trialsPerCell)
+		t2, m2 := time.Now(), mallocs()
+		if len(res.Failures) != len(measure.Vantages) {
+			b.Fatal("missing vantages")
+		}
+		build += t1.Sub(t0)
+		run += t2.Sub(t1)
+		buildAllocs += m1 - m0
+		runAllocs += m2 - m1
+	}
+	n := float64(b.N)
+	b.ReportMetric(build.Seconds()*1e3/n, "build_ms")
+	b.ReportMetric(run.Seconds()*1e6/(n*float64(trials)), "trial_us")
+	b.ReportMetric(float64(buildAllocs)/n, "build_allocs")
+	b.ReportMetric(float64(runAllocs)/(n*float64(trials)), "trial_allocs")
 }
 
 // BenchmarkAblation_InspectDepth sweeps the SNI parser's inspection depth

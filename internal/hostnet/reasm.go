@@ -38,6 +38,9 @@ func (st *Stack) handleFragment(pkt *packet.Packet) {
 	q, ok := st.reasmQueues[key]
 	if !ok {
 		q = &reasmQueue{}
+		if st.reasmQueues == nil {
+			st.reasmQueues = make(map[packet.FragKey]*reasmQueue)
+		}
 		st.reasmQueues[key] = q
 		st.net.Sim.After(st.reasm.Timeout, func() {
 			if cur, live := st.reasmQueues[key]; live && cur == q {

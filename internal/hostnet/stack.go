@@ -21,7 +21,13 @@ type Stack struct {
 	node *netem.Node
 	net  *netem.Network
 
-	conns     map[packet.FlowKey]*TCPConn
+	// The demultiplexing maps are created on first write: most hosts of a
+	// lab never receive a connection, a datagram or a fragment, and a nil
+	// map reads as empty.
+	conns map[packet.FlowKey]*TCPConn
+	// listen0 is the first port's listener and listeners holds the others:
+	// most hosts listen on one port and never need the map.
+	listen0   *Listener
 	listeners map[uint16]*Listener
 	udp       map[uint16]UDPHandler
 	icmpEcho  bool
@@ -48,17 +54,12 @@ type UDPHandler func(pkt *packet.Packet)
 // default, as on any real host.
 func NewStack(n *netem.Network, node *netem.Node) *Stack {
 	st := &Stack{
-		node:        node,
-		net:         n,
-		conns:       make(map[packet.FlowKey]*TCPConn),
-		listeners:   make(map[uint16]*Listener),
-		udp:         make(map[uint16]UDPHandler),
-		icmpEcho:    true,
-		reasm:       DefaultReassembly(),
-		reasmQueues: make(map[packet.FragKey]*reasmQueue),
-		rawBinds:    make(map[uint16]func(*packet.Packet)),
-		nextPort:    33000,
-		nextIPID:    1,
+		node:     node,
+		net:      n,
+		icmpEcho: true,
+		reasm:    DefaultReassembly(),
+		nextPort: 33000,
+		nextIPID: 1,
 	}
 	node.SetHandler(st.handle)
 	return st
@@ -86,7 +87,12 @@ func (st *Stack) ClearTaps() { st.taps = nil }
 // RawBind claims a TCP port for raw observation: inbound packets to it are
 // handed to fn verbatim and nothing else happens (no RST, no state). It
 // shadows any listener on the port until RawUnbind.
-func (st *Stack) RawBind(port uint16, fn func(*packet.Packet)) { st.rawBinds[port] = fn }
+func (st *Stack) RawBind(port uint16, fn func(*packet.Packet)) {
+	if st.rawBinds == nil {
+		st.rawBinds = make(map[uint16]func(*packet.Packet))
+	}
+	st.rawBinds[port] = fn
+}
 
 // RawUnbind releases a raw-bound port.
 func (st *Stack) RawUnbind(port uint16) { delete(st.rawBinds, port) }
@@ -114,7 +120,8 @@ func (st *Stack) NextIPID() uint16 {
 }
 
 // Send transmits a pre-built packet from this host. If the packet's source
-// address is unset, the host's address is filled in.
+// address is unset, the host's address is filled in. The network carries a
+// copy, so the caller keeps pkt.
 func (st *Stack) Send(pkt *packet.Packet) {
 	if !pkt.IP.Src.IsValid() {
 		pkt.IP.Src = st.Addr()
@@ -122,31 +129,53 @@ func (st *Stack) Send(pkt *packet.Packet) {
 	st.node.Send(pkt)
 }
 
-// SendTCP builds and sends a raw TCP packet. Returns the packet sent.
-func (st *Stack) SendTCP(dst netip.Addr, sport, dport uint16, flags packet.TCPFlags, seq, ack uint32, payload []byte) *packet.Packet {
-	p := packet.NewTCP(st.Addr(), dst, sport, dport, flags, seq, ack, payload)
+// SendOwned is Send without the copy, for a packet built for this one send
+// whose byte slices the caller does not share: the network takes pkt and
+// rewrites it in flight (netem.Node.SendOwned).
+func (st *Stack) SendOwned(pkt *packet.Packet) {
+	if !pkt.IP.Src.IsValid() {
+		pkt.IP.Src = st.Addr()
+	}
+	st.node.SendOwned(pkt)
+}
+
+// CopyPayload copies a caller's payload for a packet handed to SendOwned.
+// An empty payload becomes nil, as Send's copy leaves it.
+func CopyPayload(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// SendTCP builds and sends a raw TCP packet.
+func (st *Stack) SendTCP(dst netip.Addr, sport, dport uint16, flags packet.TCPFlags, seq, ack uint32, payload []byte) {
+	p := packet.NewTCP(st.Addr(), dst, sport, dport, flags, seq, ack, CopyPayload(payload))
 	p.IP.ID = st.NextIPID()
-	st.Send(p)
-	return p
+	st.node.SendOwned(p)
 }
 
 // SendUDP builds and sends a UDP packet.
-func (st *Stack) SendUDP(dst netip.Addr, sport, dport uint16, payload []byte) *packet.Packet {
-	p := packet.NewUDP(st.Addr(), dst, sport, dport, payload)
+func (st *Stack) SendUDP(dst netip.Addr, sport, dport uint16, payload []byte) {
+	p := packet.NewUDP(st.Addr(), dst, sport, dport, CopyPayload(payload))
 	p.IP.ID = st.NextIPID()
-	st.Send(p)
-	return p
+	st.node.SendOwned(p)
 }
 
 // Ping sends an ICMP echo request.
 func (st *Stack) Ping(dst netip.Addr, id, seq uint16) {
 	p := packet.NewICMPEcho(st.Addr(), dst, id, seq)
 	p.IP.ID = st.NextIPID()
-	st.Send(p)
+	st.node.SendOwned(p)
 }
 
 // BindUDP installs a handler for a UDP port.
-func (st *Stack) BindUDP(port uint16, h UDPHandler) { st.udp[port] = h }
+func (st *Stack) BindUDP(port uint16, h UDPHandler) {
+	if st.udp == nil {
+		st.udp = make(map[uint16]UDPHandler)
+	}
+	st.udp[port] = h
+}
 
 // handle is the node-level inbound entry point: taps see raw arrivals
 // (fragments included), then fragments are reassembled before protocol
@@ -172,7 +201,7 @@ func (st *Stack) dispatch(pkt *packet.Packet) {
 					Src: pkt.IP.Dst, Dst: pkt.IP.Src},
 				ICMP: &packet.ICMP{Type: packet.ICMPEchoReply, ID: pkt.ICMP.ID, Seq: pkt.ICMP.Seq},
 			}
-			st.Send(reply)
+			st.node.SendOwned(reply)
 		}
 		if st.onICMP != nil {
 			st.onICMP(pkt)
@@ -205,7 +234,7 @@ func (st *Stack) handleTCP(pkt *packet.Packet) {
 		c.receive(pkt)
 		return
 	}
-	if l, ok := st.listeners[pkt.TCP.DstPort]; ok {
+	if l := st.listener(pkt.TCP.DstPort); l != nil {
 		l.accept(pkt)
 		return
 	}

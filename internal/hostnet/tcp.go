@@ -136,8 +136,15 @@ func (st *Stack) newConn(remote netip.Addr, lport, rport uint16, mss int, ttl ui
 		ttl:          ttl,
 		advertWindow: 65535,
 	}
-	st.conns[c.key()] = c
+	st.addConn(c)
 	return c
+}
+
+func (st *Stack) addConn(c *TCPConn) {
+	if st.conns == nil {
+		st.conns = make(map[packet.FlowKey]*TCPConn)
+	}
+	st.conns[c.key()] = c
 }
 
 // Stack returns the stack that owns this connection, so measurement code
@@ -181,14 +188,29 @@ type Listener struct {
 	Conns []*TCPConn
 }
 
-// Listen binds a listener to port.
+// Listen binds a listener to port, replacing any listener already on it.
 func (st *Stack) Listen(port uint16, opts ListenOptions) *Listener {
 	if opts.Window == 0 {
 		opts.Window = 65535
 	}
 	l := &Listener{stack: st, port: port, opts: opts}
+	if st.listen0 == nil || st.listen0.port == port {
+		st.listen0 = l
+		return l
+	}
+	if st.listeners == nil {
+		st.listeners = make(map[uint16]*Listener)
+	}
 	st.listeners[port] = l
 	return l
+}
+
+// listener returns the listener bound to port, or nil.
+func (st *Stack) listener(port uint16) *Listener {
+	if l := st.listen0; l != nil && l.port == port {
+		return l
+	}
+	return st.listeners[port]
 }
 
 func (l *Listener) accept(syn *packet.Packet) {
@@ -202,7 +224,7 @@ func (l *Listener) accept(syn *packet.Packet) {
 	if syn.IP.Dst != c.LocalAddr {
 		delete(st.conns, c.key())
 		c.LocalAddr = syn.IP.Dst
-		st.conns[c.key()] = c
+		st.addConn(c)
 	}
 	c.listener = l
 	c.advertWindow = l.opts.Window
@@ -355,11 +377,13 @@ func (c *TCPConn) SendRaw(flags packet.TCPFlags, payload []byte) {
 }
 
 func (c *TCPConn) sendFlags(flags packet.TCPFlags, seq, ack uint32, payload []byte) {
-	p := packet.NewTCP(c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort, flags, seq, ack, payload)
+	// The segment is built for this send alone; only the payload, which the
+	// application owns, needs a copy.
+	p := packet.NewTCP(c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort, flags, seq, ack, CopyPayload(payload))
 	p.TCP.Window = c.advertWindow
 	p.IP.TTL = c.ttl
 	p.IP.ID = c.stack.NextIPID()
-	c.stack.Send(p)
+	c.stack.SendOwned(p)
 }
 
 // Shutdown initiates a graceful close: send FIN and wait for the peer's.

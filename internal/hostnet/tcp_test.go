@@ -283,3 +283,52 @@ func TestShutdownFromSynSentIsNoop(t *testing.T) {
 		t.Fatalf("state changed from %v to %v", st, c.State)
 	}
 }
+
+// TestFreshStackAnswersWithoutState sends a stack with nothing bound the
+// traffic every host must handle (an echo request, a SYN to a closed port, a
+// datagram to an unbound port and a fragmented SYN) and checks the replies,
+// and that none of it made the stack allocate its demultiplexing maps.
+func TestFreshStackAnswersWithoutState(t *testing.T) {
+	s, client, server := pair(t)
+	var echoes, rsts, other int
+	client.Tap(func(p *packet.Packet) {
+		switch {
+		case p.ICMP != nil && p.ICMP.Type == packet.ICMPEchoReply:
+			echoes++
+		case p.TCP != nil && p.TCP.Flags.Has(packet.FlagRST):
+			rsts++
+		default:
+			other++
+		}
+	})
+	client.Ping(server.Addr(), 7, 1)
+	client.SendTCP(server.Addr(), 40000, 444, packet.FlagSYN, 1, 0, nil)
+	client.SendUDP(server.Addr(), 40001, 9999, []byte("anyone?"))
+	s.Run()
+	if echoes != 1 || rsts != 1 || other != 0 {
+		t.Fatalf("replies: %d echo, %d RST, %d other; want 1, 1, 0", echoes, rsts, other)
+	}
+	if server.conns != nil || server.listen0 != nil || server.listeners != nil ||
+		server.udp != nil || server.rawBinds != nil || server.reasmQueues != nil {
+		t.Fatal("unbound traffic allocated demultiplexing state")
+	}
+
+	sendFragmentedSYN(t, client, server, 3, 78)
+	s.Run()
+	if rsts != 2 {
+		t.Fatalf("fragmented SYN to a closed port drew %d RSTs, want 1", rsts-1)
+	}
+	if len(server.reasmQueues) != 0 {
+		t.Fatalf("%d reassembly queues left after the datagram completed", len(server.reasmQueues))
+	}
+}
+
+// TestNewStackAllocs pins the cost of a stack on a host that never binds a
+// port: the Stack itself and its handler closure.
+func TestNewStackAllocs(t *testing.T) {
+	n := netem.New(sim.New())
+	node := n.AddHost("h")
+	if allocs := testing.AllocsPerRun(100, func() { NewStack(n, node) }); allocs != 2 {
+		t.Fatalf("NewStack allocates %.0f times, want 2", allocs)
+	}
+}

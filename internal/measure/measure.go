@@ -114,21 +114,21 @@ func (f *Flow) L(flags packet.TCPFlags, payload []byte) {
 
 // LTTL is L with an explicit TTL (0 = default 64).
 func (f *Flow) LTTL(ttl uint8, flags packet.TCPFlags, payload []byte) {
-	p := packet.NewTCP(f.Local.Addr(), f.Remote.Addr(), f.LPort, f.RPort, flags, f.lseq, f.rseq, payload)
+	p := packet.NewTCP(f.Local.Addr(), f.Remote.Addr(), f.LPort, f.RPort, flags, f.lseq, f.rseq, hostnet.CopyPayload(payload))
 	if ttl != 0 {
 		p.IP.TTL = ttl
 	}
 	p.IP.ID = f.Local.NextIPID()
-	f.Local.Send(p)
+	f.Local.SendOwned(p)
 	f.bump(&f.lseq, flags, payload)
 	f.sim.Run()
 }
 
 // R sends a remote→local packet.
 func (f *Flow) R(flags packet.TCPFlags, payload []byte) {
-	p := packet.NewTCP(f.Remote.Addr(), f.Local.Addr(), f.RPort, f.LPort, flags, f.rseq, f.lseq, payload)
+	p := packet.NewTCP(f.Remote.Addr(), f.Local.Addr(), f.RPort, f.LPort, flags, f.rseq, f.lseq, hostnet.CopyPayload(payload))
 	p.IP.ID = f.Remote.NextIPID()
-	f.Remote.Send(p)
+	f.Remote.SendOwned(p)
 	f.bump(&f.rseq, flags, payload)
 	f.sim.Run()
 }

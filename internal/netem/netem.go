@@ -110,13 +110,15 @@ type Handler func(pkt *packet.Packet)
 
 // Node is a host or router.
 type Node struct {
-	net        *Network
-	name       string
-	router     bool
-	ifaces     []*Iface
-	routes     []route
-	hostRoutes map[netip.Addr]*Iface
-	handler    Handler
+	net    *Network
+	name   string
+	router bool
+	ifaces []*Iface
+	// addrs indexes the interface addresses of nodes with more than
+	// addrScanMax interfaces; smaller nodes leave it nil and scan ifaces.
+	addrs   map[uint32]struct{}
+	routes  routeTable
+	handler Handler
 	// promiscuous hosts accept packets for any destination address — used
 	// for "web farm" hosts that stand in for an entire prefix of servers.
 	promiscuous bool
@@ -124,15 +126,6 @@ type Node struct {
 	// had no handler; useful in tests.
 	DropLocal int
 }
-
-type route struct {
-	prefix netip.Prefix
-	out    *Iface
-}
-
-// hostRoutes indexes /32 routes for O(1) lookup; routers fronting many
-// hosts (endpoint access routers, scan populations) would otherwise pay a
-// linear scan per packet.
 
 // Name returns the node name.
 func (nd *Node) Name() string { return nd.name }
@@ -148,10 +141,14 @@ func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 // standing in for every server in the prefix routed to it.
 func (nd *Node) SetPromiscuous(on bool) { nd.promiscuous = on }
 
-// AddIface creates an interface with the given address.
+// AddIface creates an interface with the given IPv4 address.
 func (nd *Node) AddIface(addr netip.Addr) *Iface {
+	if !addr.Is4() {
+		panic("netem: interface address " + addr.String() + " is not IPv4")
+	}
 	ifc := &Iface{node: nd, addr: addr, index: len(nd.ifaces)}
 	nd.ifaces = append(nd.ifaces, ifc)
+	nd.indexAddr(addr)
 	return ifc
 }
 
@@ -166,6 +163,13 @@ func (nd *Node) Addr() netip.Addr {
 
 // HasAddr reports whether a packet addressed to a is local to this node.
 func (nd *Node) HasAddr(a netip.Addr) bool {
+	if nd.addrs != nil {
+		if !a.Is4() {
+			return false
+		}
+		_, ok := nd.addrs[addr4(a)]
+		return ok
+	}
 	for _, ifc := range nd.ifaces {
 		if ifc.addr == a {
 			return true
@@ -174,20 +178,17 @@ func (nd *Node) HasAddr(a netip.Addr) bool {
 	return false
 }
 
-// AddRoute installs a prefix route out the given interface. Longest prefix
-// wins; ties go to the most recently added route.
+// AddRoute installs an IPv4 prefix route out the given interface. Longest
+// prefix wins; ties go to the most recently added route. Host bits of the
+// prefix address are ignored, as in netip.Prefix.Contains.
 func (nd *Node) AddRoute(prefix netip.Prefix, out *Iface) {
 	if out.node != nd {
 		panic("netem: route out of foreign interface")
 	}
-	if prefix.Bits() == 32 {
-		if nd.hostRoutes == nil {
-			nd.hostRoutes = make(map[netip.Addr]*Iface)
-		}
-		nd.hostRoutes[prefix.Addr()] = out
-		return
+	if !prefix.IsValid() || !prefix.Addr().Is4() {
+		panic("netem: route prefix " + prefix.String() + " is not IPv4")
 	}
-	nd.routes = append(nd.routes, route{prefix, out})
+	nd.routes.add(prefix, out)
 }
 
 // AddDefaultRoute installs 0.0.0.0/0 out the given interface.
@@ -196,28 +197,34 @@ func (nd *Node) AddDefaultRoute(out *Iface) {
 }
 
 // Lookup returns the output interface for dst, or nil if unroutable.
-func (nd *Node) Lookup(dst netip.Addr) *Iface {
-	if out, ok := nd.hostRoutes[dst]; ok {
-		return out
-	}
-	var best *Iface
-	bestLen := -1
-	for _, r := range nd.routes {
-		if r.prefix.Contains(dst) && r.prefix.Bits() >= bestLen {
-			best, bestLen = r.out, r.prefix.Bits()
-		}
-	}
-	return best
-}
+func (nd *Node) Lookup(dst netip.Addr) *Iface { return nd.routes.lookup(dst) }
 
 // Send originates a packet from this node: it is routed out the node's
-// table without TTL decrement (the IP stack of the sender sets TTL).
+// table without TTL decrement (the IP stack of the sender sets TTL). The
+// network carries a copy, so the caller keeps pkt.
 func (nd *Node) Send(pkt *packet.Packet) {
+	if out := nd.egress(pkt); out != nil {
+		out.link.transmit(out, pkt.Clone())
+	}
+}
+
+// SendOwned is Send without the copy, for a packet built for this one send:
+// the network takes pkt and rewrites it in flight (TTL, middlebox edits), so
+// the caller must not use pkt, or any byte slice it holds, afterwards.
+func (nd *Node) SendOwned(pkt *packet.Packet) {
+	if out := nd.egress(pkt); out != nil {
+		out.link.transmit(out, pkt)
+	}
+}
+
+// egress returns the linked interface pkt leaves by, or nil if it is
+// unroutable and silently dropped, like a missing default route.
+func (nd *Node) egress(pkt *packet.Packet) *Iface {
 	out := nd.Lookup(pkt.IP.Dst)
 	if out == nil || out.link == nil {
-		return // unroutable: silently dropped, like a missing default route
+		return nil
 	}
-	out.link.transmit(out, pkt.Clone())
+	return out
 }
 
 // deliver handles a packet arriving at the node.
@@ -272,7 +279,7 @@ func (nd *Node) sendTimeExceeded(in *Iface, orig *packet.Packet) {
 		},
 		ICMP: &packet.ICMP{Type: packet.ICMPTimeExceed, Payload: embed},
 	}
-	nd.Send(reply)
+	nd.SendOwned(reply)
 }
 
 // Iface is a network interface: one address, at most one link.

@@ -72,6 +72,18 @@ func TestSenderPacketNotAliased(t *testing.T) {
 	}
 }
 
+func TestSendOwnedHandsOverPacket(t *testing.T) {
+	s, _, client, _, _, server := lineTopology(t)
+	var got *packet.Packet
+	server.SetHandler(func(p *packet.Packet) { got = p })
+	pkt := packet.NewTCP(client.Addr(), server.Addr(), 1, 2, packet.FlagSYN, 0, 0, []byte{1})
+	client.SendOwned(pkt)
+	s.Run()
+	if got != pkt || got.IP.TTL != 62 {
+		t.Fatal("SendOwned did not carry the sender's packet itself through both routers")
+	}
+}
+
 func TestTTLExceededGeneratesICMP(t *testing.T) {
 	s, _, client, _, _, server := lineTopology(t)
 	var icmp *packet.Packet
@@ -469,28 +481,115 @@ type passMB struct{}
 func (passMB) Name() string                                  { return "pass" }
 func (passMB) Handle(Pipe, *packet.Packet, Direction) Action { return Pass }
 
-// TestLinkTraversalDoesNotAllocate pins the per-packet chain walk at zero
-// allocations: each chain position reuses the pipe built when its
-// middlebox was attached.
+// TestLinkTraversalDoesNotAllocate pins the per-packet path at zero
+// allocations: each chain position reuses the pipe built when its middlebox
+// was attached, and forwarding through a core-sized router takes the indexed
+// address and route lookups.
 func TestLinkTraversalDoesNotAllocate(t *testing.T) {
 	s := sim.New()
 	n := New(s)
-	a, b := n.AddHost("a"), n.AddHost("b")
-	link := n.Connect(a.AddIface(packet.MustAddr("10.0.0.1")), b.AddIface(packet.MustAddr("10.0.0.2")), time.Millisecond)
+	a, r, b := n.AddHost("a"), n.AddRouter("r"), n.AddHost("b")
+	ai, ra := a.AddIface(packet.MustAddr("10.0.0.1")), r.AddIface(packet.MustAddr("10.0.0.2"))
+	link := n.Connect(ai, ra, time.Millisecond)
 	link.Attach(passMB{})
 	link.Attach(passMB{})
+	// Pad r to a core router's size, 80 interfaces and 80 routes of
+	// prefix lengths /16 to /32, so both lookups use their indexes.
+	for i := 0; i < 78; i++ {
+		ifc := r.AddIface(netip.AddrFrom4([4]byte{10, 1, byte(i), 1}))
+		r.AddRoute(netip.PrefixFrom(netip.AddrFrom4([4]byte{172, byte(16 + i%16), byte(i), 0}), 16+i%17), ifc)
+	}
+	rb, bi := r.AddIface(packet.MustAddr("10.2.0.1")), b.AddIface(packet.MustAddr("10.2.0.2"))
+	n.Connect(rb, bi, time.Millisecond)
+	r.AddRoute(pfx("10.2.0.0/24"), rb)
+	r.AddDefaultRoute(ra)
 	delivered := 0
 	b.SetHandler(func(*packet.Packet) { delivered++ })
 	pkt := packet.NewTCP(a.Addr(), b.Addr(), 40000, 443, packet.FlagsPSHACK, 1, 1, nil)
 	send := func() {
+		pkt.IP.TTL = 64 // r decrements it in place
 		link.transmit(link.A(), pkt)
 		s.Run()
 	}
 	send() // warm the delivery pool and the event queue
 	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
-		t.Fatalf("link traversal allocates %.1f times per packet, want 0", allocs)
+		t.Fatalf("forwarding allocates %.1f times per packet, want 0", allocs)
 	}
 	if delivered != 102 {
 		t.Fatalf("delivered %d packets, want 102", delivered)
+	}
+}
+
+// TestLookupMatchesLinearScan checks the indexed routing table against a
+// linear scan of the documented rule (longest prefix wins, the most recently
+// added among equal prefixes) over seeded random tables mixing default
+// routes, prefixes of /8 to /32, repeated prefixes and prefixes with host
+// bits set. It also checks HasAddr against a scan as a node grows past the
+// size where it indexes its addresses.
+func TestLookupMatchesLinearScan(t *testing.T) {
+	rng := sim.NewRand(1)
+	// Addresses come from a narrow space so that prefixes overlap, plus
+	// 11.0.0.0/24, which only a default route covers.
+	randAddr := func() netip.Addr {
+		if rng.Bool(0.1) {
+			return netip.AddrFrom4([4]byte{11, 0, 0, byte(rng.Intn(8))})
+		}
+		return netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(8))})
+	}
+	type route struct {
+		prefix netip.Prefix
+		out    *Iface
+	}
+	for table := 0; table < 100; table++ {
+		r := New(sim.New()).AddRouter("r")
+		ifaces := make([]*Iface, 6)
+		for i := range ifaces {
+			ifaces[i] = r.AddIface(netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)}))
+		}
+		var routes []route
+		for i, nroutes := 0, 1+rng.Intn(60); i < nroutes; i++ {
+			var p netip.Prefix
+			switch {
+			case rng.Bool(0.05):
+				p = netip.PrefixFrom(randAddr(), 0)
+			case rng.Bool(0.2) && len(routes) > 0:
+				p = routes[rng.Intn(len(routes))].prefix
+			default:
+				p = netip.PrefixFrom(randAddr(), 8+rng.Intn(25))
+			}
+			out := sim.Pick(rng, ifaces)
+			r.AddRoute(p, out)
+			routes = append(routes, route{p, out})
+		}
+		for d := 0; d < 200; d++ {
+			dst := randAddr()
+			var want *Iface
+			bestLen := -1
+			for _, rt := range routes {
+				if rt.prefix.Contains(dst) && rt.prefix.Bits() >= bestLen {
+					want, bestLen = rt.out, rt.prefix.Bits()
+				}
+			}
+			if got := r.Lookup(dst); got != want {
+				t.Fatalf("table %d: Lookup(%v) = %v, linear scan of %v gives %v", table, dst, got, routes, want)
+			}
+		}
+	}
+
+	nd := New(sim.New()).AddRouter("core")
+	var addrs []netip.Addr
+	for i := 0; i < 96; i++ {
+		a := netip.AddrFrom4([4]byte{10, 255, byte(i / 64), byte(i%64*4 + 1)})
+		nd.AddIface(a)
+		addrs = append(addrs, a)
+		for _, probe := range []netip.Addr{a, addrs[0], addrs[len(addrs)/2], a.Next(), packet.MustAddr("10.255.3.1")} {
+			want := false
+			for _, have := range addrs {
+				want = want || have == probe
+			}
+			if got := nd.HasAddr(probe); got != want {
+				t.Fatalf("with %d interfaces HasAddr(%v) = %v, want %v", len(addrs), probe, got, want)
+			}
+		}
 	}
 }

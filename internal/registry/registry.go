@@ -20,6 +20,7 @@ import (
 	"io"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -162,7 +163,7 @@ func FromWorkload(rng *sim.Rand, domains []workload.Domain) []Entry {
 	r := rng.Fork("registry-dump")
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	war := time.Date(2022, 2, 24, 0, 0, 0, 0, time.UTC)
-	var out []Entry
+	out := make([]Entry, 0, len(domains))
 	for i, d := range domains {
 		if !d.InRegistry {
 			continue
@@ -173,14 +174,22 @@ func FromWorkload(rng *sim.Rand, domains []workload.Domain) []Entry {
 		} else {
 			added = base.AddDate(0, 0, r.Intn(54))
 		}
+		agency := sim.Pick(r, agencies)
+		// Order numbers read NNN-i/2022, NNN drawn after the agency.
+		var order [32]byte
+		o := strconv.AppendInt(order[:0], int64(100+r.Intn(900)), 10)
+		o = append(o, '-')
+		o = strconv.AppendInt(o, int64(i), 10)
+		o = append(o, "/2022"...)
 		e := Entry{
 			Domain: d.Name,
 			URL:    "http://" + d.Name + "/",
-			Agency: sim.Pick(r, agencies),
-			Order:  fmt.Sprintf("%d-%d/2022", 100+r.Intn(900), i),
+			Agency: agency,
+			Order:  string(o),
 			Added:  added,
 		}
 		n := 1 + r.Intn(2)
+		e.IPs = make([]netip.Addr, 0, n)
 		for j := 0; j < n; j++ {
 			e.IPs = append(e.IPs, netip.AddrFrom4([4]byte{
 				byte(45 + r.Intn(150)), byte(r.Intn(256)), byte(r.Intn(256)), byte(1 + r.Intn(250)),

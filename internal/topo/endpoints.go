@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"net/netip"
 
 	"tspusim/internal/hostnet"
@@ -88,6 +89,9 @@ func (l *Lab) buildEndpoints() {
 			pops = 3
 		}
 		for p := 0; p < pops && made < l.Opts.Endpoints; p++ {
+			if popIdx >= maxPOPs {
+				panic(fmt.Sprintf("topo: the lab needs more than %d endpoint POPs, the capacity of its endpoint block; lower Options.ASes", maxPOPs))
+			}
 			deploy := sampleDeploy(r, kind)
 			as := &AS{
 				Index:  popIdx,
@@ -183,6 +187,10 @@ func sampleDeploy(r *sim.Rand, k ASKind) DeploymentKind {
 // buildAS wires one endpoint AS: core - [chain] - ASr - endpoints, with the
 // device placed per the AS's deployment kind and depth.
 func (l *Lab) buildAS(r *sim.Rand, as *AS, core *netem.Node, providers []*netem.Node, count int) {
+	if count > maxPOPEndpoints {
+		panic(fmt.Sprintf("topo: POP %s needs %d endpoint addresses, its /24 holds %d; lower Options.Endpoints or raise Options.ASes",
+			as.Prefix, count, maxPOPEndpoints))
+	}
 	n := l.Net
 	asr := n.AddRouter(asName(as, "r"))
 	as.Router = asr
@@ -322,10 +330,17 @@ type USEndpoint struct {
 	DeviceHops int
 }
 
+// maxUSEndpoints is the capacity of the US population's block, 200 hosts in
+// each of 203.0.120.0/24 to 203.0.255.0/24.
+const maxUSEndpoints = (256 - 120) * 200
+
 // BuildUSPopulation attaches n US hosts behind us-router, a small fraction
 // of which sit behind fragment-limiting middleboxes (one AS17306-like group
 // with a 45-ish limit).
 func (l *Lab) BuildUSPopulation(n int) []*USEndpoint {
+	if n > maxUSEndpoints {
+		panic(fmt.Sprintf("topo: BuildUSPopulation(%d) exceeds the %d addresses of its block", n, maxUSEndpoints))
+	}
 	r := l.Rand.Fork("us-endpoints")
 	usr := l.Net.Node("us-router")
 	var out []*USEndpoint

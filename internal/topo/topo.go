@@ -227,8 +227,25 @@ type Lab struct {
 // reporting at the paper's population size.
 func (l *Lab) PaperScale() float64 { return 4005138.0 / float64(len(l.Endpoints)) }
 
+// Limits of the address plan. Past any of them a byte of the plan would
+// wrap and hand out an address twice, so BuildOn and BuildUSPopulation panic
+// instead, naming the option to change.
+const (
+	// maxTransferLinks is the capacity of the transfer block 10.255.0.0/16,
+	// one /30 per link.
+	maxTransferLinks = 256 * 64
+	// maxPOPEndpoints is the capacity of a POP's /24: hosts .10 to .255.
+	maxPOPEndpoints = 256 - 10
+	// maxPOPs is the number of POP /24s in 10.20.0.0 to 10.253.199.0, below
+	// the transfer block.
+	maxPOPs = (254 - 20) * 200
+)
+
 func (l *Lab) transferPair() (netip.Addr, netip.Addr) {
 	i := l.nextTransfer
+	if i >= maxTransferLinks {
+		panic(fmt.Sprintf("topo: the lab needs more than %d links, the capacity of its transfer block; lower Options.Endpoints", maxTransferLinks))
+	}
 	l.nextTransfer++
 	hi, lo := i/64, (i%64)*4
 	a := netip.AddrFrom4([4]byte{10, 255, byte(hi), byte(lo + 1)})
@@ -251,7 +268,10 @@ func Build(opts Options) *Lab { return BuildOn(sim.New(), opts) }
 // BuildOn assembles the lab on an existing Sim, which must be idle (fresh,
 // or Reset after a previous run). Fleet workers reuse one Sim per job slot
 // so the event freelist built up by one job serves the next instead of being
-// reallocated per lab.
+// reallocated per lab. BuildOn panics, naming the option to change, if the
+// options outgrow the lab's IPv4 address plan: more links than its transfer
+// block holds, more endpoints in one POP than its /24 holds, or more POPs
+// than the endpoint block holds.
 func BuildOn(s *sim.Sim, opts Options) *Lab {
 	opts.Defaults()
 	l := &Lab{

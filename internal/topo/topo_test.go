@@ -1,11 +1,14 @@
 package topo
 
 import (
+	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 
 	"tspusim/internal/dnsx"
 	"tspusim/internal/hostnet"
+	"tspusim/internal/netem"
 	"tspusim/internal/packet"
 	"tspusim/internal/tlsx"
 )
@@ -386,5 +389,47 @@ func TestTopologyDOT(t *testing.T) {
 	full := l.TopologyDOT(true)
 	if len(full) <= len(dot) {
 		t.Fatal("includeEndpoints did not grow the graph")
+	}
+}
+
+// TestAddressPlanUnique checks that the default lab hands out every
+// interface address once, and that options outgrowing the address plan
+// panic, naming the option to change, instead of wrapping a byte of the plan
+// into duplicate addresses.
+func TestAddressPlanUnique(t *testing.T) {
+	lab := Build(Options{Seed: 1})
+	owner := make(map[netip.Addr]string)
+	for _, link := range lab.Net.Links() {
+		for _, ifc := range []*netem.Iface{link.A(), link.B()} {
+			if prev, dup := owner[ifc.Addr()]; dup {
+				t.Fatalf("%v is on both %s and %s", ifc.Addr(), prev, ifc.Node().Name())
+			}
+			owner[ifc.Addr()] = ifc.Node().Name()
+		}
+	}
+	for _, ep := range lab.Endpoints {
+		if owner[ep.Addr] != ep.Stack.Node().Name() {
+			t.Fatalf("endpoint %v is not its host's linked address", ep.Addr)
+		}
+	}
+
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		// A POP's /24 overflows before anything else.
+		{Options{Seed: 1, Endpoints: 20000, ASes: 40}, "/24 holds 246; lower Options.Endpoints"},
+		// Small POPs, but more links than the transfer block holds.
+		{Options{Seed: 1, Endpoints: 40000, ASes: 400}, "transfer block; lower Options.Endpoints"},
+	} {
+		t.Run(fmt.Sprintf("endpoints=%d,ases=%d", tc.opts.Endpoints, tc.opts.ASes), func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want it to contain %q", msg, tc.want)
+				}
+			}()
+			Build(tc.opts)
+		})
 	}
 }

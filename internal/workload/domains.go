@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tspusim/internal/sim"
@@ -130,12 +131,20 @@ func WellKnownDomains() []WellKnown {
 
 var tlds = []string{".com", ".ru", ".org", ".net", ".io", ".tv", ".me", ".su", ".info", ".biz"}
 
-// nameFor synthesizes a plausible domain name from a category keyword and a
-// serial number.
+// nameFor synthesizes a plausible domain name, keyword-suffixSERIAL.tld,
+// from a category keyword and a serial number. The three draws happen in
+// this order; reordering them renames every generated domain.
 func nameFor(rng *sim.Rand, c Category, i int) string {
 	kw := sim.Pick(rng, categoryKeywords[c])
 	tld := sim.Pick(rng, tlds)
-	return fmt.Sprintf("%s-%s%d%s", kw, suffixes[rng.Intn(len(suffixes))], i, tld)
+	suffix := suffixes[rng.Intn(len(suffixes))]
+	var buf [48]byte
+	b := append(buf[:0], kw...)
+	b = append(b, '-')
+	b = append(b, suffix...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, tld...)
+	return string(b)
 }
 
 var suffixes = []string{"hub", "zone", "portal", "club", "base", "center", "point", "world", "city", "lab"}
@@ -160,8 +169,9 @@ func GenTranco(rng *sim.Rand, opts TrancoOptions) []Domain {
 		opts.CLBL = 1325
 	}
 	r := rng.Fork("tranco")
-	var out []Domain
-	for i, wk := range WellKnownDomains() {
+	wks := WellKnownDomains()
+	out := make([]Domain, 0, max(opts.N, len(wks))+opts.CLBL)
+	for i, wk := range wks {
 		out = append(out, Domain{Name: wk.Name, Category: wk.Category, Rank: i + 1})
 	}
 	// General top-list category mix.
@@ -214,7 +224,7 @@ func GenRegistry(rng *sim.Rand, opts RegistryOptions) []Domain {
 		CatFinance, CatPirating, CatPornography, CatProvocative,
 		CatService, CatCircumvention,
 	}
-	var out []Domain
+	out := make([]Domain, 0, opts.N)
 	for i := 0; i < opts.N; i++ {
 		c := sim.Pick(r, mix)
 		out = append(out, Domain{
