@@ -24,8 +24,11 @@ all: check
 
 check: vet perfbench-check lint escapes build test conformance race race-lanes crosscensor armsrace
 
+# vet also fails on any Go file outside testdata/ that gofmt would change.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files needing gofmt:"; echo "$$unformatted"; exit 1; fi
 
 # perfbench-check vets and tests the benchmark module. perfbench/ has its own
 # go.mod, so the root ./... patterns skip it, and an internal API change could
@@ -176,11 +179,13 @@ armsrace:
 	$(GO) test -count=1 -run 'TestArmsRace|TestEvasionCorpus' .
 	$(GO) test -count=1 ./internal/armsrace
 
-# 30 seconds of native fuzzing over the wire parsers that face attacker-
-# controlled bytes (IP/TCP, ClientHello, HTTP response). FuzzGenome guards
-# the evasion-corpus serialization contract (Decode/String round-trip).
+# Native fuzzing over the wire parsers that face attacker-controlled bytes
+# (IP/TCP, ClientHello, HTTP response). FuzzChecksum pins the word-wise
+# Internet checksum to the 16-bit RFC 1071 reference; FuzzGenome guards the
+# evasion-corpus serialization contract (Decode/String round-trip).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 10s ./internal/tlsx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/evolve

@@ -75,7 +75,7 @@ type Countermeasure struct {
 type Family struct {
 	Name string
 	// Cite is the paper establishing the base model.
-	Cite string
+	Cite  string
 	Probe Probe
 	// Build constructs a fresh censor on the testbed's simulator with the
 	// applied countermeasures' config changes (watchers attach separately).
@@ -97,15 +97,15 @@ func tspuMenu() []Countermeasure {
 			Reconfig: func(c *tspu.Config) { c.ReassembleTCP = true },
 		},
 		{
-			Name: "frag-limit-2",
-			Note: "tighten the fragment-queue cap from 45 to 2 so a split ClientHello poisons its queue",
-			Defeats: func(g evolve.Genome) bool { return g.FragmentPayload > 0 },
+			Name:     "frag-limit-2",
+			Note:     "tighten the fragment-queue cap from 45 to 2 so a split ClientHello poisons its queue",
+			Defeats:  func(g evolve.Genome) bool { return g.FragmentPayload > 0 },
 			Reconfig: func(c *tspu.Config) { c.FragLimit = 2 },
 		},
 		{
-			Name: "deep-inspect",
-			Note: "raise the SNI parser's inspection depth past any padding extension",
-			Defeats: func(g evolve.Genome) bool { return g.PadBeforeSNI > 0 },
+			Name:     "deep-inspect",
+			Note:     "raise the SNI parser's inspection depth past any padding extension",
+			Defeats:  func(g evolve.Genome) bool { return g.PadBeforeSNI > 0 },
 			Reconfig: func(c *tspu.Config) { c.InspectDepth = 4096 },
 		},
 		{
@@ -117,8 +117,8 @@ func tspuMenu() []Countermeasure {
 			Reconfig: func(c *tspu.Config) { c.StrictRoles = true },
 		},
 		{
-			Name: "byte-scan",
-			Note: "raw per-packet byte scan beside the record parser (kills record-prepending)",
+			Name:    "byte-scan",
+			Note:    "raw per-packet byte scan beside the record parser (kills record-prepending)",
 			Defeats: func(g evolve.Genome) bool { return g.PrependRecord },
 			Watcher: func() netem.Middlebox { return newByteScan(BlockedDomain, topo.CensorTestbedLocalDir) },
 		},
@@ -131,8 +131,8 @@ func tspuMenu() []Countermeasure {
 func scanMenu() []Countermeasure {
 	return []Countermeasure{
 		{
-			Name: "frag-reassembly",
-			Note: "reassemble IP fragments in front of the matcher (the fragment engine forwarded them blind)",
+			Name:    "frag-reassembly",
+			Note:    "reassemble IP fragments in front of the matcher (the fragment engine forwarded them blind)",
 			Defeats: func(g evolve.Genome) bool { return g.FragmentPayload > 0 },
 			Watcher: func() netem.Middlebox { return newFragReassembler(topo.CensorTestbedLocalDir) },
 		},

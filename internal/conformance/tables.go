@@ -223,9 +223,9 @@ const sni2Allowance = 6
 // (drops, never queues) at 600–700 B/s — modeled at 650 — with one MSS of
 // burst headroom.
 var throttleRow = struct {
-	RateBps  int
-	BurstB   int
-	Cite     string
+	RateBps int
+	BurstB  int
+	Cite    string
 }{650, 1460, "§5.2: policing at 600–700 bytes/s, cf. 2021 Twitter throttling"}
 
 // chVisibleTable records which ClientHello shapes expose a plaintext SNI to

@@ -1,6 +1,11 @@
 package packet
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"net/netip"
+	"testing"
+)
 
 // FuzzParse drives the wire parser with arbitrary bytes. The invariant is a
 // full round trip: anything that parses must re-marshal and re-parse to the
@@ -32,6 +37,72 @@ func FuzzParse(f *testing.F) {
 		}
 		if q.IP != p.IP {
 			t.Fatalf("IP header drifted: %+v vs %+v", q.IP, p.IP)
+		}
+	})
+}
+
+// checksumRef is the RFC 1071 reference the word-wise checksum must match:
+// 16-bit big-endian words summed into 32 bits, folded at the end.
+func checksumRef(b []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum > 0xffff {
+		sum = (sum & 0xffff) + (sum >> 16)
+	}
+	return ^uint16(sum)
+}
+
+// pseudoChecksumRef is checksumRef over the IPv4 pseudo-header and seg.
+func pseudoChecksumRef(src, dst netip.Addr, proto Protocol, seg []byte) uint16 {
+	var sum uint32
+	s, d := src.As4(), dst.As4()
+	sum += uint32(binary.BigEndian.Uint16(s[0:2])) + uint32(binary.BigEndian.Uint16(s[2:4]))
+	sum += uint32(binary.BigEndian.Uint16(d[0:2])) + uint32(binary.BigEndian.Uint16(d[2:4]))
+	sum += uint32(proto)
+	sum += uint32(len(seg))
+	for i := 0; i+1 < len(seg); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(seg[i : i+2]))
+	}
+	if len(seg)%2 == 1 {
+		sum += uint32(seg[len(seg)-1]) << 8
+	}
+	for sum > 0xffff {
+		sum = (sum & 0xffff) + (sum >> 16)
+	}
+	return ^uint16(sum)
+}
+
+// FuzzChecksum pins checksum and pseudoChecksum, which sum 32-bit words, to
+// the 16-bit reference on arbitrary bytes, addresses and protocols. Inputs
+// are cut to 65,535 bytes, the longest an IPv4 datagram can carry. Run with:
+// go test -fuzz=FuzzChecksum
+func FuzzChecksum(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xff}, 65535)
+	f.Add([]byte{}, uint32(0), uint32(0), uint8(ProtoTCP))
+	f.Add([]byte{0x80}, uint32(0x0a000002), uint32(0xcb00710a), uint8(ProtoUDP))
+	f.Add([]byte{1, 2, 3}, uint32(0xffffffff), uint32(0xffffffff), uint8(0xff))
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff}, uint32(1), uint32(2), uint8(ProtoICMP))
+	f.Add(ones, uint32(0xffffffff), uint32(0xffffffff), uint8(ProtoTCP))
+	f.Add(ones[:65534], uint32(0xffff0000), uint32(0x0000ffff), uint8(ProtoUDP))
+
+	f.Fuzz(func(t *testing.T, data []byte, src, dst uint32, proto uint8) {
+		if len(data) > 65535 {
+			data = data[:65535]
+		}
+		if got, want := checksum(data), checksumRef(data); got != want {
+			t.Fatalf("checksum over %d bytes = %#04x, reference %#04x", len(data), got, want)
+		}
+		var s, d [4]byte
+		binary.BigEndian.PutUint32(s[:], src)
+		binary.BigEndian.PutUint32(d[:], dst)
+		sa, da := netip.AddrFrom4(s), netip.AddrFrom4(d)
+		if got, want := pseudoChecksum(sa, da, Protocol(proto), data), pseudoChecksumRef(sa, da, Protocol(proto), data); got != want {
+			t.Fatalf("pseudoChecksum(%v, %v, %d) over %d bytes = %#04x, reference %#04x", sa, da, proto, len(data), got, want)
 		}
 	})
 }

@@ -366,36 +366,41 @@ func (p *Packet) parseICMP(b []byte) error {
 // checksum computes the Internet checksum (RFC 1071) of b. Computing it over
 // data that already includes a valid checksum field yields zero.
 func checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	return foldChecksum(sumWords(0, b))
 }
 
 // pseudoChecksum computes the TCP/UDP checksum including the IPv4
 // pseudo-header.
 func pseudoChecksum(src, dst netip.Addr, proto Protocol, seg []byte) uint16 {
-	var sum uint32
 	s, d := src.As4(), dst.As4()
-	sum += uint32(binary.BigEndian.Uint16(s[0:2])) + uint32(binary.BigEndian.Uint16(s[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(d[0:2])) + uint32(binary.BigEndian.Uint16(d[2:4]))
-	sum += uint32(proto)
-	sum += uint32(len(seg))
-	for i := 0; i+1 < len(seg); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(seg[i : i+2]))
+	sum := uint64(binary.BigEndian.Uint32(s[:])) + uint64(binary.BigEndian.Uint32(d[:]))
+	sum += uint64(proto) + uint64(len(seg))
+	return foldChecksum(sumWords(sum, seg))
+}
+
+// sumWords adds b to sum as big-endian 32-bit words, then a trailing 16-bit
+// word and an odd last byte as the high half of a 16-bit word. The one's-
+// complement sum does not depend on the word size (RFC 1071 §2), and a
+// uint64 cannot overflow on any slice shorter than 2^33 bytes.
+func sumWords(sum uint64, b []byte) uint64 {
+	for ; len(b) >= 4; b = b[4:] {
+		sum += uint64(binary.BigEndian.Uint32(b))
 	}
-	if len(seg)%2 == 1 {
-		sum += uint32(seg[len(seg)-1]) << 8
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
 	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
+}
+
+// foldChecksum folds a word sum to 16 bits with end-around carries and
+// complements it.
+func foldChecksum(sum uint64) uint16 {
 	for sum > 0xffff {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }

@@ -98,11 +98,14 @@ func TestBoundedChurnZeroMallocs(t *testing.T) {
 		}
 		s.RunUntil(s.Now() + 2*time.Minute)
 	}
-	// Warm: the first cycles fill the entry pool, the freelist and the
-	// stats. The flow table's Go map keeps growing for a while after that:
-	// deletes from full groups leave tombstones, and a map out of room
-	// doubles instead of pruning them. When that stops depends on the map's
-	// hash seed; 20 cycles sufficed in 200 of 200 runs.
+	// Warm: the first two cycles fill the entry pool, the flow index, the
+	// stats and — at the first sweep of a full table — the freelist; from
+	// then on the device allocates nothing. The other cycles let runtime
+	// background work settle, because its allocations count in
+	// MemStats.Mallocs too: after a GC cycle the unique package (which
+	// netip uses) cleans its maps, and the collector may start threads.
+	// With 4 to 16 cycles, 1 to 5 of 500 runs caught such a stray malloc;
+	// 32 cycles passed 500 of 500.
 	for i := 0; i < 32; i++ {
 		cycle()
 	}

@@ -165,7 +165,7 @@ func (e *flowEntry) roleConfused() bool {
 func (e *flowEntry) isImmune(t BlockType) bool { return e.immune&(1<<uint(t)) != 0 }
 func (e *flowEntry) setImmune(t BlockType)     { e.immune |= 1 << uint(t) }
 
-// ctShard is one independent slice of the flow table: its own map, entry
+// ctShard is one independent slice of the flow table: its own index, entry
 // pool, capacity bound, and timeout wheel. Shards share nothing, so the batch
 // engine can hand each worker a disjoint set of shards and run them with no
 // lock — the decentralized-deployment analogue of the paper's observation
@@ -173,7 +173,7 @@ func (e *flowEntry) setImmune(t BlockType)     { e.immune |= 1 << uint(t) }
 //
 //tspuvet:laneowned
 type ctShard struct {
-	table    map[packet.FlowKey4]*flowEntry
+	table    flowIndex
 	timeouts StateTimeouts
 	// evictions counts expired entries reclaimed (lazily or by sweep).
 	evictions int
@@ -212,10 +212,7 @@ func newShardedConntrack(t StateTimeouts, n int) *conntrack {
 	}
 	ct := &conntrack{shards: make([]ctShard, size), mask: uint64(size - 1), timeouts: t}
 	for i := range ct.shards {
-		sh := &ct.shards[i]
-		sh.table = make(map[packet.FlowKey4]*flowEntry)
-		sh.timeouts = t
-		sh.wheel.init()
+		ct.shards[i].timeouts = t
 	}
 	return ct
 }
@@ -239,7 +236,7 @@ func (ct *conntrack) numShards() int { return len(ct.shards) }
 // collectible.
 func (sh *ctShard) release(e *flowEntry) {
 	e.checkLive("released")
-	delete(sh.table, e.key)
+	sh.table.delete(e.key)
 	sh.cap.unlink(e)
 	sh.wheel.unlink(e)
 	*e = flowEntry{}
@@ -262,14 +259,19 @@ func (sh *ctShard) allocEntry() *flowEntry {
 		sh.poolReuses++
 		return e
 	}
+	if sh.wheel.slots == nil {
+		// The shard's first entry: make its timeout wheel now, so the
+		// shards a lab never uses cost no ring.
+		sh.wheel.init()
+	}
 	sh.allocs++
 	return &flowEntry{} //tspuvet:allow hotpath: pool-miss refill, amortized to zero across a run
 }
 
 // lookup returns the live entry for key, expiring stale state.
 func (sh *ctShard) lookup(key packet.FlowKey4, now time.Duration) *flowEntry {
-	e, ok := sh.table[key]
-	if !ok {
+	e := sh.table.get(key)
+	if e == nil {
 		return nil
 	}
 	e.checkLive("found in table")
@@ -308,7 +310,7 @@ func (sh *ctShard) observe(key packet.FlowKey4, pkt *packet.Packet, dirLocal boo
 		ne.origin = origin
 		ne.state = state
 		ne.expires = now + sh.timeouts.forState(state)
-		sh.table[key] = ne
+		sh.table.put(key, ne)
 		sh.wheel.insert(ne)
 		sh.noteInsert(ne)
 		return ne
@@ -427,7 +429,7 @@ func (e *flowEntry) activeBlock(now time.Duration) *blockState {
 func (ct *conntrack) size() int {
 	n := 0
 	for i := range ct.shards {
-		n += len(ct.shards[i].table)
+		n += ct.shards[i].table.len()
 	}
 	return n
 }

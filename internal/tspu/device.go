@@ -186,7 +186,10 @@ func (d *Device) Policy() *Policy { return d.policy }
 
 // SetPolicy installs a policy directly (tests; production path is the
 // Controller).
-func (d *Device) SetPolicy(p *Policy) { d.policy = p }
+func (d *Device) SetPolicy(p *Policy) {
+	p.compileIPs()
+	d.policy = p
+}
 
 // Stats folds all lane counters into the public map form. Only nonzero
 // trigger/miss types appear, matching the increment-on-demand maps the
@@ -348,12 +351,12 @@ func (d *Device) maybeSweepLane(now time.Duration, sh *ctShard, ln *devLane) {
 func (d *Device) handleIPBlock(pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, sh *ctShard, ln *devLane, now time.Duration) (netem.Action, bool) {
 	// Fast path: with no IP blocks in the policy (the overwhelmingly common
 	// case) there is nothing to decide, and in particular no reason to pay
-	// two address-map probes per packet.
-	if len(d.policy.BlockedIPs) == 0 {
+	// two address probes per packet.
+	if !d.policy.anyIPBlocked() {
 		return netem.Pass, false
 	}
-	dstBlocked := d.policy.IPBlocked(pkt.IP.Dst)
-	srcBlocked := d.policy.IPBlocked(pkt.IP.Src)
+	dstBlocked := d.policy.ipBlocked(pkt.IP.Dst)
+	srcBlocked := d.policy.ipBlocked(pkt.IP.Src)
 	if !dstBlocked && !srcBlocked {
 		return netem.Pass, false
 	}

@@ -15,7 +15,9 @@ package tspu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -249,10 +251,64 @@ type Policy struct {
 	// 600-700 B/s; default 650).
 	ThrottleRate int
 	// BlockedIPs are IP-blocked endpoints (the Tor entry node and six other
-	// IPs in the paper), none of which need be in the public registry.
+	// IPs in the paper), none of which need be in the public registry. It
+	// is read when the policy is installed — NewController,
+	// Controller.Update, Controller.UpdateStaggered, Device.SetPolicy —
+	// which compiles it for the datapath; later edits to an installed
+	// policy's map take effect at the next install.
 	BlockedIPs map[netip.Addr]bool
 	// QUICFilter enables the QUIC v1 fingerprint filter (on since Mar 4).
 	QUICFilter bool
+
+	// blockedIPs is BlockedIPs as compiled at install (compileIPs).
+	blockedIPs ipSet
+}
+
+// ipSet is Policy.BlockedIPs compiled for the per-packet path: the IPv4
+// addresses whose entry is true, as sorted big-endian uint32s, so a probe is
+// a binary search over words instead of hashing a 24-byte netip.Addr.
+type ipSet struct {
+	v4 []uint32
+	// other reports a true entry that is not plain IPv4 (IPv6 or 4-in-6);
+	// only then are non-IPv4 addresses looked up in BlockedIPs itself.
+	other bool
+}
+
+// compileIPs rebuilds p.blockedIPs from p.BlockedIPs.
+func (p *Policy) compileIPs() {
+	var v4 []uint32
+	other := false
+	for a, blocked := range p.BlockedIPs {
+		switch {
+		case !blocked:
+		case a.Is4():
+			b := a.As4()
+			v4 = append(v4, binary.BigEndian.Uint32(b[:]))
+		default:
+			other = true
+		}
+	}
+	slices.Sort(v4)
+	p.blockedIPs = ipSet{v4: v4, other: other}
+}
+
+// anyIPBlocked reports whether the installed policy blocks any address.
+//
+//tspuvet:hotpath
+func (p *Policy) anyIPBlocked() bool {
+	return len(p.blockedIPs.v4) > 0 || p.blockedIPs.other
+}
+
+// ipBlocked is IPBlocked answered from the compiled set.
+//
+//tspuvet:hotpath
+func (p *Policy) ipBlocked(addr netip.Addr) bool {
+	if addr.Is4() {
+		b := addr.As4()
+		_, found := slices.BinarySearch(p.blockedIPs.v4, binary.BigEndian.Uint32(b[:]))
+		return found
+	}
+	return p.blockedIPs.other && p.BlockedIPs[addr]
 }
 
 // NewPolicy returns an empty policy with defaults.
@@ -339,7 +395,8 @@ func (p *Policy) classifyBytesWith(domain []byte, lower *[]byte) Classification 
 	return c
 }
 
-// IPBlocked reports whether addr is IP-blocked.
+// IPBlocked reports whether BlockedIPs lists addr as blocked. A device
+// answers from the copy compiled when the policy was installed.
 func (p *Policy) IPBlocked(addr netip.Addr) bool { return p.BlockedIPs[addr] }
 
 // Controller is Roskomnadzor's control plane: it owns the canonical Policy
@@ -355,7 +412,9 @@ func NewController(p *Policy) *Controller {
 	if p == nil {
 		p = NewPolicy()
 	}
-	return &Controller{policy: p.Clone()}
+	c := &Controller{policy: p.Clone()}
+	c.policy.compileIPs()
+	return c
 }
 
 // Policy returns the controller's current policy (callers must not mutate;
@@ -377,6 +436,7 @@ func (c *Controller) Devices() []*Device { return c.devices }
 func (c *Controller) Update(fn func(*Policy)) {
 	next := c.policy.Clone()
 	fn(next)
+	next.compileIPs()
 	next.Version = c.policy.Version + 1
 	c.policy = next
 	for _, d := range c.devices {
@@ -393,6 +453,7 @@ func (c *Controller) Update(fn func(*Policy)) {
 func (c *Controller) UpdateStaggered(s *sim.Sim, rng *sim.Rand, maxJitter time.Duration, fn func(*Policy)) int {
 	next := c.policy.Clone()
 	fn(next)
+	next.compileIPs()
 	next.Version = c.policy.Version + 1
 	c.policy = next
 	for _, d := range c.devices {

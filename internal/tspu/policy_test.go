@@ -1,9 +1,13 @@
 package tspu
 
 import (
+	"net/netip"
 	"testing"
+	"time"
 
+	"tspusim/internal/netem"
 	"tspusim/internal/packet"
+	"tspusim/internal/sim"
 )
 
 func TestDomainSetMatching(t *testing.T) {
@@ -145,6 +149,122 @@ func TestBlockTypeStrings(t *testing.T) {
 	for b, want := range names {
 		if b.String() != want {
 			t.Errorf("%d.String() = %q, want %q", b, b.String(), want)
+		}
+	}
+}
+
+// TestIPBlocklistInstallPaths shows the datapath's compiled blocklist is
+// built on every way a policy reaches a device: a local SYN to the blocked
+// IP is dropped and a local ACK to it is rewritten to RST/ACK after
+// NewController+Register, Controller.Update, Controller.UpdateStaggered
+// (once its jitter fires) and Device.SetPolicy.
+func TestIPBlocklistInstallPaths(t *testing.T) {
+	local, blocked := packet.MustAddr("10.0.0.2"), packet.MustAddr("198.51.100.9")
+	block := func(p *Policy) { p.BlockedIPs[blocked] = true }
+	enforces := func(t *testing.T, d *Device, s *sim.Sim) bool {
+		t.Helper()
+		pipe := nullPipe{s: s}
+		syn := packet.NewTCP(local, blocked, 40000, 443, packet.FlagSYN, 1, 0, nil)
+		ack := packet.NewTCP(local, blocked, 40001, 443, packet.FlagsPSHACK, 1, 1, []byte("x"))
+		dropped := d.Handle(pipe, syn, netem.AtoB) == netem.Drop
+		rewritten := d.Handle(pipe, ack, netem.AtoB) == netem.Pass && ack.TCP.Flags == packet.FlagsRSTACK
+		if dropped != rewritten {
+			t.Fatalf("SYN dropped %t but ACK rewritten %t", dropped, rewritten)
+		}
+		return dropped
+	}
+	newDev := func() (*Device, *sim.Sim) {
+		s := newTestSim()
+		return NewDevice(Config{Sim: s, LocalDir: netem.AtoB}), s
+	}
+
+	t.Run("NewController", func(t *testing.T) {
+		d, s := newDev()
+		p := NewPolicy()
+		block(p)
+		NewController(p).Register(d)
+		if !enforces(t, d, s) {
+			t.Fatal("blocked IP passed")
+		}
+	})
+	t.Run("Update", func(t *testing.T) {
+		d, s := newDev()
+		ctl := NewController(nil)
+		ctl.Register(d)
+		if enforces(t, d, s) {
+			t.Fatal("empty policy blocked")
+		}
+		ctl.Update(block)
+		if !enforces(t, d, s) {
+			t.Fatal("blocked IP passed")
+		}
+	})
+	t.Run("UpdateStaggered", func(t *testing.T) {
+		d, s := newDev()
+		ctl := NewController(nil)
+		ctl.Register(d)
+		ctl.UpdateStaggered(s, sim.NewRand(3), time.Second, block)
+		s.RunUntil(s.Now() + time.Second)
+		if !enforces(t, d, s) {
+			t.Fatal("blocked IP passed")
+		}
+	})
+	t.Run("SetPolicy", func(t *testing.T) {
+		d, s := newDev()
+		p := NewPolicy()
+		block(p)
+		d.SetPolicy(p)
+		if !enforces(t, d, s) {
+			t.Fatal("blocked IP passed")
+		}
+	})
+	t.Run("FalseEntriesOnly", func(t *testing.T) {
+		d, s := newDev()
+		p := NewPolicy()
+		p.BlockedIPs[blocked] = false
+		d.SetPolicy(p)
+		if enforces(t, d, s) {
+			t.Fatal("a false entry blocked")
+		}
+	})
+}
+
+// TestCompiledIPBlocklistMatchesMap pins the compiled set to Policy.IPBlocked
+// on false entries, IPv6 and 4-in-6 keys, the zero Addr, and addresses whose
+// IPv4 and 4-in-6 forms are listed differently.
+func TestCompiledIPBlocklistMatchesMap(t *testing.T) {
+	v4 := packet.MustAddr
+	in6 := func(s string) netip.Addr { return netip.AddrFrom16(v4(s).As16()) }
+	probes := []netip.Addr{
+		v4("198.51.100.9"), v4("198.51.100.10"), v4("203.0.113.5"), v4("0.0.0.0"),
+		in6("198.51.100.9"), in6("203.0.113.5"), in6("0.0.0.0"),
+		netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2"), {},
+	}
+	policies := map[string]map[netip.Addr]bool{
+		"empty":      {},
+		"false only": {v4("198.51.100.9"): false},
+		"ipv4":       {v4("198.51.100.9"): true, v4("198.51.100.10"): false, v4("0.0.0.0"): true},
+		"mixed": {
+			v4("198.51.100.9"): true, in6("203.0.113.5"): true, in6("198.51.100.10"): false,
+			netip.MustParseAddr("2001:db8::1"): true, netip.MustParseAddr("2001:db8::2"): false,
+		},
+		"zero addr": {{}: true},
+	}
+	for name, ips := range policies {
+		p := NewPolicy()
+		p.BlockedIPs = ips
+		p.compileIPs()
+		want := false
+		for _, blocked := range ips {
+			want = want || blocked
+		}
+		if p.anyIPBlocked() != want {
+			t.Errorf("%s: anyIPBlocked = %t, want %t", name, p.anyIPBlocked(), want)
+		}
+		for _, a := range probes {
+			if got, want := p.ipBlocked(a), p.IPBlocked(a); got != want {
+				t.Errorf("%s: ipBlocked(%v) = %t, IPBlocked %t", name, a, got, want)
+			}
 		}
 	}
 }

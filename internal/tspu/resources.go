@@ -64,7 +64,7 @@ func (sh *ctShard) noteInsert(e *flowEntry) {
 	if c.maxFlows <= 0 {
 		return
 	}
-	for len(sh.table) > c.maxFlows && c.oldest != e {
+	for sh.table.len() > c.maxFlows && c.oldest != e {
 		sh.release(c.oldest)
 		c.pressureEvictions++
 	}

@@ -138,9 +138,9 @@ func TestPressureEvictsRecreatedFlowByEntry(t *testing.T) {
 	x := syn("203.0.113.2", 50*time.Second)
 	syn("203.0.113.1", 70*time.Second)
 	y := syn("203.0.113.3", 71*time.Second)
-	if sh.table[k] == nil || sh.table[y] == nil || sh.table[x] != nil {
+	if sh.table.get(k) == nil || sh.table.get(y) == nil || sh.table.get(x) != nil {
 		t.Errorf("held K=%t X=%t Y=%t; FIFO by entry keeps the re-created K and the newest Y and evicts X",
-			sh.table[k] != nil, sh.table[x] != nil, sh.table[y] != nil)
+			sh.table.get(k) != nil, sh.table.get(x) != nil, sh.table.get(y) != nil)
 	}
 	if sh.cap.pressureEvictions != 1 || sh.evictions != 1 {
 		t.Errorf("pressure evictions %d, timeout evictions %d; want 1 and 1", sh.cap.pressureEvictions, sh.evictions)

@@ -231,12 +231,13 @@ func TestShardLaneParallelRace(t *testing.T) {
 // sweepScan reclaims expired entries by scanning every table. It is the
 // equivalence oracle for the timeout wheel: after either sweep, no entry with
 // expires <= now remains, and both report the same reclaim count on the same
-// table state.
+// table state. It walks a snapshot: expiring deletes from the index, whose
+// backward shift moves later entries under a live walk of the slots.
 func (ct *conntrack) sweepScan(now time.Duration) int {
 	n := 0
 	for i := range ct.shards {
 		sh := &ct.shards[i]
-		for _, e := range sh.table {
+		for _, e := range sh.table.entries() {
 			if now >= e.expires {
 				sh.expire(e)
 				n++
@@ -260,23 +261,23 @@ func checkLists(t testing.TB, ct *conntrack) {
 		n := 0
 		var prev *flowEntry
 		for e := sh.cap.oldest; e != nil; e = e.newer {
-			if n++; n > len(sh.table) {
-				t.Fatalf("shard %d: insertion list longer than the table's %d entries", i, len(sh.table))
+			if n++; n > sh.table.len() {
+				t.Fatalf("shard %d: insertion list longer than the table's %d entries", i, sh.table.len())
 			}
-			if e.older != prev || sh.table[e.key] != e {
+			if e.older != prev || sh.table.get(e.key) != e {
 				t.Fatalf("shard %d: insertion list entry %d (%v) is mislinked or not the table's", i, n, e.key)
 			}
 			prev = e
 		}
-		if n != len(sh.table) || sh.cap.newest != prev {
-			t.Fatalf("shard %d: insertion list holds %d entries, table %d", i, n, len(sh.table))
+		if n != sh.table.len() || sh.cap.newest != prev {
+			t.Fatalf("shard %d: insertion list holds %d entries, table %d", i, n, sh.table.len())
 		}
 		n = 0
 		for slot, head := range sh.wheel.slots {
 			prev = nil
 			for e := head; e != nil; e = e.wnext {
-				if n++; n > len(sh.table) {
-					t.Fatalf("shard %d: wheel holds more than the table's %d entries", i, len(sh.table))
+				if n++; n > sh.table.len() {
+					t.Fatalf("shard %d: wheel holds more than the table's %d entries", i, sh.table.len())
 				}
 				inserted := (e.older == nil && sh.cap.oldest == e) || (e.older != nil && e.older.newer == e)
 				if e.wprev != prev || int(e.wslot) != slot || !inserted {
@@ -285,8 +286,8 @@ func checkLists(t testing.TB, ct *conntrack) {
 				prev = e
 			}
 		}
-		if n != len(sh.table) {
-			t.Fatalf("shard %d: wheel holds %d entries, table %d", i, n, len(sh.table))
+		if n != sh.table.len() {
+			t.Fatalf("shard %d: wheel holds %d entries, table %d", i, n, sh.table.len())
 		}
 	}
 }
@@ -330,8 +331,8 @@ func observeStream(t testing.TB, ct *conntrack, seed uint64, steps int, sweep fu
 func tableKeys(ct *conntrack) map[packet.FlowKey4]bool {
 	keys := make(map[packet.FlowKey4]bool)
 	for i := range ct.shards {
-		for k := range ct.shards[i].table {
-			keys[k] = true
+		for _, e := range ct.shards[i].table.entries() {
+			keys[e.key] = true
 		}
 	}
 	return keys

@@ -30,18 +30,23 @@ const (
 )
 
 // timeWheel indexes a shard's entries by expiry; it lives inside a ctShard
-// and is only ever advanced by the lane that owns that shard.
+// and is only ever advanced by the lane that owns that shard. The ring is
+// made with the shard's first entry (ctShard.allocEntry); until then only
+// base moves.
 //
 //tspuvet:laneowned
 type timeWheel struct {
 	// slots[i] heads the list of entries linked through wprev/wnext whose
-	// wslot is i.
+	// wslot is i; nil until the shard's first entry.
 	slots []*flowEntry
 	// base is the start of slots[cursor]'s window.
 	base   time.Duration
 	cursor int
 }
 
+// init makes the ring.
+//
+//tspuvet:coldpath once per shard, on the shard's first entry allocation
 func (w *timeWheel) init() {
 	w.slots = make([]*flowEntry, wheelSlots)
 }
@@ -89,7 +94,7 @@ func (sh *ctShard) advanceWheel(now time.Duration) int {
 	w := &sh.wheel
 	reclaimed := 0
 	for w.base+wheelGran <= now {
-		if len(sh.table) == 0 {
+		if sh.table.len() == 0 {
 			// Every live entry is on the wheel, so it is empty: jump the
 			// ring to now in one step.
 			w.base = now - (now % wheelGran)
@@ -111,6 +116,10 @@ func (sh *ctShard) advanceWheel(now time.Duration) int {
 			}
 			e = next
 		}
+	}
+	if w.slots == nil {
+		// No ring yet, so the shard never held an entry.
+		return 0
 	}
 	// Partial slot: entries expiring inside the current window need a check
 	// too, without retiring the slot.
