@@ -22,7 +22,7 @@ ENGINE_BENCH_PATTERN = ^(BenchmarkEngine_Passthrough$$|BenchmarkEngine_TLSMix$$|
 
 all: check
 
-check: vet perfbench-check lint escapes build test conformance race race-lanes crosscensor armsrace
+check: vet perfbench-check lint escapes build test pooldebug conformance race race-lanes crosscensor armsrace
 
 # vet also fails on any Go file outside testdata/ that gofmt would change.
 vet:
@@ -37,28 +37,30 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # tspu-vet enforces the determinism contract (no wall clock, no ambient
-# randomness, no map-order-dependent output), the hot-path contract (no
-# allocating constructs reachable from a //tspuvet:hotpath root, sound sync
-# in the worker pool), and the state-machine contract (switches over
-# //tspuvet:closedenum types stay exhaustive). The analysis is whole-program
-# by default: packages are checked in dependency order with facts (purity
-# taint, packet retention, lane entry points, enum membership) threaded
-# across package boundaries. tspu-vet runs one way — all ten analyzers over
-# the non-test files, whole-program — so this is the only analyzer target.
-# Exceptions need a reasoned //tspuvet:allow directive, and unused
-# directives fail the build.
+# randomness, no map-order-dependent output), the ownership contracts (no
+# retained packets, lanes touch only their own shard), and the state-machine
+# contract (switches over //tspuvet:closedenum types stay exhaustive). The
+# analysis is whole-program: packages are checked in dependency order with
+# facts (purity taint, packet retention, lane entry points, enum membership)
+# threaded across package boundaries. tspu-vet runs one way — all seven
+# analyzers over the non-test files, whole-program — so this is the only
+# analyzer target. Exceptions need a reasoned //tspuvet:allow directive, and
+# unused directives fail the build. The zero-allocation contract is the
+# escapes target's and the alloc tests', not an analyzer's.
 lint:
 	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
 	/tmp/tspu-vet ./...
 
 # pooldebug runs the tspu and sim suites with released pooled records
 # poisoned: use-after-release and double release panic instead of silently
-# reading reused memory. The normal build compiles the hooks to no-ops.
+# reading reused memory. The normal build compiles the hooks to no-ops. It is
+# the only pool-lifecycle guard, so check runs it.
 pooldebug:
 	$(GO) test -tags=pooldebug -count=1 ./internal/sim ./internal/tspu
 
-# escapes is the compiler-backed half of the hot-path contract: diff the
-# escape-analysis diagnostics of the annotated packages against the
+# escapes is the static half of the per-packet zero-allocation contract (the
+# AllocsPerRun tests are the runtime half): diff the compiler's
+# escape-analysis diagnostics for the six packet-path packages against the
 # committed ESCAPES_baseline.json. Any new or grown heap escape fails, and
 # so does a baseline entry no longer produced at its recorded count;
 # escapes-update records a reviewed change (commit the diff).
@@ -79,9 +81,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-focus is the synccheck cross-check: the two packages with real
-# concurrency (the fleet worker pool and the conformance suite that drives
-# it) under the race detector with live (uncached) runs.
+# race-focus runs the fleet worker pool and the conformance suite that
+# drives it (the module's concurrent orchestration: the only go statements
+# outside the engine's lane fan-out) under the race detector with live
+# (uncached) runs.
 race-focus:
 	$(GO) test -race -count=1 ./internal/fleet/... ./internal/conformance/...
 

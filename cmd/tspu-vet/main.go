@@ -1,25 +1,24 @@
-// Command tspu-vet enforces the determinism, hot-path, and ownership
-// contracts of DESIGN.md: every experiment's output must be a pure function
-// of the lab seed, the per-packet path must not allocate, a middlebox must
-// not retain a packet it did not clone, lane-parallel code must stay inside
-// its own shard, pooled records must not be touched after release, and
-// switches over closed state enums must stay exhaustive. It runs ten
-// analyzers — walltime, globalrand, maporder, hotpath, synccheck,
-// retaincheck, lanecheck, poolcheck, statecheck, allowdirective — over the
+// Command tspu-vet enforces the determinism and ownership contracts of
+// DESIGN.md: every experiment's output must be a pure function of the lab
+// seed, a middlebox must not retain a packet it did not clone, lane-parallel
+// code must stay inside its own shard, and switches over closed state enums
+// must stay exhaustive. It runs seven analyzers — walltime, globalrand,
+// maporder, retaincheck, lanecheck, statecheck, allowdirective — over the
 // module (see internal/lint for what each forbids and why).
 //
 // The analysis is whole-program: analyzers export facts about package-level
-// objects (purity taint, allocation summaries, packet retention, lane entry
-// points, closed-enum membership) that are threaded through the packages in
-// dependency order, so a contract violation two packages away surfaces at
-// the call site that commits it. There is one way to run it — the whole
-// suite, facts in memory, non-test files only — over package patterns
-// (default ./...; this is the make lint target):
+// objects (purity taint, packet retention, lane entry points, closed-enum
+// membership) that are threaded through the packages in dependency order, so
+// a contract violation two packages away surfaces at the call site that
+// commits it. There is one way to run it — the whole suite, facts in memory,
+// non-test files only — over package patterns (default ./...; this is the
+// make lint target):
 //
 //	tspu-vet ./...
 //
-// The escape-analysis gate compares the compiler's heap-escape diagnostics
-// for the annotated hot-path packages against ESCAPES_baseline.json:
+// The escape-analysis gate holds the per-packet path to its zero-allocation
+// contract: it compares the compiler's heap-escape diagnostics for the
+// packet-path packages against ESCAPES_baseline.json:
 //
 //	tspu-vet -escapes            # fail on any new, grown, shrunk, or removed escape
 //	tspu-vet -escapes -update    # refresh the baseline after a reviewed change
@@ -28,8 +27,6 @@
 //
 //	start := time.Now() //tspuvet:allow walltime: orchestrator metrics are diagnostic only
 //
-// Hot-path roots are declared with //tspuvet:hotpath on the function's doc
-// comment; //tspuvet:coldpath <reason> cuts a callee out of the contract.
 // Lane entry points carry //tspuvet:lane, per-lane types //tspuvet:laneowned,
 // and deliberate packet retention is declared where it happens:
 //
@@ -54,10 +51,10 @@ import (
 	"tspusim/internal/lint/escape"
 )
 
-// hotPathPackages is the default scope of the escape gate: the packages
-// carrying //tspuvet:hotpath annotations (TestHotPathPackagesAnnotated keeps
-// the two in step).
-var hotPathPackages = []string{
+// escapePackages is the default scope of the escape gate: the packages every
+// packet crosses — parse, SNI extraction, the device, the engine, the chain
+// walk and the scheduler.
+var escapePackages = []string{
 	"./internal/sim",
 	"./internal/packet",
 	"./internal/tlsx",
@@ -105,7 +102,7 @@ func main() {
 // 1 failure (the escapes differ from the baseline, or there is no baseline).
 func runEscapes(patterns []string, update bool) int {
 	if len(patterns) == 0 {
-		patterns = hotPathPackages
+		patterns = escapePackages
 	}
 	current, err := escape.Collect("", patterns)
 	if err != nil {

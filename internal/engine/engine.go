@@ -86,7 +86,6 @@ type engineSink Engine
 
 // Deliver buffers a chain survivor for the post-barrier Deliver fan-out.
 //
-//tspuvet:hotpath
 //tspuvet:lane
 func (s *engineSink) Deliver(lane int, pkt *packet.Packet, dir netem.Direction) {
 	if s.deliver != nil {
@@ -162,8 +161,6 @@ func (e *Engine) Totals() (packets, batches, drops uint64) {
 // Push queues one packet for the next Process call. It reports false when
 // the ring is full, in which case the caller must Process (or grow the
 // batch) before retrying; the packet was not queued.
-//
-//tspuvet:hotpath
 func (e *Engine) Push(pkt *packet.Packet, dir netem.Direction) bool {
 	if e.n == len(e.items) {
 		return false
@@ -181,8 +178,6 @@ func (e *Engine) Push(pkt *packet.Packet, dir netem.Direction) bool {
 // items with verdicts filled in, in push order. The returned slice aliases
 // the ring: it is valid until the next Push. The simulator must be idle (not
 // mid-event) for the duration of the call.
-//
-//tspuvet:hotpath
 func (e *Engine) Process() []Item {
 	items := e.items[:e.n]
 	if e.n == 0 {
@@ -207,7 +202,7 @@ func (e *Engine) Process() []Item {
 		var wg sync.WaitGroup
 		wg.Add(e.workers)
 		for w := 0; w < e.workers; w++ {
-			go func(w int) { //tspuvet:allow hotpath: worker fan-out is once per batch (Workers>1 only), amortized across up to BatchSize packets
+			go func(w int) {
 				defer wg.Done()
 				for l := w; l < len(e.lane); l += e.workers {
 					e.runLane(l, items)
@@ -245,7 +240,6 @@ func (e *Engine) Process() []Item {
 // order. Nothing outside the lane's own state is written; lanecheck verifies
 // that claim over everything reachable from here.
 //
-//tspuvet:hotpath
 //tspuvet:lane
 func (e *Engine) runLane(l int, items []Item) {
 	ln := &e.lane[l]

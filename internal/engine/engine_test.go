@@ -424,8 +424,12 @@ func TestPushRingFull(t *testing.T) {
 }
 
 // TestProcessSteadyStateDoesNotAllocate pins the engine's own per-batch
-// bookkeeping (scatter queues, pipes, counters) into the zero-allocation
-// contract, on pass-through traffic over warmed flows.
+// bookkeeping (scatter queues, pipes, counters) and the device datapath into
+// the zero-allocation contract, over warmed flows that pass: upstream data,
+// ClientHellos for unlisted names, non-QUIC UDP on port 443 and downstream
+// data. The names are longer than the 32-byte stack buffer the compiler gives
+// a non-escaping string conversion or concatenation, so such an allocation on
+// the SNI path fails here rather than hiding below the buffer size.
 func TestProcessSteadyStateDoesNotAllocate(t *testing.T) {
 	s := sim.New()
 	d := testDevice(s, "alloc", 8, 3)
@@ -433,13 +437,28 @@ func TestProcessSteadyStateDoesNotAllocate(t *testing.T) {
 	remotes := testRemotes()
 	pkts := make([]*packet.Packet, 64)
 	for i := range pkts {
-		pkts[i] = packet.NewTCP(testLocal, remotes[i%len(remotes)], uint16(20000+i), 443, packet.FlagsPSHACK, 9, 9, []byte("not a client hello, just bytes"))
+		remote, sport := remotes[i%len(remotes)], uint16(20000+i)
+		switch i % 4 {
+		case 0:
+			pkts[i] = packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, 9, 9, []byte("not a client hello, just bytes"))
+		case 1:
+			spec := &tlsx.ClientHelloSpec{ServerName: fmt.Sprintf("STATIC.XX.CDN-EDGE-%04d.IMAGES.EXAMPLE.ORG", i)}
+			pkts[i] = packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, 2, 2, spec.Build())
+		case 2:
+			pkts[i] = packet.NewUDP(testLocal, remote, sport, 443, make([]byte, 1200))
+		case 3:
+			pkts[i] = packet.NewTCP(remote, testLocal, 443, sport, packet.FlagsPSHACK, 9, 9, []byte("HTTP/1.1 200 OK"))
+		}
 	}
 	run := func() {
 		for _, p := range pkts {
-			e.Push(p, netem.AtoB)
+			e.Push(p, testDir(p))
 		}
-		e.Process()
+		for _, it := range e.Process() {
+			if it.Verdict != netem.Pass {
+				t.Fatalf("verdict %v for %v, want every packet to pass", it.Verdict, packet.FlowKey4Of(it.Pkt))
+			}
+		}
 	}
 	for i := 0; i < 16; i++ {
 		run() // warm flow entries, lane queues, and pools

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -73,9 +74,8 @@ func staticCalls(info *types.Info, body ast.Node, visit func(*ast.CallExpr, *typ
 }
 
 // reach marks every function reachable from a root, breadth first from the
-// roots in source order, recording parent links. Traversal never enters a
-// cold function.
-func (g *callGraph) reach(root, cold func(*funcNode) bool) {
+// roots in source order, recording parent links.
+func (g *callGraph) reach(root func(*funcNode) bool) {
 	var queue []*funcNode
 	for _, n := range g.order {
 		if root(n) {
@@ -87,7 +87,7 @@ func (g *callGraph) reach(root, cold func(*funcNode) bool) {
 		n := queue[0]
 		queue = queue[1:]
 		for _, callee := range n.edges {
-			if callee.reached || cold(callee) {
+			if callee.reached {
 				continue
 			}
 			callee.reached = true
@@ -98,8 +98,8 @@ func (g *callGraph) reach(root, cold func(*funcNode) bool) {
 }
 
 // chainLabel renders the diagnostic suffix locating n relative to its root:
-// "<rootWording> Name" for a root itself ("hot path root", "lane entry
-// point"), "reached via Root → ... → Name" otherwise.
+// "<rootWording> Name" for a root itself ("lane entry point"), "reached via
+// Root → ... → Name" otherwise.
 func chainLabel(n *funcNode, rootWording string) string {
 	if n.parent == nil {
 		return fmt.Sprintf("%s %s", rootWording, n.name)
@@ -146,4 +146,26 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// exprString renders e for diagnostics: identifiers, selectors, literals,
+// index expressions and pointer forms spelled out, anything else as "expr".
+func exprString(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.BasicLit:
+		return e.Value
+	case *ast.IndexExpr:
+		return exprString(e.X) + "[" + exprString(e.Index) + "]"
+	case *ast.StarExpr:
+		return "*" + exprString(e.X)
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return "&" + exprString(e.X)
+		}
+	}
+	return "expr"
 }

@@ -72,9 +72,12 @@ func A() time.Time {
 	return time.Now()
 }
 
-//tspuvet:hotpath
-func Hot(s string) string {
-	return "x" + s
+func Keys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
 }
 `
 
@@ -110,7 +113,7 @@ func TestCheckSyntheticModuleOrdering(t *testing.T) {
 	for _, d := range diags {
 		got = append(got, filepath.Base(d.Pos.Filename)+":"+d.Analyzer)
 	}
-	want := []string{"a.go:walltime", "a.go:hotpath", "b.go:allowdirective"}
+	want := []string{"a.go:walltime", "a.go:maporder", "b.go:allowdirective"}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostics = %v, want analyzers %v", diags, want)
 	}
@@ -177,7 +180,7 @@ func TestExitCodes(t *testing.T) {
 	if code != 1 {
 		t.Errorf("dirty module: exit %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(out, "walltime") || !strings.Contains(out, "hotpath") {
+	if !strings.Contains(out, "walltime") || !strings.Contains(out, "maporder") {
 		t.Errorf("dirty module output missing expected diagnostics:\n%s", out)
 	}
 	if code, out := run(clean); code != 0 {
@@ -187,7 +190,7 @@ func TestExitCodes(t *testing.T) {
 
 // The synthfacts module is the cross-package regression bed for the facts
 // layer: packet (the aliasing seed), dep (annotated-but-fact-exporting
-// sources of impurity, retention, allocation, and a closed enum), and top
+// sources of impurity, retention, and a closed enum), and top
 // (one surviving consumer diagnostic per fact kind, each paired with a
 // suppressed twin so the allow directives in top only stay fresh when the
 // facts actually arrive).
@@ -204,7 +207,6 @@ const synthDep = `// Package dep exports facts from sites that are excused local
 package dep
 
 import (
-	"fmt"
 	"time"
 
 	"synthfacts/packet"
@@ -233,11 +235,6 @@ func Stamp() time.Time {
 // Keep parks the packet; excused here, the retention still travels.
 func Keep(p *packet.Packet) {
 	held = p //tspuvet:retains fixture parking lot; callers inherit the handoff via facts
-}
-
-// Label allocates; no hot marker here, so only hot callers pay.
-func Label(n int) string {
-	return fmt.Sprintf("n=%d", n)
 }
 `
 
@@ -271,20 +268,6 @@ func Forward(p *packet.Packet) {
 // ForwardAllowed is the same handoff, excused at the call site.
 func ForwardAllowed(p *packet.Packet) {
 	dep.Keep(p) //tspuvet:retains fixture consumer keeps the lot drained
-}
-
-// Hot is on the per-packet path, so dep.Label's allocation is its problem.
-//
-//tspuvet:hotpath PerPacket
-func Hot(n int) string {
-	return dep.Label(n)
-}
-
-// HotAllowed pays the same allocation with a reasoned excuse.
-//
-//tspuvet:hotpath PerPacket
-func HotAllowed(n int) string {
-	return dep.Label(n) //tspuvet:allow hotpath: fixture cold branch measured separately
 }
 
 // Describe misses KC: the surviving statecheck finding.
@@ -324,7 +307,6 @@ func writeSynthfacts(t *testing.T) string {
 var synthfactsWant = []struct{ analyzer, substr string }{
 	{"walltime", "call to dep.Stamp reaches wall-clock time (reached via dep.Stamp → time.Now)"},
 	{"retaincheck", "packet-aliasing value passed to dep.Keep, which retains it"},
-	{"hotpath", "call to dep.Label allocates: fmt.Sprintf"},
 	{"statecheck", "switch over closed enum dep.Kind does not handle KC"},
 }
 

@@ -1,19 +1,21 @@
 // Package escape implements tspu-vet's escape-analysis gate: it runs the
 // compiler's own escape analysis (`go build -gcflags=-m -l`) over the
-// annotated hot-path packages, normalizes the heap-escape diagnostics into a
-// stable report, and diffs that report against a committed baseline
+// packet-path packages, normalizes the heap-escape diagnostics into a stable
+// report, and diffs that report against a committed baseline
 // (ESCAPES_baseline.json, the same commit-the-expectation shape as the
 // BENCH_device.json gate).
 //
-// The hotpath analyzer reasons about syntax; the compiler decides what
-// actually reaches the heap. The two compose: hotpath catches allocating
-// constructs a human can name and chain back to a root, the escape gate
-// catches everything else — including allocations the analyzer's per-package
-// call graph cannot see across package boundaries. Any escape not present in
-// the baseline fails the gate, and so does a baseline entry the build no
-// longer produces (a stale entry would let the escape come back unseen);
-// intentional changes are recorded by regenerating the baseline with
-// -update, which makes every change to the heap profile a reviewed,
+// The gate is the static half of the per-packet zero-allocation contract.
+// The compiler decides what reaches the heap, so no hand-written allocation
+// rule can drift from it. What the gate cannot see is left to the
+// AllocsPerRun tests in the packet-path packages: allocations in packages
+// outside its scope (the standard library among them), and a string
+// conversion or concatenation of at most 32 bytes, which the compiler puts
+// in a stack buffer — those tests drive names longer than that. Any escape
+// not present in the baseline fails the gate, and so does a baseline entry
+// the build no longer produces (a stale entry would let the escape come back
+// unseen); intentional changes are recorded by regenerating the baseline
+// with -update, which makes every change to the heap profile a reviewed,
 // committed decision.
 //
 // Reports drop line and column numbers on purpose: unrelated edits move

@@ -107,7 +107,7 @@ func runLanecheck(pass *analysis.Pass) (any, error) {
 		pass.ExportObjectFact(tn, &LaneOwnedFact{})
 	}
 
-	g.reach(func(n *funcNode) bool { return roots[n] }, func(*funcNode) bool { return false })
+	g.reach(func(n *funcNode) bool { return roots[n] })
 	for _, n := range g.order {
 		if n.reached {
 			c.checkFunc(n)

@@ -13,12 +13,6 @@
 //     crypto/rand — all entropy must derive from sim.Rand / sim.StreamSeed.
 //   - maporder: flags `for k := range m` over maps whose body feeds ordered
 //     output (append, string building, report tables) without sorting.
-//   - hotpath: a call graph rooted at every //tspuvet:hotpath function;
-//     allocating constructs on reachable paths are diagnostics with their
-//     call chain. //tspuvet:coldpath <reason> cuts a callee out.
-//   - synccheck: WaitGroup.Add inside the goroutine it accounts for,
-//     channel sends in select without default. (Sync primitives copied by
-//     value are go vet's copylocks check.)
 //   - retaincheck: taint analysis over *packet.Packet parameters and their
 //     payload-derived slices; a packet must not flow into a store that
 //     outlives the call unless it passes through a Clone/Marshal-style copy
@@ -27,8 +21,6 @@
 //     sharded state (//tspuvet:laneowned types) only through the lane's own
 //     shard, indexed by the lane parameter; writes to shared structs and
 //     draws from a shared sim.Rand are diagnostics.
-//   - poolcheck: pool lifecycle — use-after-Release/Put, double release,
-//     and references escaping after the release point.
 //   - statecheck: every switch over a //tspuvet:closedenum type must
 //     enumerate all members or justify its default with
 //     //tspuvet:allow statecheck: <reason>.
@@ -37,14 +29,19 @@
 //     directive that no longer suppresses anything is itself a diagnostic.
 //
 // The suite is whole-program: analyzers export facts about package objects
-// (ImpureFact, AllocFact, RetainsFact, LaneOwnedFact, LaneEntryFact,
-// EnumFact) that the driver threads through packages in dependency order,
-// in one in-memory store; tspu-vet always runs the whole suite this way, over
-// non-test files. Transitive wall-clock and RNG use, cross-package
-// packet retention, allocation chains that cross package seams, lane
+// (ImpureFact, RetainsFact, LaneOwnedFact, LaneEntryFact, EnumFact) that
+// the driver threads through packages in dependency order, in one in-memory
+// store; tspu-vet always runs the whole suite this way, over non-test files.
+// Transitive wall-clock and RNG use, cross-package packet retention, lane
 // contracts on imported shard state, and enum exhaustiveness away from the
 // declaring package are all diagnosed at the first call site in checked
 // code, with the full reached-via chain.
+//
+// The zero-allocation contract of the per-packet path is not an analyzer:
+// the compiler's escape analysis decides what reaches the heap, and
+// tspu-vet -escapes diffs it against ESCAPES_baseline.json (package
+// escape), while AllocsPerRun tests pin the allocations the compiler keeps
+// on the stack until an input outgrows them.
 //
 // Every marker the suite reads shares one grammar, //tspuvet:<verb> [reason],
 // parsed in one place; a later "//" ends the marker, so a reason cannot
@@ -54,8 +51,6 @@
 //	verb        placement                                       reason
 //	allow       the excused line, or alone on the line above    required, as <analyzer>: <reason>
 //	retains     the retaining line, or alone on the line above  required
-//	hotpath     doc comment of a function declaration           none
-//	coldpath    doc comment of a function declaration           required
 //	lane        doc comment of a function declaration           none
 //	laneowned   doc comment of a type declaration               none
 //	impure      the line of a function declaration, or above    required
@@ -89,7 +84,7 @@ import (
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Hotpath, Synccheck, Retaincheck, Lanecheck, Poolcheck, Statecheck, Allowdirective}
+	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Retaincheck, Lanecheck, Statecheck, Allowdirective}
 }
 
 // suppressible names the analyzers a //tspuvet:allow directive may target:

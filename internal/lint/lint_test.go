@@ -23,31 +23,12 @@ func TestAllowdirective(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Allowdirective, "allowdirective")
 }
 
-func TestHotpath(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotpath, "hotpath")
-}
-
-func TestSynccheck(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Synccheck, "synccheck")
-}
-
-// TestHotpathRegress is the fault re-injection fixture: a shrunk conntrack
-// with a deliberate fmt.Sprintf on the per-packet path, caught with the full
-// call chain in the diagnostic.
-func TestHotpathRegress(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotpath, "hotpathregress")
-}
-
 func TestRetaincheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Retaincheck, "retaincheck")
 }
 
 func TestLanecheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Lanecheck, "lanecheck")
-}
-
-func TestPoolcheck(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Poolcheck, "poolcheck")
 }
 
 // TestRetainRegress is the fault re-injection fixture for retaincheck: the
@@ -73,13 +54,6 @@ func TestStatecheck(t *testing.T) {
 // the ImpureFact.
 func TestPurityFacts(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Walltime, "purityfacts")
-}
-
-// TestHotpathFacts runs hotpath whole-program: an unmarked helper package's
-// allocations surface at hot call sites in the consumer via AllocFacts,
-// including a two-hop chain inside the helper.
-func TestHotpathFacts(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotpath, "hotfacts")
 }
 
 // TestRetainFacts runs retaincheck whole-program: the stash helper's

@@ -15,8 +15,6 @@ const directivePrefix = "//tspuvet:"
 const (
 	allowVerb      = "allow"
 	retainsVerb    = "retains"
-	hotpathVerb    = "hotpath"
-	coldpathVerb   = "coldpath"
 	laneVerb       = "lane"
 	laneownedVerb  = "laneowned"
 	impureVerb     = "impure"
@@ -53,8 +51,6 @@ type markerRule struct {
 var markerGrammar = []markerRule{
 	{verb: allowVerb, place: onLine, owner: "allowdirective", why: "the allowlist must explain itself"},
 	{verb: retainsVerb, place: onLine, owner: "allowdirective", why: "deliberate packet retention must explain who owns the copy and when it is dropped"},
-	{verb: hotpathVerb, place: onFunc, owner: "hotpath"},
-	{verb: coldpathVerb, place: onFunc, owner: "hotpath", why: "cutting a function out of the hot-path contract must explain itself"},
 	{verb: laneVerb, place: onFunc, owner: "lanecheck", named: true},
 	{verb: laneownedVerb, place: onType, owner: "lanecheck", named: true},
 	{verb: impureVerb, place: onStamp, owner: "walltime", why: "declaring a function off the determinism contract must explain itself"},

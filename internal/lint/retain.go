@@ -24,7 +24,7 @@ import (
 //     subslices, tlsx.ExtractSNI results — are tainted.
 //   - Taint propagates through assignments, slicing, range, composites, and
 //     same-package calls (interprocedurally, with the offending call chain in
-//     the diagnostic, like hotpath).
+//     the diagnostic).
 //   - A tainted value flowing into a store that outlives the call is a
 //     diagnostic: writes through pointers, slices, maps, receivers, or
 //     package variables; channel sends; go statements; and closures that

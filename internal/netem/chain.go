@@ -82,7 +82,6 @@ func (c *Chain) attach(mb Middlebox) {
 // survived. key is pkt's flow key on a multi-lane chain; a one-lane chain
 // ignores it.
 //
-//tspuvet:hotpath
 //tspuvet:lane
 func (c *Chain) Run(lane int, pkt *packet.Packet, dir Direction, key packet.FlowKey4) Action {
 	from := -1
@@ -93,8 +92,6 @@ func (c *Chain) Run(lane int, pkt *packet.Packet, dir Direction, key packet.Flow
 }
 
 // walk runs pkt from one position past from, in dir, to the chain's end.
-//
-//tspuvet:hotpath
 func (c *Chain) walk(lane int, pkt *packet.Packet, dir Direction, key packet.FlowKey4, from int) Action {
 	step := 1
 	if dir == BtoA {
@@ -126,7 +123,6 @@ type chainPipe struct {
 // Inject continues on the injector's lane: an injected packet shares its
 // flow's host pair, hence the lane.
 //
-//tspuvet:hotpath
 //tspuvet:lane
 func (p *chainPipe) Inject(pkt *packet.Packet, dir Direction) {
 	p.c.walk(int(p.lane), pkt, dir, packet.FlowKey4Of(pkt), int(p.pos))

@@ -77,8 +77,6 @@ func addr4(a netip.Addr) uint32 {
 }
 
 // FlowKey4Of extracts the canonical compact flow key of a packet.
-//
-//tspuvet:hotpath
 func FlowKey4Of(p *Packet) FlowKey4 {
 	src, dst := addr4(p.IP.Src), addr4(p.IP.Dst)
 	sp, dp := p.SrcPort(), p.DstPort()
@@ -106,8 +104,6 @@ func mix64(z uint64) uint64 {
 // Hash returns a well-mixed 64-bit hash of the full canonical 5-tuple. Used
 // to derive per-flow deterministic random streams: the same flow hashes the
 // same regardless of which shard, worker, or batch observes it.
-//
-//tspuvet:hotpath
 func (k FlowKey4) Hash() uint64 {
 	return mix64(k.hi ^ mix64(k.lo))
 }
@@ -120,8 +116,6 @@ func (k FlowKey4) Hash() uint64 {
 // engine: all middlebox state is keyed by (src, dst, ...), so partitioning
 // traffic by PairHash guarantees two workers never touch the same entry,
 // fragment queue, or reassembly buffer.
-//
-//tspuvet:hotpath
 func (k FlowKey4) PairHash() uint64 {
 	return mix64(k.hi)
 }

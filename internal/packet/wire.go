@@ -52,8 +52,6 @@ func (p *Packet) Marshal() ([]byte, error) {
 // that recycles dst (b = b[:0]) pays nothing once the buffer has grown to
 // the working packet size. All header bytes are written explicitly, so dst's
 // stale contents never leak into the output.
-//
-//tspuvet:hotpath
 func (p *Packet) MarshalAppend(dst []byte) ([]byte, error) {
 	plen, err := p.wirePayloadLen()
 	if err != nil {
@@ -217,8 +215,6 @@ func Parse(b []byte) (*Packet, error) {
 // capacity of its payload slices: parsing a stream of packets through one
 // scratch Packet is allocation-free once its buffers have grown. On error p
 // is left in an unspecified state.
-//
-//tspuvet:hotpath
 func ParseInto(p *Packet, b []byte) error {
 	if len(b) < 20 {
 		return ErrTruncated
@@ -290,7 +286,7 @@ func (p *Packet) parseTCP(b []byte) error {
 	}
 	t := p.TCP
 	if t == nil {
-		t = new(TCP) //tspuvet:allow hotpath: lazy first-parse init; reused for every later packet through this scratch struct
+		t = new(TCP) // first parse into this scratch Packet; reused by every later one
 	}
 	opts, pay := t.Options[:0], t.Payload[:0]
 	*t = TCP{
@@ -326,7 +322,7 @@ func (p *Packet) parseUDP(b []byte) error {
 	}
 	u := p.UDP
 	if u == nil {
-		u = new(UDP) //tspuvet:allow hotpath: lazy first-parse init; reused for every later packet through this scratch struct
+		u = new(UDP) // first parse into this scratch Packet; reused by every later one
 	}
 	pay := u.Payload[:0]
 	*u = UDP{
@@ -349,7 +345,7 @@ func (p *Packet) parseICMP(b []byte) error {
 	}
 	ic := p.ICMP
 	if ic == nil {
-		ic = new(ICMP) //tspuvet:allow hotpath: lazy first-parse init; reused for every later packet through this scratch struct
+		ic = new(ICMP) // first parse into this scratch Packet; reused by every later one
 	}
 	pay := ic.Payload[:0]
 	*ic = ICMP{

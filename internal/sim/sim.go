@@ -69,7 +69,7 @@ func (s *Sim) alloc() *event {
 		s.poolReuses++
 		return ev
 	}
-	return &event{} //tspuvet:allow hotpath: pool-miss refill, amortized to zero across a run
+	return &event{} // pool miss: amortized to zero across a run
 }
 
 // recycle returns a popped event to the pool. The generation bump invalidates
@@ -106,14 +106,12 @@ func (s *Sim) Reset() {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality and mask bugs.
-//
-//tspuvet:hotpath
 func (s *Sim) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
 	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now)) //tspuvet:allow hotpath: panic formatting runs once, as the program dies
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	ev := s.alloc()
 	ev.when = t
@@ -125,8 +123,6 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 }
 
 // After schedules fn to run d from now. Negative d panics via At.
-//
-//tspuvet:hotpath
 func (s *Sim) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
@@ -171,8 +167,6 @@ func (s *Sim) RunUntil(deadline time.Duration) {
 // how many ran. Unlike RunUntil it never advances the clock past the last
 // executed event, so a caller can interleave simulation with external work
 // (ingesting packets, checking invariants) in bounded slices.
-//
-//tspuvet:hotpath
 func (s *Sim) RunBatch(deadline time.Duration, max int) int {
 	if s.running {
 		panic("sim: RunBatch called re-entrantly from within an event")
@@ -201,8 +195,6 @@ func (s *Sim) RunBatch(deadline time.Duration, max int) int {
 
 // Step executes the single next pending event, if any, and reports whether
 // one was executed.
-//
-//tspuvet:hotpath
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
 		next := s.queue.pop()
@@ -239,8 +231,6 @@ func (t *Timer) live() bool {
 // from firing (false if it already fired or was already stopped). The
 // event's closure is released immediately — a stopped timer does not keep
 // its captures alive while the dead event waits to be popped.
-//
-//tspuvet:hotpath
 func (t *Timer) Stop() bool {
 	if !t.live() {
 		return false
@@ -254,15 +244,13 @@ func (t *Timer) Stop() bool {
 // touching the pool or allocating. It reports whether the timer was
 // rescheduled (false if it already fired or was stopped). A reset timer
 // behaves like a freshly scheduled one for tie-breaking purposes.
-//
-//tspuvet:hotpath
 func (t *Timer) Reset(d time.Duration) bool {
 	if !t.live() {
 		return false
 	}
 	nt := t.s.now + d
 	if nt < t.s.now {
-		panic(fmt.Sprintf("sim: resetting event to %v before now %v", nt, t.s.now)) //tspuvet:allow hotpath: panic formatting runs once, as the program dies
+		panic(fmt.Sprintf("sim: resetting event to %v before now %v", nt, t.s.now))
 	}
 	t.ev.when = nt
 	t.ev.seq = t.s.nextID

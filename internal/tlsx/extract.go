@@ -15,8 +15,6 @@ import "encoding/binary"
 // equal that ServerName. In particular a malformation anywhere in the
 // extension list — even after a well-formed server_name extension — yields
 // not-found, because the reference parser fails the whole parse.
-//
-//tspuvet:hotpath
 func ExtractSNI(b []byte) (sni []byte, found bool) {
 	if len(b) < 5 || b[0] != RecordTypeHandshake {
 		return nil, false

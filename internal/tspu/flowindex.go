@@ -42,8 +42,6 @@ func (x *flowIndex) home(key packet.FlowKey4) uint64 {
 func (x *flowIndex) len() int { return x.n }
 
 // get returns the entry stored under key, or nil.
-//
-//tspuvet:hotpath
 func (x *flowIndex) get(key packet.FlowKey4) *flowEntry {
 	if x.n == 0 {
 		return nil
@@ -57,8 +55,6 @@ func (x *flowIndex) get(key packet.FlowKey4) *flowEntry {
 }
 
 // put stores e under key, replacing any entry already there.
-//
-//tspuvet:hotpath
 func (x *flowIndex) put(key packet.FlowKey4, e *flowEntry) {
 	if (x.n+1)*flowIndexLoadDen > len(x.slots)*flowIndexLoadNum {
 		x.grow()
@@ -80,8 +76,6 @@ func (x *flowIndex) put(key packet.FlowKey4, e *flowEntry) {
 // delete removes key if present. The slots after it in its probe cluster
 // whose home lies at or before the hole move back into it, one at a time, so
 // every remaining key stays reachable from its home without a tombstone.
-//
-//tspuvet:hotpath
 func (x *flowIndex) delete(key packet.FlowKey4) {
 	if x.n == 0 {
 		return
@@ -109,9 +103,8 @@ func (x *flowIndex) delete(key packet.FlowKey4) {
 }
 
 // grow doubles the slot array (or makes the first one) and reinserts every
-// entry at its home under the new mask.
-//
-//tspuvet:coldpath table growth, amortized over the inserts that filled it; the index never shrinks
+// entry at its home under the new mask. Growth is amortized over the inserts
+// that filled the table; the index never shrinks.
 func (x *flowIndex) grow() {
 	old := x.slots
 	size := 2 * len(old)

@@ -57,9 +57,9 @@ func newFragEngine(limit int, timeout time.Duration) *fragEngine {
 }
 
 // handle consumes one fragment. It always returns Drop: surviving fragments
-// are re-emitted through the pipe when their queue completes.
-//
-//tspuvet:coldpath fragment reassembly buffers copies by design; fragments are the evasion case, not the fast path
+// are re-emitted through the pipe when their queue completes. Reassembly
+// buffers copies of the fragments by design: fragments are the evasion case,
+// not the fast path.
 func (fe *fragEngine) handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
 	key := packet.FragKeyOf(pkt)
 	q, ok := fe.queues[key]

@@ -148,8 +148,6 @@ func (s *DomainSet) Contains(name string) bool {
 // as byte slices (m[string(b)] map accesses do not allocate), and case
 // folding — ASCII only, which is all DNS names on the wire can carry — runs
 // in a scratch buffer instead of strings.ToLower. Match never mutates name.
-//
-//tspuvet:hotpath
 func (s *DomainSet) Match(name []byte) bool {
 	if s == nil {
 		return false
@@ -161,8 +159,6 @@ func (s *DomainSet) Match(name []byte) bool {
 // engine's lanes pass their own buffers so a policy shared by concurrent
 // lanes stays read-only on the packet path. The scratch slice is grown in
 // place through the pointer and reused across calls.
-//
-//tspuvet:hotpath
 func (s *DomainSet) matchWith(name []byte, lower *[]byte) bool {
 	if s == nil || len(s.exact) == 0 {
 		return false
@@ -293,15 +289,11 @@ func (p *Policy) compileIPs() {
 }
 
 // anyIPBlocked reports whether the installed policy blocks any address.
-//
-//tspuvet:hotpath
 func (p *Policy) anyIPBlocked() bool {
 	return len(p.blockedIPs.v4) > 0 || p.blockedIPs.other
 }
 
 // ipBlocked is IPBlocked answered from the compiled set.
-//
-//tspuvet:hotpath
 func (p *Policy) ipBlocked(addr netip.Addr) bool {
 	if addr.Is4() {
 		b := addr.As4()
@@ -346,9 +338,9 @@ type Classification struct {
 // Any reports whether any behavior applies.
 func (c Classification) Any() bool { return c.SNI1 || c.SNI2 || c.SNI4 || c.Throttle }
 
-// Classify maps an SNI value to its blocking behaviors under this policy.
-//
-//tspuvet:coldpath string-based reference path, used by the reassembly ablation and tests; ClassifyBytes is the hot form
+// Classify maps an SNI value to its blocking behaviors under this policy. It
+// is the string-based reference path, used by the reassembly ablation and
+// tests; ClassifyBytes is the allocation-free form.
 func (p *Policy) Classify(domain string) Classification {
 	c := Classification{
 		SNI1: p.SNI1Domains.Contains(domain),
@@ -364,8 +356,6 @@ func (p *Policy) Classify(domain string) Classification {
 // ClassifyBytes is the allocation-free form of Classify for SNI bytes
 // aliasing a packet payload. It matches Classify on every ASCII input (DNS
 // names are ASCII on the wire); TestClassifyBytesEquivalence pins that.
-//
-//tspuvet:hotpath
 func (p *Policy) ClassifyBytes(domain []byte) Classification {
 	c := Classification{
 		SNI1: p.SNI1Domains.Match(domain),
@@ -381,8 +371,6 @@ func (p *Policy) ClassifyBytes(domain []byte) Classification {
 // classifyBytesWith is ClassifyBytes with caller-owned fold scratch, for
 // device lanes classifying concurrently against one shared policy. One
 // buffer serves all four set lookups (they run sequentially per packet).
-//
-//tspuvet:hotpath
 func (p *Policy) classifyBytesWith(domain []byte, lower *[]byte) Classification {
 	c := Classification{
 		SNI1: p.SNI1Domains.matchWith(domain, lower),

@@ -88,8 +88,6 @@ func (c *capacityState) unlink(e *flowEntry) {
 // eviction on next access; it returns the number reclaimed. Each shard
 // advances its timeout wheel, visiting only the slots that elapsed —
 // reclaim cost scales with expired flows, not table size.
-//
-//tspuvet:coldpath periodic housekeeping, rate-limited to once per sweep interval
 func (ct *conntrack) Sweep(now time.Duration) int {
 	n := 0
 	for i := range ct.shards {

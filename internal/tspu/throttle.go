@@ -17,7 +17,8 @@ type tokenBucket struct {
 	last   time.Duration
 }
 
-//tspuvet:coldpath runs once per throttled-flow trigger, not per packet
+// newTokenBucket makes a flow's bucket, once per throttled-flow trigger,
+// not per packet.
 func newTokenBucket(rateBps int, burst int, now time.Duration) *tokenBucket {
 	if rateBps <= 0 {
 		rateBps = 650

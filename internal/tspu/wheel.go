@@ -44,16 +44,12 @@ type timeWheel struct {
 	cursor int
 }
 
-// init makes the ring.
-//
-//tspuvet:coldpath once per shard, on the shard's first entry allocation
+// init makes the ring, on the shard's first entry allocation.
 func (w *timeWheel) init() {
 	w.slots = make([]*flowEntry, wheelSlots)
 }
 
 // insert links e at the head of the slot covering its current expires time.
-//
-//tspuvet:hotpath
 func (w *timeWheel) insert(e *flowEntry) {
 	idx := 0
 	if e.expires > w.base {
@@ -88,8 +84,6 @@ func (w *timeWheel) unlink(e *flowEntry) {
 // checks the current (partial) slot so the post-condition matches the
 // map-scan sweep exactly: after advanceWheel(now) no entry with
 // expires <= now remains. Returns the number of entries reclaimed.
-//
-//tspuvet:coldpath sweep housekeeping, rate-limited to once per sweep interval
 func (sh *ctShard) advanceWheel(now time.Duration) int {
 	w := &sh.wheel
 	reclaimed := 0
