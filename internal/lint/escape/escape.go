@@ -80,7 +80,7 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	cmd.Stdout = &out
 	cmd.Stderr = &out
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go build -gcflags=-m: %v\n%s", err, strings.TrimSpace(out.String()))
+		return nil, buildError(dir, patterns, err, out.String())
 	}
 
 	counts := map[Escape]int{}
@@ -112,6 +112,20 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	})
 	sort.Strings(rep.Packages)
 	return rep, nil
+}
+
+// buildError reports a failed -m build. Its output interleaves the compile
+// errors with hundreds of escape diagnostics from the packages that did
+// build, so the errors are taken from a plain `go build` of the same
+// patterns, which prints nothing else; the -m output is the fallback if that
+// build unexpectedly succeeds.
+func buildError(dir string, patterns []string, err error, mOut string) error {
+	cmd := exec.Command("go", append([]string{"build"}, patterns...)...)
+	cmd.Dir = dir
+	if plain, perr := cmd.CombinedOutput(); perr != nil {
+		return fmt.Errorf("go build: %v\n%s", perr, strings.TrimSpace(string(plain)))
+	}
+	return fmt.Errorf("go build -gcflags=-m: %v\n%s", err, strings.TrimSpace(mOut))
 }
 
 // Load reads a baseline report from path.

@@ -159,6 +159,41 @@ func Stays() int {
 	}
 }
 
+// A module that does not compile fails Collect with the compiler's error
+// up front, not buried in the escape diagnostics of the packages that did
+// compile.
+func TestCollectReportsCompileErrorFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to the go command")
+	}
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module brokenescape\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "ok", "ok.go"), `package ok
+
+func Leak() *int {
+	x := 42
+	return &x
+}
+`)
+	writeFile(t, filepath.Join(dir, "bad", "bad.go"), `package bad
+
+func Unused() {
+	z := 1
+}
+`)
+	_, err := escape.Collect(dir, []string{"./..."})
+	if err == nil {
+		t.Fatal("Collect succeeded on a module that does not compile")
+	}
+	lines := strings.SplitN(err.Error(), "\n", 4)
+	if head := strings.Join(lines[:min(len(lines), 3)], "\n"); !strings.Contains(head, "declared and not used") {
+		t.Errorf("first lines of the error do not name the compile error:\n%s", err)
+	}
+	if strings.Contains(err.Error(), "moved to heap") {
+		t.Errorf("error carries escape diagnostics:\n%s", err)
+	}
+}
+
 func writeFile(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
