@@ -20,30 +20,44 @@ type LocalizeResult struct {
 // TTLLocalize finds the first symmetric TSPU on a vantage's outbound path by
 // sending a full-TTL control handshake and TTL-limited triggers.
 func TTLLocalize(lab *topo.Lab, vantage string, maxTTL int) LocalizeResult {
-	v := vantageOf(lab, vantage)
-	res := LocalizeResult{Vantage: vantage}
+	p := VantagePath(lab, vantage)
+	return LocalizeResult{
+		Vantage:    vantage,
+		TriggerTTL: ttlLadder(func() Path { return p }, 443, maxTTL, tlsTTLTrigger(DomainSNI1)),
+	}
+}
+
+// ttlLadder is §7.1's TTL-limited localization: the smallest TTL in
+// [1, maxTTL] at which probe, scripted on a fresh flow to rport, sees
+// interference, or 0 if none does. Each TTL gets up to three attempts to
+// absorb trigger misses. path supplies each attempt's path: the lab's stays
+// the same because fresh ports are enough there, while the testbed's is a
+// fresh testbed, which replays identically.
+func ttlLadder(path func() Path, rport uint16, maxTTL int, probe func(f *Flow, ttl uint8) bool) int {
 	for ttl := 1; ttl <= maxTTL; ttl++ {
-		blocked := false
-		// Retry to absorb trigger-miss noise.
-		for attempt := 0; attempt < 3 && !blocked; attempt++ {
-			f := NewFlow(lab, v.Stack, lab.US1, 443)
-			// Control packets at full TTL establish the state.
-			f.L(packet.FlagSYN, nil)
-			f.R(packet.FlagsSYNACK, nil)
-			f.L(packet.FlagACK, nil)
-			// TTL-limited trigger.
-			f.LTTL(uint8(ttl), packet.FlagsPSHACK, CH(DomainSNI1))
-			// Downstream probe reveals whether SNI-I latched.
-			f.R(packet.FlagsPSHACK, []byte("SERVERHELLO"))
-			blocked = f.LastLocalRST()
-			f.Close()
-		}
-		if blocked {
-			res.TriggerTTL = ttl
-			return res
+		hit := retried(func() bool {
+			f := NewFlow(path(), rport)
+			defer f.Close()
+			return probe(f, uint8(ttl))
+		})
+		if hit {
+			return ttl
 		}
 	}
-	return res
+	return 0
+}
+
+// tlsTTLTrigger is the ladder's TLS probe: a full-TTL control handshake
+// establishes the state, then a TTL-limited ClientHello for domain. It
+// interferes when an RST reaches either end right away, or when the
+// following downstream response comes back rewritten to an RST.
+func tlsTTLTrigger(domain string) func(f *Flow, ttl uint8) bool {
+	return func(f *Flow, ttl uint8) bool {
+		f.Handshake()
+		f.LTTL(ttl, packet.FlagsPSHACK, CH(domain))
+		injected := f.LastLocalRST() || anyRST(f.RemoteGot)
+		return f.downstreamRST() || injected
+	}
 }
 
 // Render lays out the localization result.
@@ -70,69 +84,25 @@ type PartialVisibilityResult struct {
 // ClientHello toward the peer's port 443. A device that never saw the US SYN
 // treats the RU-sent SYN/ACK as the flow opener and fires on the CH.
 func PartialVisibility(lab *topo.Lab, vantage string, maxTTL int) PartialVisibilityResult {
-	v := vantageOf(lab, vantage)
+	p := VantagePath(lab, vantage)
 	res := PartialVisibilityResult{Vantage: vantage}
-	for ttl := 1; ttl <= maxTTL; ttl++ {
-		blocked := false
-		for attempt := 0; attempt < 3 && !blocked; attempt++ {
-			// Remote initiates from port 443 (so the RU-side CH is destined
-			// to 443); flow is remote-originated.
-			lport := v.Stack.EphemeralPort()
-			f := &flowRemoteFirst{lab: lab, v: v, lport: lport}
-			blocked = f.run(ttl)
-		}
-		if blocked {
-			// Report only the first device: once its blocking latches, every
-			// larger TTL is blocked too, and devices further down the path
-			// are unobservable — the paper notes the same limitation
-			// (§7.1.1).
-			res.UpstreamOnlyTTLs = append(res.UpstreamOnlyTTLs, ttl)
-			break
-		}
+	ttl := ttlLadder(func() Path { return p }, 443, maxTTL, func(f *Flow, ttl uint8) bool {
+		// US -> RU SYN (seen only by devices with downstream visibility);
+		// RU completes with SYN/ACK (crosses every upstream device).
+		f.R(packet.FlagSYN, nil)
+		f.L(packet.FlagsSYNACK, nil)
+		f.LTTL(ttl, packet.FlagsPSHACK, CH(DomainSNI2))
+		// If an upstream-only device latched SNI-II, the markers get
+		// dropped after the allowance.
+		return f.markersDropped()
+	})
+	if ttl > 0 {
+		// Report only the first device: once its blocking latches, every
+		// larger TTL is blocked too, and devices further down the path are
+		// unobservable — the paper notes the same limitation (§7.1.1).
+		res.UpstreamOnlyTTLs = []int{ttl}
 	}
 	return res
-}
-
-// flowRemoteFirst scripts the Fig. 8 (left) exchange.
-type flowRemoteFirst struct {
-	lab   *topo.Lab
-	v     *topo.Vantage
-	lport uint16
-}
-
-func (f *flowRemoteFirst) run(ttl int) bool {
-	lab, v := f.lab, f.v
-	us := lab.US1
-	received := 0
-	us.RawBind(443, func(p *packet.Packet) {
-		if p.TCP.SrcPort == f.lport {
-			received++
-		}
-	})
-	defer us.RawUnbind(443)
-	v.Stack.RawBind(f.lport, func(p *packet.Packet) {})
-	defer v.Stack.RawUnbind(f.lport)
-
-	// US -> RU SYN (seen only by devices with downstream visibility).
-	us.SendTCP(v.Stack.Addr(), 443, f.lport, packet.FlagSYN, 9000, 0, nil)
-	lab.Sim.Run()
-	// RU completes with SYN/ACK (crosses every upstream device).
-	v.Stack.SendTCP(us.Addr(), f.lport, 443, packet.FlagsSYNACK, 100, 9001, nil)
-	lab.Sim.Run()
-	// TTL-limited SNI-II ClientHello.
-	ch := packet.NewTCP(v.Stack.Addr(), us.Addr(), f.lport, 443, packet.FlagsPSHACK, 101, 9001, CH(DomainSNI2))
-	ch.IP.TTL = uint8(ttl)
-	ch.IP.ID = v.Stack.NextIPID()
-	v.Stack.Send(ch)
-	lab.Sim.Run()
-	// Markers: if an upstream-only device latched SNI-II, they get dropped
-	// after the allowance.
-	before := received
-	for i := 0; i < 12; i++ {
-		v.Stack.SendTCP(us.Addr(), f.lport, 443, packet.FlagsPSHACK, 200+uint32(i), 9001, []byte("marker"))
-		lab.Sim.Run()
-	}
-	return received-before < 12
 }
 
 // Render lays out the partial-visibility result. The device list carries

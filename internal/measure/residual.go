@@ -20,53 +20,39 @@ type ResidualResult struct {
 	ReusedPortBlocked bool
 	// FreshPortBlocked: a benign connection on a fresh port does not.
 	FreshPortBlocked bool
-	// ReusedAfterExpiry: the same reused port is clean once the 75 s SNI-I
-	// hold lapses.
+	// ReusedAfterExpiry: the reused port still sees blocking 80 s later
+	// (false once the 75 s SNI-I hold lapses).
 	ReusedAfterExpiry bool
 }
 
-// ResidualCensorship runs the three probes from a vantage.
+// ResidualCensorship runs the three probes from ER-Telecom with an SNI-I
+// trigger.
 func ResidualCensorship(lab *topo.Lab) ResidualResult {
-	v := vantageOf(lab, topo.ERTelecom)
-	var res ResidualResult
+	return residual(VantagePath(lab, topo.ERTelecom), DomainSNI1)
+}
 
-	benignProbe := func(port uint16) bool {
-		f := NewFlow(lab, v.Stack, lab.US1, 443)
-		// Pin the port by rebinding the flow's local port.
-		f.Close()
-		f = &Flow{sim: lab.Sim, Local: v.Stack, Remote: lab.US1, LPort: port, RPort: 443}
-		f.lseq, f.rseq = 1000, 5000
-		v.Stack.RawBind(port, func(p *packet.Packet) { f.LocalGot = append(f.LocalGot, p) })
-		lab.US1.RawBind(443, func(p *packet.Packet) {
-			if p.TCP.SrcPort == port {
-				f.RemoteGot = append(f.RemoteGot, p)
-			}
-		})
+// residual is the §3 triple over any path: trigger with domain on one port,
+// then run a benign connection on the same 4-tuple, on a fresh port, and on
+// the same 4-tuple again after 80 s.
+func residual(p Path, domain string) ResidualResult {
+	trig := NewFlow(p, 443)
+	trig.Handshake()
+	trig.L(packet.FlagsPSHACK, CH(domain))
+	trig.Close()
+	port := trig.LPort
+
+	benignBlocked := func(lport uint16) bool {
+		f := newFlowAt(p, lport, 443)
 		defer f.Close()
-		f.L(packet.FlagSYN, nil)
-		f.R(packet.FlagsSYNACK, nil)
-		f.L(packet.FlagACK, nil)
-		f.L(packet.FlagsPSHACK, CH(DomainControl)) // benign SNI
-		f.R(packet.FlagsPSHACK, []byte("SERVERHELLO"))
-		return f.LastLocalRST()
+		f.Handshake()
+		f.L(packet.FlagsPSHACK, CH(DomainControl))
+		return f.downstreamRST()
 	}
-
-	// Trigger on a specific port.
-	port := v.Stack.EphemeralPort()
-	fTrig := &Flow{sim: lab.Sim, Local: v.Stack, Remote: lab.US1, LPort: port, RPort: 443, lseq: 1000, rseq: 5000}
-	v.Stack.RawBind(port, func(p *packet.Packet) { fTrig.LocalGot = append(fTrig.LocalGot, p) })
-	lab.US1.RawBind(443, func(p *packet.Packet) {})
-	fTrig.L(packet.FlagSYN, nil)
-	fTrig.R(packet.FlagsSYNACK, nil)
-	fTrig.L(packet.FlagACK, nil)
-	fTrig.L(packet.FlagsPSHACK, CH(DomainSNI1))
-	fTrig.Close()
-
-	res.ReusedPortBlocked = benignProbe(port)
-	res.FreshPortBlocked = benignProbe(v.Stack.EphemeralPort())
-	// After the 75 s SNI-I hold, the reused port is clean again.
-	lab.Sim.RunUntil(lab.Sim.Now() + 80*time.Second)
-	res.ReusedAfterExpiry = benignProbe(port)
+	var res ResidualResult
+	res.ReusedPortBlocked = benignBlocked(port)
+	res.FreshPortBlocked = benignBlocked(p.Local.EphemeralPort())
+	p.Sim.RunUntil(p.Sim.Now() + 80*time.Second)
+	res.ReusedAfterExpiry = benignBlocked(port)
 	return res
 }
 

@@ -73,8 +73,8 @@ type SeqVerdict struct {
 // SNI-I but still trips the SNI-IV backup.
 func (v SeqVerdict) Green() bool { return !v.SNI1Acts && v.SNI4Acts }
 
-// playSeq scripts the prefix ops on a fresh flow.
-func playSeq(f *Flow, seq []Op) {
+// play scripts the prefix ops on the flow.
+func (f *Flow) play(seq []Op) {
 	for _, op := range seq {
 		if op.Local {
 			f.L(op.Flags, nil)
@@ -87,31 +87,27 @@ func playSeq(f *Flow, seq []Op) {
 // ClassifySequence tests one prefix sequence from a vantage, as §5.3.2 does:
 // append a triggering ClientHello and observe the blocking behavior.
 func ClassifySequence(lab *topo.Lab, vantage string, seq []Op) SeqVerdict {
-	v := vantageOf(lab, vantage)
+	p := VantagePath(lab, vantage)
 	verdict := SeqVerdict{Seq: seq}
 
 	// SNI-I probe: trigger with an SNI-I-only domain, then a downstream
 	// response; RST/ACK at the local side means SNI-I acted.
-	f := NewFlow(lab, v.Stack, lab.US1, 443)
-	playSeq(f, seq)
+	f := NewFlow(p, 443)
+	f.play(seq)
 	f.L(packet.FlagsPSHACK, CH(DomainSNI1))
 	verdict.TriggerDelivered = f.remoteDataCount() > 0
-	f.R(packet.FlagsPSHACK, []byte("SERVERHELLO"))
-	if len(f.LocalGot) > 0 {
-		last := f.LocalGot[len(f.LocalGot)-1]
-		verdict.SNI1Acts = last.TCP.Flags.Has(packet.FlagRST)
-	}
+	verdict.SNI1Acts = f.downstreamRST()
 	f.Close()
 
-	// SNI-IV probe: a domain under both SNI-I and SNI-IV. If neither the
-	// trigger arrives remotely nor any downstream probe returns, the backup
-	// drop-all fired.
-	f2 := NewFlow(lab, v.Stack, lab.US2, 443)
-	playSeq(f2, seq)
-	f2.L(packet.FlagsPSHACK, CH(DomainSNI14))
-	chDelivered := f2.remoteDataCount() > 0
-	verdict.SNI4Acts = !chDelivered
-	f2.Close()
+	// SNI-IV probe: a domain under both SNI-I and SNI-IV, sent to the second
+	// US machine. If the trigger never arrives remotely, the backup drop-all
+	// fired.
+	p.Remote = lab.US2
+	f = NewFlow(p, 443)
+	f.play(seq)
+	f.L(packet.FlagsPSHACK, CH(DomainSNI14))
+	verdict.SNI4Acts = f.remoteDataCount() == 0
+	f.Close()
 	return verdict
 }
 
@@ -173,119 +169,83 @@ func (r *ExploreResult) Render() *report.Doc {
 	return doc
 }
 
-// BlockCheck selects how "blocked" is decided after a trigger, matching the
-// trigger domain class.
+// BlockCheck selects the trigger class of a timeout probe: which domain
+// triggers and how "blocked" is decided afterwards.
 type BlockCheck int
 
 // Block checks.
 const (
-	// CheckSNI1: downstream response rewritten to RST/ACK.
+	// CheckSNI1: an SNI-I trigger; the downstream response is rewritten to
+	// RST/ACK.
 	CheckSNI1 BlockCheck = iota
-	// CheckSNI2: upstream markers after the trigger get dropped.
+	// CheckSNI2: an SNI-II trigger; upstream markers after it get dropped.
 	CheckSNI2
 )
 
-// TimeoutProbe measures whether blocking occurs for a sequence with a sleep
-// inserted at sleepAt (ops before it play, then the clock advances, then the
-// rest), per Fig. 5's protocol. Because devices miss a small fraction of
-// triggers (Table 1), the probe retries on fresh flows: a single blocked
-// observation is conclusive, repeated passes are.
-func TimeoutProbe(lab *topo.Lab, vantage string, seq []Op, sleepAt int, sleep time.Duration, check BlockCheck) bool {
-	for attempt := 0; attempt < 3; attempt++ {
-		if timeoutProbeOnce(lab, vantage, seq, sleepAt, sleep, check) {
-			return true
-		}
+// trigger sends the check's triggering ClientHello.
+func (c BlockCheck) trigger(f *Flow) {
+	domain := DomainSNI2
+	if c == CheckSNI1 {
+		domain = DomainSNI1
 	}
-	return false
-}
-
-func timeoutProbeOnce(lab *topo.Lab, vantage string, seq []Op, sleepAt int, sleep time.Duration, check BlockCheck) bool {
-	v := vantageOf(lab, vantage)
-	f := NewFlow(lab, v.Stack, lab.US1, 443)
-	defer f.Close()
-	playSeq(f, seq[:sleepAt])
-	f.Sleep(sleep)
-	playSeq(f, seq[sleepAt:])
-	switch check {
-	case CheckSNI1:
-		f.L(packet.FlagsPSHACK, CH(DomainSNI1))
-		f.R(packet.FlagsPSHACK, []byte("SERVERHELLO"))
-		return f.LastLocalRST()
-	default:
-		f.L(packet.FlagsPSHACK, CH(DomainSNI2))
-		before := len(f.RemoteGot)
-		for i := 0; i < 12; i++ {
-			f.L(packet.FlagsPSHACK, []byte("marker"))
-		}
-		return len(f.RemoteGot)-before < 12
-	}
-}
-
-// EstimateTimeout bisects the sleep duration at which the blocking verdict
-// flips, within [lo, hi] at 1-second resolution. It returns the estimated
-// timeout and the verdicts at the extremes; ok is false when no transition
-// exists in range.
-func EstimateTimeout(lab *topo.Lab, vantage string, seq []Op, sleepAt int, check BlockCheck, lo, hi time.Duration) (time.Duration, bool) {
-	atLo := TimeoutProbe(lab, vantage, seq, sleepAt, lo, check)
-	atHi := TimeoutProbe(lab, vantage, seq, sleepAt, hi, check)
-	if atLo == atHi {
-		return 0, false
-	}
-	for hi-lo > time.Second {
-		mid := (lo + hi) / 2
-		if TimeoutProbe(lab, vantage, seq, sleepAt, mid, check) == atLo {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, true
-}
-
-// BlockTimeoutProbe measures whether a previously-installed blocking state
-// is still active after a sleep: trigger first, sleep, then probe. Retries
-// absorb trigger-miss noise like TimeoutProbe.
-func BlockTimeoutProbe(lab *topo.Lab, vantage string, domain string, sleep time.Duration, check BlockCheck) bool {
-	for attempt := 0; attempt < 3; attempt++ {
-		if blockTimeoutProbeOnce(lab, vantage, domain, sleep, check) {
-			return true
-		}
-	}
-	return false
-}
-
-func blockTimeoutProbeOnce(lab *topo.Lab, vantage string, domain string, sleep time.Duration, check BlockCheck) bool {
-	v := vantageOf(lab, vantage)
-	f := NewFlow(lab, v.Stack, lab.US1, 443)
-	defer f.Close()
-	f.L(packet.FlagSYN, nil)
-	f.R(packet.FlagsSYNACK, nil)
-	f.L(packet.FlagACK, nil)
 	f.L(packet.FlagsPSHACK, CH(domain))
-	f.Sleep(sleep)
-	switch check {
-	case CheckSNI1:
-		f.R(packet.FlagsPSHACK, []byte("SERVERHELLO")) // probe downstream
-		return f.LastLocalRST()
-	default:
-		before := len(f.RemoteGot)
-		for i := 0; i < 12; i++ {
-			f.L(packet.FlagsPSHACK, []byte("marker"))
-		}
-		return len(f.RemoteGot)-before < 12
+}
+
+// blocked reads the check's verdict after the trigger.
+func (c BlockCheck) blocked(f *Flow) bool {
+	if c == CheckSNI1 {
+		return f.downstreamRST()
+	}
+	return f.markersDropped()
+}
+
+// sleepProbe is the Fig. 5 protocol: on a fresh flow, script a sequence
+// with a sleep of the probed length somewhere in it, then read the check's
+// verdict. Retried against trigger misses.
+func sleepProbe(p Path, check BlockCheck, script func(f *Flow, sleep time.Duration)) func(time.Duration) bool {
+	return func(sleep time.Duration) bool {
+		return retried(func() bool {
+			f := NewFlow(p, 443)
+			defer f.Close()
+			script(f, sleep)
+			return check.blocked(f)
+		})
 	}
 }
 
-// EstimateBlockTimeout bisects how long a blocking state persists.
-func EstimateBlockTimeout(lab *topo.Lab, vantage, domain string, check BlockCheck, lo, hi time.Duration) (time.Duration, bool) {
-	atLo := BlockTimeoutProbe(lab, vantage, domain, lo, check)
-	atHi := BlockTimeoutProbe(lab, vantage, domain, hi, check)
-	if atLo == atHi {
+// stateProbe measures whether blocking occurs for a sequence with the sleep
+// inserted at sleepAt (ops before it play, then the clock advances, then
+// the rest, then the trigger): how long the prefix's conntrack state lasts.
+func stateProbe(p Path, seq []Op, sleepAt int, check BlockCheck) func(time.Duration) bool {
+	return sleepProbe(p, check, func(f *Flow, sleep time.Duration) {
+		f.play(seq[:sleepAt])
+		f.Sleep(sleep)
+		f.play(seq[sleepAt:])
+		check.trigger(f)
+	})
+}
+
+// holdProbe measures whether an installed blocking state is still active
+// after a sleep: handshake, trigger, sleep, then the check.
+func holdProbe(p Path, check BlockCheck) func(time.Duration) bool {
+	return sleepProbe(p, check, func(f *Flow, sleep time.Duration) {
+		f.Handshake()
+		check.trigger(f)
+		f.Sleep(sleep)
+	})
+}
+
+// bisect finds, at 1-second resolution, the sleep in [1 s, 600 s] at which
+// probe's verdict flips; ok is false when both ends agree.
+func bisect(probe func(time.Duration) bool) (d time.Duration, ok bool) {
+	lo, hi := time.Second, 600*time.Second
+	atLo := probe(lo)
+	if probe(hi) == atLo {
 		return 0, false
 	}
 	for hi-lo > time.Second {
 		mid := (lo + hi) / 2
-		if BlockTimeoutProbe(lab, vantage, domain, mid, check) == atLo {
+		if probe(mid) == atLo {
 			lo = mid
 		} else {
 			hi = mid
@@ -307,43 +267,37 @@ type Table2Row struct {
 // ER-Telecom, the single-device vantage, to avoid multi-device interactions
 // (the paper TTL-limited triggers for the same reason, footnote 2).
 func Table2(lab *topo.Lab) []Table2Row {
-	v := topo.ERTelecom
+	p := VantagePath(lab, topo.ERTelecom)
 	var rows []Table2Row
-	add := func(label string, d time.Duration, ok bool, state string, paper time.Duration) {
+	add := func(label string, probe func(time.Duration) bool, state string, paper time.Duration) {
+		d, ok := bisect(probe)
 		rows = append(rows, Table2Row{label, d, ok, state, paper})
 	}
 
 	// Remote.SYN; SLEEP; Local.SYN; Remote.SA; Local trigger -> SYN_SENT.
-	d, ok := EstimateTimeout(lab, v, []Op{Rs, Ls, Rsa}, 1, CheckSNI2, time.Second, 600*time.Second)
-	add("Remote SYN; SLEEP; Local.SYN; Remote.SA; Local Trigger", d, ok, "SYN_SENT", 60*time.Second)
-
+	add("Remote SYN; SLEEP; Local.SYN; Remote.SA; Local Trigger",
+		stateProbe(p, []Op{Rs, Ls, Rsa}, 1, CheckSNI2), "SYN_SENT", 60*time.Second)
 	// Local.SYN; Remote.SYN; Local.A; SLEEP; trigger -> SYN_RCVD. Uses an
 	// SNI-I domain: within the timeout the confused role exempts SNI-I.
-	d, ok = EstimateTimeout(lab, v, []Op{Ls, Rs, La}, 3, CheckSNI1, time.Second, 600*time.Second)
-	add("Local.SYN; Remote.SYN; Local.A; SLEEP; Local Trigger", d, ok, "SYN_RCVD", 105*time.Second)
-
+	add("Local.SYN; Remote.SYN; Local.A; SLEEP; Local Trigger",
+		stateProbe(p, []Op{Ls, Rs, La}, 3, CheckSNI1), "SYN_RCVD", 105*time.Second)
 	// Local.SYN; Remote.SA; SLEEP; Remote.ACK; trigger -> ESTABLISHED.
-	d, ok = EstimateTimeout(lab, v, []Op{Ls, Rsa, Ra}, 2, CheckSNI2, time.Second, 600*time.Second)
-	add("Local.SYN; Remote.SA; SLEEP; Remote.ACK; Local Trigger", d, ok, "ESTABLISHED", 480*time.Second)
+	add("Local.SYN; Remote.SA; SLEEP; Remote.ACK; Local Trigger",
+		stateProbe(p, []Op{Ls, Rsa, Ra}, 2, CheckSNI2), "ESTABLISHED", 480*time.Second)
 
 	// Blocking-state holds.
-	d, ok = EstimateBlockTimeout(lab, v, DomainSNI1, CheckSNI1, time.Second, 600*time.Second)
-	add("Local Trigger(SNI-I); SLEEP", d, ok, "SNI-I", 75*time.Second)
-	d, ok = EstimateBlockTimeout(lab, v, DomainSNI2, CheckSNI2, time.Second, 600*time.Second)
-	add("Local Trigger(SNI-II); SLEEP", d, ok, "SNI-II", 420*time.Second)
-	d, ok = estimateSNI4Timeout(lab, v)
-	add("Local Trigger(SNI-IV); SLEEP", d, ok, "SNI-IV", 40*time.Second)
-	d, ok = estimateQUICTimeout(lab, v)
-	add("Local Trigger(QUIC); SLEEP", d, ok, "QUIC", 420*time.Second)
+	add("Local Trigger(SNI-I); SLEEP", holdProbe(p, CheckSNI1), "SNI-I", 75*time.Second)
+	add("Local Trigger(SNI-II); SLEEP", holdProbe(p, CheckSNI2), "SNI-II", 420*time.Second)
+	add("Local Trigger(SNI-IV); SLEEP", sni4HoldProbe(p), "SNI-IV", 40*time.Second)
+	add("Local Trigger(QUIC); SLEEP", quicHoldProbe(p), "QUIC", 420*time.Second)
 	return rows
 }
 
-// estimateSNI4Timeout installs the SNI-IV drop-all (split-handshake prefix)
-// then bisects how long upstream packets stay dropped.
-func estimateSNI4Timeout(lab *topo.Lab, vantage string) (time.Duration, bool) {
-	probe := func(sleep time.Duration) bool {
-		v := vantageOf(lab, vantage)
-		f := NewFlow(lab, v.Stack, lab.US1, 443)
+// sni4HoldProbe installs the SNI-IV drop-all (split-handshake prefix), then
+// reports whether an upstream packet is still dropped after the sleep.
+func sni4HoldProbe(p Path) func(time.Duration) bool {
+	return func(sleep time.Duration) bool {
+		f := NewFlow(p, 443)
 		defer f.Close()
 		f.L(packet.FlagSYN, nil)
 		f.R(packet.FlagSYN, nil) // split handshake: role confusion
@@ -355,27 +309,26 @@ func estimateSNI4Timeout(lab *topo.Lab, vantage string) (time.Duration, bool) {
 		f.L(packet.FlagsPSHACK, []byte("marker"))
 		return len(f.RemoteGot) == before // still dropping
 	}
-	return bisectBool(probe, time.Second, 600*time.Second)
 }
 
-func estimateQUICTimeout(lab *topo.Lab, vantage string) (time.Duration, bool) {
-	v := vantageOf(lab, vantage)
-	probe := func(sleep time.Duration) bool {
-		sport := v.Stack.EphemeralPort()
+// quicHoldProbe triggers the QUIC filter, then reports whether a datagram on
+// the same flow is still dropped after the sleep.
+func quicHoldProbe(p Path) func(time.Duration) bool {
+	return func(sleep time.Duration) bool {
+		sport := p.Local.EphemeralPort()
 		got := 0
-		lab.US1.BindUDP(443, func(p *packet.Packet) {
-			if p.UDP.SrcPort == sport {
+		p.Remote.BindUDP(443, func(pkt *packet.Packet) {
+			if pkt.UDP.SrcPort == sport {
 				got++
 			}
 		})
-		v.Stack.SendUDP(lab.US1.Addr(), sport, 443, quicTriggerPayload())
-		lab.Sim.Run()
-		lab.Sim.RunUntil(lab.Sim.Now() + sleep)
-		v.Stack.SendUDP(lab.US1.Addr(), sport, 443, []byte("after-sleep"))
-		lab.Sim.Run()
+		p.Local.SendUDP(p.Remote.Addr(), sport, 443, quicTriggerPayload())
+		p.Sim.Run()
+		p.Sim.RunUntil(p.Sim.Now() + sleep)
+		p.Local.SendUDP(p.Remote.Addr(), sport, 443, []byte("after-sleep"))
+		p.Sim.Run()
 		return got < 2 // the post-sleep packet was dropped
 	}
-	return bisectBool(probe, time.Second, 600*time.Second)
 }
 
 func quicTriggerPayload() []byte {
@@ -383,23 +336,6 @@ func quicTriggerPayload() []byte {
 	b[0] = 0xc0
 	b[4] = 0x01
 	return b
-}
-
-// bisectBool finds the 1-second boundary where probe flips.
-func bisectBool(probe func(time.Duration) bool, lo, hi time.Duration) (time.Duration, bool) {
-	atLo := probe(lo)
-	if probe(hi) == atLo {
-		return 0, false
-	}
-	for hi-lo > time.Second {
-		mid := (lo + hi) / 2
-		if probe(mid) == atLo {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, true
 }
 
 // Table8Row is one row of Table 8.
@@ -441,24 +377,21 @@ var table8Sequences = []struct {
 // Table8 measures action and timeout for each listed sequence with an
 // SNI-II trigger, as in the paper (t = SNI-II).
 func Table8(lab *topo.Lab) []Table8Row {
-	v := topo.ERTelecom
+	p := VantagePath(lab, topo.ERTelecom)
 	var rows []Table8Row
 	for _, s := range table8Sequences {
-		blockedNow := TimeoutProbe(lab, v, s.seq, len(s.seq), 0, CheckSNI2)
+		probe := stateProbe(p, s.seq, len(s.seq), CheckSNI2)
 		action := "PASS"
-		if blockedNow {
+		if probe(0) {
 			action = "DROP"
 		}
 		// Timeout: how long the prefix state persists — sleep between
 		// prefix and trigger. For empty prefixes, measure the blocking
 		// state's own timeout instead.
-		var d time.Duration
-		var ok bool
 		if len(s.seq) == 0 {
-			d, ok = EstimateBlockTimeout(lab, v, DomainSNI2, CheckSNI2, time.Second, 600*time.Second)
-		} else {
-			d, ok = EstimateTimeout(lab, v, s.seq, len(s.seq), CheckSNI2, time.Second, 600*time.Second)
+			probe = holdProbe(p, CheckSNI2)
 		}
+		d, ok := bisect(probe)
 		rows = append(rows, Table8Row{
 			Seq: s.label, Timeout: d, Found: ok, Action: action,
 			PaperVal: time.Duration(s.paperVal) * time.Second, PaperAct: s.paperAct,
