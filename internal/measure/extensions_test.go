@@ -83,23 +83,6 @@ func TestTimelineReplay(t *testing.T) {
 	}
 }
 
-func TestResidualCensorship(t *testing.T) {
-	lab := topo.Build(topo.Options{Seed: 53, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
-	res := ResidualCensorship(lab)
-	if !res.ReusedPortBlocked {
-		t.Fatal("reused port saw no residual censorship")
-	}
-	if res.FreshPortBlocked {
-		t.Fatal("fresh port was blocked")
-	}
-	if res.ReusedAfterExpiry {
-		t.Fatal("residual state outlived the SNI-I hold")
-	}
-	if res.Render().String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestWebConnectivityLayers(t *testing.T) {
 	lab := topo.Build(topo.Options{Seed: 54, Endpoints: 40, ASes: 4, TrancoN: 200, RegistryN: 200})
 	// Sample registry domains plus controls.
