@@ -30,9 +30,7 @@ type DeviceRow struct {
 // blocked-IP dials, fragmented probes) from every vantage, then snapshots
 // the fleet.
 func Devices(lab *topo.Lab) *DeviceReport {
-	lab.US1.Listen(443, hostnet.ListenOptions{
-		OnData: func(c *hostnet.TCPConn, d []byte) { c.Send([]byte("SERVERHELLO")) },
-	})
+	serveHello(lab.US1)
 	for _, v := range lab.Vantages {
 		for _, domain := range []string{DomainSNI1, DomainSNI2, DomainSNI14, DomainControl} {
 			conn := v.Stack.Dial(lab.US1.Addr(), 443, hostnet.DialOptions{})

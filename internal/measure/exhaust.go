@@ -34,9 +34,7 @@ func StateExhaustion(lab *topo.Lab) *ExhaustResult {
 	res := &ExhaustResult{FloodFlows: flood}
 	v := vantageOf(lab, topo.ERTelecom)
 	dev := v.Devices[0]
-	lab.US1.Listen(443, hostnet.ListenOptions{
-		OnData: func(c *hostnet.TCPConn, d []byte) { c.Send([]byte("SERVERHELLO")) },
-	})
+	serveHello(lab.US1)
 
 	for _, bound := range []int{0, 100000, 10000, 1000, 256} {
 		dev.SetMaxFlows(bound)

@@ -34,9 +34,7 @@ func ObservatoryComparison(lab *topo.Lab, trials int) *ObservatoryResult {
 		trials = 20
 	}
 	res := &ObservatoryResult{Trials: trials, Rates: make(map[string]map[string]float64)}
-	lab.US1.Listen(443, hostnet.ListenOptions{
-		OnData: func(c *hostnet.TCPConn, d []byte) { c.Send([]byte("SERVERHELLO")) },
-	})
+	serveHello(lab.US1)
 	v := vantageOf(lab, topo.ERTelecom)
 
 	// An in-country echo host for the Censored Planet style probe: remote

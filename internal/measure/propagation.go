@@ -38,9 +38,7 @@ func PolicyPropagation(lab *topo.Lab, jitter time.Duration) *PropagationResult {
 		Onset:              map[string]time.Duration{},
 		ISPResolverAdopted: map[string]bool{},
 	}
-	lab.US1.Listen(443, hostnet.ListenOptions{
-		OnData: func(c *hostnet.TCPConn, d []byte) { c.Send([]byte("SERVERHELLO")) },
-	})
+	serveHello(lab.US1)
 	vantages := []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT}
 	for _, v := range vantages {
 		res.Onset[v] = -1
