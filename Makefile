@@ -22,7 +22,7 @@ ENGINE_BENCH_PATTERN = ^(BenchmarkEngine_Passthrough$$|BenchmarkEngine_TLSMix$$|
 
 all: check
 
-check: vet perfbench-check lint escapes build test pooldebug conformance race race-lanes crosscensor armsrace
+check: vet perfbench-check lint escapes build test pooldebug conformance race race-lanes crosscensor armsrace fleet-smoke
 
 # vet also fails on any Go file outside testdata/ that gofmt would change.
 vet:
