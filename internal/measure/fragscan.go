@@ -93,7 +93,7 @@ func FragScan(lab *topo.Lab, withTor, localize bool) *FragScanResult {
 		totalAS[ep.AS.Number] = true
 		// Control: must answer plain and 2-fragment SYNs (the paper removed
 		// endpoints failing these before testing).
-		p := Path{Sim: lab.Sim, Local: lab.Paris, Remote: ep.Stack}
+		p := Path{Sim: lab.Sim, Local: lab.Paris, Remote: ep.Stack()}
 		v.Responsive = plainProbe(p, ep.Port) && fragProbe(p, ep.Port, 2, 0)
 		if v.Responsive {
 			r45 := fragProbe(p, ep.Port, 45, 0)

@@ -11,44 +11,6 @@ func remoteLab(t *testing.T) *topo.Lab {
 	return topo.Build(topo.Options{Seed: 12, Endpoints: 240, ASes: 20, EchoServers: 60, TrancoN: 100, RegistryN: 100})
 }
 
-func TestTTLLocalize(t *testing.T) {
-	lab := remoteLab(t)
-	for _, name := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
-		res := TTLLocalize(lab, name, 10)
-		if res.TriggerTTL == 0 {
-			t.Fatalf("%s: no device found", name)
-		}
-		// Paper: within the first three hops; our topologies put the
-		// symmetric device on the access-agg link (trigger TTL 2).
-		if res.TriggerTTL > 3 {
-			t.Fatalf("%s: device at trigger TTL %d", name, res.TriggerTTL)
-		}
-		if res.Render().String() == "" {
-			t.Fatal("empty render")
-		}
-	}
-}
-
-func TestPartialVisibility(t *testing.T) {
-	lab := remoteLab(t)
-	// Rostelecom and OBIT have upstream-only devices; ER-Telecom does not.
-	rt := PartialVisibility(lab, topo.Rostelecom, 12)
-	if len(rt.UpstreamOnlyTTLs) == 0 {
-		t.Fatal("rostelecom: upstream-only device not detected")
-	}
-	obit := PartialVisibility(lab, topo.OBIT, 12)
-	if len(obit.UpstreamOnlyTTLs) == 0 {
-		t.Fatal("obit: upstream-only device not detected")
-	}
-	ert := PartialVisibility(lab, topo.ERTelecom, 12)
-	if len(ert.UpstreamOnlyTTLs) != 0 {
-		t.Fatalf("ertelecom: spurious upstream-only device at %v", ert.UpstreamOnlyTTLs)
-	}
-	if rt.Render().String() == "" || ert.Render().String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestEchoMeasure(t *testing.T) {
 	lab := remoteLab(t)
 	res := EchoMeasure(lab, 20)

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -147,6 +148,24 @@ func TestReliabilitySmall(t *testing.T) {
 	}
 	if res.Render() == "" {
 		t.Fatal("render empty")
+	}
+}
+
+// TestTable1BuildsNoEndpoint: Table 1 probes from the vantages to the US and
+// Paris machines only, so on a default lab it must leave every scan endpoint
+// a plain record, with no host, access link or stack built: no link may
+// carry an endpoint address.
+func TestTable1BuildsNoEndpoint(t *testing.T) {
+	lab := topo.Build(topo.Options{Seed: 1})
+	Reliability(lab, 5)
+	endpoint := make(map[netip.Addr]bool, len(lab.Endpoints))
+	for _, ep := range lab.Endpoints {
+		endpoint[ep.Addr] = true
+	}
+	for _, l := range lab.Net.Links() {
+		if endpoint[l.A().Addr()] || endpoint[l.B().Addr()] {
+			t.Fatalf("Table 1 built the endpoint on %s -- %s", l.A(), l.B())
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package netem
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 )
 
 // routeTable is a node's longest-prefix-match index. Every prefix length in
@@ -16,6 +17,15 @@ type routeTable struct {
 	def *Iface
 	// byLen holds one table per prefix length in use, longest first.
 	byLen []prefixTable
+	// lazy holds the prefixes whose routes are built on demand
+	// (Node.AddLazyRoute). It is empty on nearly every node.
+	lazy []lazyPrefix
+}
+
+type lazyPrefix struct {
+	bits      int
+	mask, key uint32
+	build     func(dst netip.Addr)
 }
 
 type prefixTable struct {
@@ -49,18 +59,59 @@ func (rt *routeTable) add(prefix netip.Prefix, out *Iface) {
 	t.out[addr4(prefix.Addr())&t.mask] = out
 }
 
+func (rt *routeTable) addLazy(prefix netip.Prefix, build func(netip.Addr)) {
+	mask := ^uint32(0) << (32 - prefix.Bits())
+	rt.lazy = append(rt.lazy, lazyPrefix{bits: prefix.Bits(), mask: mask, key: addr4(prefix.Addr()) & mask, build: build})
+}
+
 func (rt *routeTable) lookup(dst netip.Addr) *Iface {
 	if !dst.Is4() {
 		return nil
 	}
 	k := addr4(dst)
+	out, bits := rt.match(k)
+	for i := range rt.lazy {
+		if lz := &rt.lazy[i]; lz.bits > bits && k&lz.mask == lz.key {
+			lz.build(dst)
+			out, _ = rt.match(k)
+			break
+		}
+	}
+	return out
+}
+
+// match is the longest-prefix match over the built routes; it returns the
+// output interface and the matched prefix length (0 for the default route
+// or no route).
+func (rt *routeTable) match(k uint32) (*Iface, int) {
 	for i := range rt.byLen {
 		t := &rt.byLen[i]
 		if out, ok := t.out[k&t.mask]; ok {
-			return out
+			return out, t.bits
 		}
 	}
-	return rt.def
+	return rt.def, 0
+}
+
+func (rt *routeTable) list() []Route {
+	var out []Route
+	var keys []uint32
+	for _, t := range rt.byLen {
+		keys = keys[:0]
+		for key := range t.out {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			var a [4]byte
+			binary.BigEndian.PutUint32(a[:], key)
+			out = append(out, Route{netip.PrefixFrom(netip.AddrFrom4(a), t.bits), t.out[key]})
+		}
+	}
+	if rt.def != nil {
+		out = append(out, Route{netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0), rt.def})
+	}
+	return out
 }
 
 // addrScanMax is the interface count up to which HasAddr scans the

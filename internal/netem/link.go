@@ -86,6 +86,8 @@ type Link struct {
 	net   *Network
 	a, b  *Iface
 	delay time.Duration
+	// pos is the link's position in Network.Links.
+	pos int
 	// chain is the one-lane middlebox chain; its sink is the link itself
 	// (linkSink), which schedules far-end delivery.
 	chain Chain

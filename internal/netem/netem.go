@@ -14,6 +14,7 @@ package netem
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 	"time"
 
 	"tspusim/internal/packet"
@@ -29,6 +30,9 @@ type Network struct {
 	Sim   *sim.Sim
 	nodes map[string]*Node
 	links []*Link
+	// nextLinkPos is the position in Links' build order that the next
+	// ReserveLink hands out.
+	nextLinkPos int
 	// freeDeliveries recycles pending-delivery records (struct + bound
 	// closure); every in-flight hop otherwise allocates a fresh closure, the
 	// single largest allocation site in whole-lab profiles. The network is
@@ -80,8 +84,8 @@ func New(s *sim.Sim) *Network {
 // Node returns the named node, or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
-// Nodes returns all nodes (map iteration order is not deterministic; callers
-// that need determinism should track their own lists).
+// Links returns every link in build order: the order of Connect calls, with
+// a link made by ConnectAt at the position its ReserveLink call held.
 func (n *Network) Links() []*Link { return n.links }
 
 // AddHost adds an end host. Hosts deliver packets addressed to them to their
@@ -196,8 +200,31 @@ func (nd *Node) AddDefaultRoute(out *Iface) {
 	nd.AddRoute(netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0), out)
 }
 
+// AddLazyRoute makes prefix, an IPv4 prefix, a range whose routes are built
+// on demand: a lookup for an address in prefix that finds no route longer
+// than prefix first calls build(dst), which may add routes, and then looks
+// again. A lab uses it to build an endpoint host the first time something
+// routes to it. build runs on every such lookup, so it must be cheap when
+// there is nothing left to build, and it must draw from no seeded stream, or
+// building on demand would change what a seed produces. Nodes without a lazy
+// route pay nothing for the hook.
+func (nd *Node) AddLazyRoute(prefix netip.Prefix, build func(dst netip.Addr)) {
+	nd.routes.addLazy(prefix, build)
+}
+
 // Lookup returns the output interface for dst, or nil if unroutable.
 func (nd *Node) Lookup(dst netip.Addr) *Iface { return nd.routes.lookup(dst) }
+
+// Route is one entry of a node's routing table.
+type Route struct {
+	Prefix netip.Prefix
+	Out    *Iface
+}
+
+// Routes returns the node's routing table, longest prefix first and in
+// address order within a length, the default route last. It is for
+// inspection (dumps, digests), not for the packet path.
+func (nd *Node) Routes() []Route { return nd.routes.list() }
 
 // Send originates a packet from this node: it is routed out the node's
 // table without TTL decrement (the IP stack of the sender sets TTL). The
@@ -302,13 +329,31 @@ func (i *Iface) String() string {
 
 // Connect joins two interfaces with a link of the given one-way delay.
 func (n *Network) Connect(a, b *Iface, delay time.Duration) *Link {
+	return n.ConnectAt(n.ReserveLink(), a, b, delay)
+}
+
+// ReserveLink holds the next position in Links for a link that ConnectAt
+// makes later. A topology that builds some links only when traffic first
+// needs them reserves their positions up front, so Links lists them where
+// building everything at once would have.
+func (n *Network) ReserveLink() int {
+	n.nextLinkPos++
+	return n.nextLinkPos - 1
+}
+
+// ConnectAt is Connect for a link whose position in Links was reserved
+// with ReserveLink.
+func (n *Network) ConnectAt(pos int, a, b *Iface, delay time.Duration) *Link {
 	if a.link != nil || b.link != nil {
 		panic("netem: interface already linked")
 	}
-	l := &Link{net: n, a: a, b: b, delay: delay}
+	l := &Link{net: n, a: a, b: b, delay: delay, pos: pos}
 	l.chain = Chain{sim: n.Sim, sink: (*linkSink)(l)}
 	a.link = l
 	b.link = l
-	n.links = append(n.links, l)
+	i := sort.Search(len(n.links), func(i int) bool { return n.links[i].pos > pos })
+	n.links = append(n.links, nil)
+	copy(n.links[i+1:], n.links[i:])
+	n.links[i] = l
 	return l
 }

@@ -520,6 +520,71 @@ func TestLinkTraversalDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestLazyRoute builds a host behind r the first time a lookup at r falls
+// into its lazy prefix, at the link position reserved for it, and checks
+// that addresses with a route or with nothing to build fall through as
+// usual, without allocating once built.
+func TestLazyRoute(t *testing.T) {
+	s := sim.New()
+	n := New(s)
+	a, r := n.AddHost("a"), n.AddRouter("r")
+	ai, ra := a.AddIface(packet.MustAddr("10.0.0.1")), r.AddIface(packet.MustAddr("10.0.0.2"))
+	n.Connect(ai, ra, time.Millisecond)
+	a.AddDefaultRoute(ai)
+	r.AddDefaultRoute(ra)
+	pos := n.ReserveLink()
+	later := n.Connect(n.AddHost("c").AddIface(packet.MustAddr("10.3.0.1")), r.AddIface(packet.MustAddr("10.3.0.2")), time.Millisecond)
+	var built []netip.Addr
+	var b *Node
+	r.AddLazyRoute(pfx("10.9.0.0/24"), func(dst netip.Addr) {
+		built = append(built, dst)
+		if dst != packet.MustAddr("10.9.0.5") || b != nil {
+			return
+		}
+		b = n.AddHost("b")
+		bi, rb := b.AddIface(dst), r.AddIface(packet.MustAddr("10.9.1.1"))
+		n.ConnectAt(pos, bi, rb, time.Millisecond)
+		b.AddDefaultRoute(bi)
+		r.AddRoute(netip.PrefixFrom(dst, 32), rb)
+	})
+	if len(built) != 0 || len(n.Links()) != 2 {
+		t.Fatalf("built %v and %d links before any traffic", built, len(n.Links()))
+	}
+	if out := r.Lookup(packet.MustAddr("10.0.0.1")); out != ra || len(built) != 0 {
+		t.Fatalf("lookup outside the lazy prefix: out %v, built %v", out, built)
+	}
+	delivered := 0
+	send := func() {
+		a.Send(packet.NewTCP(a.Addr(), packet.MustAddr("10.9.0.5"), 40000, 80, packet.FlagSYN, 1, 0, nil))
+		s.Run()
+	}
+	send()
+	if b == nil {
+		t.Fatal("routing to 10.9.0.5 did not build its host")
+	}
+	b.SetHandler(func(*packet.Packet) { delivered++ })
+	send()
+	if delivered != 1 || b.DropLocal != 1 {
+		t.Fatalf("delivered %d, dropped %d, want one of each", delivered, b.DropLocal)
+	}
+	if links := n.Links(); len(links) != 3 || links[1].A().Node() != b || links[2] != later {
+		t.Fatalf("the built link is not at its reserved position: %v", links)
+	}
+	// Built: the /32 wins and the hook stays quiet.
+	if allocs := testing.AllocsPerRun(100, func() { r.Lookup(packet.MustAddr("10.9.0.5")) }); allocs != 0 || len(built) != 1 {
+		t.Fatalf("built lookup: %.1f allocs, build calls %v", allocs, built)
+	}
+	// Nothing to build at .6: the hook runs and the lookup falls through to
+	// the default route.
+	if out := r.Lookup(packet.MustAddr("10.9.0.6")); out != ra || len(built) != 2 {
+		t.Fatalf("lookup of an unbuilt address: out %v, build calls %v", out, built)
+	}
+	want := []Route{{pfx("10.9.0.5/32"), r.Lookup(packet.MustAddr("10.9.0.5"))}, {pfx("0.0.0.0/0"), ra}}
+	if got := r.Routes(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Routes() = %v, want %v", got, want)
+	}
+}
+
 // TestLookupMatchesLinearScan checks the indexed routing table against a
 // linear scan of the documented rule (longest prefix wins, the most recently
 // added among equal prefixes) over seeded random tables mixing default

@@ -158,9 +158,17 @@ func Lookup(entries []Entry, domain string) []Entry {
 // FromWorkload converts generated workload domains into registry entries
 // with plausible metadata: resolved IPs, issuing agency, order number, and
 // an added-date — after 2022-02-24 for wartime additions, spread over the
-// preceding months otherwise.
+// preceding months otherwise. It takes one draw from rng, the fork of its
+// own stream.
 func FromWorkload(rng *sim.Rand, domains []workload.Domain) []Entry {
-	r := rng.Fork("registry-dump")
+	return FromStream(rng.Fork("registry-dump"), domains)
+}
+
+// FromStream is FromWorkload on the stream FromWorkload forks from rng as
+// "registry-dump". A caller that forks that stream itself takes
+// FromWorkload's one draw from rng at once and can make the entries later,
+// or never.
+func FromStream(r *sim.Rand, domains []workload.Domain) []Entry {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	war := time.Date(2022, 2, 24, 0, 0, 0, 0, time.UTC)
 	out := make([]Entry, 0, len(domains))

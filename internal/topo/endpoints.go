@@ -246,32 +246,28 @@ func (l *Lab) buildAS(r *sim.Rand, as *AS, core *netem.Node, providers []*netem.
 
 	perEndpointDevice := as.Deploy == DeploySymmetric && as.DeviceDepth == 1
 
-	// Endpoints hang off ASr on individual links.
+	// Endpoints hang off ASr on individual links. Only their records are
+	// made here: each reserves its addresses and its place in Net.Links, and
+	// Endpoint.Stack builds the host the first time a lookup at ASr resolves
+	// into the POP's prefix.
+	as.lab = l
+	asr.AddLazyRoute(as.Prefix, as.buildEndpoint)
 	base := as.Prefix.Addr().As4()
 	for k := 0; k < count; k++ {
-		host := n.AddHost(asName(as, "e"+itoa(k)))
-		addr := netip.AddrFrom4([4]byte{base[0], base[1], base[2], byte(10 + k)})
-		hi := host.AddIface(addr)
-		ra, _ := l.transferPair()
-		ri := asr.AddIface(ra)
-		link := n.Connect(hi, ri, l.Opts.LinkDelay)
-		host.AddDefaultRoute(hi)
-		asr.AddRoute(netip.PrefixFrom(addr, 32), ri)
-
 		ep := &Endpoint{
-			Addr: addr,
-			AS:   as,
-			Port: sim.Pick(r, portMixes[as.Kind]),
+			Addr:     netip.AddrFrom4([4]byte{base[0], base[1], base[2], byte(10 + k)}),
+			AS:       as,
+			Port:     sim.Pick(r, portMixes[as.Kind]),
+			index:    k,
+			transfer: l.reserveTransfer(),
+			linkPos:  n.ReserveLink(),
 		}
 		if perEndpointDevice {
 			// Host is the A side of its access link; local→remote is
 			// host→ASr = AtoB.
-			dev := l.newDevice(asName(as, "tspu-cpe"+itoa(k)), netem.AtoB, nil)
-			link.Attach(dev)
-			as.Device = dev
+			ep.cpe = l.newDevice(asName(as, "tspu-cpe"+itoa(k)), netem.AtoB, nil)
+			as.Device = ep.cpe
 		}
-		ep.Stack = hostnet.NewStack(n, host)
-		ep.Stack.Listen(ep.Port, hostnet.ListenOptions{})
 		switch {
 		case as.Deploy == DeploySymmetric, as.Deploy == DeployUpstreamProvider:
 			ep.BehindTSPU = true
@@ -289,6 +285,45 @@ func (l *Lab) buildAS(r *sim.Rand, as *AS, core *netem.Node, providers []*netem.
 
 	// Echo servers and Nmap labels are assigned lab-wide afterwards.
 	l.assignEchoAndLabels(r, as)
+}
+
+// buildEndpoint is the AS router's lazy route: it builds the endpoint at
+// dst, if dst is one and it is not built yet.
+func (as *AS) buildEndpoint(dst netip.Addr) {
+	if k := int(dst.As4()[3]) - 10; k >= 0 && k < len(as.Endpoints) {
+		as.Endpoints[k].Stack()
+	}
+}
+
+// Stack returns the endpoint's host stack, building the endpoint first if
+// nothing has routed to it yet: the host and its interface, the AS router's
+// interface, the access link (with the endpoint's own device, if it has
+// one), the router's /32 route, the stack and its listeners. Building draws
+// nothing from the lab's random streams and takes the addresses and link
+// position reserved at lab build, so a lab is the same network whichever
+// endpoints have been built, and in whatever order.
+func (ep *Endpoint) Stack() *hostnet.Stack {
+	if ep.stack != nil {
+		return ep.stack
+	}
+	as, l := ep.AS, ep.AS.lab
+	n := l.Net
+	host := n.AddHost(asName(as, "e"+itoa(ep.index)))
+	hi := host.AddIface(ep.Addr)
+	ra, _ := transferAddrs(ep.transfer)
+	ri := as.Router.AddIface(ra)
+	link := n.ConnectAt(ep.linkPos, hi, ri, l.Opts.LinkDelay)
+	host.AddDefaultRoute(hi)
+	as.Router.AddRoute(netip.PrefixFrom(ep.Addr, 32), ri)
+	if ep.cpe != nil {
+		link.Attach(ep.cpe)
+	}
+	ep.stack = hostnet.NewStack(n, host)
+	ep.stack.Listen(ep.Port, hostnet.ListenOptions{})
+	if ep.Echo {
+		ep.stack.Listen(7, hostnet.ListenOptions{Echo: true})
+	}
+	return ep.stack
 }
 
 // assignEchoAndLabels marks some endpoints as echo servers with
@@ -312,10 +347,7 @@ func (l *Lab) assignEchoAndLabels(r *sim.Rand, as *AS) {
 		p *= 4
 	}
 	for _, ep := range as.Endpoints {
-		if r.Bool(p) {
-			ep.Echo = true
-			ep.Stack.Listen(7, hostnet.ListenOptions{Echo: true})
-		}
+		ep.Echo = r.Bool(p)
 	}
 }
 

@@ -162,14 +162,16 @@ type AS struct {
 	Router      *netem.Node
 	Prefix      netip.Prefix
 	Endpoints   []*Endpoint
+	// lab is the lab that builds the AS's endpoints on demand.
+	lab *Lab
 }
 
-// Endpoint is one scannable RU endpoint.
+// Endpoint is one scannable RU endpoint. Its network objects are built on
+// first use (Stack); until then it is a plain record.
 type Endpoint struct {
-	Addr  netip.Addr
-	AS    *AS
-	Port  uint16
-	Stack *hostnet.Stack
+	Addr netip.Addr
+	AS   *AS
+	Port uint16
 	// Echo marks a port-7 echo server.
 	Echo bool
 	// NmapLabel is the OS-detection label ("router", "switch", or "host");
@@ -182,6 +184,13 @@ type Endpoint struct {
 	BehindUpstreamOnly bool
 	// DeviceHops is ground truth hops from the endpoint to the device link.
 	DeviceHops int
+
+	// What Stack needs to build the endpoint: its index in AS.Endpoints
+	// (its host name), its router-side transfer /30, its access link's
+	// position in Net.Links, and its own device, if it has one.
+	index, transfer, linkPos int
+	cpe                      *tspu.Device
+	stack                    *hostnet.Stack
 }
 
 // Lab is the assembled measurement environment.
@@ -209,18 +218,35 @@ type Lab struct {
 	// Endpoints is the scan population, deterministic order.
 	Endpoints []*Endpoint
 
-	// Tranco and Registry are the §6 testing input lists.
+	// Tranco and Registry are the §6 testing input lists. Registry's
+	// elements must not be modified: RegistryDump reads their Name,
+	// InRegistry and AddedAfterFeb24 on first use, and no code writes them
+	// after buildWorkloadAndPolicy makes the list.
 	Tranco   []workload.Domain
 	Registry []workload.Domain
-	// RegistryDump is the z-i-format dump of the registry sample, the file
-	// format ISPs actually ingest (internal/registry).
-	RegistryDump []registry.Entry
 	// RegistryTSPUBlocked is how many registry-sample domains the TSPU
 	// enforces (paper: 9,655 of 10,000, scaled).
 	RegistryTSPUBlocked int
 
 	// addr allocation state
 	nextTransfer int
+
+	// registryStream is the stream RegistryDump draws from, forked at build
+	// where the dump used to be made; registryDump caches the dump.
+	registryStream *sim.Rand
+	registryDump   []registry.Entry
+}
+
+// RegistryDump returns the z-i-format dump of the registry sample, the file
+// format ISPs actually ingest (internal/registry). It is made on the first
+// call, from a stream forked at build, so it is the same dump whenever it is
+// first asked for.
+func (l *Lab) RegistryDump() []registry.Entry {
+	if l.registryStream != nil {
+		l.registryDump = registry.FromStream(l.registryStream, l.Registry)
+		l.registryStream = nil
+	}
+	return l.registryDump
 }
 
 // PaperScale returns the factor to multiply endpoint counts by when
@@ -241,12 +267,23 @@ const (
 	maxPOPs = (254 - 20) * 200
 )
 
-func (l *Lab) transferPair() (netip.Addr, netip.Addr) {
+// transferPair takes the next /30 of the transfer block and returns its two
+// host addresses.
+func (l *Lab) transferPair() (netip.Addr, netip.Addr) { return transferAddrs(l.reserveTransfer()) }
+
+// reserveTransfer takes the next /30 of the transfer block and returns its
+// number, for transferAddrs.
+func (l *Lab) reserveTransfer() int {
 	i := l.nextTransfer
 	if i >= maxTransferLinks {
 		panic(fmt.Sprintf("topo: the lab needs more than %d links, the capacity of its transfer block; lower Options.Endpoints", maxTransferLinks))
 	}
 	l.nextTransfer++
+	return i
+}
+
+// transferAddrs returns the two host addresses of transfer /30 number i.
+func transferAddrs(i int) (netip.Addr, netip.Addr) {
 	hi, lo := i/64, (i%64)*4
 	a := netip.AddrFrom4([4]byte{10, 255, byte(hi), byte(lo + 1)})
 	b := netip.AddrFrom4([4]byte{10, 255, byte(hi), byte(lo + 2)})
@@ -400,8 +437,14 @@ func (l *Lab) newDevice(name string, localDir netem.Direction, rates map[tspu.Bl
 
 // TopologyDOT renders the lab's node/link graph as Graphviz DOT: routers as
 // boxes, hosts as ellipses, TSPU-bearing links in red — a Fig. 1-style
-// overview of the measurement setup.
+// overview of the measurement setup. includeEndpoints builds every endpoint
+// not yet built, whose links Net.Links lists in build order.
 func (l *Lab) TopologyDOT(includeEndpoints bool) string {
+	if includeEndpoints {
+		for _, ep := range l.Endpoints {
+			ep.Stack()
+		}
+	}
 	var b strings.Builder
 	b.WriteString("graph tspusim {\n  layout=neato;\n  overlap=false;\n")
 	skip := func(name string) bool {

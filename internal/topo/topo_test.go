@@ -1,8 +1,12 @@
 package topo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net/netip"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"tspusim/internal/hostnet"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
+	"tspusim/internal/registry"
 	"tspusim/internal/tlsx"
 )
 
@@ -324,17 +329,30 @@ func TestFragScanGroundTruthSignal(t *testing.T) {
 	}
 }
 
+// registryDumpDigest is the SHA-256 of smallLab's marshalled registry dump,
+// recorded when the dump was still made at build.
+const registryDumpDigest = "3ef2089fb6b1980032e86f175444b42afb8ba917b37f6531a0b59f2114fdb430"
+
 func TestRegistryDumpMatchesSample(t *testing.T) {
 	l := smallLab(t)
-	if len(l.RegistryDump) != len(l.Registry) {
-		t.Fatalf("dump entries = %d, registry = %d", len(l.RegistryDump), len(l.Registry))
+	dump := l.RegistryDump()
+	if len(dump) != len(l.Registry) {
+		t.Fatalf("dump entries = %d, registry = %d", len(dump), len(l.Registry))
+	}
+	// Made on first use, the dump is the one the build used to make, and a
+	// second call returns it again.
+	if sum := sha256.Sum256(registry.Marshal(dump)); hex.EncodeToString(sum[:]) != registryDumpDigest {
+		t.Fatalf("registry dump digest = %x, want %s", sum, registryDumpDigest)
+	}
+	if again := l.RegistryDump(); &again[0] != &dump[0] {
+		t.Fatal("second RegistryDump call made a new dump")
 	}
 	// Every dump entry's domain is in the sample and carries metadata.
 	names := map[string]bool{}
 	for _, d := range l.Registry {
 		names[d.Name] = true
 	}
-	for _, e := range l.RegistryDump {
+	for _, e := range dump {
 		if !names[e.Domain] {
 			t.Fatalf("dump domain %q not in sample", e.Domain)
 		}
@@ -380,13 +398,23 @@ func TestUpstreamOnlyDevicesNeverSeeDownstream(t *testing.T) {
 
 func TestTopologyDOT(t *testing.T) {
 	l := smallLab(t)
-	dot := l.TopologyDOT(false)
+	dot, full := l.TopologyDOT(false), l.TopologyDOT(true)
+	// Both graphs are as they were when every endpoint was built with the
+	// lab (digests recorded then): the collapsed one needs no endpoint, and
+	// the full one builds them all and lists their links in build order.
+	for _, g := range []struct{ dot, want string }{
+		{dot, "cd8b87af2c1e2bbf6be28a389efd0e925e2b8dc3ec1d2367efbbce846df30925"},
+		{full, "e17f870463dc95f1d6ea4af02281b30029fef76dfe721baacafcf833becfb574"},
+	} {
+		if sum := sha256.Sum256([]byte(g.dot)); hex.EncodeToString(sum[:]) != g.want {
+			t.Fatalf("DOT digest = %x, want %s", sum, g.want)
+		}
+	}
 	for _, want := range []string{"graph tspusim", "TSPU", "ru-core", "tor-node"} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q", want)
 		}
 	}
-	full := l.TopologyDOT(true)
 	if len(full) <= len(dot) {
 		t.Fatal("includeEndpoints did not grow the graph")
 	}
@@ -398,6 +426,9 @@ func TestTopologyDOT(t *testing.T) {
 // into duplicate addresses.
 func TestAddressPlanUnique(t *testing.T) {
 	lab := Build(Options{Seed: 1})
+	for _, ep := range lab.Endpoints {
+		ep.Stack()
+	}
 	owner := make(map[netip.Addr]string)
 	for _, link := range lab.Net.Links() {
 		for _, ifc := range []*netem.Iface{link.A(), link.B()} {
@@ -408,7 +439,7 @@ func TestAddressPlanUnique(t *testing.T) {
 		}
 	}
 	for _, ep := range lab.Endpoints {
-		if owner[ep.Addr] != ep.Stack.Node().Name() {
+		if owner[ep.Addr] != ep.Stack().Node().Name() {
 			t.Fatalf("endpoint %v is not its host's linked address", ep.Addr)
 		}
 	}
@@ -431,5 +462,67 @@ func TestAddressPlanUnique(t *testing.T) {
 			}()
 			Build(tc.opts)
 		})
+	}
+}
+
+// planDigest hashes a lab's network: every node name, interface address,
+// link (both ends, delay and middlebox chain) and route, one line each,
+// sorted, so the digest does not depend on the order anything was built in.
+func planDigest(l *Lab) string {
+	var lines []string
+	seen := map[*netem.Node]bool{}
+	for _, link := range l.Net.Links() {
+		var mbs []string
+		for _, mb := range link.Middleboxes() {
+			mbs = append(mbs, mb.Name())
+		}
+		a, b := link.A(), link.B()
+		lines = append(lines, fmt.Sprintf("link %s/%s %s/%s %v %v", a.Node().Name(), a.Addr(), b.Node().Name(), b.Addr(), l.Opts.LinkDelay, mbs))
+		for _, ifc := range []*netem.Iface{a, b} {
+			nd := ifc.Node()
+			lines = append(lines, "iface "+nd.Name()+" "+ifc.Addr().String())
+			if seen[nd] {
+				continue
+			}
+			seen[nd] = true
+			lines = append(lines, fmt.Sprintf("node %s router=%v", nd.Name(), nd.IsRouter()))
+			for _, r := range nd.Routes() {
+				lines = append(lines, fmt.Sprintf("route %s %s %s", nd.Name(), r.Prefix, r.Out.Addr()))
+			}
+		}
+	}
+	sort.Strings(lines)
+	h := sha256.New()
+	for _, s := range lines {
+		io.WriteString(h, s+"\n")
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPlanDigest checks that building endpoints on demand leaves the network
+// what it was when the lab built all of them up front: the digest of the
+// seed-1 default lab with every endpoint built was recorded from the eager
+// build. Endpoints are built back to front, the order furthest from the
+// plan's.
+func TestPlanDigest(t *testing.T) {
+	const want = "0566dc8fbdb5692cacc103625b06ff11207eae8ee9a473efa8f5ddf09f0d239d"
+	l := Build(Options{Seed: 1})
+	for i := len(l.Endpoints) - 1; i >= 0; i-- {
+		l.Endpoints[i].Stack()
+	}
+	if got := planDigest(l); got != want {
+		t.Fatalf("plan digest = %s, want %s", got, want)
+	}
+}
+
+// TestLabBuildAllocs is the allocation ceiling of a lab build. The default
+// seed-1 lab took 37,919 allocations when it built every endpoint and the
+// registry dump up front; building them on demand must keep it under half
+// of that, so a return to eager building fails here and not only in a
+// benchmark.
+func TestLabBuildAllocs(t *testing.T) {
+	const eager = 37919
+	if allocs := testing.AllocsPerRun(2, func() { Build(Options{Seed: 1}) }); allocs >= eager/2 {
+		t.Fatalf("topo.Build allocates %.0f times, want under %d (half the eager build's %d)", allocs, eager/2, eager)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"tspusim/internal/ispdpi"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
-	"tspusim/internal/registry"
 	"tspusim/internal/sim"
 	"tspusim/internal/tspu"
 	"tspusim/internal/workload"
@@ -49,7 +48,9 @@ func (l *Lab) buildWorkloadAndPolicy() {
 	l.Tranco = workload.GenTranco(r, workload.TrancoOptions{N: l.Opts.TrancoN, CLBL: l.Opts.TrancoN / 8})
 	l.Registry = workload.GenRegistry(r, workload.RegistryOptions{N: l.Opts.RegistryN})
 
-	l.RegistryDump = registry.FromWorkload(r, l.Registry)
+	// The dump is made on first use (RegistryDump); only its stream is
+	// forked here, the one draw registry.FromWorkload takes from r.
+	l.registryStream = r.Fork("registry-dump")
 
 	// Mark a slice of Tranco as registry-listed (popular sites that ended up
 	// in the registry) so ISP blocklists have Tranco coverage too.

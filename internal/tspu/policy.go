@@ -92,22 +92,23 @@ func NewDomainSet(domains ...string) *DomainSet {
 // Add inserts domains.
 func (s *DomainSet) Add(domains ...string) {
 	for _, d := range domains {
-		s.exact[strings.ToLower(strings.TrimSuffix(d, "."))] = true
+		s.exact[asciiLower(strings.TrimSuffix(d, "."))] = true
 	}
 }
 
 // Remove deletes domains.
 func (s *DomainSet) Remove(domains ...string) {
 	for _, d := range domains {
-		delete(s.exact, strings.ToLower(strings.TrimSuffix(d, ".")))
+		delete(s.exact, asciiLower(strings.TrimSuffix(d, ".")))
 	}
 }
 
-// asciiLower lower-cases ASCII letters only. Lookups fold with this rather
-// than strings.ToLower so Contains and Match agree on every input: Unicode
-// folding can alias into ASCII (U+212A "K" lowers to "k"), which would let a
-// crafted SNI match a set entry under one path and not the other. DNS names
-// on the wire are ASCII, so real lookups are unaffected.
+// asciiLower lower-cases ASCII letters only. Entries and lookups all fold
+// with this rather than strings.ToLower, so every added name matches itself
+// and Contains and Match agree on every input: Unicode folding can alias
+// into ASCII (U+212A "K" lowers to "k"), which would let a crafted name
+// match a set entry under one path and not the other. DNS names on the wire
+// are ASCII, so real lookups are unaffected.
 func asciiLower(s string) string {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; 'A' <= c && c <= 'Z' {

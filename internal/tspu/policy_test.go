@@ -47,6 +47,38 @@ func TestDomainSetAddRemove(t *testing.T) {
 	}
 }
 
+// TestDomainSetFoldsLikeLookups: entries fold case as lookups do, ASCII
+// only. Every added name is then Contains and Match of itself, and an entry
+// with a non-ASCII letter never matches an ASCII name: "\u212Aremlin.ru"
+// (U+212A KELVIN SIGN) used to be stored as "kremlin.ru" by
+// strings.ToLower, so it matched kremlin.ru but not itself.
+func TestDomainSetFoldsLikeLookups(t *testing.T) {
+	names := []string{
+		"\u212Aremlin.ru", "KREMLIN.RU", "Kremlin.ru.", "\u212Aremlin.RU",
+		"КРЕМЛЬ.РФ", "кремль.рф", "ÄBC.de", "\xff\xfe.com",
+	}
+	for _, name := range names {
+		s := NewDomainSet(name)
+		if !s.Contains(name) || !s.Match([]byte(name)) {
+			t.Errorf("NewDomainSet(%q): Contains = %v, Match = %v on itself, want both true",
+				name, s.Contains(name), s.Match([]byte(name)))
+		}
+		if !s.Contains("www." + name) {
+			t.Errorf("NewDomainSet(%q) does not match its subdomain", name)
+		}
+		s.Remove(name)
+		if s.Len() != 0 {
+			t.Errorf("Remove(%q) left %v", name, s.Domains())
+		}
+	}
+	kelvin := NewDomainSet("\u212Aremlin.ru")
+	for _, ascii := range []string{"kremlin.ru", "KREMLIN.RU", "www.kremlin.ru"} {
+		if kelvin.Contains(ascii) || kelvin.Match([]byte(ascii)) {
+			t.Errorf("non-ASCII entry %q matches ASCII name %q", "\u212Aremlin.ru", ascii)
+		}
+	}
+}
+
 func TestDomainSetCloneIndependent(t *testing.T) {
 	a := NewDomainSet("x.com")
 	b := a.Clone()
