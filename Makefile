@@ -1,7 +1,8 @@
-# Tier-1 verification plus the race detector and the determinism linter: the
-# fleet orchestrator is the repo's first concurrent code path, so -race is
-# load-bearing, and every experiment's byte-reproducibility claim rests on
-# tspu-vet holding the line (see internal/lint).
+# Tier-1 verification plus the race detector, the pooldebug build and the
+# determinism linter: the fleet orchestrator and the engine's lanes are
+# concurrent, so -race is load-bearing, and every experiment's
+# byte-reproducibility claim rests on the two-run determinism tests, the
+# goldens and tspu-vet together (see internal/lint).
 
 GO ?= go
 
@@ -36,27 +37,36 @@ vet:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# tspu-vet enforces the determinism contract (no wall clock, no ambient
-# randomness, no map-order-dependent output), the ownership contracts (no
-# retained packets, lanes touch only their own shard), and the state-machine
-# contract (switches over //tspuvet:closedenum types stay exhaustive). The
-# analysis is whole-program: packages are checked in dependency order with
-# facts (purity taint, packet retention, lane entry points, enum membership)
-# threaded across package boundaries. tspu-vet runs one way — all seven
-# analyzers over the non-test files, whole-program — so this is the only
-# analyzer target. Exceptions need a reasoned //tspuvet:allow directive, and
-# unused directives fail the build. The zero-allocation contract is the
-# escapes target's and the alloc tests', not an analyzer's.
+# tspu-vet holds the static half of the determinism contract: no wall-clock
+# read (walltime) and no ambient randomness (globalrand) in simulation code,
+# and switches over //tspuvet:closedenum types stay exhaustive (statecheck).
+# These are what no run of the program shows: a wall-clock budget that never
+# expires on the test machine, random bytes no output renders, an enum
+# member no test knows about. The rest of the contract is held by checks
+# that run the program: the two-run determinism tests and goldens (test,
+# fleet-smoke), packet retention (pooldebug) and lane isolation
+# (race-lanes). The analysis is whole-program: packages are checked in
+# dependency order with facts (purity taint, enum membership) threaded
+# across package boundaries. tspu-vet runs one way — all four analyzers over
+# the non-test files, whole-program — so this is the only analyzer target.
+# Exceptions need a reasoned //tspuvet:allow directive, and unused
+# directives fail the build. The zero-allocation contract is the escapes
+# target's and the alloc tests', not an analyzer's.
 lint:
 	$(GO) build -o /tmp/tspu-vet ./cmd/tspu-vet
 	/tmp/tspu-vet ./...
 
-# pooldebug runs the tspu and sim suites with released pooled records
-# poisoned: use-after-release and double release panic instead of silently
-# reading reused memory. The normal build compiles the hooks to no-ops. It is
-# the only pool-lifecycle guard, so check runs it.
+# pooldebug reruns every test, golden and the conformance suite with the
+# pool and retention checks on: released conntrack entries and sim events
+# are poisoned, so use-after-release and double release panic instead of
+# silently reading reused memory, and netem hands each hop a fresh copy of a
+# packet and scribbles the original (and every packet a link drops), so a
+# middlebox, capture or endpoint that kept a packet past its hop reads
+# garbage and a golden or check changes. The normal build compiles the hooks
+# to nothing. It is the only pool-lifecycle and retention guard, so check
+# runs it.
 pooldebug:
-	$(GO) test -tags=pooldebug -count=1 ./internal/sim ./internal/tspu
+	$(GO) test -tags=pooldebug -count=1 ./...
 
 # escapes is the static half of the per-packet zero-allocation contract (the
 # AllocsPerRun tests are the runtime half): diff the compiler's
@@ -88,10 +98,12 @@ race:
 race-focus:
 	$(GO) test -race -count=1 ./internal/fleet/... ./internal/conformance/...
 
-# race-lanes is the multi-core cross-check of the lanecheck analyzer: the
-# engine worker fan-out (Workers forced past 1) and the sharded device
-# driven one goroutine per lane, under the race detector. A cross-lane
-# touch the static analysis missed shows up here as a data race.
+# race-lanes is the runtime check of lane isolation: the engine's worker
+# fan-out (Workers forced past 1, including TestEngineLaneBranchesRace, which
+# drives the throttle, IP-block rewrite, ICMP, sweep, bounded-table and
+# reassembly branches) and the sharded device driven one goroutine per lane,
+# under the race detector. A lane that reads a sibling shard or bumps a
+# shared word shows up here as a data race.
 race-lanes:
 	$(GO) test -race -count=1 -run 'Engine|Shard' ./internal/engine ./internal/tspu
 

@@ -1,18 +1,19 @@
-// Command tspu-vet enforces the determinism and ownership contracts of
+// Command tspu-vet holds the static half of the determinism contract of
 // DESIGN.md: every experiment's output must be a pure function of the lab
-// seed, a middlebox must not retain a packet it did not clone, lane-parallel
-// code must stay inside its own shard, and switches over closed state enums
-// must stay exhaustive. It runs seven analyzers — walltime, globalrand,
-// maporder, retaincheck, lanecheck, statecheck, allowdirective — over the
-// module (see internal/lint for what each forbids and why).
+// seed, and switches over closed state enums must stay exhaustive. It runs
+// four analyzers — walltime, globalrand, statecheck, allowdirective — over
+// the module (see internal/lint for what each forbids and why each has no
+// runtime counterpart). The rest of the contract — byte-identical reruns,
+// packet retention, lane isolation — is held by checks that run the
+// program: the determinism tests and goldens, make pooldebug and make
+// race-lanes.
 //
 // The analysis is whole-program: analyzers export facts about package-level
-// objects (purity taint, packet retention, lane entry points, closed-enum
-// membership) that are threaded through the packages in dependency order, so
-// a contract violation two packages away surfaces at the call site that
-// commits it. There is one way to run it — the whole suite, facts in memory,
-// non-test files only — over package patterns (default ./...; this is the
-// make lint target):
+// objects (purity taint, closed-enum membership) that are threaded through
+// the packages in dependency order, so a contract violation two packages
+// away surfaces at the call site that commits it. There is one way to run
+// it — the whole suite, facts in memory, non-test files only — over package
+// patterns (default ./...; this is the make lint target):
 //
 //	tspu-vet ./...
 //
@@ -26,15 +27,6 @@
 // Violations that are deliberate carry an inline justification:
 //
 //	start := time.Now() //tspuvet:allow walltime: orchestrator metrics are diagnostic only
-//
-// Lane entry points carry //tspuvet:lane, per-lane types //tspuvet:laneowned,
-// and deliberate packet retention is declared where it happens:
-//
-//	c.ring = append(c.ring, pkt) //tspuvet:retains the capture owns its tap copies
-//
-// //tspuvet:retains is retaincheck's own suppression verb: the reason is
-// mandatory, and the directive turns into a diagnostic the moment the
-// annotated line stops retaining anything.
 //
 // tspu-vet exits non-zero if any diagnostic survives suppression; an unused
 // or malformed //tspuvet:allow is itself a diagnostic, so the allowlist

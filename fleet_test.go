@@ -14,13 +14,13 @@ func fleetTestOpts() Options {
 	return Options{Seed: 5, Endpoints: 120, ASes: 8, EchoServers: 30, TrancoN: 120, RegistryN: 120}
 }
 
-// TestFleetDeterministicAcrossWorkers is the golden determinism check: real
-// experiments fanned across 1 worker and 8 workers must render byte-identical
+// TestFleetDeterministicAcrossWorkers is the golden determinism check: every
+// experiment fanned across 1 worker and 8 workers must render byte-identical
 // aggregate reports for the same root seed.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	ids := []string{"table2", "table7", "fig12", "usval"}
-	r1 := RunFleet(fleetTestOpts(), ids, 3, 1, fleet.Config{Workers: 1})
-	r8 := RunFleet(fleetTestOpts(), ids, 3, 1, fleet.Config{Workers: 8})
+	ids := IDs()
+	r1 := RunFleet(fleetTestOpts(), ids, 2, 1, fleet.Config{Workers: 1})
+	r8 := RunFleet(fleetTestOpts(), ids, 2, 1, fleet.Config{Workers: 8})
 	if len(r1.Failed()) != 0 {
 		t.Fatalf("sequential fleet had failures: %v", r1.Failed()[0].Err)
 	}
@@ -28,7 +28,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	if a != b {
 		t.Fatalf("aggregate report differs between -workers 1 and -workers 8:\n--- w1 ---\n%s\n--- w8 ---\n%s", a, b)
 	}
-	if !strings.Contains(a, "12 ok, 0 failed") {
+	if want := fmt.Sprintf("%d ok, 0 failed", 2*len(ids)); !strings.Contains(a, want) {
 		t.Fatalf("unexpected summary:\n%s", a)
 	}
 }

@@ -12,35 +12,13 @@
 // The interface is deliberately the intersection internal/measure actually
 // relies on: the packet-in/verdict-out datapath (netem.Middlebox) plus the
 // introspection hooks the probe suite reads — conntrack occupancy (state
-// exhaustion, residual-block accounting), fragment-queue depth (the §5.3.1
-// 45-fragment fingerprint), and the generic action counters (trigger,
-// injection, and throttle state). Everything richer — tspu.Stats block-type
-// maps, per-ISP blockpage counters — stays on the concrete types; probes
+// exhaustion, residual-block accounting) and fragment-queue depth (the
+// §5.3.1 45-fragment fingerprint). Everything richer — tspu.Stats block-type
+// maps, per-ISP injection counters — stays on the concrete types; probes
 // that need those are censor-specific by construction.
 package censor
 
 import "tspusim/internal/netem"
-
-// Counters is the censor-agnostic slice of a model's internal statistics.
-// Each censor maps its own bookkeeping onto these five words; the probe
-// battery uses them only to corroborate externally observed behavior (e.g.
-// "the client saw an RST *and* the censor says it injected one").
-type Counters struct {
-	// ContentTriggers counts payload-inspection hits (SNI, Host header,
-	// DNS question, keyword) that led to an enforcement action.
-	ContentTriggers int
-	// Injected counts packets the censor fabricated (forged DNS answers,
-	// RSTs, blockpages).
-	Injected int
-	// Dropped counts packets the censor discarded.
-	Dropped int
-	// Rewritten counts in-flight packets mutated in place (the TSPU's
-	// downstream RST/ACK rewrite, the keyword DPI's payload strip).
-	Rewritten int
-	// Throttled counts packets subjected to rate shaping (TSPU SNI-III);
-	// zero for censors with no throttling tier.
-	Throttled int
-}
 
 // Censor is a complete in-path censor model: a link middlebox whose verdict
 // logic is the behavior under test, plus the introspection surface the
@@ -48,7 +26,8 @@ type Counters struct {
 //
 // Handle inherits netem.Middlebox's retention contract verbatim: packet
 // ownership is sequential, and any state kept past the Handle return must be
-// deep-copied (retaincheck enforces this on implementations too).
+// deep-copied. make pooldebug checks it on every censor the goldens and the
+// conformance suite drive through netem links.
 type Censor interface {
 	netem.Middlebox
 
@@ -62,8 +41,4 @@ type Censor interface {
 	// PendingFragQueues reports how many IP fragment queues the censor is
 	// buffering. Models that forward fragments uninspected report 0.
 	PendingFragQueues() int
-
-	// Counters returns the generic action counters. Implementations fold
-	// their native statistics into the shared vocabulary.
-	Counters() Counters
 }

@@ -45,8 +45,6 @@ type Censor struct {
 	RSTInjections int
 	// DNSInjections counts forged DNS answers emitted (§5.1).
 	DNSInjections int
-	triggers      int
-	dropped       int
 }
 
 // New builds an ISP middlebox from a profile row.
@@ -71,15 +69,6 @@ func (c *Censor) ConntrackSize() int { return 0 }
 // PendingFragQueues implements censor.Censor: no reassembly (§6.1).
 func (c *Censor) PendingFragQueues() int { return 0 }
 
-// Counters implements censor.Censor.
-func (c *Censor) Counters() censor.Counters {
-	return censor.Counters{
-		ContentTriggers: c.triggers,
-		Injected:        c.BlockpageInjections + c.RSTInjections + c.DNSInjections,
-		Dropped:         c.dropped,
-	}
-}
-
 // Handle implements netem.Middlebox.
 func (c *Censor) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
 	if dir != c.cfg.LocalDir {
@@ -99,14 +88,12 @@ func (c *Censor) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 	if !ok {
 		return netem.Pass
 	}
-	c.triggers++
 	switch p.Action {
 	case ActionBlockpage:
 		c.injectBlockpage(pipe, pkt, dir, name)
 	case ActionRST:
 		c.injectRST(pipe, pkt, dir)
 	}
-	c.dropped++
 	return netem.Drop
 }
 
@@ -142,9 +129,7 @@ func (c *Censor) handleDNS(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direct
 		return netem.Pass
 	}
 	reply := packet.NewUDP(pkt.IP.Dst, pkt.IP.Src, pkt.UDP.DstPort, pkt.UDP.SrcPort, wire)
-	c.triggers++
 	c.DNSInjections++
-	c.dropped++
 	pipe.Inject(reply, dir.Reverse())
 	return netem.Drop
 }

@@ -42,8 +42,6 @@ type Censor struct {
 	DNSInjections int
 	// RSTInjections counts forged RST+ACK packets emitted (§5).
 	RSTInjections int
-	triggers      int
-	dropped       int
 }
 
 // New builds a TMC instance.
@@ -71,15 +69,6 @@ func (c *Censor) ConntrackSize() int { return 0 }
 // PendingFragQueues implements censor.Censor: fragments pass uninspected —
 // the paper's fragmentation evasion works because nothing reassembles (§6.2).
 func (c *Censor) PendingFragQueues() int { return 0 }
-
-// Counters implements censor.Censor.
-func (c *Censor) Counters() censor.Counters {
-	return censor.Counters{
-		ContentTriggers: c.triggers,
-		Injected:        c.DNSInjections + c.RSTInjections,
-		Dropped:         c.dropped,
-	}
-}
 
 // Handle implements netem.Middlebox. Note the deliberate absence of any
 // direction check: the TMC's bidirectionality (§3.1) is the single most
@@ -113,7 +102,6 @@ func (c *Censor) handleDNS(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direct
 		return netem.Pass
 	}
 	reply := packet.NewUDP(pkt.IP.Dst, pkt.IP.Src, pkt.UDP.DstPort, pkt.UDP.SrcPort, wire)
-	c.triggers++
 	c.DNSInjections++
 	pipe.Inject(reply, dir.Reverse())
 	return netem.Pass
@@ -135,8 +123,6 @@ func (c *Censor) handleTCP(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direct
 	if !matched {
 		return netem.Pass
 	}
-	c.triggers++
-	c.dropped++
 	payloadLen := uint32(len(pkt.TCP.Payload))
 	toSender := packet.NewTCP(pkt.IP.Dst, pkt.IP.Src, pkt.TCP.DstPort, pkt.TCP.SrcPort,
 		packet.FlagsRSTACK, pkt.TCP.Ack, pkt.TCP.Seq+payloadLen, nil)

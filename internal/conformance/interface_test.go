@@ -76,7 +76,4 @@ func TestInterfaceIntrospectionHooks(t *testing.T) {
 	if seen.ConntrackSize() < 0 || seen.PendingFragQueues() < 0 {
 		t.Fatal("introspection hooks returned negative sizes")
 	}
-	if c := seen.Counters(); c.Dropped < 0 || c.Rewritten < 0 {
-		t.Fatal("counters negative")
-	}
 }

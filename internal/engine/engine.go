@@ -62,8 +62,6 @@ type outPkt struct {
 
 // laneState is one lane's batch-scoped buffers. Everything here is written
 // only by the worker running the lane, between barriers.
-//
-//tspuvet:laneowned
 type laneState struct {
 	// q holds the indexes of this batch's items owned by the lane, in
 	// arrival order.
@@ -85,12 +83,11 @@ type laneState struct {
 type engineSink Engine
 
 // Deliver buffers a chain survivor for the post-barrier Deliver fan-out.
-//
-//tspuvet:lane
 func (s *engineSink) Deliver(lane int, pkt *packet.Packet, dir netem.Direction) {
 	if s.deliver != nil {
 		ln := &s.lane[lane]
-		//tspuvet:retains lane out-buffer holds passed packets only until the post-batch deliver fan-out in Process
+		// The lane out-buffer holds passed packets only until the post-batch
+		// deliver fan-out in Process.
 		ln.out = append(ln.out, outPkt{pkt: pkt, dir: dir})
 	}
 }
@@ -98,8 +95,6 @@ func (s *engineSink) Deliver(lane int, pkt *packet.Packet, dir netem.Direction) 
 // After buffers fn for post-barrier scheduling. The simulator does not
 // advance during Process, so fn lands at the same virtual instant a direct
 // Sim.After call would have given it.
-//
-//tspuvet:lane
 func (s *engineSink) After(lane int, d time.Duration, fn func()) {
 	ln := &s.lane[lane]
 	ln.afterD = append(ln.afterD, d)
@@ -166,7 +161,8 @@ func (e *Engine) Push(pkt *packet.Packet, dir netem.Direction) bool {
 		return false
 	}
 	it := &e.items[e.n]
-	//tspuvet:retains ring item owns the packet until Process drains the batch and the caller reclaims it
+	// The ring item owns the packet until Process drains the batch and the
+	// caller reclaims it.
 	it.Pkt = pkt
 	it.Dir = dir
 	it.Verdict = netem.Pass
@@ -237,15 +233,15 @@ func (e *Engine) Process() []Item {
 }
 
 // runLane drives one lane's slice of the batch through the chain in arrival
-// order. Nothing outside the lane's own state is written; lanecheck verifies
-// that claim over everything reachable from here.
-//
-//tspuvet:lane
+// order. Nothing outside the lane's own state is written; the race-lanes
+// drivers (TestEngineMultiWorkerRace, TestEngineLaneBranchesRace) check that
+// claim under -race.
 func (e *Engine) runLane(l int, items []Item) {
 	ln := &e.lane[l]
 	for _, idx := range ln.q {
 		it := &items[idx]
-		//tspuvet:allow lanecheck: the scatter pass partitions items rows by lane — ln.q holds only this lane's indexes, so no two lanes write the same row
+		// The scatter pass partitions items rows by lane — ln.q holds only this
+		// lane's indexes, so no two lanes write the same row.
 		it.Verdict = e.chain.Run(l, it.Pkt, it.Dir, it.key)
 		if it.Verdict == netem.Drop {
 			ln.drops++

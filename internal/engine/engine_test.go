@@ -303,8 +303,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 
 // TestEngineMultiWorkerRace forces Workers well past 1 with a stream large
 // enough for the race detector to see real lane interleaving; the verdict
-// stream must still match the single-worker reference. This is the dynamic
-// cross-check of the lanecheck analyzer's static lane-isolation contract.
+// stream must still match the single-worker reference. Under -race (make
+// race-lanes) it checks the lane-isolation contract of the datapath
+// testStream drives; TestEngineLaneBranchesRace covers the other branches.
 func TestEngineMultiWorkerRace(t *testing.T) {
 	stream := testStream(7, 4000)
 	var ref *trace
@@ -465,5 +466,121 @@ func TestProcessSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(300, run); allocs != 0 {
 		t.Fatalf("steady-state Process allocates %v/op, want 0", allocs)
+	}
+}
+
+// laneBranchDevice is testDevice with every optional lane branch switched
+// on: SNI-III throttling, datapath-piggybacked sweeps, a bounded flow table
+// (pressure evictions), and, when reassemble is set, per-lane TCP
+// reassembly with strict roles.
+func laneBranchDevice(s *sim.Sim, name string, flowSeed uint64, reassemble bool) *tspu.Device {
+	d := tspu.NewDevice(tspu.Config{
+		Name:          name,
+		Sim:           s,
+		LocalDir:      netem.AtoB,
+		Shards:        8,
+		PerFlowRand:   true,
+		FlowSeed:      flowSeed,
+		ReassembleTCP: reassemble,
+		StrictRoles:   reassemble,
+		FailureRates: map[tspu.BlockType]float64{
+			tspu.SNI1: 0.05, tspu.SNI2: 0.05, tspu.SNI3: 0.05, tspu.SNI4: 0.03, tspu.QUICBlock: 0.06, tspu.IPBlock: 0.02,
+		},
+	})
+	ctl := tspu.NewController(nil)
+	ctl.Register(d)
+	ctl.Update(func(p *tspu.Policy) {
+		p.SNI1Domains.Add("facebook.com", "meduza.io")
+		p.SNI2Domains.Add("play.google.com")
+		p.SNI4Domains.Add("fbcdn.net")
+		p.ThrottleDomains.Add("twitter.com")
+		p.ThrottleActive = true
+		p.BlockedIPs[testBlocked] = true
+	})
+	d.EnableAutoSweep(time.Second)
+	d.SetMaxFlows(256)
+	return d
+}
+
+// laneBranchStream is testStream plus the packets that reach the lane
+// branches testStream does not: ICMP (passed, and dropped for a blocked
+// address), response-shaped packets to a blocked address (rewritten),
+// connections from a blocked address (let through), and ClientHellos split
+// over two segments (reassembled) and followed by bulk data (throttled).
+func laneBranchStream(seed uint64, n int) []*packet.Packet {
+	rng := sim.NewRand(seed ^ 0x1a4e)
+	remotes := testRemotes()
+	base := testStream(seed, n)
+	pkts := make([]*packet.Packet, 0, 2*n)
+	for i, p := range base {
+		pkts = append(pkts, p)
+		if i%2 == 1 {
+			continue
+		}
+		remote := remotes[rng.Intn(len(remotes))]
+		sport := uint16(20000 + rng.Intn(32))
+		switch rng.Intn(5) {
+		case 0:
+			pkts = append(pkts, packet.NewICMPEcho(testLocal, remote, sport, 1))
+		case 1:
+			pkts = append(pkts, packet.NewICMPEcho(testLocal, testBlocked, sport, 1))
+		case 2:
+			pkts = append(pkts, packet.NewTCP(testLocal, testBlocked, sport, 443, packet.FlagsPSHACK, 9, 9, []byte("reply")))
+		case 3:
+			pkts = append(pkts, packet.NewTCP(testBlocked, testLocal, 443, sport, packet.FlagSYN, 1, 0, nil))
+		case 4:
+			ch := (&tlsx.ClientHelloSpec{ServerName: []string{"twitter.com", "facebook.com", "example.org"}[rng.Intn(3)]}).Build()
+			cut := 1 + rng.Intn(len(ch)-1)
+			seq := 2 + uint32(len(ch))
+			pkts = append(pkts,
+				packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, 2, 2, ch[:cut:cut]),
+				packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, 2+uint32(cut), 2, ch[cut:]),
+				// Two full segments overrun a throttled flow's burst.
+				packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, seq, 2, make([]byte, 1200)),
+				packet.NewTCP(testLocal, remote, sport, 443, packet.FlagsPSHACK, seq+1200, 2, make([]byte, 1200)))
+		}
+	}
+	return pkts
+}
+
+// TestEngineLaneBranchesRace is the race-lanes driver for the lane branches
+// the other engine tests leave cold: it runs laneBranchStream through a
+// two-device chain of laneBranchDevices at 1 and 8 workers, advancing the
+// clock between batches so sweeps and fragment timeouts fire, and requires
+// one verdict stream. Under -race a lane touching another lane's state or a
+// shared word shows up as a data race. The branch counters checked at the
+// end keep the stream honest about what it drives.
+func TestEngineLaneBranchesRace(t *testing.T) {
+	stream := laneBranchStream(13, 3000)
+	var ref *trace
+	for _, workers := range []int{1, 8} {
+		s := sim.New()
+		devs := []*tspu.Device{laneBranchDevice(s, "edge", 13, false), laneBranchDevice(s, "reasm", 14, true)}
+		tr := newTrace()
+		e := New(Config{Sim: s, Devices: devs, Workers: workers, BatchSize: 128, Deliver: tr.deliver})
+		for start := 0; start < len(stream); start += 128 {
+			for _, src := range stream[start:min(start+128, len(stream))] {
+				p := src.Clone()
+				e.Push(p, testDir(p))
+			}
+			for _, it := range e.Process() {
+				tr.verdict(it.Verdict, it.Pkt)
+			}
+			s.RunUntil(s.Now() + 10*time.Second)
+		}
+		if ref == nil {
+			ref = tr
+			edge, reasm := devs[0].Stats(), devs[1].Stats()
+			switch {
+			case edge.Throttled == 0 || edge.Rewritten == 0 || edge.Triggers[tspu.IPBlock] == 0:
+				t.Fatalf("edge device: throttled %d, rewritten %d, IP triggers %d; want all nonzero", edge.Throttled, edge.Rewritten, edge.Triggers[tspu.IPBlock])
+			case reasm.Triggers[tspu.SNI1] == 0:
+				t.Fatal("reassembling device never triggered SNI-I")
+			case devs[0].PressureEvictions() == 0 || devs[0].ConntrackEvictions() == 0:
+				t.Fatalf("pressure evictions %d, timeout evictions %d; want both nonzero", devs[0].PressureEvictions(), devs[0].ConntrackEvictions())
+			}
+			continue
+		}
+		compareTraces(t, fmt.Sprintf("workers=%d", workers), ref, tr)
 	}
 }

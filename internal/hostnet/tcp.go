@@ -238,7 +238,8 @@ func (l *Listener) accept(syn *packet.Packet) {
 	c.RcvNxt = syn.TCP.Seq + 1
 	c.SndNxt = 5000
 	c.PeerWindow = syn.TCP.Window
-	//tspuvet:retains the endpoint owns delivered packets; the SYN's journey ends in this connection's transcript
+	// The endpoint owns delivered packets; the SYN's journey ends in this
+	// connection's transcript.
 	c.Packets = append(c.Packets, syn)
 	l.Conns = append(l.Conns, c)
 
@@ -262,7 +263,8 @@ func (l *Listener) accept(syn *packet.Packet) {
 
 // receive advances the endpoint state machine for one inbound packet.
 func (c *TCPConn) receive(pkt *packet.Packet) {
-	//tspuvet:retains the endpoint owns delivered packets; the connection transcript is the end of the path
+	// The endpoint owns delivered packets; the connection transcript is the
+	// end of the path.
 	c.Packets = append(c.Packets, pkt)
 	if c.OnPacket != nil {
 		c.OnPacket(pkt)

@@ -78,11 +78,6 @@ func (k *KeywordDPI) ConntrackSize() int { return 0 }
 // uninspected (which is precisely why fragmentation evades it).
 func (k *KeywordDPI) PendingFragQueues() int { return 0 }
 
-// Counters implements censor.Censor.
-func (k *KeywordDPI) Counters() censor.Counters {
-	return censor.Counters{ContentTriggers: k.Resets, Rewritten: k.Resets}
-}
-
 // Handle implements netem.Middlebox.
 func (k *KeywordDPI) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
 	if pkt.TCP == nil || len(pkt.TCP.Payload) == 0 {
@@ -132,11 +127,6 @@ func (m *FragLimitMiddlebox) ConntrackSize() int { return 0 }
 
 // PendingFragQueues implements censor.Censor.
 func (m *FragLimitMiddlebox) PendingFragQueues() int { return len(m.queues) }
-
-// Counters implements censor.Censor.
-func (m *FragLimitMiddlebox) Counters() censor.Counters {
-	return censor.Counters{Dropped: m.Discarded}
-}
 
 // Both ISP-era comparators are censor models the cross-censor battery can
 // drive alongside the TSPU and the TM/IN profiles.

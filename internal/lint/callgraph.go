@@ -1,11 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"tspusim/internal/lint/analysis"
 )
@@ -16,15 +13,12 @@ type funcNode struct {
 	decl  *ast.FuncDecl
 	name  string      // display name: "Device.Handle" or "checksum"
 	edges []*funcNode // same-package callees, in source order, deduplicated
-	// parent is the BFS predecessor on the first path found from a root;
-	// nil for roots themselves.
-	parent  *funcNode
-	reached bool
 }
 
 // callGraph is a package's functions with bodies, in source order, joined
-// by their static same-package calls. Dynamic calls (interface methods,
-// func values) are boundaries, as everywhere in tspu-vet.
+// by their static same-package calls, over which the purity pass propagates
+// taint. Dynamic calls (interface methods, func values) are boundaries, as
+// everywhere in tspu-vet.
 type callGraph struct {
 	nodes map[*types.Func]*funcNode
 	order []*funcNode
@@ -73,47 +67,6 @@ func staticCalls(info *types.Info, body ast.Node, visit func(*ast.CallExpr, *typ
 	})
 }
 
-// reach marks every function reachable from a root, breadth first from the
-// roots in source order, recording parent links.
-func (g *callGraph) reach(root func(*funcNode) bool) {
-	var queue []*funcNode
-	for _, n := range g.order {
-		if root(n) {
-			n.reached = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, callee := range n.edges {
-			if callee.reached {
-				continue
-			}
-			callee.reached = true
-			callee.parent = n
-			queue = append(queue, callee)
-		}
-	}
-}
-
-// chainLabel renders the diagnostic suffix locating n relative to its root:
-// "<rootWording> Name" for a root itself ("lane entry point"), "reached via
-// Root → ... → Name" otherwise.
-func chainLabel(n *funcNode, rootWording string) string {
-	if n.parent == nil {
-		return fmt.Sprintf("%s %s", rootWording, n.name)
-	}
-	var names []string
-	for m := n; m != nil; m = m.parent {
-		names = append(names, m.name)
-	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return "reached via " + strings.Join(names, " → ")
-}
-
 // funcDisplayName renders "Recv.Name" for methods, "Name" for functions.
 func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -146,26 +99,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// exprString renders e for diagnostics: identifiers, selectors, literals,
-// index expressions and pointer forms spelled out, anything else as "expr".
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.BasicLit:
-		return e.Value
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[" + exprString(e.Index) + "]"
-	case *ast.StarExpr:
-		return "*" + exprString(e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return "&" + exprString(e.X)
-		}
-	}
-	return "expr"
 }

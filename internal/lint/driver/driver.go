@@ -61,8 +61,8 @@ func (d Diagnostic) String() string {
 //
 // The analysis is whole-program: every module package in the dependency
 // closure is analyzed in dependency order with one shared fact store, so the
-// facts a dependency exports (purity taint, packet retention, lane entry
-// points, closed enums) are visible when its dependents are analyzed.
+// facts a dependency exports (purity taint, closed enums) are visible when
+// its dependents are analyzed.
 // Diagnostics are reported only for the packages that matched patterns;
 // dependency-only packages contribute facts alone.
 func Check(dir string, patterns []string) ([]Diagnostic, error) {

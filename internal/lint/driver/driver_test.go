@@ -72,12 +72,22 @@ func A() time.Time {
 	return time.Now()
 }
 
-func Keys(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
+// Mode is a closed enum.
+//
+//tspuvet:closedenum
+type Mode int
+
+const (
+	On Mode = iota
+	Off
+)
+
+func Name(m Mode) string {
+	switch m {
+	case On:
+		return "on"
 	}
-	return keys
+	return ""
 }
 `
 
@@ -89,7 +99,7 @@ func C() time.Duration {
 	return time.Since(time.Time{}) //tspuvet:allow walltime: fixture exercising suppression
 }
 
-//tspuvet:allow maporder: stale directive that suppresses nothing
+//tspuvet:allow statecheck: stale directive that suppresses nothing
 func Unused() {}
 `
 
@@ -113,7 +123,7 @@ func TestCheckSyntheticModuleOrdering(t *testing.T) {
 	for _, d := range diags {
 		got = append(got, filepath.Base(d.Pos.Filename)+":"+d.Analyzer)
 	}
-	want := []string{"a.go:walltime", "a.go:maporder", "b.go:allowdirective"}
+	want := []string{"a.go:walltime", "a.go:statecheck", "b.go:allowdirective"}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostics = %v, want analyzers %v", diags, want)
 	}
@@ -180,7 +190,7 @@ func TestExitCodes(t *testing.T) {
 	if code != 1 {
 		t.Errorf("dirty module: exit %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(out, "walltime") || !strings.Contains(out, "maporder") {
+	if !strings.Contains(out, "walltime") || !strings.Contains(out, "statecheck") {
 		t.Errorf("dirty module output missing expected diagnostics:\n%s", out)
 	}
 	if code, out := run(clean); code != 0 {
@@ -189,28 +199,14 @@ func TestExitCodes(t *testing.T) {
 }
 
 // The synthfacts module is the cross-package regression bed for the facts
-// layer: packet (the aliasing seed), dep (annotated-but-fact-exporting
-// sources of impurity, retention, and a closed enum), and top
-// (one surviving consumer diagnostic per fact kind, each paired with a
-// suppressed twin so the allow directives in top only stay fresh when the
-// facts actually arrive).
-const synthPacket = `// Package packet is the aliasing seed the retain analyzer keys on.
-package packet
-
-// Packet is the minimal packet shape.
-type Packet struct {
-	Payload []byte
-}
-`
-
+// layer: dep (annotated-but-fact-exporting sources of impurity and a closed
+// enum) and top (one surviving consumer diagnostic per fact kind, each
+// paired with a suppressed twin so the directives in top only stay fresh
+// when the facts actually arrive).
 const synthDep = `// Package dep exports facts from sites that are excused locally.
 package dep
 
-import (
-	"time"
-
-	"synthfacts/packet"
-)
+import "time"
 
 // Kind is a closed verdict enum for the consumer's switches.
 //
@@ -224,17 +220,9 @@ const (
 	KC
 )
 
-// held is the parking lot Keep retains into.
-var held *packet.Packet
-
 // Stamp reads the wall clock; excused here, but the taint still travels.
 func Stamp() time.Time {
 	return time.Now() //tspuvet:allow walltime: fixture boundary; callers see the taint via facts
-}
-
-// Keep parks the packet; excused here, the retention still travels.
-func Keep(p *packet.Packet) {
-	held = p //tspuvet:retains fixture parking lot; callers inherit the handoff via facts
 }
 `
 
@@ -245,7 +233,6 @@ import (
 	"time"
 
 	"synthfacts/dep"
-	"synthfacts/packet"
 )
 
 // Step picks up dep's wall-clock taint: the surviving walltime finding.
@@ -258,16 +245,6 @@ func Step() time.Duration {
 //tspuvet:impure fixture: progress metrics only
 func Report() time.Time {
 	return dep.Stamp()
-}
-
-// Forward hands the live packet across the boundary: the retain finding.
-func Forward(p *packet.Packet) {
-	dep.Keep(p)
-}
-
-// ForwardAllowed is the same handoff, excused at the call site.
-func ForwardAllowed(p *packet.Packet) {
-	dep.Keep(p) //tspuvet:retains fixture consumer keeps the lot drained
 }
 
 // Describe misses KC: the surviving statecheck finding.
@@ -295,10 +272,9 @@ func DescribeAllowed(k dep.Kind) string {
 func writeSynthfacts(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
-		"go.mod":           "module synthfacts\n\ngo 1.22\n",
-		"packet/packet.go": synthPacket,
-		"dep/dep.go":       synthDep,
-		"top/top.go":       synthTop,
+		"go.mod":     "module synthfacts\n\ngo 1.22\n",
+		"dep/dep.go": synthDep,
+		"top/top.go": synthTop,
 	})
 }
 
@@ -306,7 +282,6 @@ func writeSynthfacts(t *testing.T) string {
 // all in the consuming package, in position order.
 var synthfactsWant = []struct{ analyzer, substr string }{
 	{"walltime", "call to dep.Stamp reaches wall-clock time (reached via dep.Stamp → time.Now)"},
-	{"retaincheck", "packet-aliasing value passed to dep.Keep, which retains it"},
 	{"statecheck", "switch over closed enum dep.Kind does not handle KC"},
 }
 
@@ -337,8 +312,8 @@ func TestCheckSynthfactsCrossPackage(t *testing.T) {
 	dir := writeSynthfacts(t)
 	orders := [][]string{
 		{"./..."},
-		{"./packet", "./dep", "./top"},
-		{"./top", "./dep", "./packet"},
+		{"./dep", "./top"},
+		{"./top", "./dep"},
 	}
 	var first []driver.Diagnostic
 	for _, patterns := range orders {
@@ -377,7 +352,8 @@ func TestSynthfactsBinary(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", w.substr, out)
 		}
 	}
-	if strings.Contains(string(out), "ForwardAllowed") || strings.Contains(string(out), "dep.go:") {
+	if strings.Count(string(out), "call to dep.Stamp") != 1 || strings.Count(string(out), "closed enum dep.Kind") != 1 ||
+		strings.Contains(string(out), "dep.go:") {
 		t.Errorf("suppressed or dependency-side finding leaked:\n%s", out)
 	}
 }

@@ -99,7 +99,7 @@ func Collect(dir string, patterns []string) (*Report, error) {
 		counts[key]++
 	}
 	rep := &Report{GoVersion: runtime.Version(), Packages: append([]string(nil), patterns...)}
-	for key, n := range counts { //tspuvet:allow maporder: entries are fully sorted two lines below
+	for key, n := range counts { // entries are fully sorted two lines below
 		key.Count = n
 		rep.Escapes = append(rep.Escapes, key)
 	}

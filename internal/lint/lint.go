@@ -1,41 +1,34 @@
-// Package lint is tspu-vet: a suite of static analyzers that enforce the
-// determinism contract of DESIGN.md at compile time. Every claim the
-// reproduction makes rests on experiment output being a pure function of the
-// lab seed; these analyzers turn the three ways that property silently rots
-// — wall-clock reads, ambient randomness, and map-iteration order reaching
-// rendered output — into build failures.
-//
-// The suite:
+// Package lint is tspu-vet: static analyzers for the parts of DESIGN.md's
+// contracts that no run of the program can see. Every claim the
+// reproduction makes rests on experiment output being a pure function of
+// the lab seed. The runtime checks hold most of that contract — every
+// experiment run twice and compared byte for byte (TestRunSmokeEveryExperiment,
+// TestFleetDeterministicAcrossWorkers, make fleet-smoke), the goldens, the
+// pooldebug retention check and the race-lanes drivers — and this suite
+// keeps only what they cannot catch:
 //
 //   - walltime: forbids time.Now/Since/Sleep/NewTimer/... — simulation code
-//     must take time from the virtual clock (sim.Sim).
+//     must take time from the virtual clock (sim.Sim). A wall-clock budget
+//     that never expires on the test machine leaves every output unchanged
+//     there, and changes it on a slower one.
 //   - globalrand: forbids importing math/rand, math/rand/v2, and
 //     crypto/rand — all entropy must derive from sim.Rand / sim.StreamSeed.
-//   - maporder: flags `for k := range m` over maps whose body feeds ordered
-//     output (append, string building, report tables) without sorting.
-//   - retaincheck: taint analysis over *packet.Packet parameters and their
-//     payload-derived slices; a packet must not flow into a store that
-//     outlives the call unless it passes through a Clone/Marshal-style copy
-//     first. Deliberate retention carries //tspuvet:retains <reason>.
-//   - lanecheck: code reachable from a //tspuvet:lane entry point may touch
-//     sharded state (//tspuvet:laneowned types) only through the lane's own
-//     shard, indexed by the lane parameter; writes to shared structs and
-//     draws from a shared sim.Rand are diagnostics.
+//     Ambient randomness in bytes no output renders (a ClientHello's random
+//     field) reaches pcaps without changing a golden.
 //   - statecheck: every switch over a //tspuvet:closedenum type must
 //     enumerate all members or justify its default with
-//     //tspuvet:allow statecheck: <reason>.
+//     //tspuvet:allow statecheck: <reason>. A member added later silently
+//     falls into a default; no test knows the member exists.
 //   - allowdirective: validates //tspuvet:allow suppression directives; a
 //     malformed directive, an unknown analyzer name, or (via Suppress) a
 //     directive that no longer suppresses anything is itself a diagnostic.
 //
 // The suite is whole-program: analyzers export facts about package objects
-// (ImpureFact, RetainsFact, LaneOwnedFact, LaneEntryFact, EnumFact) that
-// the driver threads through packages in dependency order, in one in-memory
-// store; tspu-vet always runs the whole suite this way, over non-test files.
-// Transitive wall-clock and RNG use, cross-package packet retention, lane
-// contracts on imported shard state, and enum exhaustiveness away from the
-// declaring package are all diagnosed at the first call site in checked
-// code, with the full reached-via chain.
+// (ImpureFact, EnumFact) that the driver threads through packages in
+// dependency order, in one in-memory store; tspu-vet always runs the whole
+// suite this way, over non-test files. Transitive wall-clock and RNG use
+// and enum exhaustiveness away from the declaring package are diagnosed at
+// the first call site in checked code, with the full reached-via chain.
 //
 // The zero-allocation contract of the per-packet path is not an analyzer:
 // the compiler's escape analysis decides what reaches the heap, and
@@ -50,15 +43,12 @@
 //
 //	verb        placement                                       reason
 //	allow       the excused line, or alone on the line above    required, as <analyzer>: <reason>
-//	retains     the retaining line, or alone on the line above  required
-//	lane        doc comment of a function declaration           none
-//	laneowned   doc comment of a type declaration               none
 //	impure      the line of a function declaration, or above    required
 //	closedenum  doc comment of a type declaration               none
 //
 // A declaration marker placed anywhere else, or missing its reason, is a
-// diagnostic of the analyzer that consumes it (impure: walltime); a malformed
-// or unknown suppression is an allowdirective diagnostic.
+// diagnostic of the analyzer that consumes it (impure: walltime); a
+// malformed or unknown suppression is an allowdirective diagnostic.
 //
 // Exceptions are declared inline, next to the code they excuse:
 //
@@ -66,10 +56,7 @@
 //
 // A directive suppresses diagnostics of the named analyzer on its own line
 // or on the line immediately below it (so it can trail the offending line or
-// sit on its own line above it). //tspuvet:retains <reason> is sugar for a
-// retaincheck suppression with the same placement rules: it marks a
-// deliberate packet-retention site and rots into a diagnostic the moment the
-// line stops retaining.
+// sit on its own line above it).
 package lint
 
 import (
@@ -84,7 +71,7 @@ import (
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Retaincheck, Lanecheck, Statecheck, Allowdirective}
+	return []*analysis.Analyzer{Walltime, Globalrand, Statecheck, Allowdirective}
 }
 
 // suppressible names the analyzers a //tspuvet:allow directive may target:
@@ -109,12 +96,10 @@ func init() {
 	suppressibleNames = strings.Join(names, ", ")
 }
 
-// Directive is one parsed suppression comment: //tspuvet:allow, or
-// //tspuvet:retains (which suppresses retaincheck).
+// Directive is one parsed //tspuvet:allow suppression comment.
 type Directive struct {
 	Pos      token.Pos
 	Line     int    // source line the directive sits on
-	Verb     string // "allow" or "retains", for rendering
 	Analyzer string // suppressed analyzer name
 	Reason   string
 }
@@ -136,17 +121,8 @@ func ParseDirectives(fset *token.FileSet, file *ast.File, report func(analysis.D
 				// validates them for the analyzer that owns the verb.
 				continue
 			}
-			d := Directive{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line, Verb: verb}
+			d := Directive{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line}
 			switch verb {
-			case retainsVerb:
-				// A deliberate packet-retention site: sugar for a retaincheck
-				// suppression, so the used/unused bookkeeping in Suppress
-				// applies to it unchanged.
-				if rest == "" {
-					report(analysis.Diagnostic{Pos: c.Pos(), Message: missingReason(verb, "")})
-					continue
-				}
-				d.Analyzer, d.Reason = Retaincheck.Name, rest
 			case allowVerb:
 				name, reason, ok := strings.Cut(rest, ":")
 				name = strings.TrimSpace(name)
@@ -219,15 +195,11 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnosti
 	}
 	for _, dir := range all {
 		if !used[dir] && ran[dir.Analyzer] {
-			msg := fmt.Sprintf("unused //tspuvet:allow %s directive: it no longer suppresses any diagnostic; delete it",
-				dir.Analyzer)
-			if dir.Verb == retainsVerb {
-				msg = "unused //tspuvet:retains directive: the annotated line no longer retains a packet; delete it"
-			}
 			kept = append(kept, analysis.Diagnostic{
 				Pos:      dir.Pos,
 				Category: Allowdirective.Name,
-				Message:  msg,
+				Message: fmt.Sprintf("unused //tspuvet:allow %s directive: it no longer suppresses any diagnostic; delete it",
+					dir.Analyzer),
 			})
 		}
 	}

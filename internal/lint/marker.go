@@ -14,9 +14,6 @@ const directivePrefix = "//tspuvet:"
 
 const (
 	allowVerb      = "allow"
-	retainsVerb    = "retains"
-	laneVerb       = "lane"
-	laneownedVerb  = "laneowned"
 	impureVerb     = "impure"
 	closedenumVerb = "closedenum"
 )
@@ -26,7 +23,6 @@ type markerPlace int
 
 const (
 	onLine  markerPlace = iota // a suppression: applies to its own line and the next
-	onFunc                     // the doc comment of a function declaration
 	onType                     // the doc comment of a type declaration
 	onStamp                    // its own line or the line above a function declaration
 )
@@ -41,18 +37,12 @@ type markerRule struct {
 	// why, when set, makes the reason mandatory and explains why in the
 	// missing-reason diagnostic.
 	why string
-	// named markers found on the other declaration kind say where they
-	// belong instead of reporting as unattached.
-	named bool
 }
 
 // markerGrammar is the marker grammar: every //tspuvet: verb and where it
 // goes, in the order diagnostics list them.
 var markerGrammar = []markerRule{
 	{verb: allowVerb, place: onLine, owner: "allowdirective", why: "the allowlist must explain itself"},
-	{verb: retainsVerb, place: onLine, owner: "allowdirective", why: "deliberate packet retention must explain who owns the copy and when it is dropped"},
-	{verb: laneVerb, place: onFunc, owner: "lanecheck", named: true},
-	{verb: laneownedVerb, place: onType, owner: "lanecheck", named: true},
 	{verb: impureVerb, place: onStamp, owner: "walltime", why: "declaring a function off the determinism contract must explain itself"},
 	{verb: closedenumVerb, place: onType, owner: "statecheck"},
 }
@@ -172,9 +162,6 @@ func bindMarkers(pass *analysis.Pass) *markerTable {
 						}
 					}
 				}
-			case rule.place == onFunc && rule.named:
-				bound[c] = true
-				reportf(verb, c.Pos(), "//tspuvet:%s belongs on a function declaration, not on a type", verb)
 			}
 		}
 	}
@@ -188,23 +175,6 @@ func bindMarkers(pass *analysis.Pass) *markerTable {
 				}
 				pos := pass.Fset.Position(d.Pos())
 				byLine[fileLine{pos.Filename, pos.Line}] = declared{fn, d}
-				if d.Doc == nil {
-					continue
-				}
-				for _, c := range d.Doc.List {
-					verb, reason, ok := parseMarker(c)
-					rule := markerRules[verb]
-					switch {
-					case !ok:
-					case rule.place == onFunc:
-						bound[c] = true
-						bindFunc(fn, verb, c, reason, funcDisplayName(d))
-					case rule.place == onType && rule.named:
-						bound[c] = true
-						reportf(verb, c.Pos(), "//tspuvet:%s belongs on a type declaration, not on function %s",
-							verb, funcDisplayName(d))
-					}
-				}
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {
 					continue

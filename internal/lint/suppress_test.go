@@ -31,7 +31,7 @@ const suppressSrc = `package p
 
 func a() {
 	_ = 1 //tspuvet:allow walltime: trailing directive for this line
-	//tspuvet:allow maporder: standalone directive for the next line
+	//tspuvet:allow statecheck: standalone directive for the next line
 	_ = 2
 	//tspuvet:allow globalrand: this one suppresses nothing and must be flagged
 	_ = 3
@@ -40,10 +40,10 @@ func a() {
 
 func TestSuppressTrailingAndStandalone(t *testing.T) {
 	fset, f := parseSrc(t, suppressSrc)
-	ran := map[string]bool{"walltime": true, "maporder": true, "globalrand": true}
+	ran := map[string]bool{"walltime": true, "statecheck": true, "globalrand": true}
 	diags := []analysis.Diagnostic{
 		{Pos: linePos(fset, f, 4), Category: "walltime", Message: "wall clock"},
-		{Pos: linePos(fset, f, 6), Category: "maporder", Message: "map order"},
+		{Pos: linePos(fset, f, 6), Category: "statecheck", Message: "missing case"},
 		{Pos: linePos(fset, f, 8), Category: "walltime", Message: "not covered by the globalrand directive"},
 	}
 	kept := Suppress(fset, []*ast.File{f}, diags, ran)
@@ -75,57 +75,20 @@ func TestSuppressSubsetRunKeepsDirectivesQuiet(t *testing.T) {
 // A directive must only suppress its own analyzer's diagnostics.
 func TestSuppressWrongAnalyzerDoesNotApply(t *testing.T) {
 	fset, f := parseSrc(t, suppressSrc)
-	ran := map[string]bool{"walltime": true, "maporder": true, "globalrand": true}
+	ran := map[string]bool{"walltime": true, "statecheck": true, "globalrand": true}
 	diags := []analysis.Diagnostic{
-		// maporder diagnostic on the line covered only by a walltime directive.
-		{Pos: linePos(fset, f, 4), Category: "maporder", Message: "map order"},
+		// statecheck diagnostic on the line covered only by a walltime directive.
+		{Pos: linePos(fset, f, 4), Category: "statecheck", Message: "missing case"},
 	}
 	kept := Suppress(fset, []*ast.File{f}, diags, ran)
 	found := false
 	for _, d := range kept {
-		if d.Category == "maporder" {
+		if d.Category == "statecheck" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("a walltime directive suppressed a maporder diagnostic")
-	}
-}
-
-const retainsSrc = `package p
-
-func a() {
-	_ = 1 //tspuvet:retains trailing retention for this line
-	//tspuvet:retains standalone retention for the next line
-	_ = 2
-	//tspuvet:retains this one suppresses nothing and must be flagged
-	_ = 3
-}
-`
-
-// //tspuvet:retains is sugar for a retaincheck suppression: same placement
-// rules, same unused-directive rot, but it must not silence other analyzers.
-func TestSuppressRetainsDirective(t *testing.T) {
-	fset, f := parseSrc(t, retainsSrc)
-	ran := map[string]bool{"retaincheck": true, "lanecheck": true}
-	diags := []analysis.Diagnostic{
-		{Pos: linePos(fset, f, 4), Category: "retaincheck", Message: "stored past the call"},
-		{Pos: linePos(fset, f, 4), Category: "lanecheck", Message: "not covered by a retains directive"},
-		{Pos: linePos(fset, f, 6), Category: "retaincheck", Message: "stored past the call"},
-	}
-	kept := Suppress(fset, []*ast.File{f}, diags, ran)
-	if len(kept) != 2 {
-		var msgs []string
-		for _, d := range kept {
-			msgs = append(msgs, d.Category+": "+d.Message)
-		}
-		t.Fatalf("Suppress kept %d diagnostics, want 2 (the lanecheck one + the unused retains directive): %v", len(kept), msgs)
-	}
-	if kept[0].Category != "lanecheck" {
-		t.Errorf("kept[0].Category = %q, want lanecheck: a retains directive must only suppress retaincheck", kept[0].Category)
-	}
-	if kept[1].Category != "allowdirective" || !strings.Contains(kept[1].Message, "unused //tspuvet:retains") {
-		t.Errorf("kept[1] = %s: %s, want the unused //tspuvet:retains diagnostic", kept[1].Category, kept[1].Message)
+		t.Error("a walltime directive suppressed a statecheck diagnostic")
 	}
 }
 

@@ -23,15 +23,6 @@ var selfSuppression = time.Now()
 //tspuvet:ignore walltime: wrong verb // want `unknown tspuvet directive "ignore"`
 var unknownVerb = time.Now()
 
-// A deliberate retention site is valid with a reason; staleness is enforced
-// by Suppress, not here.
-//
-//tspuvet:retains capture ring owns the tap until the comparator drains it
-var retainsOK = time.Now()
-
-//tspuvet:retains // want `//tspuvet:retains is missing a reason`
-var retainsNoReason = time.Now()
-
 // A plain comment mentioning tspuvet:allow inside prose is not a directive
 // because directives must start the comment: //tspuvet:allow is only parsed
 // at column one of the comment text.

@@ -81,8 +81,6 @@ func (c *Chain) attach(mb Middlebox) {
 // Run sends pkt through lane from dir's entry end and reports whether it
 // survived. key is pkt's flow key on a multi-lane chain; a one-lane chain
 // ignores it.
-//
-//tspuvet:lane
 func (c *Chain) Run(lane int, pkt *packet.Packet, dir Direction, key packet.FlowKey4) Action {
 	from := -1
 	if dir == BtoA {
@@ -113,8 +111,6 @@ func (c *Chain) walk(lane int, pkt *packet.Packet, dir Direction, key packet.Flo
 
 // chainPipe is the Pipe of one (lane, position). Middleboxes call it from
 // the lane's worker, so its methods are lane entry points.
-//
-//tspuvet:laneowned
 type chainPipe struct {
 	c         *Chain
 	lane, pos int32
@@ -122,13 +118,10 @@ type chainPipe struct {
 
 // Inject continues on the injector's lane: an injected packet shares its
 // flow's host pair, hence the lane.
-//
-//tspuvet:lane
 func (p *chainPipe) Inject(pkt *packet.Packet, dir Direction) {
 	p.c.walk(int(p.lane), pkt, dir, packet.FlowKey4Of(pkt), int(p.pos))
 }
 
 func (p *chainPipe) Now() time.Duration { return p.c.sim.Now() }
 
-//tspuvet:lane
 func (p *chainPipe) After(d time.Duration, fn func()) { p.c.sink.After(int(p.lane), d, fn) }

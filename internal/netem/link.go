@@ -59,10 +59,12 @@ const (
 // and routers forward it in place rather than copying per hop. A middlebox
 // that keeps the packet — or anything aliasing its payload — past its Handle
 // return MUST deep-copy first (Clone/CloneInto/Marshal), because the original
-// is mutated and re-sent by downstream hops the moment Handle returns. The
-// retaincheck analyzer in tspu-vet enforces this mechanically: any store of a
-// packet-aliasing value that outlives Handle is a diagnostic unless the line
-// carries a //tspuvet:retains annotation explaining who owns the copy.
+// is mutated and re-sent by downstream hops the moment Handle returns; a
+// packet the chain drops is dead and may not be kept either. The
+// -tags=pooldebug build checks this at run time (make pooldebug): each hop
+// gets a fresh copy and the original is scribbled, and so is every packet a
+// link drops, so a kept packet reads garbage and a golden or a test
+// downstream changes (pooldebug.go).
 type Middlebox interface {
 	Name() string
 	Handle(pipe Pipe, pkt *packet.Packet, dir Direction) Action
@@ -137,9 +139,12 @@ func (l *Link) transmit(from *Iface, pkt *packet.Packet) {
 	}
 	if l.loss > 0 && l.lossRng != nil && l.lossRng.Bool(l.loss) {
 		l.Lost++
+		l.net.retire(pkt)
 		return
 	}
-	l.chain.Run(0, pkt, dir, packet.FlowKey4{})
+	if l.chain.Run(0, pkt, dir, packet.FlowKey4{}) == Drop {
+		l.net.retire(pkt)
+	}
 }
 
 // linkSink is a Link in its role as the sink of its own chain.
@@ -153,7 +158,8 @@ func (s *linkSink) Deliver(_ int, pkt *packet.Packet, dir Direction) {
 		dst = l.a
 	}
 	dv := l.net.newDelivery()
-	//tspuvet:retains pooled in-flight delivery owns the packet until the propagation timer fires; run clears it before recycling
+	// The pooled in-flight delivery owns the packet until the propagation
+	// timer fires; fire clears it before recycling.
 	dv.link, dv.pkt, dv.dir, dv.dst = l, pkt, dir, dst
 	l.net.Sim.After(l.delay, dv.run)
 }

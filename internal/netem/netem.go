@@ -33,6 +33,9 @@ type Network struct {
 	// nextLinkPos is the position in Links' build order that the next
 	// ReserveLink hands out.
 	nextLinkPos int
+	// retention is the pooldebug retention check's state (pooldebug.go);
+	// empty in the normal build.
+	retention retention
 	// freeDeliveries recycles pending-delivery records (struct + bound
 	// closure); every in-flight hop otherwise allocates a fresh closure, the
 	// single largest allocation site in whole-lab profiles. The network is
@@ -73,7 +76,7 @@ func (d *delivery) fire() {
 	for _, t := range l.taps {
 		t.record(l, pkt, dir, false)
 	}
-	dst.node.deliver(dst, pkt)
+	dst.node.deliver(dst, d.net.handoff(pkt))
 }
 
 // New creates an empty network driven by s.

@@ -298,8 +298,6 @@ func TestFragScanGroundTruthSignal(t *testing.T) {
 	}
 	probe := func(ep *Endpoint, frags int, id uint16) bool {
 		got := false
-		prev := l.Paris.Tap // no accessor; use a one-shot conn-less probe
-		_ = prev
 		sport := l.Paris.EphemeralPort()
 		p := packet.NewTCP(l.Paris.Addr(), ep.Addr, sport, ep.Port, packet.FlagSYN, 1, 0, nil)
 		p.IP.ID = id
@@ -307,6 +305,7 @@ func TestFragScanGroundTruthSignal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		l.Paris.ClearTaps()
 		l.Paris.Tap(func(pk *packet.Packet) {
 			if pk.TCP != nil && pk.TCP.Flags.Has(packet.FlagsSYNACK) && pk.IP.Src == ep.Addr && pk.TCP.DstPort == sport {
 				got = true

@@ -106,8 +106,6 @@ func (t StateTimeouts) forBlock(b BlockType) time.Duration {
 
 // blockState is an active blocking decision on one flow. It is embedded by
 // value in the flowEntry so installing a block never allocates.
-//
-//tspuvet:laneowned
 type blockState struct {
 	typ   BlockType
 	until time.Duration
@@ -124,8 +122,6 @@ type blockState struct {
 // sits on two intrusive lists of its shard — insertion order for pressure
 // eviction (older/newer) and one timeout-wheel slot (wprev/wnext, wslot) —
 // so eviction and expiry find entries by pointer, never by key.
-//
-//tspuvet:laneowned
 type flowEntry struct {
 	key     packet.FlowKey4 // canonical compact 5-tuple
 	expires time.Duration
@@ -170,8 +166,6 @@ func (e *flowEntry) setImmune(t BlockType)     { e.immune |= 1 << uint(t) }
 // engine can hand each worker a disjoint set of shards and run them with no
 // lock — the decentralized-deployment analogue of the paper's observation
 // that TSPU state is per-box, not network-global.
-//
-//tspuvet:laneowned
 type ctShard struct {
 	table    flowIndex
 	timeouts StateTimeouts

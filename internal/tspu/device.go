@@ -87,8 +87,6 @@ const numBlockTypes = int(IPBlock) + 1
 // laneStats holds one lane's counters as flat words — no maps — so the
 // concurrent batch path increments them without synchronization or
 // allocation. Stats() folds all lanes into the public map form.
-//
-//tspuvet:laneowned
 type laneStats struct {
 	handled     int
 	dropped     int
@@ -104,8 +102,6 @@ type laneStats struct {
 // packets whose canonical host pair hashes to conntrack shard i, so two
 // engine workers driving different lanes of one device never touch the same
 // memory.
-//
-//tspuvet:laneowned
 type devLane struct {
 	stats laneStats
 	frags *fragEngine
@@ -139,8 +135,8 @@ type Device struct {
 	sweepEvery time.Duration
 }
 
-// NewDevice creates a device. If no controller registers it, it enforces an
-// empty policy.
+// NewDevice creates a device. Until a controller registers it, or SetPolicy
+// installs one, it enforces emptyPolicy.
 func NewDevice(cfg Config) *Device {
 	if cfg.InspectDepth == 0 {
 		cfg.InspectDepth = 512
@@ -160,7 +156,7 @@ func NewDevice(cfg Config) *Device {
 	}
 	d := &Device{
 		cfg:    cfg,
-		policy: NewPolicy(),
+		policy: emptyPolicy,
 		rng:    rng,
 		ct:     newShardedConntrack(cfg.Timeouts, cfg.Shards),
 	}
@@ -181,7 +177,18 @@ func (d *Device) Name() string {
 	return "tspu"
 }
 
-// Policy returns the device's current policy.
+// emptyPolicy is the policy of every device no controller has registered:
+// NewPolicy's defaults with nothing listed. Devices share it, so it must
+// stay read-only; the datapath only reads a policy, and matching against an
+// empty DomainSet returns before touching the set's scratch buffer.
+var emptyPolicy = func() *Policy {
+	p := NewPolicy()
+	p.compileIPs()
+	return p
+}()
+
+// Policy returns the device's current policy (callers must not mutate; use
+// a Controller or SetPolicy).
 func (d *Device) Policy() *Policy { return d.policy }
 
 // SetPolicy installs a policy directly (tests; production path is the
@@ -216,22 +223,6 @@ func (d *Device) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Counters implements censor.Censor: the generic action-counter view of
-// Stats, so the cross-censor probe battery can read trigger/drop/rewrite/
-// throttle state without knowing TSPU block types.
-func (d *Device) Counters() censor.Counters {
-	st := d.Stats()
-	c := censor.Counters{
-		Dropped:   st.Dropped,
-		Rewritten: st.Rewritten,
-		Throttled: st.Throttled,
-	}
-	for _, n := range st.Triggers {
-		c.ContentTriggers += n
-	}
-	return c
 }
 
 // The TSPU device is one censor model among N (ROADMAP item 4); the probe
@@ -293,8 +284,6 @@ func (d *Device) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 // caller already hashed the key to pick the lane (the batch engine's
 // scatter pass). lane MUST equal LaneOf(key); the caller owns that lane for
 // the duration of the call.
-//
-//tspuvet:lane
 func (d *Device) HandleSharded(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction, key packet.FlowKey4, lane int) netem.Action {
 	ln := &d.lanes[lane]
 	sh := &d.ct.shards[lane]
@@ -418,7 +407,9 @@ func (d *Device) failRoll(e *flowEntry, t BlockType, ln *devLane) bool {
 	if d.cfg.PerFlowRand {
 		miss = float64(d.flowRand(e)>>11)/(1<<53) < rate
 	} else {
-		//tspuvet:allow lanecheck: the shared-stream branch runs only with PerFlowRand off, and the batch engine requires PerFlowRand devices (engine doc); single-threaded Handle is the only caller here
+		// The shared stream is drawn only with PerFlowRand off, and the batch
+		// engine requires PerFlowRand devices (engine doc), so single-threaded
+		// Handle is the only caller here.
 		miss = d.rng.Bool(rate)
 	}
 	if miss {
@@ -433,7 +424,7 @@ func (d *Device) sni2Allowance(e *flowEntry) int {
 		span := uint64(d.cfg.SNI2AllowanceMax - d.cfg.SNI2AllowanceMin + 1)
 		return d.cfg.SNI2AllowanceMin + int(d.flowRand(e)%span)
 	}
-	//tspuvet:allow lanecheck: the shared-stream branch runs only with PerFlowRand off, and the batch engine requires PerFlowRand devices (engine doc); single-threaded Handle is the only caller here
+	// Shared stream: single-threaded Handle only, as in failRoll.
 	return d.rng.IntRange(d.cfg.SNI2AllowanceMin, d.cfg.SNI2AllowanceMax)
 }
 

@@ -486,6 +486,26 @@ func TestReassembleAblationDefeatsSegmentation(t *testing.T) {
 	}
 }
 
+// TestReassembleAblationSpansQuietGap: the reassembling device keeps the
+// stream prefix across a pause between segments, after the first segment
+// has moved on through the network. Under -tags=pooldebug that packet is
+// scribbled once it leaves the link, so a reassembly buffer aliasing its
+// payload instead of copying it misses the trigger here.
+func TestReassembleAblationSpansQuietGap(t *testing.T) {
+	l := newLab(t, func(c *Config) { c.ReassembleTCP = true })
+	l.server.Listen(443, hostnet.ListenOptions{})
+	ch := clientHello("facebook.com")
+	conn := l.client.Dial(l.server.Addr(), 443, hostnet.DialOptions{})
+	conn.OnEstablished = func() {
+		conn.Send(ch[:40])
+		l.sim.After(200*time.Millisecond, func() { conn.Send(ch[40:]) })
+	}
+	l.sim.Run()
+	if l.device.Stats().Triggers[SNI1] == 0 {
+		t.Fatal("reassembling device missed a ClientHello split by a 200 ms pause")
+	}
+}
+
 func TestPrependRecordEvades(t *testing.T) {
 	l := newLab(t, nil)
 	conn := l.openAndSendCHSpec(&tlsx.ClientHelloSpec{ServerName: "facebook.com", PrependRecord: true})

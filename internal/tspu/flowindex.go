@@ -12,8 +12,6 @@ import "tspusim/internal/packet"
 // tombstone, so flood churn never degrades probes and the table grows only
 // with the live flow count; it never shrinks. Nothing iterates it outside
 // tests, so slot order cannot reach any output.
-//
-//tspuvet:laneowned
 type flowIndex struct {
 	// slots has a power-of-two length (nil until the first put); an empty
 	// slot has e == nil.

@@ -21,8 +21,6 @@ import (
 //     unusual limit is the fingerprint of §7.2 (Linux uses 64, Cisco 24,
 //     Juniper 250).
 //   - Queues missing fragments after the timeout (~5 s) are discarded.
-//
-//tspuvet:laneowned
 type fragEngine struct {
 	limit   int
 	timeout time.Duration
@@ -33,7 +31,6 @@ type fragEngine struct {
 	forwarded int
 }
 
-//tspuvet:laneowned
 type fragQueue struct {
 	frags    []*packet.Packet
 	pipe     netem.Pipe

@@ -175,7 +175,8 @@ func (s *DomainSet) matchWith(name []byte, lower *[]byte) bool {
 					buf[j] = c + ('a' - 'A')
 				}
 			}
-			//tspuvet:allow lanecheck: lower aliases the calling lane's devLane.fold scratch; each lane threads its own buffer, so the write stays lane-private
+			// lower is the calling lane's devLane.fold scratch; each lane
+			// threads its own buffer, so the write stays lane-private.
 			*lower = buf
 			name = buf
 			break

@@ -14,8 +14,6 @@ import "time"
 // capacityState is a shard's flow-table bound and its insertion-order list:
 // every live entry, oldest first, threaded through flowEntry.older/newer. It
 // lives inside a ctShard and is only touched by the lane that owns it.
-//
-//tspuvet:laneowned
 type capacityState struct {
 	maxFlows       int
 	oldest, newest *flowEntry

@@ -169,8 +169,8 @@ func TestHandleShardedMatchesHandle(t *testing.T) {
 // TestShardLaneParallelRace drives HandleSharded with one goroutine per
 // lane — the batch engine's concurrency contract, stripped to the device —
 // and checks the per-lane verdict streams against a sequential reference.
-// Its real payload is `go test -race`: any cross-lane touch the lanecheck
-// analyzer missed statically shows up here as a data race.
+// Its real payload is `go test -race` (make race-lanes): any cross-lane
+// touch shows up here as a data race.
 func TestShardLaneParallelRace(t *testing.T) {
 	stream := multiPairStream(11, 4000)
 	seq := shardEquivDevice(8, 99)

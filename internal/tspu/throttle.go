@@ -8,8 +8,6 @@ import "time"
 // throttling, with the rate lowered to 600-700 bytes per second (§5.2).
 // Buckets hang off a flowEntry's blockState, so they inherit the entry's
 // lane ownership.
-//
-//tspuvet:laneowned
 type tokenBucket struct {
 	rate   float64 // bytes per second
 	burst  float64 // bucket capacity in bytes

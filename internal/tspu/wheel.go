@@ -33,8 +33,6 @@ const (
 // and is only ever advanced by the lane that owns that shard. The ring is
 // made with the shard's first entry (ctShard.allocEntry); until then only
 // base moves.
-//
-//tspuvet:laneowned
 type timeWheel struct {
 	// slots[i] heads the list of entries linked through wprev/wnext whose
 	// wslot is i; nil until the shard's first entry.
