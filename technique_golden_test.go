@@ -11,8 +11,10 @@ import (
 // the paper's measurement techniques: state-timeout bisection (table2,
 // table8), the residual and fresh-port check (residual), TTL-limited
 // localization (localize, fig8), sequence exploration (fig4), ClientHello
-// fuzzing (fig13), and the raw-flow traces (sni3, fig2, timeline).
-var techniqueIDs = []string{"table2", "table8", "residual", "localize", "fig8", "fig4", "fig13", "sni3", "fig2", "timeline"}
+// fuzzing (fig13), the raw-flow traces (sni3, fig2, timeline), and the §8
+// evasion trial behind the circumvention matrix and the genetic search
+// (circum, evolve).
+var techniqueIDs = []string{"table2", "table8", "residual", "localize", "fig8", "fig4", "fig13", "sni3", "fig2", "timeline", "circum", "evolve"}
 
 func techniqueOpts() Options {
 	return Options{Seed: 1, Endpoints: 200, ASes: 12, EchoServers: 50, TrancoN: 200, RegistryN: 200}
