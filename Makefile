@@ -185,22 +185,24 @@ crosscensor:
 # counter-evolving-censor ledger must be byte-identical across worker counts
 # through the experiment surface, match the committed golden, and every
 # golden trace under testdata/evasions/ must replay byte-identically from
-# nothing but its own header.
+# nothing but its own header. The traces replay circumvent.Trial, so the
+# trial's and the search's own tests run here too.
 armsrace:
 	$(GO) build -o /tmp/tspu-lab ./cmd/tspu-lab
 	/tmp/tspu-lab -exp armsrace -seeds 2 -workers 1 -endpoints 20 -ases 2 -echo 5 -tranco 50 -registry 50 > /tmp/armsrace-w1.txt
 	/tmp/tspu-lab -exp armsrace -seeds 2 -workers 4 -endpoints 20 -ases 2 -echo 5 -tranco 50 -registry 50 > /tmp/armsrace-w4.txt
 	diff /tmp/armsrace-w1.txt /tmp/armsrace-w4.txt && echo "armsrace ledger worker-independent"
 	$(GO) test -count=1 -run 'TestArmsRace|TestEvasionCorpus' .
-	$(GO) test -count=1 ./internal/armsrace
+	$(GO) test -count=1 ./internal/armsrace ./internal/circumvent ./internal/evolve
 
 # Native fuzzing over the wire parsers that face attacker-controlled bytes
 # (IP/TCP, ClientHello, HTTP response). FuzzChecksum pins the word-wise
 # Internet checksum to the 16-bit RFC 1071 reference; FuzzGenome guards the
-# evasion-corpus serialization contract (Decode/String round-trip).
+# evasion-corpus serialization contract (circumvent.Decode/String
+# round-trip).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 10s ./internal/tlsx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
-	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/evolve
+	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/circumvent

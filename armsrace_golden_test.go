@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"tspusim/internal/armsrace"
-	"tspusim/internal/evolve"
+	"tspusim/internal/circumvent"
 	"tspusim/internal/fleet"
 	"tspusim/internal/measure"
 )
@@ -143,7 +143,7 @@ func TestEvasionCorpusReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The header's strategy string must be a valid corpus form.
-			if _, err := evolve.Decode(h.Genome); err != nil {
+			if _, err := circumvent.Decode(h.Genome); err != nil {
 				t.Fatalf("trace header carries undecodable strategy %q: %v", h.Genome, err)
 			}
 			got, err := armsrace.Trace(h)
@@ -185,10 +185,10 @@ func TestArmsRacePortabilityControls(t *testing.T) {
 	}
 	// The fingerprint matrix's pinned facts imply concrete control cells:
 	// the TSPU does not block the HTTP plane, airtel does not block TLS.
-	if got := pm.BaselineBlocked["tspu"][armsrace.ProbeHTTP]; got {
+	if got := pm.BaselineBlocked["tspu"][circumvent.ProbeHTTP]; got {
 		t.Error("tspu unexpectedly blocks the http-host probe at baseline")
 	}
-	if got := pm.BaselineBlocked["in-airtel"][armsrace.ProbeTLS]; got {
+	if got := pm.BaselineBlocked["in-airtel"][circumvent.ProbeTLS]; got {
 		t.Error("in-airtel unexpectedly blocks the tls-sni probe at baseline")
 	}
 }

@@ -1,7 +1,9 @@
 // Circumvention demo: run the §8 evasion strategies against the TSPU's
 // blocking behaviors, first across a single symmetric device (ER-Telecom to
 // the US), then through a path with an upstream-only device (OBIT to Paris)
-// where server-side tricks partially fail.
+// where server-side tricks partially fail. Each cell is one
+// circumvent.Trial: the strategy's genes (or ClientHello builder) against
+// one target Probe, judged on whether the blocked connection stays usable.
 package main
 
 import (

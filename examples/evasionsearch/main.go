@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"tspusim"
+	"tspusim/internal/circumvent"
 	"tspusim/internal/evolve"
 )
 
@@ -17,9 +18,10 @@ func main() {
 	results := evolve.Search(lab, lab.US1, evolve.SearchOptions{Population: 16, Generations: 8})
 	fmt.Print(evolve.Render(results))
 
-	// Show the per-gene verdicts of the simplest winner.
+	// Show the simplest winner: one gene that evades every §8 target.
+	targets := len(circumvent.Targets())
 	for _, d := range results {
-		if d.Fitness == 3 && d.Genome.Complexity() == 1 {
+		if d.Fitness == targets && d.Genome.Complexity() == 1 {
 			fmt.Printf("\nsimplest full evasion: %s\n", d.Genome)
 			fmt.Println("matches a §8 strategy the paper documented by hand —")
 			fmt.Println("the search found it with no knowledge of the device internals.")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tspusim/internal/circumvent"
 	"tspusim/internal/evolve"
 	"tspusim/internal/report"
 	"tspusim/internal/sim"
@@ -63,8 +64,8 @@ type Pin struct {
 	Round int
 	// Posture is the countermeasure set it evaded.
 	Posture []string
-	Genome  evolve.Genome
-	Verdict Verdict
+	Genome  circumvent.Genome
+	Verdict circumvent.Verdict
 	// DefeatedRound is the round a later posture killed it, 0 if it survived
 	// the whole race.
 	DefeatedRound int
@@ -74,7 +75,7 @@ type Pin struct {
 // arms-race outcome the ledger exists to witness.
 type Defeat struct {
 	Family         string
-	Genome         evolve.Genome
+	Genome         circumvent.Genome
 	PinnedRound    int
 	Round          int
 	Countermeasure string
@@ -99,9 +100,9 @@ type RoundLog struct {
 // FamilyLog is one lineage's full race.
 type FamilyLog struct {
 	Family string
-	Probe  Probe
+	Probe  circumvent.Probe
 	// Baseline is the noop verdict under the unmodified censor.
-	Baseline Verdict
+	Baseline circumvent.Verdict
 	// NotApplicable: the family never blocked the probed target, so there is
 	// nothing to evade (the portability matrix's control column).
 	NotApplicable bool
@@ -134,7 +135,7 @@ func runFamily(cfg Config, fam Family) FamilyLog {
 
 	// Control: if the unmodified censor never blocks the probed target,
 	// "evasions" against it would be meaningless and the family sits out.
-	fl.Baseline = runTrial(fam, fam.Probe, nil, evolve.Genome{}, nil)
+	fl.Baseline = runTrial(fam, fam.Probe, nil, circumvent.Genome{}, nil)
 	if fl.Baseline.Evaded {
 		fl.NotApplicable = true
 		return fl
@@ -151,7 +152,7 @@ func runFamily(cfg Config, fam Family) FamilyLog {
 		// Replay every still-standing pin under the current posture; the ones
 		// that stopped evading are this round's defeats, attributed to the
 		// countermeasure applied at the end of the previous round.
-		var survivors []evolve.Genome
+		var survivors []circumvent.Genome
 		for i := range fl.Pins {
 			p := &fl.Pins[i]
 			if p.DefeatedRound != 0 {
@@ -189,7 +190,7 @@ func runFamily(cfg Config, fam Family) FamilyLog {
 			if d.Fitness < 1 {
 				break // sorted by fitness descending
 			}
-			g := evolve.Shrink(d.Genome, func(c evolve.Genome) bool { return ec.verdict(c).Evaded })
+			g := evolve.Shrink(d.Genome, func(c circumvent.Genome) bool { return ec.verdict(c).Evaded })
 			if pinnedSigs[g.Signature()] || len(rl.NewPins) >= cfg.PinsPerRound {
 				continue
 			}

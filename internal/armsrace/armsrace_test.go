@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"tspusim/internal/evolve"
+	"tspusim/internal/circumvent"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
 )
@@ -47,10 +47,10 @@ func TestSlug(t *testing.T) {
 }
 
 func TestVerdictEncodeRoundTrip(t *testing.T) {
-	for _, v := range []Verdict{
+	for _, v := range []circumvent.Verdict{
 		{},
-		{Evaded: true, ServerSawTrigger: true, ClientGotReply: true, FollowUps: 4},
-		{ServerSawTrigger: true, ResetSeen: true, FollowUps: 1},
+		{Evaded: true, ServerSawTrigger: true, ClientGotReply: true, FollowUps: 4, Probed: 4},
+		{ServerSawTrigger: true, ResetSeen: true, FollowUps: 1, Probed: 4},
 	} {
 		got, err := parseVerdict(encodeVerdict(v))
 		if err != nil || got != v {
@@ -105,11 +105,11 @@ func TestWatchersCounterKnownEvasions(t *testing.T) {
 	cases := []struct {
 		name   string
 		cmName string
-		genome evolve.Genome
+		genome circumvent.Genome
 	}{
-		{"frag-reassembly kills fragmentation", "frag-reassembly", evolve.Genome{FragmentPayload: 64}},
-		{"stream-scan kills segmentation", "stream-scan", evolve.Genome{SegmentSize: 64}},
-		{"stream-scan kills record-prepending", "stream-scan", evolve.Genome{PrependRecord: true}},
+		{"frag-reassembly kills fragmentation", "frag-reassembly", circumvent.Genome{FragmentPayload: 64}},
+		{"stream-scan kills segmentation", "stream-scan", circumvent.Genome{SegmentSize: 64}},
+		{"stream-scan kills record-prepending", "stream-scan", circumvent.Genome{PrependRecord: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +125,7 @@ func TestWatchersCounterKnownEvasions(t *testing.T) {
 			if after.Evaded {
 				t.Fatalf("%s should be blocked under %s, got %s", tc.genome, tc.cmName, after)
 			}
-			control := runTrial(tm, tm.Probe, cms, evolve.Genome{}, nil)
+			control := runTrial(tm, tm.Probe, cms, circumvent.Genome{}, nil)
 			if control.Evaded {
 				t.Fatalf("noop should stay blocked under %s, got %s", tc.cmName, control)
 			}
@@ -137,7 +137,7 @@ func TestWatchersCounterKnownEvasions(t *testing.T) {
 // must kill record-prepending while the reassemble knob alone does not.
 func TestByteScanCountersPrependRecord(t *testing.T) {
 	tspuFam, _ := FamilyByName("tspu")
-	g := evolve.Genome{PrependRecord: true}
+	g := circumvent.Genome{PrependRecord: true}
 	if v := runTrial(tspuFam, tspuFam.Probe, nil, g, nil); !v.Evaded {
 		t.Fatalf("prepend-record should evade baseline tspu, got %s", v)
 	}

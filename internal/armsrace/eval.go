@@ -1,86 +1,38 @@
 package armsrace
 
 import (
-	"bytes"
 	"fmt"
 
 	"tspusim/internal/censor"
 	"tspusim/internal/circumvent"
-	"tspusim/internal/evolve"
 	"tspusim/internal/fleet"
-	"tspusim/internal/hostnet"
-	"tspusim/internal/httpx"
+	"tspusim/internal/measure"
 	"tspusim/internal/netem"
-	"tspusim/internal/packet"
 	"tspusim/internal/sim"
 	"tspusim/internal/topo"
 )
 
-// Verdict is one trial's observable outcome, the unit both the search
-// fitness and the golden traces are built from.
-type Verdict struct {
-	// Evaded is the headline: trigger delivered, reply received clean, and
-	// every follow-up arrived.
-	Evaded bool
-	// ServerSawTrigger: the blocked name reached the origin.
-	ServerSawTrigger bool
-	// ClientGotReply: the origin's reply reached the client.
-	ClientGotReply bool
-	// ResetSeen: the client's connection was torn down.
-	ResetSeen bool
-	// FollowUps that arrived at the origin, out of followUpCount — sustained
-	// usability, so a few-packet grace period does not count as evasion.
-	FollowUps int
-}
-
-// followUpCount is the sustained-usability probe depth. Four is enough to
-// cross every modeled grace period while keeping ~800 trials per run cheap.
-const followUpCount = 4
-
-// originMarker is the origin's reply to a delivered trigger; seeing it at
-// the client is the ClientGotReply signal.
-const originMarker = "ORIGIN-REPLY-OK"
-
-// String renders the canonical verdict cell used in ledgers and traces.
-func (v Verdict) String() string {
-	if v.Evaded {
-		return fmt.Sprintf("evades (trigger delivered, reply clean, %d/%d follow-ups)", v.FollowUps, followUpCount)
-	}
-	switch {
-	case v.ResetSeen && !v.ServerSawTrigger:
-		return "blocked (trigger killed, connection reset)"
-	case v.ResetSeen:
-		return "blocked (trigger delivered but connection reset)"
-	case !v.ServerSawTrigger:
-		return "blocked (trigger silently dropped)"
-	case !v.ClientGotReply:
-		return "blocked (reply lost or rewritten)"
-	default:
-		return fmt.Sprintf("blocked (only %d/%d follow-ups survived)", v.FollowUps, followUpCount)
-	}
-}
-
 // encodeVerdict/parseVerdict carry a Verdict through a fleet job's string
 // output, the only channel worker goroutines report through.
-func encodeVerdict(v Verdict) string {
-	return fmt.Sprintf("evaded=%t server=%t reply=%t rst=%t followups=%d",
-		v.Evaded, v.ServerSawTrigger, v.ClientGotReply, v.ResetSeen, v.FollowUps)
+func encodeVerdict(v circumvent.Verdict) string {
+	return fmt.Sprintf("evaded=%t server=%t reply=%t rst=%t followups=%d/%d",
+		v.Evaded, v.ServerSawTrigger, v.ClientGotReply, v.ResetSeen, v.FollowUps, v.Probed)
 }
 
-func parseVerdict(s string) (Verdict, error) {
-	var v Verdict
-	_, err := fmt.Sscanf(s, "evaded=%t server=%t reply=%t rst=%t followups=%d",
-		&v.Evaded, &v.ServerSawTrigger, &v.ClientGotReply, &v.ResetSeen, &v.FollowUps)
+func parseVerdict(s string) (circumvent.Verdict, error) {
+	var v circumvent.Verdict
+	_, err := fmt.Sscanf(s, "evaded=%t server=%t reply=%t rst=%t followups=%d/%d",
+		&v.Evaded, &v.ServerSawTrigger, &v.ClientGotReply, &v.ResetSeen, &v.FollowUps, &v.Probed)
 	return v, err
 }
 
 // runTrial evaluates one genome against one family under one posture on a
-// fresh testbed — the arms race's analogue of circumvent.Evaluate, pointed at
-// an arbitrary censor.Censor instead of the Lab's TSPU fleet. The probe is
-// explicit because the portability matrix replays a strategy on its *own*
-// plane against every family, not on the column family's plane. A non-nil
-// capt taps the censor link for golden traces.
-func runTrial(fam Family, probe Probe, applied []Countermeasure, g evolve.Genome, capt *netem.Capture) Verdict {
+// fresh testbed: the applied countermeasures configure the censor and put
+// their watchers in front of it, and circumvent.Trial runs the probe through
+// it. The probe is explicit because the portability matrix replays a
+// strategy on its *own* plane against every family, not on the column
+// family's plane. A non-nil capt taps the censor link for golden traces.
+func runTrial(fam Family, probe circumvent.Probe, applied []Countermeasure, g circumvent.Genome, capt *netem.Capture) circumvent.Verdict {
 	var pre []func(s *sim.Sim) netem.Middlebox
 	for _, cm := range applied {
 		if cm.Watcher != nil {
@@ -94,74 +46,7 @@ func runTrial(fam Family, probe Probe, applied []Countermeasure, g evolve.Genome
 	if capt != nil {
 		t.Link.Tap(capt)
 	}
-
-	strat := g.Strategy()
-	var v Verdict
-
-	// The origin accumulates bytes and replies once the blocked name has
-	// arrived — however it was split on the wire, the host stack reassembles.
-	var serverBuf []byte
-	opts := hostnet.ListenOptions{}
-	opts.OnData = func(c *hostnet.TCPConn, d []byte) {
-		if v.ServerSawTrigger {
-			return
-		}
-		serverBuf = append(serverBuf, d...)
-		if bytes.Contains(serverBuf, []byte(BlockedDomain)) {
-			v.ServerSawTrigger = true
-			c.Send([]byte(originMarker))
-		}
-	}
-	if strat.Listen != nil {
-		strat.Listen(&opts)
-	}
-	listener := t.Server.Listen(probe.Port, opts)
-
-	dialOpts := hostnet.DialOptions{}
-	if strat.Dial != nil {
-		strat.Dial(&dialOpts)
-	}
-
-	// The trigger payload matches the probe plane. ClientHello-shaping genes
-	// apply only on TLS; on HTTP they are inert by construction, so an HTTP
-	// family can never be "evaded" by a padding extension it would never see.
-	var payload []byte
-	if probe.Kind == ProbeHTTP {
-		payload = httpx.FormatRequest("GET", BlockedDomain, "/")
-	} else {
-		payload = circumvent.RealisticCH(BlockedDomain)
-		if strat.BuildCH != nil {
-			payload = strat.BuildCH(BlockedDomain)
-		}
-	}
-
-	conn := t.Client.Dial(t.ServerAddr(), probe.Port, dialOpts)
-	conn.OnEstablished = func() {
-		if strat.SendCH != nil {
-			strat.SendCH(nil, conn, payload)
-		} else {
-			conn.Send(payload)
-		}
-	}
-	t.Sim.Run()
-
-	if conn.State == hostnet.StateEstablished {
-		for i := 0; i < followUpCount; i++ {
-			conn.SendRaw(packet.FlagsPSHACK, []byte("GET /follow-up"))
-			t.Sim.Run()
-		}
-	}
-	for _, sc := range listener.Conns {
-		if sc.RemotePort == conn.LocalPort {
-			v.FollowUps = bytes.Count(sc.Received, []byte("GET /follow-up"))
-		}
-	}
-	v.ClientGotReply = bytes.Contains(conn.Received, []byte(originMarker))
-	v.ResetSeen = conn.ResetSeen
-	v.Evaded = v.ServerSawTrigger && v.ClientGotReply && !v.ResetSeen && v.FollowUps == followUpCount
-	conn.Close()
-	t.Sim.Run()
-	return v
+	return circumvent.Trial(measure.TestbedPath(t), circumvent.Strategy{Genome: g}, probe)
 }
 
 // evalCtx evaluates genomes for one (family, posture, round), fanning each
@@ -174,20 +59,20 @@ type evalCtx struct {
 	applied []Countermeasure
 	workers int
 	label   string
-	cache   map[evolve.Genome]Verdict
+	cache   map[circumvent.Genome]circumvent.Verdict
 }
 
 func newEvalCtx(fam Family, applied []Countermeasure, workers int, label string) *evalCtx {
 	return &evalCtx{fam: fam, applied: applied, workers: workers, label: label,
-		cache: make(map[evolve.Genome]Verdict)}
+		cache: make(map[circumvent.Genome]circumvent.Verdict)}
 }
 
 // evalAll runs every uncached, non-noop genome as one fleet batch.
 //
 //tspuvet:impure the fleet runner reads wall time for worker metrics; verdict bytes are seed-pure
-func (ec *evalCtx) evalAll(gs []evolve.Genome) {
-	var uniq []evolve.Genome
-	batched := make(map[evolve.Genome]bool)
+func (ec *evalCtx) evalAll(gs []circumvent.Genome) {
+	var uniq []circumvent.Genome
+	batched := make(map[circumvent.Genome]bool)
 	for _, g := range gs {
 		if g.IsNoop() || batched[g] {
 			continue
@@ -218,17 +103,17 @@ func (ec *evalCtx) evalAll(gs []evolve.Genome) {
 }
 
 // verdict returns one genome's verdict, evaluating on miss.
-func (ec *evalCtx) verdict(g evolve.Genome) Verdict {
+func (ec *evalCtx) verdict(g circumvent.Genome) circumvent.Verdict {
 	if g.IsNoop() {
-		return Verdict{} // the noop baseline is evaluated explicitly, never here
+		return circumvent.Verdict{} // the noop baseline is evaluated explicitly, never here
 	}
-	ec.evalAll([]evolve.Genome{g})
+	ec.evalAll([]circumvent.Genome{g})
 	return ec.cache[g]
 }
 
 // batch is the evolve.BatchFitness adapter: 1 if the genome evades this
 // family under this posture, else 0.
-func (ec *evalCtx) batch(gs []evolve.Genome) []int {
+func (ec *evalCtx) batch(gs []circumvent.Genome) []int {
 	ec.evalAll(gs)
 	fits := make([]int, len(gs))
 	for i, g := range gs {

@@ -15,7 +15,7 @@ import (
 	"tspusim/internal/censor"
 	"tspusim/internal/censor/in"
 	"tspusim/internal/censor/tm"
-	"tspusim/internal/evolve"
+	"tspusim/internal/circumvent"
 	"tspusim/internal/ispdpi"
 	"tspusim/internal/netem"
 	"tspusim/internal/sim"
@@ -34,20 +34,20 @@ const BlockedDomain = "rferl.org"
 // and is byte-identical across replicas and worker counts.
 const CorpusSeed uint64 = 0x7575
 
-// ProbeKind names the application-layer trigger a family is probed with.
-type ProbeKind string
+// followUpCount is the arms race's sustained-usability probe depth; the
+// pinned traces record it, and it keeps ~800 trials per run cheap. Four does
+// not cross every modeled grace period — the TSPU's SNI-II allowance is 5–8
+// packets — but the race's tspu family lists its stimulus under SNI-I.
+const followUpCount = 4
 
-// Probe kinds: the two trigger planes every modeled censor family acts on.
-const (
-	ProbeTLS  ProbeKind = "tls-sni"
-	ProbeHTTP ProbeKind = "http-host"
-)
-
-// Probe is the stimulus a family's trials carry: which trigger plane, on
-// which port.
-type Probe struct {
-	Kind ProbeKind
-	Port uint16
+// probeFor maps a trigger plane to the race's probe on it: the shared
+// stimulus on the plane's standard port.
+func probeFor(kind circumvent.ProbeKind) circumvent.Probe {
+	p := circumvent.Probe{Kind: kind, Port: 443, Domain: BlockedDomain, FollowUps: followUpCount}
+	if kind == circumvent.ProbeHTTP {
+		p.Port = 80
+	}
+	return p
 }
 
 // Countermeasure is one entry of a family's upgrade menu. Defeats is the
@@ -60,7 +60,7 @@ type Countermeasure struct {
 	Note string
 	// Defeats reports whether the countermeasure targets any of the genome's
 	// active mechanisms.
-	Defeats func(g evolve.Genome) bool
+	Defeats func(g circumvent.Genome) bool
 	// Reconfig, when non-nil, mutates the TSPU device config (the ablation
 	// knobs are the counter-evolution surface for the stateful model).
 	Reconfig func(c *tspu.Config)
@@ -76,7 +76,7 @@ type Family struct {
 	Name string
 	// Cite is the paper establishing the base model.
 	Cite  string
-	Probe Probe
+	Probe circumvent.Probe
 	// Build constructs a fresh censor on the testbed's simulator with the
 	// applied countermeasures' config changes (watchers attach separately).
 	Build func(s *sim.Sim, applied []Countermeasure) censor.Censor
@@ -91,7 +91,7 @@ func tspuMenu() []Countermeasure {
 		{
 			Name: "reassemble-tcp",
 			Note: "reassemble upstream TCP before SNI inspection (kills segmentation and small-window)",
-			Defeats: func(g evolve.Genome) bool {
+			Defeats: func(g circumvent.Genome) bool {
 				return g.SegmentSize > 0 || g.ServerWindow > 0
 			},
 			Reconfig: func(c *tspu.Config) { c.ReassembleTCP = true },
@@ -99,19 +99,19 @@ func tspuMenu() []Countermeasure {
 		{
 			Name:     "frag-limit-2",
 			Note:     "tighten the fragment-queue cap from 45 to 2 so a split ClientHello poisons its queue",
-			Defeats:  func(g evolve.Genome) bool { return g.FragmentPayload > 0 },
+			Defeats:  func(g circumvent.Genome) bool { return g.FragmentPayload > 0 },
 			Reconfig: func(c *tspu.Config) { c.FragLimit = 2 },
 		},
 		{
 			Name:     "deep-inspect",
 			Note:     "raise the SNI parser's inspection depth past any padding extension",
-			Defeats:  func(g evolve.Genome) bool { return g.PadBeforeSNI > 0 },
+			Defeats:  func(g circumvent.Genome) bool { return g.PadBeforeSNI > 0 },
 			Reconfig: func(c *tspu.Config) { c.InspectDepth = 4096 },
 		},
 		{
 			Name: "strict-roles",
 			Note: "apply triggers regardless of inferred flow roles (kills split-handshake and delay)",
-			Defeats: func(g evolve.Genome) bool {
+			Defeats: func(g circumvent.Genome) bool {
 				return g.ServerSplit || g.ServerDelaySec > 0
 			},
 			Reconfig: func(c *tspu.Config) { c.StrictRoles = true },
@@ -119,7 +119,7 @@ func tspuMenu() []Countermeasure {
 		{
 			Name:    "byte-scan",
 			Note:    "raw per-packet byte scan beside the record parser (kills record-prepending)",
-			Defeats: func(g evolve.Genome) bool { return g.PrependRecord },
+			Defeats: func(g circumvent.Genome) bool { return g.PrependRecord },
 			Watcher: func() netem.Middlebox { return newByteScan(BlockedDomain, topo.CensorTestbedLocalDir) },
 		},
 	}
@@ -133,13 +133,13 @@ func scanMenu() []Countermeasure {
 		{
 			Name:    "frag-reassembly",
 			Note:    "reassemble IP fragments in front of the matcher (the fragment engine forwarded them blind)",
-			Defeats: func(g evolve.Genome) bool { return g.FragmentPayload > 0 },
+			Defeats: func(g circumvent.Genome) bool { return g.FragmentPayload > 0 },
 			Watcher: func() netem.Middlebox { return newFragReassembler(topo.CensorTestbedLocalDir) },
 		},
 		{
 			Name: "stream-scan",
 			Note: "accumulate each flow's bytes and match across packet boundaries and record structure",
-			Defeats: func(g evolve.Genome) bool {
+			Defeats: func(g circumvent.Genome) bool {
 				return g.SegmentSize > 0 || g.ServerWindow > 0 || g.PrependRecord || g.PadBeforeSNI > 0
 			},
 			Watcher: func() netem.Middlebox { return newStreamScan(BlockedDomain, topo.CensorTestbedLocalDir) },
@@ -156,7 +156,7 @@ func Families() []Family {
 		{
 			Name:  "tspu",
 			Cite:  "TSPU (IMC '22)",
-			Probe: Probe{Kind: ProbeTLS, Port: 443},
+			Probe: probeFor(circumvent.ProbeTLS),
 			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
 				cfg := tspu.Config{
 					Name:     "tspu",
@@ -183,7 +183,7 @@ func Families() []Family {
 		{
 			Name:  "ispdpi-keyword",
 			Cite:  "pre-2019 RU ISP DPI (§2 [81])",
-			Probe: Probe{Kind: ProbeTLS, Port: 443},
+			Probe: probeFor(circumvent.ProbeTLS),
 			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
 				return &ispdpi.KeywordDPI{ISP: "armsrace", Keywords: []string{BlockedDomain}}
 			},
@@ -192,7 +192,7 @@ func Families() []Family {
 		{
 			Name:  "tm",
 			Cite:  "arXiv:2304.04835",
-			Probe: Probe{Kind: ProbeTLS, Port: 443},
+			Probe: probeFor(circumvent.ProbeTLS),
 			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
 				c := tm.New(tm.Config{})
 				c.Rules().AddAll(BlockedDomain)
@@ -203,21 +203,21 @@ func Families() []Family {
 		{
 			Name:  "in-airtel",
 			Cite:  "arXiv:1808.01708",
-			Probe: Probe{Kind: ProbeHTTP, Port: 80},
+			Probe: probeFor(circumvent.ProbeHTTP),
 			Build: buildIN("airtel"),
 			Menu:  scanMenu(),
 		},
 		{
 			Name:  "in-jio",
 			Cite:  "arXiv:1808.01708",
-			Probe: Probe{Kind: ProbeTLS, Port: 443},
+			Probe: probeFor(circumvent.ProbeTLS),
 			Build: buildIN("jio"),
 			Menu:  scanMenu(),
 		},
 		{
 			Name:  "in-mtnl",
 			Cite:  "arXiv:1808.01708",
-			Probe: Probe{Kind: ProbeHTTP, Port: 80},
+			Probe: probeFor(circumvent.ProbeHTTP),
 			Build: buildIN("mtnl"),
 			Menu:  scanMenu(),
 		},

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"strings"
 
-	"tspusim/internal/evolve"
+	"tspusim/internal/circumvent"
 	"tspusim/internal/netem"
 	"tspusim/internal/report"
 )
@@ -21,7 +21,7 @@ type TraceHeader struct {
 	Family  string
 	Round   int
 	Posture []string // empty = baseline
-	Genome  string   // canonical evolve.Genome string
+	Genome  string   // canonical circumvent.Genome string
 }
 
 // TraceName returns the corpus filename for a pin.
@@ -66,7 +66,7 @@ func Trace(h TraceHeader) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("armsrace: family %q has no countermeasure among %v", h.Family, h.Posture)
 	}
-	g, err := evolve.Decode(h.Genome)
+	g, err := circumvent.Decode(h.Genome)
 	if err != nil {
 		return "", err
 	}
@@ -139,13 +139,13 @@ type Portability struct {
 	// BaselineBlocked records, per family and probe plane, whether the
 	// unmodified censor blocked the noop probe — the control guard the tests
 	// assert against.
-	BaselineBlocked map[string]map[ProbeKind]bool
+	BaselineBlocked map[string]map[circumvent.ProbeKind]bool
 }
 
 // PortRow is one portability row.
 type PortRow struct {
-	Kind   ProbeKind
-	Genome evolve.Genome
+	Kind   circumvent.ProbeKind
+	Genome circumvent.Genome
 }
 
 // Portability cell vocabulary.
@@ -155,24 +155,16 @@ const (
 	cellControl = "n/a (target not blocked)"
 )
 
-// probeFor maps a plane to its canonical probe.
-func probeFor(kind ProbeKind) Probe {
-	if kind == ProbeHTTP {
-		return Probe{Kind: ProbeHTTP, Port: 80}
-	}
-	return Probe{Kind: ProbeTLS, Port: 443}
-}
-
 // RunPortability replays every distinct pinned strategy — on its own probe
 // plane — against every family's unmodified censor.
 func RunPortability(led *Ledger) *Portability {
 	fams := led.Config.withDefaults().Families
-	pm := &Portability{BaselineBlocked: make(map[string]map[ProbeKind]bool)}
+	pm := &Portability{BaselineBlocked: make(map[string]map[circumvent.ProbeKind]bool)}
 	for _, fam := range fams {
 		pm.Families = append(pm.Families, fam.Name)
-		pm.BaselineBlocked[fam.Name] = map[ProbeKind]bool{}
-		for _, kind := range []ProbeKind{ProbeTLS, ProbeHTTP} {
-			blocked := !runTrial(fam, probeFor(kind), nil, evolve.Genome{}, nil).Evaded
+		pm.BaselineBlocked[fam.Name] = map[circumvent.ProbeKind]bool{}
+		for _, kind := range []circumvent.ProbeKind{circumvent.ProbeTLS, circumvent.ProbeHTTP} {
+			blocked := !runTrial(fam, probeFor(kind), nil, circumvent.Genome{}, nil).Evaded
 			pm.BaselineBlocked[fam.Name][kind] = blocked
 		}
 	}

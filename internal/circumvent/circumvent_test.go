@@ -5,12 +5,30 @@ import (
 	"testing"
 
 	"tspusim/internal/hostnet"
+	"tspusim/internal/measure"
 	"tspusim/internal/topo"
 )
 
 func cvLab(t *testing.T) *topo.Lab {
 	t.Helper()
 	return topo.Build(topo.Options{Seed: 31, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
+}
+
+// labPath is the trial path from a lab vantage to a server stack.
+func labPath(lab *topo.Lab, vantage string, server *hostnet.Stack) measure.Path {
+	return measure.Path{Sim: lab.Sim, Local: lab.Vantages[vantage].Stack, Remote: server}
+}
+
+// target returns the matrix column with the given label.
+func target(t *testing.T, label string) Probe {
+	t.Helper()
+	for _, pr := range Targets() {
+		if pr.Label == label {
+			return pr
+		}
+	}
+	t.Fatalf("no target %q", label)
+	return Probe{}
 }
 
 // expected evasion matrix against a single symmetric device (ER-Telecom).
@@ -63,14 +81,15 @@ func TestUpstreamOnlyDefeatsSplitHandshakeForSNI2(t *testing.T) {
 			window = s
 		}
 	}
-	sni2 := Target{"SNI-II", "play.google.com"}
+	sni2 := target(t, "SNI-II")
+	p := labPath(lab, topo.OBIT, lab.Paris)
 
-	if Evaluate(lab, topo.OBIT, lab.Paris, split, sni2) {
+	if Trial(p, split, sni2).Evaded {
 		t.Fatal("split handshake should NOT evade SNI-II through an upstream-only device")
 	}
 	// The small-window strategy segments the CH, which no device can parse,
 	// so it survives even the upstream-only installation.
-	if !Evaluate(lab, topo.OBIT, lab.Paris, window, sni2) {
+	if !Trial(p, window, sni2).Evaded {
 		t.Fatal("small window should still evade through an upstream-only device")
 	}
 }
@@ -85,7 +104,7 @@ func TestSplitHandshakeEvadesSNI1OnUpstreamOnlyPath(t *testing.T) {
 			split = s
 		}
 	}
-	if !Evaluate(lab, topo.OBIT, lab.Paris, split, Target{"SNI-I", "dw.com"}) {
+	if !Trial(labPath(lab, topo.OBIT, lab.Paris), split, target(t, "SNI-I")).Evaded {
 		t.Fatal("split handshake should evade SNI-I via OBIT's Paris path")
 	}
 }
@@ -93,11 +112,11 @@ func TestSplitHandshakeEvadesSNI1OnUpstreamOnlyPath(t *testing.T) {
 func TestWaitTimeoutRequiresFullSleep(t *testing.T) {
 	// A 30s delay (below the 60s SYN-SENT timeout) must NOT evade.
 	lab := cvLab(t)
-	short := Strategy{
-		Name: "server-wait-short", Side: SideServer,
-		Listen: func(o *hostnet.ListenOptions) { o.ResponseDelay = 30_000 },
+	short := Strategy{Name: "server-wait-short", Genome: Genome{ServerDelaySec: 30}}
+	if short.Side() != SideServer {
+		t.Fatalf("a delay gene makes a %s-side strategy, want server", short.Side())
 	}
-	if Evaluate(lab, topo.ERTelecom, lab.US1, short, Target{"SNI-I", "dw.com"}) {
+	if Trial(labPath(lab, topo.ERTelecom, lab.US1), short, target(t, "SNI-I")).Evaded {
 		t.Fatal("30s delay should not evade the 60s SYN-SENT timeout")
 	}
 }

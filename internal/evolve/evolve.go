@@ -1,7 +1,8 @@
 // Package evolve is a Geneva-style automated evasion search (Bock et al.,
 // CCS 2019 — cited by the paper as [38]) run against the TSPU model: a small
-// genetic search over client-side packet-manipulation genomes that
-// rediscovers, without being told about them, the §8 strategies that work —
+// genetic search over circumvent.Genome packet manipulations, each candidate
+// scored by circumvent.Trial against the §8 targets, that rediscovers,
+// without being told about them, the §8 strategies that work —
 // segmentation, fragmentation, padding-before-SNI, record-prepending — and
 // learns that TTL-limited junk no longer helps. Because the device model is
 // the paper's executable spec, anything the search finds here is a strategy
@@ -11,114 +12,18 @@ package evolve
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"tspusim/internal/circumvent"
 	"tspusim/internal/hostnet"
-	"tspusim/internal/packet"
+	"tspusim/internal/measure"
 	"tspusim/internal/report"
 	"tspusim/internal/sim"
-	"tspusim/internal/tlsx"
 	"tspusim/internal/topo"
 )
 
-// Genome is one candidate client-side strategy: a bundle of independently
-// togglable packet manipulations.
-type Genome struct {
-	// SegmentSize, when non-zero, caps the client MSS (TCP segmentation).
-	SegmentSize int
-	// FragmentPayload, when non-zero, sends the CH as IP fragments of this
-	// payload size (multiple of 8).
-	FragmentPayload int
-	// PadBeforeSNI, when non-zero, inserts a padding extension of this many
-	// bytes before the SNI.
-	PadBeforeSNI int
-	// PrependRecord prepends a non-handshake TLS record.
-	PrependRecord bool
-	// JunkTTL, when non-zero, sends a TTL-limited garbage packet before the
-	// CH (the historical, now-mitigated insertion strategy).
-	JunkTTL int
-	// Server-side genes (the "come as you are" space of Bock et al. [37]):
-	// ServerWindow advertises a small receive window in the SYN/ACK;
-	// ServerSplit answers SYN with a bare SYN; ServerDelaySec delays the
-	// handshake reply past conntrack eviction.
-	ServerWindow   int
-	ServerSplit    bool
-	ServerDelaySec int
-}
-
-// IsNoop reports whether the genome applies no manipulation.
-func (g Genome) IsNoop() bool {
-	return g.SegmentSize == 0 && g.FragmentPayload == 0 && g.PadBeforeSNI == 0 &&
-		!g.PrependRecord && g.JunkTTL == 0 &&
-		g.ServerWindow == 0 && !g.ServerSplit && g.ServerDelaySec == 0
-}
-
-// Complexity counts active genes — the search prefers simpler strategies.
-func (g Genome) Complexity() int {
-	n := 0
-	if g.SegmentSize > 0 {
-		n++
-	}
-	if g.FragmentPayload > 0 {
-		n++
-	}
-	if g.PadBeforeSNI > 0 {
-		n++
-	}
-	if g.PrependRecord {
-		n++
-	}
-	if g.JunkTTL > 0 {
-		n++
-	}
-	if g.ServerWindow > 0 {
-		n++
-	}
-	if g.ServerSplit {
-		n++
-	}
-	if g.ServerDelaySec > 0 {
-		n++
-	}
-	return n
-}
-
-func (g Genome) String() string {
-	var parts []string
-	if g.SegmentSize > 0 {
-		parts = append(parts, fmt.Sprintf("segment(%d)", g.SegmentSize))
-	}
-	if g.FragmentPayload > 0 {
-		parts = append(parts, fmt.Sprintf("fragment(%d)", g.FragmentPayload))
-	}
-	if g.PadBeforeSNI > 0 {
-		parts = append(parts, fmt.Sprintf("pad-before-sni(%d)", g.PadBeforeSNI))
-	}
-	if g.PrependRecord {
-		parts = append(parts, "prepend-record")
-	}
-	if g.JunkTTL > 0 {
-		parts = append(parts, fmt.Sprintf("junk(ttl=%d)", g.JunkTTL))
-	}
-	if g.ServerWindow > 0 {
-		parts = append(parts, fmt.Sprintf("srv-window(%d)", g.ServerWindow))
-	}
-	if g.ServerSplit {
-		parts = append(parts, "srv-split")
-	}
-	if g.ServerDelaySec > 0 {
-		parts = append(parts, fmt.Sprintf("srv-delay(%ds)", g.ServerDelaySec))
-	}
-	if len(parts) == 0 {
-		return "noop"
-	}
-	return strings.Join(parts, "+")
-}
-
 // Random draws a genome with a bias toward few active genes.
-func Random(r *sim.Rand) Genome {
-	var g Genome
+func Random(r *sim.Rand) circumvent.Genome {
+	var g circumvent.Genome
 	if r.Bool(0.4) {
 		g.SegmentSize = 16 * r.IntRange(1, 16) // 16..256
 	}
@@ -147,7 +52,7 @@ func Random(r *sim.Rand) Genome {
 }
 
 // Mutate flips or perturbs one gene.
-func (g Genome) Mutate(r *sim.Rand) Genome {
+func Mutate(g circumvent.Genome, r *sim.Rand) circumvent.Genome {
 	switch r.Intn(8) {
 	case 0:
 		if g.SegmentSize == 0 {
@@ -195,71 +100,9 @@ func (g Genome) Mutate(r *sim.Rand) Genome {
 	return g
 }
 
-// Strategy compiles the genome into an evaluable circumvention strategy.
-func (g Genome) Strategy() circumvent.Strategy {
-	side := circumvent.SideClient
-	if g.ServerWindow > 0 || g.ServerSplit || g.ServerDelaySec > 0 {
-		side = circumvent.SideServer
-	}
-	s := circumvent.Strategy{Name: g.String(), Side: side}
-	if g.ServerWindow > 0 || g.ServerSplit || g.ServerDelaySec > 0 {
-		win, split, delay := g.ServerWindow, g.ServerSplit, g.ServerDelaySec
-		s.Listen = func(o *hostnet.ListenOptions) {
-			if win > 0 {
-				o.Window = uint16(win)
-			}
-			o.SplitHandshake = split
-			if delay > 0 {
-				o.ResponseDelay = delay * 1000
-			}
-		}
-	}
-	if g.SegmentSize > 0 {
-		seg := g.SegmentSize
-		s.Dial = func(o *hostnet.DialOptions) { o.MSS = seg }
-	}
-	if g.PadBeforeSNI > 0 || g.PrependRecord {
-		pad, pre := g.PadBeforeSNI, g.PrependRecord
-		s.BuildCH = func(domain string) []byte {
-			spec := &tlsx.ClientHelloSpec{ServerName: domain, PrependRecord: pre}
-			if pad > 0 {
-				spec.ExtraExts = []tlsx.Extension{{Type: tlsx.ExtensionPadding, Data: make([]byte, pad)}}
-			}
-			return spec.Build()
-		}
-	}
-	if g.FragmentPayload > 0 || g.JunkTTL > 0 {
-		frag, junk := g.FragmentPayload, g.JunkTTL
-		s.SendCH = func(lab *topo.Lab, conn *hostnet.TCPConn, ch []byte) {
-			if junk > 0 {
-				j := packet.NewTCP(conn.LocalAddr, conn.RemoteAddr, conn.LocalPort, conn.RemotePort,
-					packet.FlagsPSHACK, conn.SndNxt, conn.RcvNxt, make([]byte, 32))
-				j.IP.TTL = uint8(junk)
-				j.IP.ID = conn.Stack().NextIPID()
-				conn.Stack().Send(j)
-			}
-			if frag > 0 {
-				p := packet.NewTCP(conn.LocalAddr, conn.RemoteAddr, conn.LocalPort, conn.RemotePort,
-					packet.FlagsPSHACK, conn.SndNxt, conn.RcvNxt, ch)
-				p.IP.ID = conn.Stack().NextIPID()
-				frags, err := packet.Fragment(p, frag)
-				if err == nil && len(frags) > 1 {
-					for _, f := range frags {
-						conn.Stack().Send(f)
-					}
-					conn.SndNxt += uint32(len(ch))
-					return
-				}
-			}
-			conn.Send(ch)
-		}
-	}
-	return s
-}
-
 // Discovered is one search result.
 type Discovered struct {
-	Genome  Genome
+	Genome  circumvent.Genome
 	Fitness int // targets evaded (0..len(Targets))
 }
 
@@ -291,23 +134,23 @@ func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discover
 		opts.Vantage = topo.ERTelecom
 	}
 	r := lab.Rand.Fork("evolve")
+	path := measure.Path{Sim: lab.Sim, Local: lab.Vantages[opts.Vantage].Stack, Remote: server}
 	targets := circumvent.Targets()
 
-	fitness := func(g Genome) int {
+	fitness := func(g circumvent.Genome) int {
 		if g.IsNoop() {
 			return 0
 		}
 		n := 0
-		strat := g.Strategy()
 		for _, t := range targets {
-			if circumvent.Evaluate(lab, opts.Vantage, server, strat, t) {
+			if circumvent.Trial(path, circumvent.Strategy{Genome: g}, t).Evaded {
 				n++
 			}
 		}
 		return n
 	}
 
-	all := SearchBatch(r, opts, func(gs []Genome) []int {
+	all := SearchBatch(r, opts, func(gs []circumvent.Genome) []int {
 		// The lab is shared mutable state, so candidates — duplicates
 		// included — are evaluated strictly in slice order, preserving the
 		// exact evaluation sequence of the pre-batch search.
@@ -322,8 +165,8 @@ func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discover
 	// evaluation sequence the search itself saw. A memo keeps the repeated
 	// sub-genome probes cheap: shrunk winners funnel through the same small
 	// set of single-gene forms.
-	memo := map[Genome]int{}
-	memoFit := func(g Genome) int {
+	memo := map[circumvent.Genome]int{}
+	memoFit := func(g circumvent.Genome) int {
 		if f, ok := memo[g]; ok {
 			return f
 		}
@@ -335,7 +178,7 @@ func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discover
 	seen := map[string]bool{}
 	for _, d := range all {
 		if d.Fitness == len(targets) {
-			d.Genome = Shrink(d.Genome, func(g Genome) bool { return memoFit(g) == len(targets) })
+			d.Genome = Shrink(d.Genome, func(g circumvent.Genome) bool { return memoFit(g) == len(targets) })
 		}
 		if !seen[d.Genome.String()] {
 			seen[d.Genome.String()] = true
@@ -346,12 +189,13 @@ func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discover
 	return out
 }
 
-// Render summarizes a search.
+// Render summarizes a search against the §8 targets.
 // The ranked genome list carries no stats: a rank is not a stable key.
 func Render(results []Discovered) *report.Doc {
+	targets := len(circumvent.Targets())
 	full, tried := 0, len(results)
 	for _, d := range results {
-		if d.Fitness == 3 {
+		if d.Fitness == targets {
 			full++
 		}
 	}
@@ -364,7 +208,7 @@ func Render(results []Discovered) *report.Doc {
 		top = top[:8]
 	}
 	for _, d := range top {
-		doc.Text(fmt.Sprintf("  fitness %d/3  %s\n", d.Fitness, d.Genome))
+		doc.Text(fmt.Sprintf("  fitness %d/%d  %s\n", d.Fitness, targets, d.Genome))
 	}
 	return doc
 }

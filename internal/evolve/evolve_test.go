@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tspusim/internal/circumvent"
+	"tspusim/internal/measure"
 	"tspusim/internal/sim"
 	"tspusim/internal/topo"
 )
@@ -14,9 +15,17 @@ func evLab(t *testing.T) *topo.Lab {
 	return topo.Build(topo.Options{Seed: 61, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
 }
 
-// evalOne runs one strategy against one behavior target.
-func evalOne(lab *topo.Lab, strat circumvent.Strategy, label, domain string) bool {
-	return circumvent.Evaluate(lab, topo.ERTelecom, lab.US1, strat, circumvent.Target{Label: label, Domain: domain})
+// evades runs one genome against the §8 target with the given label, from
+// ER-Telecom to the US machine.
+func evades(t *testing.T, lab *topo.Lab, g circumvent.Genome, label string) bool {
+	t.Helper()
+	for _, pr := range circumvent.Targets() {
+		if pr.Label == label {
+			return circumvent.Trial(measure.VantagePath(lab, topo.ERTelecom), circumvent.Strategy{Genome: g}, pr).Evaded
+		}
+	}
+	t.Fatalf("no target %q", label)
+	return false
 }
 
 func TestSearchFindsEvasions(t *testing.T) {
@@ -44,13 +53,10 @@ func TestJunkOnlyGenomeFails(t *testing.T) {
 	// The TTL-junk insertion strategy is mitigated (§8); a genome carrying
 	// only that gene must not evade anything.
 	lab := evLab(t)
-	g := Genome{JunkTTL: 3}
-	strat := g.Strategy()
+	g := circumvent.Genome{JunkTTL: 3}
 	evaded := 0
-	for _, tg := range []struct{ label, domain string }{
-		{"SNI-I", "dw.com"}, {"SNI-II", "play.google.com"},
-	} {
-		if evalOne(lab, strat, tg.label, tg.domain) {
+	for _, label := range []string{"SNI-I", "SNI-II"} {
+		if evades(t, lab, g, label) {
 			evaded++
 		}
 	}
@@ -61,12 +67,11 @@ func TestJunkOnlyGenomeFails(t *testing.T) {
 
 func TestSegmentationGenomeWins(t *testing.T) {
 	lab := evLab(t)
-	g := Genome{SegmentSize: 64}
-	strat := g.Strategy()
-	if !evalOne(lab, strat, "SNI-I", "dw.com") {
+	g := circumvent.Genome{SegmentSize: 64}
+	if !evades(t, lab, g, "SNI-I") {
 		t.Fatal("segmentation genome failed against SNI-I")
 	}
-	if !evalOne(lab, strat, "SNI-II", "play.google.com") {
+	if !evades(t, lab, g, "SNI-II") {
 		t.Fatal("segmentation genome failed against SNI-II")
 	}
 }
@@ -78,23 +83,9 @@ func TestGenomeDeterminism(t *testing.T) {
 		if ga != gb {
 			t.Fatal("Random not deterministic")
 		}
-		if ga.Mutate(sim.NewRand(uint64(i))) != gb.Mutate(sim.NewRand(uint64(i))) {
+		if Mutate(ga, sim.NewRand(uint64(i))) != Mutate(gb, sim.NewRand(uint64(i))) {
 			t.Fatal("Mutate not deterministic")
 		}
-	}
-}
-
-func TestGenomeStringAndComplexity(t *testing.T) {
-	g := Genome{}
-	if g.String() != "noop" || !g.IsNoop() || g.Complexity() != 0 {
-		t.Fatal("noop genome misdescribed")
-	}
-	g = Genome{SegmentSize: 64, PrependRecord: true}
-	if g.Complexity() != 2 {
-		t.Fatalf("complexity = %d", g.Complexity())
-	}
-	if !strings.Contains(g.String(), "segment(64)") || !strings.Contains(g.String(), "prepend-record") {
-		t.Fatalf("string = %s", g)
 	}
 }
 
@@ -115,18 +106,18 @@ func TestSearchDeterministic(t *testing.T) {
 func TestServerGenes(t *testing.T) {
 	lab := evLab(t)
 	// Split handshake alone: evades SNI-I, not SNI-II (Table 8 semantics).
-	split := Genome{ServerSplit: true}
-	if !evalOne(lab, split.Strategy(), "SNI-I", "dw.com") {
+	split := circumvent.Genome{ServerSplit: true}
+	if !evades(t, lab, split, "SNI-I") {
 		t.Fatal("srv-split failed against SNI-I")
 	}
-	if evalOne(lab, split.Strategy(), "SNI-II", "play.google.com") {
+	if evades(t, lab, split, "SNI-II") {
 		t.Fatal("srv-split should not evade SNI-II")
 	}
 	// Delay past the 60 s SYN-SENT timeout evades; a 30 s delay does not.
-	if !evalOne(lab, Genome{ServerDelaySec: 61}.Strategy(), "SNI-I", "dw.com") {
+	if !evades(t, lab, circumvent.Genome{ServerDelaySec: 61}, "SNI-I") {
 		t.Fatal("srv-delay(61) failed")
 	}
-	if evalOne(lab, Genome{ServerDelaySec: 30}.Strategy(), "SNI-I", "dw.com") {
+	if evades(t, lab, circumvent.Genome{ServerDelaySec: 30}, "SNI-I") {
 		t.Fatal("srv-delay(30) should not evade")
 	}
 }
@@ -143,5 +134,32 @@ func TestSearchSpansBothSides(t *testing.T) {
 	}
 	if !sawServer {
 		t.Fatal("search never tried a server-side gene")
+	}
+}
+
+func TestDecodeRoundTripsRandom(t *testing.T) {
+	r := sim.NewRand(41)
+	for i := 0; i < 200; i++ {
+		g := Random(r)
+		d, err := circumvent.Decode(g.String())
+		if err != nil || d != g {
+			t.Fatalf("Random genome %q did not round-trip: %+v %v", g.String(), d, err)
+		}
+	}
+}
+
+func TestShrinkFindsMinimalForm(t *testing.T) {
+	// Predicate: the genome still carries a segmentation gene. Everything
+	// else is junk and must be shrunk away.
+	g := circumvent.Genome{SegmentSize: 64, JunkTTL: 3, PadBeforeSNI: 100, ServerSplit: true}
+	min := Shrink(g, func(c circumvent.Genome) bool { return c.SegmentSize > 0 })
+	if min != (circumvent.Genome{SegmentSize: 64}) {
+		t.Fatalf("shrink kept junk genes: %q", min.String())
+	}
+	// The all-zero genome is never offered even under an always-true
+	// predicate: one gene must survive.
+	min = Shrink(g, func(circumvent.Genome) bool { return true })
+	if min.IsNoop() || min.Complexity() != 1 {
+		t.Fatalf("shrink under true-predicate should stop at one gene, got %q", min.String())
 	}
 }

@@ -1,66 +1,20 @@
 package evolve
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
+	"tspusim/internal/circumvent"
 	"tspusim/internal/sim"
 )
-
-// numGenes is the size of the genome's gene space, used by Shrink and the
-// fuzz harness to enumerate single-gene removals.
-const numGenes = 8
-
-// zeroGene returns a copy of g with gene i cleared, in the fixed order
-// SegmentSize, FragmentPayload, PadBeforeSNI, PrependRecord, JunkTTL,
-// ServerWindow, ServerSplit, ServerDelaySec (the String() rendering order).
-func (g Genome) zeroGene(i int) Genome {
-	switch i {
-	case 0:
-		g.SegmentSize = 0
-	case 1:
-		g.FragmentPayload = 0
-	case 2:
-		g.PadBeforeSNI = 0
-	case 3:
-		g.PrependRecord = false
-	case 4:
-		g.JunkTTL = 0
-	case 5:
-		g.ServerWindow = 0
-	case 6:
-		g.ServerSplit = false
-	default:
-		g.ServerDelaySec = 0
-	}
-	return g
-}
-
-// Signature is the genome's active-gene bitmask — two genomes with the same
-// signature use the same mechanisms with different parameters. The arms-race
-// corpus dedups pins by signature so "segment(64)" and "segment(112)" count
-// as one discovered strategy.
-func (g Genome) Signature() uint8 {
-	var s uint8
-	for i := 0; i < numGenes; i++ {
-		if g.zeroGene(i) != g {
-			s |= 1 << uint(i)
-		}
-	}
-	return s
-}
 
 // Shrink is one-minimal ddmin over the gene space: it repeatedly clears any
 // single gene whose removal keeps the predicate true, until no single
 // removal survives. Gene order is fixed, so the result is a pure function of
 // (g, keep). The all-zero genome is never offered to keep — an empty
 // strategy is no strategy, even if the predicate would vacuously accept it.
-func Shrink(g Genome, keep func(Genome) bool) Genome {
+func Shrink(g circumvent.Genome, keep func(circumvent.Genome) bool) circumvent.Genome {
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < numGenes; i++ {
-			c := g.zeroGene(i)
+		for i := 0; i < circumvent.NumGenes; i++ {
+			c := g.Without(i)
 			if c == g || c.IsNoop() {
 				continue
 			}
@@ -73,84 +27,12 @@ func Shrink(g Genome, keep func(Genome) bool) Genome {
 	return g
 }
 
-// Decode parses the String() rendering back into a Genome, making the
-// human-readable strategy label the corpus serialization format too. Genes
-// may appear in any order but at most once; values must be positive and
-// small enough to be a plausible packet-manipulation parameter. For any
-// successfully decoded g, Decode(g.String()) == g (pinned by FuzzGenome).
-func Decode(s string) (Genome, error) {
-	var g Genome
-	if s == "noop" {
-		return g, nil
-	}
-	if s == "" {
-		return g, fmt.Errorf("evolve: empty genome string")
-	}
-	for _, part := range strings.Split(s, "+") {
-		var err error
-		switch {
-		case part == "prepend-record":
-			err = setFlag(&g.PrependRecord)
-		case part == "srv-split":
-			err = setFlag(&g.ServerSplit)
-		case strings.HasPrefix(part, "segment("):
-			err = setInt(&g.SegmentSize, part, "segment(", ")")
-		case strings.HasPrefix(part, "fragment("):
-			err = setInt(&g.FragmentPayload, part, "fragment(", ")")
-		case strings.HasPrefix(part, "pad-before-sni("):
-			err = setInt(&g.PadBeforeSNI, part, "pad-before-sni(", ")")
-		case strings.HasPrefix(part, "junk(ttl="):
-			err = setInt(&g.JunkTTL, part, "junk(ttl=", ")")
-		case strings.HasPrefix(part, "srv-window("):
-			err = setInt(&g.ServerWindow, part, "srv-window(", ")")
-		case strings.HasPrefix(part, "srv-delay("):
-			err = setInt(&g.ServerDelaySec, part, "srv-delay(", "s)")
-		default:
-			err = fmt.Errorf("unknown gene %q", part)
-		}
-		if err != nil {
-			return Genome{}, fmt.Errorf("evolve: decode %q: %w", s, err)
-		}
-	}
-	return g, nil
-}
-
-func setFlag(dst *bool) error {
-	if *dst {
-		return fmt.Errorf("duplicate gene")
-	}
-	*dst = true
-	return nil
-}
-
-// maxGeneValue bounds decoded parameters: every legitimate gene value (MSS,
-// fragment payload, pad bytes, TTL, window, delay seconds) is far below it,
-// and it keeps a hostile corpus entry from requesting a gigabyte pad.
-const maxGeneValue = 1 << 20
-
-func setInt(dst *int, part, prefix, suffix string) error {
-	if *dst != 0 {
-		return fmt.Errorf("duplicate gene")
-	}
-	body := strings.TrimPrefix(part, prefix)
-	if !strings.HasSuffix(body, suffix) {
-		return fmt.Errorf("malformed gene %q", part)
-	}
-	body = strings.TrimSuffix(body, suffix)
-	v, err := strconv.Atoi(body)
-	if err != nil || v <= 0 || v > maxGeneValue || strconv.Itoa(v) != body {
-		return fmt.Errorf("bad gene value %q", part)
-	}
-	*dst = v
-	return nil
-}
-
 // BatchFitness evaluates one generation of candidates, in order, and returns
 // a fitness per candidate. Candidates may repeat; callers that evaluate
 // against shared mutable state (one Lab) must evaluate every element in
 // slice order, while pure evaluators (fresh testbed per genome) are free to
 // fan the batch out across workers as long as results land in order.
-type BatchFitness func(gs []Genome) []int
+type BatchFitness func(gs []circumvent.Genome) []int
 
 // SearchBatch is the generic genetic loop behind Search: generation-batched
 // evaluation against any fitness function, so the same elite/mutate schedule
@@ -169,7 +51,7 @@ func SearchBatch(r *sim.Rand, opts SearchOptions, fitness BatchFitness) []Discov
 
 	seen := map[string]bool{}
 	var all []Discovered
-	evalBatch := func(gs []Genome) []Discovered {
+	evalBatch := func(gs []circumvent.Genome) []Discovered {
 		fits := fitness(gs)
 		ds := make([]Discovered, len(gs))
 		for i, g := range gs {
@@ -182,7 +64,7 @@ func SearchBatch(r *sim.Rand, opts SearchOptions, fitness BatchFitness) []Discov
 		return ds
 	}
 
-	gen0 := make([]Genome, 0, opts.Population)
+	gen0 := make([]circumvent.Genome, 0, opts.Population)
 	for i := 0; i < opts.Population; i++ {
 		gen0 = append(gen0, Random(r))
 	}
@@ -190,10 +72,10 @@ func SearchBatch(r *sim.Rand, opts SearchOptions, fitness BatchFitness) []Discov
 	for gen := 1; gen < opts.Generations; gen++ {
 		sortDiscovered(pop)
 		elite := pop[:len(pop)/2]
-		children := make([]Genome, 0, opts.Population-len(elite))
+		children := make([]circumvent.Genome, 0, opts.Population-len(elite))
 		for len(elite)+len(children) < opts.Population {
 			parent := elite[r.Intn(len(elite))].Genome
-			children = append(children, parent.Mutate(r))
+			children = append(children, Mutate(parent, r))
 		}
 		next := append([]Discovered{}, elite...)
 		pop = append(next, evalBatch(children)...)

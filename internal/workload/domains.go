@@ -8,7 +8,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -242,42 +241,6 @@ func Names(ds []Domain) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		out[i] = d.Name
-	}
-	return out
-}
-
-// ByCategory buckets domains.
-func ByCategory(ds []Domain) map[Category][]Domain {
-	out := make(map[Category][]Domain)
-	for _, d := range ds {
-		out[d.Category] = append(out[d.Category], d)
-	}
-	return out
-}
-
-// CategoryCounts returns sorted (category, count) rows for reporting.
-func CategoryCounts(ds []Domain) []struct {
-	Category Category
-	Count    int
-} {
-	counts := make(map[Category]int)
-	for _, d := range ds {
-		counts[d.Category]++
-	}
-	keys := make([]Category, 0, len(counts))
-	for c := range counts {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]struct {
-		Category Category
-		Count    int
-	}, 0, len(keys))
-	for _, c := range keys {
-		out = append(out, struct {
-			Category Category
-			Count    int
-		}{c, counts[c]})
 	}
 	return out
 }

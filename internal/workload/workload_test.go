@@ -186,21 +186,6 @@ func TestLDATopWords(t *testing.T) {
 	}
 }
 
-func TestCategoryCounts(t *testing.T) {
-	ds := []Domain{
-		{Category: CatGambling}, {Category: CatGambling}, {Category: CatDrugs},
-	}
-	rows := CategoryCounts(ds)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Category == CatGambling && r.Count != 2 {
-			t.Fatal("gambling count wrong")
-		}
-	}
-}
-
 func TestCategoryStrings(t *testing.T) {
 	if CatInformativeMedia.String() != "Informative Media" {
 		t.Fatal("category name wrong")
