@@ -313,24 +313,28 @@ func BenchmarkLabBuild(b *testing.B) {
 
 // BenchmarkTable1Replica is one Table 1 fleet job: a default-scale lab and
 // 100 trials per cell on it. It reports the build and the trials as separate
-// metrics (time and heap allocations per lab build and per trial), so a
-// change shows which half it moved.
+// metrics (time, heap allocations and heap bytes per lab build and per
+// trial), so a change shows which half it moved. Bytes are reported beside
+// the counts because the GC's cost follows bytes allocated.
 func BenchmarkTable1Replica(b *testing.B) {
 	const trialsPerCell = 100
 	trials := len(measure.Vantages) * len(measure.ReliabilityTypes) * trialsPerCell
 	var ms runtime.MemStats
-	mallocs := func() uint64 {
+	heap := func() (mallocs, bytes uint64) {
 		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
+		return ms.Mallocs, ms.TotalAlloc
 	}
 	var build, run time.Duration
-	var buildAllocs, runAllocs uint64
+	var buildAllocs, runAllocs, buildBytes, runBytes uint64
 	for i := 0; i < b.N; i++ {
-		m0, t0 := mallocs(), time.Now()
+		m0, by0 := heap()
+		t0 := time.Now()
 		lab := topo.Build(topo.Options{Seed: uint64(i + 1)})
-		t1, m1 := time.Now(), mallocs()
+		t1 := time.Now()
+		m1, by1 := heap()
 		res := measure.Reliability(lab, trialsPerCell)
-		t2, m2 := time.Now(), mallocs()
+		t2 := time.Now()
+		m2, by2 := heap()
 		if len(res.Failures) != len(measure.Vantages) {
 			b.Fatal("missing vantages")
 		}
@@ -338,12 +342,16 @@ func BenchmarkTable1Replica(b *testing.B) {
 		run += t2.Sub(t1)
 		buildAllocs += m1 - m0
 		runAllocs += m2 - m1
+		buildBytes += by1 - by0
+		runBytes += by2 - by1
 	}
 	n := float64(b.N)
 	b.ReportMetric(build.Seconds()*1e3/n, "build_ms")
 	b.ReportMetric(run.Seconds()*1e6/(n*float64(trials)), "trial_us")
 	b.ReportMetric(float64(buildAllocs)/n, "build_allocs")
 	b.ReportMetric(float64(runAllocs)/(n*float64(trials)), "trial_allocs")
+	b.ReportMetric(float64(buildBytes)/n, "build_bytes")
+	b.ReportMetric(float64(runBytes)/(n*float64(trials)), "trial_bytes")
 }
 
 // BenchmarkAblation_InspectDepth sweeps the SNI parser's inspection depth

@@ -2,6 +2,7 @@ package circumvent
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -37,16 +38,21 @@ type Genome struct {
 const NumGenes = 8
 
 // geneNames holds each gene's rendering: a flag gene renders as its prefix,
-// a parameter gene as prefix, value, suffix.
-var geneNames = [NumGenes]struct{ prefix, suffix string }{
-	{"segment(", ")"},
-	{"fragment(", ")"},
-	{"pad-before-sni(", ")"},
-	{"prepend-record", ""},
-	{"junk(ttl=", ")"},
-	{"srv-window(", ")"},
-	{"srv-split", ""},
-	{"srv-delay(", "s)"},
+// a parameter gene as prefix, value, suffix. max bounds a parameter gene's
+// decoded value: the width of the wire field Trial writes it into (the junk
+// packet's 8-bit TTL, the 16-bit advertised window), or maxGeneValue.
+var geneNames = [NumGenes]struct {
+	prefix, suffix string
+	max            int
+}{
+	{"segment(", ")", maxGeneValue},
+	{"fragment(", ")", maxGeneValue},
+	{"pad-before-sni(", ")", maxGeneValue},
+	{"prepend-record", "", 0},
+	{"junk(ttl=", ")", math.MaxUint8},
+	{"srv-window(", ")", math.MaxUint16},
+	{"srv-split", "", 0},
+	{"srv-delay(", "s)", maxGeneValue},
 }
 
 // gene returns gene i's field: a parameter or a flag.
@@ -140,8 +146,8 @@ func Decode(s string) (Genome, error) {
 	return g, nil
 }
 
-// maxGeneValue bounds decoded parameters: every legitimate gene value (MSS,
-// fragment payload, pad bytes, TTL, window, delay seconds) is far below it,
+// maxGeneValue bounds decoded parameters with no narrower wire field: every
+// legitimate MSS, fragment payload, pad length and delay is far below it,
 // and it keeps a hostile corpus entry from requesting a gigabyte pad.
 const maxGeneValue = 1 << 20
 
@@ -170,7 +176,7 @@ func (g *Genome) set(part string) error {
 			return fmt.Errorf("malformed gene %q", part)
 		}
 		v, err := strconv.Atoi(body)
-		if err != nil || v <= 0 || v > maxGeneValue || strconv.Itoa(v) != body {
+		if err != nil || v <= 0 || v > name.max || strconv.Itoa(v) != body {
 			return fmt.Errorf("bad gene value %q", part)
 		}
 		*n = v

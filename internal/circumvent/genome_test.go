@@ -3,6 +3,7 @@
 package circumvent_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -37,6 +38,10 @@ func FuzzGenome(f *testing.F) {
 		"segment(-1)",
 		"segment(64)+segment(64)",
 		"pad-before-sni(99999999)",
+		"junk(ttl=255)",
+		"junk(ttl=256)",
+		"srv-window(65535)",
+		"srv-window(65636)",
 		"srv-delay(61)",
 		"unknown-gene",
 	} {
@@ -46,6 +51,10 @@ func FuzzGenome(f *testing.F) {
 		g, err := circumvent.Decode(s)
 		if err != nil {
 			return // malformed input: rejection is the contract
+		}
+		// Trial writes these genes into 8- and 16-bit wire fields.
+		if g.JunkTTL > math.MaxUint8 || g.ServerWindow > math.MaxUint16 {
+			t.Fatalf("Decode(%q) accepted a value its wire field wraps: %+v", s, g)
 		}
 		// Decode ∘ String is the identity on decoded genomes.
 		back, err := circumvent.Decode(g.String())
@@ -88,6 +97,28 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	} {
 		if g, err := circumvent.Decode(s); err == nil {
 			t.Errorf("Decode(%q) accepted malformed input as %+v", s, g)
+		}
+	}
+}
+
+// TestDecodeBoundsWireWidth: the junk TTL and the server window are bounded
+// by the wire fields Trial writes them into, so srv-window(65636) is
+// rejected rather than advertised as a window of 100.
+func TestDecodeBoundsWireWidth(t *testing.T) {
+	for _, c := range []struct {
+		s  string
+		ok bool
+	}{
+		{"junk(ttl=255)", true},
+		{"junk(ttl=256)", false},
+		{"srv-window(65535)", true},
+		{"srv-window(65536)", false},
+		{"srv-window(65636)", false},
+		{"segment(65636)", true},
+		{"srv-delay(1048576s)", true},
+	} {
+		if _, err := circumvent.Decode(c.s); (err == nil) != c.ok {
+			t.Errorf("Decode(%q): err = %v, want accepted %v", c.s, err, c.ok)
 		}
 	}
 }

@@ -129,9 +129,13 @@ func (st *Stack) Send(pkt *packet.Packet) {
 	st.node.Send(pkt)
 }
 
+// NewPacket returns an empty packet from the network's free list, for a
+// send built for SendOwned (netem.Network.NewPacket).
+func (st *Stack) NewPacket() *packet.Packet { return st.net.NewPacket() }
+
 // SendOwned is Send without the copy, for a packet built for this one send
-// whose byte slices the caller does not share: the network takes pkt and
-// rewrites it in flight (netem.Node.SendOwned).
+// whose byte slices the caller does not share: the network takes pkt,
+// rewrites it in flight and recycles it (netem.Node.SendOwned).
 func (st *Stack) SendOwned(pkt *packet.Packet) {
 	if !pkt.IP.Src.IsValid() {
 		pkt.IP.Src = st.Addr()
@@ -139,32 +143,28 @@ func (st *Stack) SendOwned(pkt *packet.Packet) {
 	st.node.SendOwned(pkt)
 }
 
-// CopyPayload copies a caller's payload for a packet handed to SendOwned.
-// An empty payload becomes nil, as Send's copy leaves it.
-func CopyPayload(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-// SendTCP builds and sends a raw TCP packet.
+// SendTCP builds and sends a raw TCP packet. The payload is copied, so the
+// caller keeps it.
 func (st *Stack) SendTCP(dst netip.Addr, sport, dport uint16, flags packet.TCPFlags, seq, ack uint32, payload []byte) {
-	p := packet.NewTCP(st.Addr(), dst, sport, dport, flags, seq, ack, CopyPayload(payload))
+	p := st.NewPacket()
+	p.SetTCP(st.Addr(), dst, sport, dport, flags, seq, ack, payload)
 	p.IP.ID = st.NextIPID()
 	st.node.SendOwned(p)
 }
 
-// SendUDP builds and sends a UDP packet.
+// SendUDP builds and sends a UDP packet. The payload is copied, so the
+// caller keeps it.
 func (st *Stack) SendUDP(dst netip.Addr, sport, dport uint16, payload []byte) {
-	p := packet.NewUDP(st.Addr(), dst, sport, dport, CopyPayload(payload))
+	p := st.NewPacket()
+	p.SetUDP(st.Addr(), dst, sport, dport, payload)
 	p.IP.ID = st.NextIPID()
 	st.node.SendOwned(p)
 }
 
 // Ping sends an ICMP echo request.
 func (st *Stack) Ping(dst netip.Addr, id, seq uint16) {
-	p := packet.NewICMPEcho(st.Addr(), dst, id, seq)
+	p := st.NewPacket()
+	p.SetICMP(st.Addr(), dst, packet.ICMPEchoRequest, id, seq, nil)
 	p.IP.ID = st.NextIPID()
 	st.node.SendOwned(p)
 }
@@ -196,11 +196,8 @@ func (st *Stack) dispatch(pkt *packet.Packet) {
 	switch {
 	case pkt.ICMP != nil:
 		if pkt.ICMP.Type == packet.ICMPEchoRequest && st.icmpEcho {
-			reply := &packet.Packet{
-				IP: packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP,
-					Src: pkt.IP.Dst, Dst: pkt.IP.Src},
-				ICMP: &packet.ICMP{Type: packet.ICMPEchoReply, ID: pkt.ICMP.ID, Seq: pkt.ICMP.Seq},
-			}
+			reply := st.NewPacket()
+			reply.SetICMP(pkt.IP.Dst, pkt.IP.Src, packet.ICMPEchoReply, pkt.ICMP.ID, pkt.ICMP.Seq, nil)
 			st.node.SendOwned(reply)
 		}
 		if st.onICMP != nil {

@@ -76,6 +76,20 @@ type ListenOptions struct {
 	ResponseDelay int // in milliseconds of virtual time
 }
 
+// Arrival is what an endpoint keeps of one TCP packet it received. The
+// network recycles the packet itself once the handler returns (the
+// retention contract on netem.Middlebox), so transcripts hold these values.
+type Arrival struct {
+	Flags packet.TCPFlags
+	// Len is the payload length in bytes.
+	Len int
+}
+
+// ArrivalOf records pkt, a TCP packet.
+func ArrivalOf(pkt *packet.Packet) Arrival {
+	return Arrival{Flags: pkt.TCP.Flags, Len: len(pkt.TCP.Payload)}
+}
+
 // TCPConn is one endpoint of a mini-TCP connection.
 type TCPConn struct {
 	stack *Stack
@@ -98,8 +112,9 @@ type TCPConn struct {
 	Received []byte
 	// Segments counts data segments received.
 	Segments int
-	// Packets records every packet received on this connection.
-	Packets []*packet.Packet
+	// Packets records an Arrival for every packet received on this
+	// connection.
+	Packets []Arrival
 	// ResetSeen reports whether a RST arrived.
 	ResetSeen bool
 
@@ -238,9 +253,7 @@ func (l *Listener) accept(syn *packet.Packet) {
 	c.RcvNxt = syn.TCP.Seq + 1
 	c.SndNxt = 5000
 	c.PeerWindow = syn.TCP.Window
-	// The endpoint owns delivered packets; the SYN's journey ends in this
-	// connection's transcript.
-	c.Packets = append(c.Packets, syn)
+	c.Packets = append(c.Packets, ArrivalOf(syn))
 	l.Conns = append(l.Conns, c)
 
 	reply := func() {
@@ -263,9 +276,7 @@ func (l *Listener) accept(syn *packet.Packet) {
 
 // receive advances the endpoint state machine for one inbound packet.
 func (c *TCPConn) receive(pkt *packet.Packet) {
-	// The endpoint owns delivered packets; the connection transcript is the
-	// end of the path.
-	c.Packets = append(c.Packets, pkt)
+	c.Packets = append(c.Packets, ArrivalOf(pkt))
 	if c.OnPacket != nil {
 		c.OnPacket(pkt)
 	}
@@ -379,9 +390,8 @@ func (c *TCPConn) SendRaw(flags packet.TCPFlags, payload []byte) {
 }
 
 func (c *TCPConn) sendFlags(flags packet.TCPFlags, seq, ack uint32, payload []byte) {
-	// The segment is built for this send alone; only the payload, which the
-	// application owns, needs a copy.
-	p := packet.NewTCP(c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort, flags, seq, ack, CopyPayload(payload))
+	p := c.stack.NewPacket()
+	p.SetTCP(c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort, flags, seq, ack, payload)
 	p.TCP.Window = c.advertWindow
 	p.IP.TTL = c.ttl
 	p.IP.ID = c.stack.NextIPID()
@@ -409,4 +419,35 @@ func (c *TCPConn) Shutdown() {
 func (c *TCPConn) Close() {
 	delete(c.stack.conns, c.key())
 	c.State = StateClosed
+}
+
+// CloseConns closes every connection the listener accepted and forgets
+// them; the listener stays bound. A caller that accepts connections trial
+// after trial calls it once a trial's verdict is read, so the stack does
+// not keep every connection it ever served. A connection whose 4-tuple a
+// newer one took over (a reused client port) is forgotten without removing
+// the newer one.
+func (l *Listener) CloseConns() {
+	st := l.stack
+	for _, c := range l.Conns {
+		if st.conns[c.key()] == c {
+			delete(st.conns, c.key())
+		}
+		c.State = StateClosed
+	}
+	clear(l.Conns)
+	l.Conns = l.Conns[:0]
+}
+
+// Close unbinds the listener from its port, unless another listener has
+// replaced it there, and closes its connections (CloseConns).
+func (l *Listener) Close() {
+	st := l.stack
+	switch {
+	case st.listen0 == l:
+		st.listen0 = nil
+	case st.listeners[l.port] == l:
+		delete(st.listeners, l.port)
+	}
+	l.CloseConns()
 }

@@ -159,11 +159,11 @@ func TestUDPRoundTrip(t *testing.T) {
 	s, client, server := pair(t)
 	var got []byte
 	server.BindUDP(53, func(p *packet.Packet) {
-		got = p.UDP.Payload
+		got = bytes.Clone(p.UDP.Payload) // the network recycles p
 		server.SendUDP(p.IP.Src, 53, p.UDP.SrcPort, []byte("resp"))
 	})
 	var resp []byte
-	client.BindUDP(5353, func(p *packet.Packet) { resp = p.UDP.Payload })
+	client.BindUDP(5353, func(p *packet.Packet) { resp = bytes.Clone(p.UDP.Payload) })
 	client.SendUDP(server.Addr(), 5353, 53, []byte("query"))
 	s.Run()
 	if !bytes.Equal(got, []byte("query")) || !bytes.Equal(resp, []byte("resp")) {
@@ -185,10 +185,12 @@ func TestEphemeralPortsFresh(t *testing.T) {
 
 func TestDialOptionsPinned(t *testing.T) {
 	s, client, server := pair(t)
+	// The tap clones the SYN: the network recycles a delivered packet once
+	// the handler returns.
 	var syn *packet.Packet
 	server.Tap(func(p *packet.Packet) {
 		if p.TCP != nil && p.TCP.Flags == packet.FlagSYN && syn == nil {
-			syn = p
+			syn = p.Clone()
 		}
 	})
 	server.Listen(443, ListenOptions{})

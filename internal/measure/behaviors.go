@@ -189,8 +189,8 @@ func uploadGoodput(p Path, domain string, sends, size int) float64 {
 		f.L(packet.FlagsPSHACK, make([]byte, size))
 	}
 	received := 0
-	for _, pkt := range f.RemoteGot[base:] {
-		received += len(pkt.TCP.Payload)
+	for _, a := range f.RemoteGot[base:] {
+		received += a.Len
 	}
 	return float64(received) / (p.Sim.Now() - start).Seconds()
 }

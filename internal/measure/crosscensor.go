@@ -254,9 +254,9 @@ func newCensorTestbed(m CensorModel) *topo.CensorTestbed {
 	return topo.BuildCensorTestbed(m.Build)
 }
 
-func anyRST(pkts []*packet.Packet) bool {
-	for _, p := range pkts {
-		if p.TCP != nil && p.TCP.Flags.Has(packet.FlagRST) {
+func anyRST(got []hostnet.Arrival) bool {
+	for _, a := range got {
+		if a.Flags.Has(packet.FlagRST) {
 			return true
 		}
 	}
@@ -444,11 +444,11 @@ func probeServerSideCH(m CensorModel) string {
 	before := len(f.LocalGot)
 	f.R(packet.FlagsPSHACK, CH(CrossBlockedDomain))
 	gotPayload, gotRST := false, false
-	for _, p := range f.LocalGot[before:] {
-		if len(p.TCP.Payload) > 0 {
+	for _, a := range f.LocalGot[before:] {
+		if a.Len > 0 {
 			gotPayload = true
 		}
-		if p.TCP.Flags.Has(packet.FlagRST) {
+		if a.Flags.Has(packet.FlagRST) {
 			gotRST = true
 		}
 	}

@@ -64,7 +64,7 @@ func StateExhaustion(lab *topo.Lab) *ExhaustResult {
 		lab.Sim.Run()
 		survived := false
 		if len(conn.Packets) > seen {
-			survived = conn.Packets[len(conn.Packets)-1].TCP.Flags.Has(packet.FlagRST)
+			survived = conn.Packets[len(conn.Packets)-1].Flags.Has(packet.FlagRST)
 		}
 		conn.Close()
 		res.Rows = append(res.Rows, ExhaustRow{

@@ -98,9 +98,10 @@ type Flow struct {
 	RPort uint16
 
 	lseq, rseq uint32
-	// LocalGot and RemoteGot record packets received at each raw port.
-	LocalGot  []*packet.Packet
-	RemoteGot []*packet.Packet
+	// LocalGot and RemoteGot record an Arrival for each packet received at
+	// each raw port.
+	LocalGot  []hostnet.Arrival
+	RemoteGot []hostnet.Arrival
 }
 
 // NewFlow opens a scripted flow local:ephemeral <-> remote:rport.
@@ -112,10 +113,10 @@ func NewFlow(p Path, rport uint16) *Flow {
 // the triggering 4-tuple.
 func newFlowAt(p Path, lport, rport uint16) *Flow {
 	f := &Flow{Path: p, LPort: lport, RPort: rport, lseq: 1000, rseq: 5000}
-	p.Local.RawBind(lport, func(pkt *packet.Packet) { f.LocalGot = append(f.LocalGot, pkt) })
+	p.Local.RawBind(lport, func(pkt *packet.Packet) { f.LocalGot = append(f.LocalGot, hostnet.ArrivalOf(pkt)) })
 	p.Remote.RawBind(rport, func(pkt *packet.Packet) {
 		if pkt.TCP.SrcPort == lport {
-			f.RemoteGot = append(f.RemoteGot, pkt)
+			f.RemoteGot = append(f.RemoteGot, hostnet.ArrivalOf(pkt))
 		}
 	})
 	return f
@@ -135,7 +136,8 @@ func (f *Flow) L(flags packet.TCPFlags, payload []byte) {
 
 // LTTL is L with an explicit TTL (0 = default 64).
 func (f *Flow) LTTL(ttl uint8, flags packet.TCPFlags, payload []byte) {
-	p := packet.NewTCP(f.Local.Addr(), f.Remote.Addr(), f.LPort, f.RPort, flags, f.lseq, f.rseq, hostnet.CopyPayload(payload))
+	p := f.Local.NewPacket()
+	p.SetTCP(f.Local.Addr(), f.Remote.Addr(), f.LPort, f.RPort, flags, f.lseq, f.rseq, payload)
 	if ttl != 0 {
 		p.IP.TTL = ttl
 	}
@@ -147,9 +149,7 @@ func (f *Flow) LTTL(ttl uint8, flags packet.TCPFlags, payload []byte) {
 
 // R sends a remote→local packet.
 func (f *Flow) R(flags packet.TCPFlags, payload []byte) {
-	p := packet.NewTCP(f.Remote.Addr(), f.Local.Addr(), f.RPort, f.LPort, flags, f.rseq, f.lseq, hostnet.CopyPayload(payload))
-	p.IP.ID = f.Remote.NextIPID()
-	f.Remote.SendOwned(p)
+	f.Remote.SendTCP(f.Local.Addr(), f.RPort, f.LPort, flags, f.rseq, f.lseq, payload)
 	f.bump(&f.rseq, flags, payload)
 	f.Sim.Run()
 }
@@ -178,7 +178,7 @@ func (f *Flow) LastLocalRST() bool {
 	if len(f.LocalGot) == 0 {
 		return false
 	}
-	return f.LocalGot[len(f.LocalGot)-1].TCP.Flags.Has(packet.FlagRST)
+	return f.LocalGot[len(f.LocalGot)-1].Flags.Has(packet.FlagRST)
 }
 
 // downstreamRST sends a server response and reports whether it arrived
@@ -209,8 +209,8 @@ func (f *Flow) markersDropped() bool { return f.markersDelivered() < markers }
 // remoteDataCount counts remote arrivals carrying payload.
 func (f *Flow) remoteDataCount() int {
 	n := 0
-	for _, p := range f.RemoteGot {
-		if len(p.TCP.Payload) > 0 {
+	for _, a := range f.RemoteGot {
+		if a.Len > 0 {
 			n++
 		}
 	}
@@ -218,9 +218,9 @@ func (f *Flow) remoteDataCount() int {
 }
 
 // serveHello makes st a TLS-ish server on port 443 that answers any data
-// with a fixed SERVERHELLO.
-func serveHello(st *hostnet.Stack) {
-	st.Listen(443, hostnet.ListenOptions{
+// with a fixed SERVERHELLO, and returns its listener.
+func serveHello(st *hostnet.Stack) *hostnet.Listener {
+	return st.Listen(443, hostnet.ListenOptions{
 		OnData: func(c *hostnet.TCPConn, d []byte) { c.Send([]byte("SERVERHELLO")) },
 	})
 }

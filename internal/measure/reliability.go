@@ -2,6 +2,7 @@ package measure
 
 import (
 	"fmt"
+	"sync"
 
 	"tspusim/internal/hostnet"
 	"tspusim/internal/quicx"
@@ -29,6 +30,13 @@ var ReliabilityCols = []string{"SNI-I", "SNI-II", "SNI-IV", "QUIC", "IP-Based"}
 // Vantages orders Table 1's rows (and every per-vantage artifact).
 var Vantages = []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT}
 
+// quicTrigger is the QUIC cell's trigger, built once as CH memoizes
+// hellos. SendUDP copies a payload into its packet, so trials share it.
+var quicTrigger = sync.OnceValue(func() []byte { return quicx.BuildInitial(quicx.Version1, 1200) })
+
+// postTrigger follows the QUIC trigger; blocked means it was dropped.
+var postTrigger = []byte("post-trigger")
+
 // Reliability measures Table 1 with the given number of trials per cell
 // (paper: 20,000).
 func Reliability(lab *topo.Lab, trials int) *ReliabilityResult {
@@ -36,8 +44,8 @@ func Reliability(lab *topo.Lab, trials int) *ReliabilityResult {
 
 	// US1 port 443: a normal responding server. US2 port 443: a
 	// split-handshake server used to force the SNI-IV backup path.
-	serveHello(lab.US1)
-	us2Listener := lab.US2.Listen(443, hostnet.ListenOptions{SplitHandshake: true})
+	us1 := serveHello(lab.US1)
+	us2 := lab.US2.Listen(443, hostnet.ListenOptions{SplitHandshake: true})
 
 	for _, name := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
 		v := vantageOf(lab, name)
@@ -45,7 +53,7 @@ func Reliability(lab *topo.Lab, trials int) *ReliabilityResult {
 		for _, typ := range ReliabilityTypes {
 			fails := 0
 			for i := 0; i < trials; i++ {
-				if !trialBlocked(lab, v, typ, us2Listener) {
+				if !trialBlocked(lab, v, typ, us1, us2) {
 					fails++
 				}
 			}
@@ -56,29 +64,36 @@ func Reliability(lab *topo.Lab, trials int) *ReliabilityResult {
 }
 
 // trialBlocked runs one censorship attempt and reports whether the TSPU
-// blocked it.
-func trialBlocked(lab *topo.Lab, v *topo.Vantage, typ tspu.BlockType, us2 *hostnet.Listener) bool {
+// blocked it. us1 and us2 are the listeners on US1 and US2 port 443. Once
+// the verdict is read, a trial closes the server-side connections it caused
+// and removes any listener it added, so a lab's endpoint state does not
+// grow with the number of trials.
+func trialBlocked(lab *topo.Lab, v *topo.Vantage, typ tspu.BlockType, us1, us2 *hostnet.Listener) bool {
 	p := Path{Sim: lab.Sim, Local: v.Stack, Remote: lab.US1}
 	//tspuvet:allow statecheck: SNI3 throttling is not a binary blocked/unblocked verdict; Table 4 reliability covers only ReliabilityTypes
 	switch typ {
 	case tspu.SNI1:
-		return chReset(p, DomainSNI1)
+		blocked := chReset(p, DomainSNI1)
+		us1.CloseConns()
+		return blocked
 	case tspu.SNI2:
 		return sni2Blocked(p, DomainSNI2)
 	case tspu.SNI4:
 		p.Remote = lab.US2
-		return chSwallowed(p, us2, DomainSNI14)
+		blocked := chSwallowed(p, us2, DomainSNI14)
+		us2.CloseConns()
+		return blocked
 	case tspu.QUICBlock:
 		// The trigger itself passes; blocked means the rest were dropped.
-		post := []byte("post-trigger")
-		return udpDelivered(p, 443, quicx.BuildInitial(quicx.Version1, 1200), post, post, post) < 4
+		return udpDelivered(p, 443, quicTrigger(), postTrigger, postTrigger, postTrigger) < 4
 	case tspu.IPBlock:
 		port := v.Stack.EphemeralPort()
-		v.Stack.Listen(port, hostnet.ListenOptions{})
+		ln := v.Stack.Listen(port, hostnet.ListenOptions{})
 		conn := lab.Tor.Dial(v.Stack.Addr(), port, hostnet.DialOptions{})
 		lab.Sim.Run()
 		blocked := conn.ResetSeen
 		conn.Close()
+		ln.Close()
 		return blocked
 	}
 	return false

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -166,6 +167,49 @@ func TestTable1BuildsNoEndpoint(t *testing.T) {
 		if endpoint[l.A().Addr()] || endpoint[l.B().Addr()] {
 			t.Fatalf("Table 1 built the endpoint on %s -- %s", l.A(), l.B())
 		}
+	}
+}
+
+// TestTable1TrialAllocs bounds the heap allocations of a warmed Table 1
+// trial at half the 27 they took when every trial allocated its packets,
+// payload copies and QUIC trigger afresh.
+func TestTable1TrialAllocs(t *testing.T) {
+	const perCell, before = 20, 27
+	lab := topo.Build(topo.Options{Seed: 1})
+	trials := float64(len(Vantages) * len(ReliabilityTypes) * perCell)
+	// AllocsPerRun's own warm-up run fills the free lists and pools.
+	allocs := testing.AllocsPerRun(1, func() { Reliability(lab, perCell) }) / trials
+	if allocs > before/2 {
+		t.Fatalf("a Table 1 trial allocates %.1f times, want at most %d (half of %d)", allocs, before/2, before)
+	}
+}
+
+// TestTable1LiveHeapFlat: trials release the endpoint state they cause
+// (server connections, the IP-block trial's listener), so a lab's live heap
+// after 300 trials per cell is within 5% of its live heap after 100. Each
+// device's table is bounded: a device keeps a flow for its Table 2 lifetime
+// (up to 480 s) and a lab's devices reclaim expired flows only on lookup,
+// so an unbounded table grows by every trial's flows however the endpoints
+// behave.
+func TestTable1LiveHeapFlat(t *testing.T) {
+	lab := topo.Build(topo.Options{Seed: 1})
+	for _, d := range lab.Devices {
+		d.SetMaxFlows(64)
+	}
+	live := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	Reliability(lab, 100)
+	at100 := live()
+	Reliability(lab, 200)
+	at300 := live()
+	runtime.KeepAlive(lab)
+	t.Logf("live heap %.0f B after 100 trials/cell, %.0f B after 300", at100, at300)
+	if growth := at300/at100 - 1; growth >= 0.05 || growth <= -0.05 {
+		t.Fatalf("live heap %.0f B after 100 trials/cell, %.0f B after 300 (%+.1f%%), want within 5%%", at100, at300, 100*growth)
 	}
 }
 

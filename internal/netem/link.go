@@ -60,11 +60,16 @@ const (
 // that keeps the packet — or anything aliasing its payload — past its Handle
 // return MUST deep-copy first (Clone/CloneInto/Marshal), because the original
 // is mutated and re-sent by downstream hops the moment Handle returns; a
-// packet the chain drops is dead and may not be kept either. The
-// -tags=pooldebug build checks this at run time (make pooldebug): each hop
-// gets a fresh copy and the original is scribbled, and so is every packet a
-// link drops, so a kept packet reads garbage and a golden or a test
-// downstream changes (pooldebug.go).
+// packet the chain drops is dead and may not be kept either. The same holds
+// for endpoints: a Handler may not keep a delivered packet, or its payload,
+// after it returns. Every end of a packet's life (a Drop, link loss, a
+// handler returning, a host that does not forward, TTL expiry, no route)
+// puts it on the network's free list, and the next origination
+// (Network.NewPacket, Node.Send's copy) refills it. The -tags=pooldebug
+// build checks this at run time (make pooldebug): each hop gets a fresh copy
+// and every released packet is scribbled before reuse — the original, every
+// packet a link drops, the copy a handler was given — so a kept packet reads
+// garbage and a golden or a test downstream changes (pooldebug.go).
 type Middlebox interface {
 	Name() string
 	Handle(pipe Pipe, pkt *packet.Packet, dir Direction) Action
@@ -139,11 +144,11 @@ func (l *Link) transmit(from *Iface, pkt *packet.Packet) {
 	}
 	if l.loss > 0 && l.lossRng != nil && l.lossRng.Bool(l.loss) {
 		l.Lost++
-		l.net.retire(pkt)
+		l.net.release(pkt)
 		return
 	}
 	if l.chain.Run(0, pkt, dir, packet.FlowKey4{}) == Drop {
-		l.net.retire(pkt)
+		l.net.release(pkt)
 	}
 }
 

@@ -41,7 +41,33 @@ type Network struct {
 	// single largest allocation site in whole-lab profiles. The network is
 	// single-goroutine (one Sim), so a plain slice is safe.
 	freeDeliveries []*delivery
+	// freePackets recycles packets at the end of their life (release), for
+	// NewPacket to hand to the next origination with their headers and
+	// buffers. Packets were the bulk of what a Table 1 trial allocated.
+	freePackets []*packet.Packet
+	// embed is the scratch buffer Time Exceeded messages marshal the
+	// expired packet into.
+	embed []byte
 }
+
+// NewPacket returns an empty packet (packet.Packet.Reset) for one
+// origination: the caller fills it, typically with a Set method, and hands
+// it to Node.SendOwned. It comes from the network's free list when that
+// holds one, so it may carry spare headers and buffers from an earlier life.
+func (n *Network) NewPacket() *packet.Packet {
+	k := len(n.freePackets)
+	if k == 0 {
+		return new(packet.Packet)
+	}
+	p := n.freePackets[k-1]
+	n.freePackets = n.freePackets[:k-1]
+	p.Reset()
+	return p
+}
+
+// free puts a dead packet on the free list. Release points call release,
+// which the pooldebug build routes through the retention check first.
+func (n *Network) free(pkt *packet.Packet) { n.freePackets = append(n.freePackets, pkt) }
 
 // delivery is one scheduled far-end delivery. run is the closure handed to
 // Sim.After, bound once when the record is first allocated and reused for
@@ -231,19 +257,24 @@ func (nd *Node) Routes() []Route { return nd.routes.list() }
 
 // Send originates a packet from this node: it is routed out the node's
 // table without TTL decrement (the IP stack of the sender sets TTL). The
-// network carries a copy, so the caller keeps pkt.
+// network carries a copy, taken from its free list, so the caller keeps pkt.
 func (nd *Node) Send(pkt *packet.Packet) {
 	if out := nd.egress(pkt); out != nil {
-		out.link.transmit(out, pkt.Clone())
+		c := nd.net.NewPacket()
+		pkt.CloneInto(c)
+		out.link.transmit(out, c)
 	}
 }
 
-// SendOwned is Send without the copy, for a packet built for this one send:
-// the network takes pkt and rewrites it in flight (TTL, middlebox edits), so
-// the caller must not use pkt, or any byte slice it holds, afterwards.
+// SendOwned is Send without the copy, for a packet built for this one send
+// (NewPacket): the network takes pkt, rewrites it in flight (TTL, middlebox
+// edits) and recycles it at the end of its life, so the caller must not use
+// pkt, or any byte slice it holds, afterwards.
 func (nd *Node) SendOwned(pkt *packet.Packet) {
 	if out := nd.egress(pkt); out != nil {
 		out.link.transmit(out, pkt)
+	} else {
+		nd.net.release(pkt)
 	}
 }
 
@@ -257,7 +288,9 @@ func (nd *Node) egress(pkt *packet.Packet) *Iface {
 	return out
 }
 
-// deliver handles a packet arriving at the node.
+// deliver handles a packet arriving at the node. Every path but forwarding
+// ends the packet's life, so it goes back to the free list: a handler may
+// not keep it past its return (the retention contract on Middlebox).
 func (nd *Node) deliver(in *Iface, pkt *packet.Packet) {
 	if nd.HasAddr(pkt.IP.Dst) || (nd.promiscuous && !nd.router) {
 		if nd.handler != nil {
@@ -265,17 +298,21 @@ func (nd *Node) deliver(in *Iface, pkt *packet.Packet) {
 		} else {
 			nd.DropLocal++
 		}
+		nd.net.release(pkt)
 		return
 	}
 	if !nd.router {
-		return // hosts do not forward
+		nd.net.release(pkt) // hosts do not forward
+		return
 	}
 	if pkt.IP.TTL <= 1 {
 		nd.sendTimeExceeded(in, pkt)
+		nd.net.release(pkt)
 		return
 	}
 	out := nd.Lookup(pkt.IP.Dst)
 	if out == nil || out.link == nil {
+		nd.net.release(pkt)
 		return
 	}
 	// Forward in place, per the Middlebox retention contract (link.go):
@@ -293,22 +330,17 @@ func (nd *Node) sendTimeExceeded(in *Iface, orig *packet.Packet) {
 		(orig.ICMP.Type == packet.ICMPTimeExceed || orig.ICMP.Type == packet.ICMPUnreachable) {
 		return // never ICMP about ICMP errors
 	}
-	embed, err := orig.Marshal()
+	n := nd.net
+	embed, err := orig.MarshalAppend(n.embed[:0])
 	if err != nil {
 		return
 	}
+	n.embed = embed
 	if len(embed) > 28 {
 		embed = embed[:28]
 	}
-	reply := &packet.Packet{
-		IP: packet.IPv4{
-			TTL:      64,
-			Protocol: packet.ProtoICMP,
-			Src:      in.addr,
-			Dst:      orig.IP.Src,
-		},
-		ICMP: &packet.ICMP{Type: packet.ICMPTimeExceed, Payload: embed},
-	}
+	reply := n.NewPacket()
+	reply.SetICMP(in.addr, orig.IP.Src, packet.ICMPTimeExceed, 0, 0, embed)
 	nd.SendOwned(reply)
 }
 

@@ -41,10 +41,13 @@ func lineTopology(t *testing.T) (*sim.Sim, *Network, *Node, *Node, *Node, *Node)
 	return s, n, client, r1, r2, server
 }
 
+// Handlers in these tests clone what they check: the network recycles a
+// delivered packet once the handler returns.
+
 func TestEndToEndDelivery(t *testing.T) {
 	s, _, client, _, _, server := lineTopology(t)
 	var got *packet.Packet
-	server.SetHandler(func(p *packet.Packet) { got = p })
+	server.SetHandler(func(p *packet.Packet) { got = p.Clone() })
 	pkt := packet.NewTCP(client.Addr(), server.Addr(), 40000, 443, packet.FlagSYN, 1, 0, nil)
 	client.Send(pkt)
 	s.Run()
@@ -62,7 +65,7 @@ func TestEndToEndDelivery(t *testing.T) {
 func TestSenderPacketNotAliased(t *testing.T) {
 	s, _, client, _, _, server := lineTopology(t)
 	var got *packet.Packet
-	server.SetHandler(func(p *packet.Packet) { got = p })
+	server.SetHandler(func(p *packet.Packet) { got = p.Clone() })
 	pkt := packet.NewTCP(client.Addr(), server.Addr(), 1, 2, packet.FlagSYN, 0, 0, []byte{1})
 	client.Send(pkt)
 	pkt.TCP.Payload[0] = 99 // mutate after send
@@ -77,7 +80,7 @@ func TestTTLExceededGeneratesICMP(t *testing.T) {
 	var icmp *packet.Packet
 	client.SetHandler(func(p *packet.Packet) {
 		if p.ICMP != nil && p.ICMP.Type == packet.ICMPTimeExceed {
-			icmp = p
+			icmp = p.Clone()
 		}
 	})
 	pkt := packet.NewTCP(client.Addr(), server.Addr(), 40000, 443, packet.FlagSYN, 1, 0, nil)
@@ -246,7 +249,7 @@ func TestMiddleboxMutation(t *testing.T) {
 	}}
 	n.Links()[1].Attach(mb)
 	var got *packet.Packet
-	server.SetHandler(func(p *packet.Packet) { got = p })
+	server.SetHandler(func(p *packet.Packet) { got = p.Clone() })
 	client.Send(packet.NewTCP(client.Addr(), server.Addr(), 1, 443, packet.FlagsPSHACK, 9, 9, []byte("data")))
 	s.Run()
 	if got == nil || got.TCP.Flags != packet.FlagsRSTACK || len(got.TCP.Payload) != 0 {
@@ -491,18 +494,19 @@ func TestLinkTraversalDoesNotAllocate(t *testing.T) {
 	n.Connect(rb, bi, time.Millisecond)
 	r.AddRoute(pfx("10.2.0.0/24"), rb)
 	r.AddDefaultRoute(ra)
-	// Each send re-sends the packet b last received: the receiver owns a
-	// delivered packet, so reusing it keeps to the retention contract.
+	// Each send takes its packet from the network's free list, which the
+	// delivery at b refills.
 	delivered := 0
-	pkt := packet.NewTCP(a.Addr(), b.Addr(), 40000, 443, packet.FlagsPSHACK, 1, 1, nil)
-	b.SetHandler(func(p *packet.Packet) { delivered++; pkt = p })
+	b.SetHandler(func(p *packet.Packet) { delivered++ })
 	send := func() {
-		pkt.IP.TTL = 64 // r decrements it in place
+		pkt := n.NewPacket()
+		pkt.SetTCP(a.Addr(), b.Addr(), 40000, 443, packet.FlagsPSHACK, 1, 1, nil)
 		link.transmit(link.A(), pkt)
 		s.Run()
 	}
-	// Warm the delivery pool, the event queue and, under pooldebug, the
-	// retention check's ring of parked packets (two hops per send).
+	// Warm the delivery pool, the event queue, the packet free list and,
+	// under pooldebug, the retention check's ring of parked packets (two
+	// hops and a release per send).
 	for i := 0; i < 32; i++ {
 		send()
 	}

@@ -8,19 +8,22 @@ import (
 	"tspusim/internal/packet"
 )
 
-// Retention check (-tags=pooldebug), the runtime check of the Middlebox
-// retention contract (link.go): at every far-end delivery the next hop gets
-// a fresh deep copy of the packet, and the original — struct, transport
-// headers and every payload byte — is scribbled; a packet a link's chain
-// drops is scribbled too. A middlebox, capture or endpoint that kept a
-// pointer into a packet past its hop then reads 0xDD garbage instead of the
-// bytes it expected, and a golden or a check downstream changes. The normal
-// build compiles the hooks to nothing (pooldebug_off.go).
+// Retention check (-tags=pooldebug), the runtime check of the retention
+// contract (link.go): at every far-end delivery the next hop gets a fresh
+// deep copy of the packet, and every released packet (release) — the
+// original at a handoff, a packet a link's chain drops or loses, the copy an
+// endpoint was handed once its handler returns, and every other end of
+// life — is scribbled: struct, transport headers and every payload byte. A
+// middlebox, capture or endpoint that kept a pointer into a packet past its
+// hop then reads 0xDD garbage instead of the bytes it expected, and a golden
+// or a check downstream changes. Releasing a scribbled packet again panics.
+// The normal build skips the copies and the scribbling (pooldebug_off.go).
 //
-// Scribbled packets are parked in a ring and only become copy targets once
-// retainRing later packets have been parked. Reusing them at once would
-// refill a kept alias with the same packet one hop later and hide the
-// fault; parking them keeps the check allocation-free once the ring is full.
+// Scribbled packets are parked in a ring and only go to the free list, to
+// be reused, once retainRing later packets have been parked. Reusing them at
+// once would refill a kept alias with the same packet one hop later and hide
+// the fault; parking them keeps the check allocation-free once the ring is
+// full.
 const retainRing = 32
 
 // retention is the per-network state of the check.
@@ -33,23 +36,25 @@ type retention struct {
 var scribbleAddr = netip.AddrFrom4([4]byte{0xDD, 0xDD, 0xDD, 0xDD})
 
 // handoff returns the packet the next hop receives in place of pkt: a deep
-// copy into the ring's oldest parked packet, whose slot pkt then takes.
+// copy into a packet from the free list, after which pkt is released.
 func (n *Network) handoff(pkt *packet.Packet) *packet.Packet {
-	fresh := n.retention.ring[n.retention.next]
-	if fresh == nil {
-		fresh = new(packet.Packet)
-	}
+	fresh := n.NewPacket()
 	pkt.CloneInto(fresh)
-	n.retention.park(pkt)
+	n.release(pkt)
 	return fresh
 }
 
-// retire scribbles and parks a packet that died on a link.
-func (n *Network) retire(pkt *packet.Packet) { n.retention.park(pkt) }
-
-// park scribbles pkt and puts it in the slot of the oldest parked packet.
-func (r *retention) park(pkt *packet.Packet) {
+// release scribbles pkt and parks it in the slot of the oldest parked
+// packet, which goes to the free list.
+func (n *Network) release(pkt *packet.Packet) {
+	if pkt.IP.Src == scribbleAddr && pkt.IP.Dst == scribbleAddr {
+		panic("netem: packet released twice")
+	}
 	scribble(pkt)
+	r := &n.retention
+	if old := r.ring[r.next]; old != nil {
+		n.free(old)
+	}
 	r.ring[r.next] = pkt
 	r.next = (r.next + 1) % retainRing
 }

@@ -4,10 +4,11 @@ package netem
 
 import "tspusim/internal/packet"
 
-// No-op counterparts of the retention check (pooldebug.go): the normal build
-// forwards the one packet instance hop to hop and carries no state for it.
+// Normal-build counterparts of the retention check (pooldebug.go): the one
+// packet instance travels hop to hop, and a dead packet goes straight to the
+// free list.
 
 type retention struct{}
 
 func (n *Network) handoff(pkt *packet.Packet) *packet.Packet { return pkt }
-func (n *Network) retire(*packet.Packet)                     {}
+func (n *Network) release(pkt *packet.Packet)                { n.free(pkt) }

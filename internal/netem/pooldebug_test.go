@@ -41,15 +41,49 @@ func TestRetentionCheckScribblesOriginal(t *testing.T) {
 	s, n, client, _, _, server := lineTopology(t)
 	keep := &keepMB{verdict: Pass}
 	n.Links()[0].Attach(keep)
-	var got *packet.Packet
-	server.SetHandler(func(p *packet.Packet) { got = p })
 	pkt := packet.NewTCP(client.Addr(), server.Addr(), 1, 2, packet.FlagsPSHACK, 0, 0, []byte("hello"))
+	var got string
+	server.SetHandler(func(p *packet.Packet) {
+		if p != pkt && p.IP.TTL == 62 {
+			got = string(p.TCP.Payload)
+		}
+	})
 	client.SendOwned(pkt)
 	s.Run()
-	if got == nil || got == pkt || got.IP.TTL != 62 || string(got.TCP.Payload) != "hello" {
-		t.Fatalf("server got %v, want an intact copy two router hops on", got)
+	if got != "hello" {
+		t.Fatalf("server got %q, want an intact copy of \"hello\" two router hops on", got)
 	}
 	keep.checkScribbled(t, pkt, client.Addr())
+}
+
+// TestRetentionCheckScribblesDelivered: an endpoint may not keep the packet
+// it was handed past its handler's return, so one that does reads
+// scribbled bytes.
+func TestRetentionCheckScribblesDelivered(t *testing.T) {
+	s, _, client, _, _, server := lineTopology(t)
+	keep := &keepMB{}
+	server.SetHandler(func(p *packet.Packet) { keep.Handle(nil, p, AtoB) })
+	client.Send(packet.NewTCP(client.Addr(), server.Addr(), 1, 2, packet.FlagsPSHACK, 0, 0, []byte("hello")))
+	s.Run()
+	keep.checkScribbled(t, keep.pkt, client.Addr())
+}
+
+// TestRetentionCheckPanicsOnDoubleRelease: a handler that sends the packet
+// it was handed on with SendOwned keeps it past its return; the network
+// releases it twice, and the second release panics.
+func TestRetentionCheckPanicsOnDoubleRelease(t *testing.T) {
+	s, _, client, _, _, server := lineTopology(t)
+	server.SetHandler(func(p *packet.Packet) {
+		p.IP.Src, p.IP.Dst = p.IP.Dst, p.IP.Src
+		server.SendOwned(p)
+	})
+	client.Send(packet.NewTCP(client.Addr(), server.Addr(), 1, 2, packet.FlagSYN, 0, 0, nil))
+	defer func() {
+		if r := recover(); r != "netem: packet released twice" {
+			t.Fatalf("recovered %v, want the double-release panic", r)
+		}
+	}()
+	s.Run()
 }
 
 // TestRetentionCheckScribblesDropped: a packet a link's chain drops is dead,

@@ -49,6 +49,80 @@ func TestMarshalAppendParseIntoRoundTripNoAllocs(t *testing.T) {
 	}
 }
 
+// TestParseIntoMixedProtocolsNoAllocs: one scratch Packet parsing a stream
+// that changes protocol packet to packet (TCP with and without payload, UDP,
+// ICMP, fragments) keeps each transport header and buffer it has held, so
+// once warm a pass over the stream allocates nothing.
+func TestParseIntoMixedProtocolsNoAllocs(t *testing.T) {
+	src, dst := MustAddr("10.0.0.2"), MustAddr("203.0.113.10")
+	data := NewTCP(src, dst, 40000, 8080, FlagsPSHACK, 1, 1, bytes.Repeat([]byte{0xab}, 600))
+	frags, err := Fragment(data, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := []*Packet{
+		NewTCP(src, dst, 40000, 443, FlagSYN, 1, 0, nil),
+		NewUDP(src, dst, 40000, 443, bytes.Repeat([]byte{0xcd}, 1200)),
+		allocTestPacket(),
+		NewICMPEcho(src, dst, 7, 1),
+		frags[1],
+		NewUDP(src, dst, 40000, 53, []byte("query")),
+		frags[2],
+		NewTCP(dst, src, 443, 40000, FlagsSYNACK, 1, 2, nil),
+	}
+	var wires [][]byte
+	for _, p := range pkts {
+		b, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires = append(wires, b)
+	}
+	scratch := new(Packet)
+	pass := func() {
+		for _, b := range wires {
+			if err := ParseInto(scratch, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass() // warm up: each header and buffer is allocated once
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Fatalf("a mixed-protocol pass through ParseInto allocates %v times, want 0", allocs)
+	}
+	if scratch.TCP == nil || scratch.TCP.Flags != FlagsSYNACK || scratch.UDP != nil || scratch.RawPayload != nil {
+		t.Fatalf("last parse left %v", scratch)
+	}
+}
+
+// TestSetMethodsReuseHeaders: a packet cycled through SetTCP, SetUDP and
+// SetICMP, as a recycled network packet is, stops allocating once it has
+// carried each protocol and payload size, and an empty payload is nil.
+func TestSetMethodsReuseHeaders(t *testing.T) {
+	src, dst := MustAddr("10.0.0.2"), MustAddr("203.0.113.10")
+	hello, quic := bytes.Repeat([]byte{0xab}, 500), bytes.Repeat([]byte{0xcd}, 1200)
+	p := new(Packet)
+	cycle := func() {
+		p.SetTCP(src, dst, 1, 2, FlagSYN, 1, 0, nil)
+		if p.TCP.Payload != nil || p.UDP != nil {
+			t.Fatalf("SetTCP with no payload left %v", p)
+		}
+		p.SetTCP(src, dst, 1, 2, FlagsPSHACK, 2, 1, hello)
+		p.SetUDP(src, dst, 1, 443, quic)
+		p.SetICMP(dst, src, ICMPEchoReply, 7, 1, nil)
+		p.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a Set cycle allocates %v times, want 0", allocs)
+	}
+	p.SetUDP(src, dst, 1, 443, quic)
+	quic[0] = 0
+	if p.UDP.Payload[0] != 0xcd || p.TCP != nil || p.ICMP != nil {
+		t.Fatal("SetUDP aliased its payload or left another transport")
+	}
+}
+
 func TestCloneIntoNoAllocs(t *testing.T) {
 	p := allocTestPacket()
 	dst := new(Packet)

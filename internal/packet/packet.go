@@ -137,12 +137,171 @@ type ICMP struct {
 // Packet is a full IPv4 packet: exactly one of TCP, UDP, ICMP is non-nil, or
 // all are nil and RawPayload holds opaque bytes (used for non-first fragments,
 // whose transport header lives in the zero-offset fragment).
+//
+// A Packet must not be copied by value (go vet's copylocks check enforces
+// it): the copy would share the original's spare headers, and both would
+// write into them.
 type Packet struct {
+	_          noCopy
 	IP         IPv4
 	TCP        *TCP
 	UDP        *UDP
 	ICMP       *ICMP
 	RawPayload []byte
+	// spare keeps what the packet holds but does not use, for reuse.
+	spare spares
+}
+
+// noCopy makes go vet report a by-value copy of the struct holding it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// spares are the transport headers and the payload buffer a packet holds
+// but does not use. A header moves here when the packet changes protocol
+// and comes back when the protocol returns, and a buffer an empty payload
+// does not need waits here, so a packet reused through ParseInto,
+// CloneInto, Reset and the Set methods stops allocating once it has carried
+// each protocol and payload size.
+type spares struct {
+	tcp  *TCP
+	udp  *UDP
+	icmp *ICMP
+	buf  []byte
+}
+
+// takeTCP returns p's TCP header, installing the spare or a new one if p
+// has none.
+func (p *Packet) takeTCP() *TCP {
+	if p.TCP == nil {
+		p.TCP, p.spare.tcp = p.spare.tcp, nil
+		if p.TCP == nil {
+			p.TCP = new(TCP)
+		}
+	}
+	return p.TCP
+}
+
+func (p *Packet) takeUDP() *UDP {
+	if p.UDP == nil {
+		p.UDP, p.spare.udp = p.spare.udp, nil
+		if p.UDP == nil {
+			p.UDP = new(UDP)
+		}
+	}
+	return p.UDP
+}
+
+func (p *Packet) takeICMP() *ICMP {
+	if p.ICMP == nil {
+		p.ICMP, p.spare.icmp = p.spare.icmp, nil
+		if p.ICMP == nil {
+			p.ICMP = new(ICMP)
+		}
+	}
+	return p.ICMP
+}
+
+// only makes proto's header, if p has one, p's only transport: the other
+// headers, and the raw payload's buffer, become spares. only(0) parks all.
+func (p *Packet) only(proto Protocol) {
+	if proto != ProtoTCP {
+		p.parkTCP()
+	}
+	if proto != ProtoUDP {
+		p.parkUDP()
+	}
+	if proto != ProtoICMP {
+		p.parkICMP()
+	}
+	p.parkRaw()
+}
+
+// parkTCP, parkUDP and parkICMP remove a transport header, keeping it as
+// the spare; parkRaw does the same for the raw payload's buffer.
+func (p *Packet) parkTCP() {
+	if p.TCP != nil {
+		p.spare.tcp, p.TCP = p.TCP, nil
+	}
+}
+
+func (p *Packet) parkUDP() {
+	if p.UDP != nil {
+		p.spare.udp, p.UDP = p.UDP, nil
+	}
+}
+
+func (p *Packet) parkICMP() {
+	if p.ICMP != nil {
+		p.spare.icmp, p.ICMP = p.ICMP, nil
+	}
+}
+
+func (p *Packet) parkRaw() {
+	p.keep(p.RawPayload)
+	p.RawPayload = nil
+}
+
+// keep makes b's buffer the spare if it is larger than the current one.
+func (p *Packet) keep(b []byte) {
+	if cap(b) > cap(p.spare.buf) {
+		p.spare.buf = b[:0]
+	}
+}
+
+// copyBytes returns src copied into reused memory: buf if it is large
+// enough, else the spare buffer if that is, else a grown buf. An empty src
+// gives nil, and buf waits as the spare.
+func (p *Packet) copyBytes(buf, src []byte) []byte {
+	if len(src) == 0 {
+		p.keep(buf)
+		return nil
+	}
+	if cap(buf) < len(src) && cap(p.spare.buf) > cap(buf) {
+		buf, p.spare.buf = p.spare.buf, buf[:0]
+	}
+	return append(buf[:0], src...)
+}
+
+// Reset empties p for reuse: the IP header is zeroed, and the transport
+// headers and the raw payload's buffer become spares.
+func (p *Packet) Reset() {
+	p.IP = IPv4{}
+	p.only(0)
+}
+
+// SetTCP makes p the packet NewTCP builds, except that payload is copied
+// (an empty payload leaves nil) and p's headers and buffers are reused.
+func (p *Packet) SetTCP(src, dst netip.Addr, sport, dport uint16, flags TCPFlags, seq, ack uint32, payload []byte) {
+	p.IP = IPv4{TTL: 64, Protocol: ProtoTCP, Src: src, Dst: dst}
+	p.only(ProtoTCP)
+	t := p.takeTCP()
+	opts, pay := t.Options, t.Payload
+	*t = TCP{
+		SrcPort: sport, DstPort: dport,
+		Seq: seq, Ack: ack, Flags: flags, Window: 65535,
+		Options: opts[:0],
+		Payload: p.copyBytes(pay, payload),
+	}
+}
+
+// SetUDP makes p the packet NewUDP builds, except that payload is copied
+// (an empty payload leaves nil) and p's headers and buffers are reused.
+func (p *Packet) SetUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) {
+	p.IP = IPv4{TTL: 64, Protocol: ProtoUDP, Src: src, Dst: dst}
+	p.only(ProtoUDP)
+	u := p.takeUDP()
+	*u = UDP{SrcPort: sport, DstPort: dport, Payload: p.copyBytes(u.Payload, payload)}
+}
+
+// SetICMP makes p an ICMP message with TTL 64, copying payload (an empty
+// payload leaves nil) and reusing p's headers and buffers.
+func (p *Packet) SetICMP(src, dst netip.Addr, typ ICMPType, id, seq uint16, payload []byte) {
+	p.IP = IPv4{TTL: 64, Protocol: ProtoICMP, Src: src, Dst: dst}
+	p.only(ProtoICMP)
+	ic := p.takeICMP()
+	*ic = ICMP{Type: typ, ID: id, Seq: seq, Payload: p.copyBytes(ic.Payload, payload)}
 }
 
 // Clone deep-copies the packet so middleboxes can mutate their copy without
@@ -153,55 +312,47 @@ func (p *Packet) Clone() *Packet {
 	return q
 }
 
-// CloneInto deep-copies p into dst, reusing dst's transport structs and the
-// capacity of its byte slices. A caller cycling packets through a scratch
-// Packet pays no allocations once the scratch buffers have grown to the
-// working set's payload sizes.
+// CloneInto deep-copies p into dst, reusing dst's transport headers, spare
+// or in use, and the capacity of its byte slices. A caller cycling packets
+// through a scratch Packet pays no allocations once the scratch buffers
+// have grown to the working set's payload sizes. An empty transport
+// payload is copied as nil.
 func (p *Packet) CloneInto(dst *Packet) {
 	dst.IP = p.IP
 	if p.TCP != nil {
-		t := dst.TCP
-		if t == nil {
-			t = new(TCP)
-		}
-		opts, pay := t.Options[:0], t.Payload[:0]
+		t := dst.takeTCP()
+		opts, pay := t.Options, t.Payload
 		*t = *p.TCP
-		t.Options = append(opts, p.TCP.Options...)
-		t.Payload = append(pay, p.TCP.Payload...)
-		dst.TCP = t
+		t.Options = append(opts[:0], p.TCP.Options...)
+		t.Payload = dst.copyBytes(pay, p.TCP.Payload)
 	} else {
-		dst.TCP = nil
+		dst.parkTCP()
 	}
 	if p.UDP != nil {
-		u := dst.UDP
-		if u == nil {
-			u = new(UDP)
-		}
-		pay := u.Payload[:0]
+		u := dst.takeUDP()
+		pay := u.Payload
 		*u = *p.UDP
-		u.Payload = append(pay, p.UDP.Payload...)
-		dst.UDP = u
+		u.Payload = dst.copyBytes(pay, p.UDP.Payload)
 	} else {
-		dst.UDP = nil
+		dst.parkUDP()
 	}
 	if p.ICMP != nil {
-		ic := dst.ICMP
-		if ic == nil {
-			ic = new(ICMP)
-		}
-		pay := ic.Payload[:0]
+		ic := dst.takeICMP()
+		pay := ic.Payload
 		*ic = *p.ICMP
-		ic.Payload = append(pay, p.ICMP.Payload...)
-		dst.ICMP = ic
+		ic.Payload = dst.copyBytes(pay, p.ICMP.Payload)
 	} else {
-		dst.ICMP = nil
+		dst.parkICMP()
 	}
-	if p.RawPayload == nil {
+	switch {
+	case p.RawPayload == nil:
 		// Preserve nil-ness: consumers distinguish "no raw payload" (nil)
 		// from a zero-length one.
-		dst.RawPayload = nil
-	} else {
-		dst.RawPayload = append(dst.RawPayload[:0], p.RawPayload...)
+		dst.parkRaw()
+	case len(p.RawPayload) == 0:
+		dst.RawPayload = dst.RawPayload[:0]
+	default:
+		dst.RawPayload = dst.copyBytes(dst.RawPayload, p.RawPayload)
 	}
 }
 

@@ -211,10 +211,11 @@ func Parse(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// ParseInto decodes wire bytes into p, reusing p's transport structs and the
-// capacity of its payload slices: parsing a stream of packets through one
-// scratch Packet is allocation-free once its buffers have grown. On error p
-// is left in an unspecified state.
+// ParseInto decodes wire bytes into p, reusing p's transport structs, spare
+// or in use, and the capacity of its payload slices: parsing a stream of
+// packets through one scratch Packet, of any mix of protocols, is
+// allocation-free once its buffers have grown. On error p is left in an
+// unspecified state.
 func ParseInto(p *Packet, b []byte) error {
 	if len(b) < 20 {
 		return ErrTruncated
@@ -247,47 +248,51 @@ func ParseInto(p *Packet, b []byte) error {
 	}
 	payload := b[ihl:total]
 	if p.IP.FragOffset != 0 {
-		p.TCP, p.UDP, p.ICMP = nil, nil, nil
-		p.RawPayload = append(p.RawPayload[:0], payload...)
+		p.parseRaw(payload)
 		return nil
 	}
 	switch p.IP.Protocol {
 	case ProtoTCP:
-		p.UDP, p.ICMP, p.RawPayload = nil, nil, nil
+		p.only(ProtoTCP)
 		return p.parseTCP(payload)
 	case ProtoUDP:
-		p.TCP, p.ICMP, p.RawPayload = nil, nil, nil
+		p.only(ProtoUDP)
 		return p.parseUDP(payload)
 	case ProtoICMP:
-		p.TCP, p.UDP, p.RawPayload = nil, nil, nil
+		p.only(ProtoICMP)
 		return p.parseICMP(payload)
 	default:
-		p.TCP, p.UDP, p.ICMP = nil, nil, nil
-		p.RawPayload = append(p.RawPayload[:0], payload...)
+		p.parseRaw(payload)
 	}
 	return nil
 }
 
+// parseRaw makes payload p's opaque raw payload, in the larger of the raw
+// and spare buffers.
+func (p *Packet) parseRaw(payload []byte) {
+	p.only(0)
+	buf := p.spare.buf
+	p.spare.buf = nil
+	p.RawPayload = append(buf, payload...)
+}
+
 func (p *Packet) parseTCP(b []byte) error {
 	if len(b) < 20 {
-		p.TCP = nil
+		p.parkTCP()
 		return errTCPTruncated
 	}
 	doff := int(b[12]>>4) * 4
 	if doff < 20 || doff > len(b) {
-		p.TCP = nil
+		p.parkTCP()
 		return errTCPDataOff
 	}
 	// Only verify the transport checksum on unfragmented packets: a
 	// first-fragment's TCP checksum covers bytes not present here.
 	if !p.IP.MF && pseudoChecksum(p.IP.Src, p.IP.Dst, ProtoTCP, b) != 0 {
-		p.TCP = nil
+		p.parkTCP()
 		return errTCPChecksum
 	}
-	t := p.TCP
-	if t == nil {
-		t = new(TCP) // first parse into this scratch Packet; reused by every later one
-	}
+	t := p.takeTCP()
 	opts, pay := t.Options[:0], t.Payload[:0]
 	*t = TCP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
@@ -300,53 +305,45 @@ func (p *Packet) parseTCP(b []byte) error {
 		Options: append(opts, b[20:doff]...),
 		Payload: append(pay, b[doff:]...),
 	}
-	p.TCP = t
 	return nil
 }
 
 func (p *Packet) parseUDP(b []byte) error {
 	if len(b) < 8 {
-		p.UDP = nil
+		p.parkUDP()
 		return errUDPTruncated
 	}
 	ulen := int(binary.BigEndian.Uint16(b[4:6]))
 	if ulen < 8 || ulen > len(b) {
-		p.UDP = nil
+		p.parkUDP()
 		return errUDPLength
 	}
 	if cs := binary.BigEndian.Uint16(b[6:8]); cs != 0 && !p.IP.MF {
 		if pseudoChecksum(p.IP.Src, p.IP.Dst, ProtoUDP, b[:ulen]) != 0 {
-			p.UDP = nil
+			p.parkUDP()
 			return errUDPChecksum
 		}
 	}
-	u := p.UDP
-	if u == nil {
-		u = new(UDP) // first parse into this scratch Packet; reused by every later one
-	}
+	u := p.takeUDP()
 	pay := u.Payload[:0]
 	*u = UDP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Payload: append(pay, b[8:ulen]...),
 	}
-	p.UDP = u
 	return nil
 }
 
 func (p *Packet) parseICMP(b []byte) error {
 	if len(b) < 8 {
-		p.ICMP = nil
+		p.parkICMP()
 		return errICMPTruncated
 	}
 	if checksum(b) != 0 {
-		p.ICMP = nil
+		p.parkICMP()
 		return errICMPChecksum
 	}
-	ic := p.ICMP
-	if ic == nil {
-		ic = new(ICMP) // first parse into this scratch Packet; reused by every later one
-	}
+	ic := p.takeICMP()
 	pay := ic.Payload[:0]
 	*ic = ICMP{
 		Type:    ICMPType(b[0]),
@@ -355,7 +352,6 @@ func (p *Packet) parseICMP(b []byte) error {
 		Seq:     binary.BigEndian.Uint16(b[6:8]),
 		Payload: append(pay, b[8:]...),
 	}
-	p.ICMP = ic
 	return nil
 }
 

@@ -130,19 +130,20 @@ func TestSNI1RSTInjection(t *testing.T) {
 func TestSNI1PreservesMetadata(t *testing.T) {
 	l := newLab(t, nil)
 	conn := l.openAndSendCH("facebook.com")
-	l.sim.Run()
-	// Find the rewritten packet and check seq/ack survive.
-	var rst *packet.Packet
-	for _, p := range conn.Packets {
-		if p.TCP.Flags == packet.FlagsRSTACK {
-			rst = p
-			break
+	// Find the rewritten packet and check seq/ack survive. The handler
+	// copies them: the network recycles the packet once it returns.
+	found := false
+	var seq, ack uint32
+	conn.OnPacket = func(p *packet.Packet) {
+		if p.TCP.Flags == packet.FlagsRSTACK && !found {
+			found, seq, ack = true, p.TCP.Seq, p.TCP.Ack
 		}
 	}
-	if rst == nil {
+	l.sim.Run()
+	if !found {
 		t.Fatal("no RST/ACK captured")
 	}
-	if rst.TCP.Seq == 0 && rst.TCP.Ack == 0 {
+	if seq == 0 && ack == 0 {
 		t.Fatal("rewritten packet lost sequence numbers")
 	}
 }
@@ -590,7 +591,7 @@ func TestBlockingStateTimeoutSNI1(t *testing.T) {
 		t.Fatal("no packet arrived")
 	}
 	last := conn.Packets[len(conn.Packets)-1]
-	if !last.TCP.Flags.Has(packet.FlagRST) {
+	if !last.Flags.Has(packet.FlagRST) {
 		t.Fatal("downstream not rewritten within SNI-I hold")
 	}
 	// Beyond 75s from trigger the hold expires.
@@ -598,7 +599,7 @@ func TestBlockingStateTimeoutSNI1(t *testing.T) {
 	l.server.SendTCP(conn.LocalAddr, 443, conn.LocalPort, packet.FlagsPSHACK, 8888, 1, []byte("after"))
 	l.sim.Run()
 	last = conn.Packets[len(conn.Packets)-1]
-	if last.TCP.Flags.Has(packet.FlagRST) {
+	if last.Flags.Has(packet.FlagRST) {
 		t.Fatal("SNI-I hold outlived its 75s timeout")
 	}
 }

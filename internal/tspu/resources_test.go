@@ -52,7 +52,7 @@ func TestStateExhaustionEvadesBlocking(t *testing.T) {
 			t.Fatal("probe lost")
 		}
 		last := conn.Packets[len(conn.Packets)-1]
-		return last.TCP.Flags.Has(packet.FlagRST) // still blocked?
+		return last.Flags.Has(packet.FlagRST) // still blocked?
 	}
 	if !run(0) {
 		t.Fatal("well-provisioned device lost blocking state")
