@@ -199,10 +199,12 @@ armsrace:
 # (IP/TCP, ClientHello, HTTP response). FuzzChecksum pins the word-wise
 # Internet checksum to the 16-bit RFC 1071 reference; FuzzGenome guards the
 # evasion-corpus serialization contract (circumvent.Decode/String
-# round-trip).
+# round-trip); FuzzPolicyMatch holds the domain matcher to its contract
+# (an added name matches itself and its subdomains, removal clears it).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 10s ./internal/tlsx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/circumvent
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyMatch$$' -fuzztime 10s ./internal/tspu

@@ -99,14 +99,28 @@ func NewOracle() *Oracle {
 func domainSet(ds []string) map[string]bool {
 	m := make(map[string]bool, len(ds))
 	for _, d := range ds {
-		m[strings.ToLower(d)] = true
+		m[normDomain(d)] = true
 	}
 	return m
 }
 
+// normDomain is the one spelling of a name that set entries and lookups are
+// compared in: every trailing dot stripped and only ASCII letters
+// lower-cased. DNS names on the wire are ASCII, and Unicode folding could
+// alias a non-ASCII entry into an ASCII name.
+func normDomain(name string) string {
+	b := []byte(strings.TrimRight(name, "."))
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + ('a' - 'A')
+		}
+	}
+	return string(b)
+}
+
 // matches reports whether name or a parent domain of name is in set.
 func (p *oPolicy) matches(set map[string]bool, name string) bool {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	name = normDomain(name)
 	for d := range set {
 		if name == d || strings.HasSuffix(name, "."+d) {
 			return true
@@ -190,7 +204,7 @@ func (o *Oracle) applyPolicy(s Step) {
 		default:
 			return
 		}
-		d := strings.ToLower(s.Domain)
+		d := normDomain(s.Domain)
 		if s.Pol == PolAddDomain {
 			set[d] = true
 		} else {

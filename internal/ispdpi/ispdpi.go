@@ -29,8 +29,10 @@ type BlockpageResolver struct {
 	ISP string
 	// Blockpage is this ISP's blockpage address (differs per ISP).
 	Blockpage netip.Addr
-	// Blocklist is the ISP-maintained blocklist.
-	Blocklist *tspu.DomainSet
+	// Blocklist returns the ISP-maintained blocklist. The resolver calls it
+	// on each lookup, so a list built on first use is built only when a name
+	// is resolved.
+	Blocklist func() *tspu.DomainSet
 	// Upstream resolves uncensored names.
 	Upstream func(name string) []netip.Addr
 
@@ -40,10 +42,10 @@ type BlockpageResolver struct {
 }
 
 // NewBlockpageResolver installs a blockpage resolver on st.
-func NewBlockpageResolver(st *hostnet.Stack, isp string, blockpage netip.Addr, blocklist *tspu.DomainSet, upstream func(string) []netip.Addr) *BlockpageResolver {
+func NewBlockpageResolver(st *hostnet.Stack, isp string, blockpage netip.Addr, blocklist func() *tspu.DomainSet, upstream func(string) []netip.Addr) *BlockpageResolver {
 	r := &BlockpageResolver{ISP: isp, Blockpage: blockpage, Blocklist: blocklist, Upstream: upstream}
 	r.Server = dnsx.NewServer(st, func(name string) []netip.Addr {
-		if r.Blocklist.Contains(name) {
+		if r.Blocklist().Contains(name) {
 			r.BlockpageServed++
 			return []netip.Addr{r.Blockpage}
 		}

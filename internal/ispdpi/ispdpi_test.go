@@ -32,7 +32,7 @@ func TestBlockpageResolver(t *testing.T) {
 	blockpage := netip.MustParseAddr("192.0.2.200")
 	real := netip.MustParseAddr("203.0.113.80")
 	bl := tspu.NewDomainSet("banned.ru")
-	r := NewBlockpageResolver(resolver, "obit", blockpage, bl, func(string) []netip.Addr {
+	r := NewBlockpageResolver(resolver, "obit", blockpage, func() *tspu.DomainSet { return bl }, func(string) []netip.Addr {
 		return []netip.Addr{real}
 	})
 	cl := dnsx.NewClient(client, resolver.Addr())
@@ -55,7 +55,7 @@ func TestBlockpageSubdomains(t *testing.T) {
 	s, client, resolver, _ := twoHosts(t)
 	bl := tspu.NewDomainSet("banned.ru")
 	blockpage := netip.MustParseAddr("192.0.2.200")
-	NewBlockpageResolver(resolver, "rostelecom", blockpage, bl, nil)
+	NewBlockpageResolver(resolver, "rostelecom", blockpage, func() *tspu.DomainSet { return bl }, nil)
 	cl := dnsx.NewClient(client, resolver.Addr())
 	var got *dnsx.Message
 	cl.Lookup("cdn.banned.ru", func(m *dnsx.Message) { got = m })

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,5 +145,56 @@ func TestVennRegions(t *testing.T) {
 	}
 	if !strings.Contains(res.RenderVenn().String(), "Venn") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestRenderVennBreaksTiesByRegion pins the Fig. 6 region order: largest
+// count first, and regions of equal count by name. Seven regions tie, so a
+// sort by count alone leaves their order to map iteration and fails here.
+func TestRenderVennBreaksTiesByRegion(t *testing.T) {
+	regions := []struct {
+		tspu bool
+		isps []string
+		n    int
+	}{
+		{false, []string{topo.Rostelecom}, 2},
+		{true, []string{topo.OBIT}, 2},
+		{true, nil, 3},
+		{false, nil, 2},
+		{false, []string{topo.ERTelecom, topo.OBIT}, 2},
+		{true, []string{topo.ERTelecom}, 2},
+		{false, []string{topo.OBIT}, 2},
+		{true, []string{topo.ERTelecom, topo.OBIT, topo.Rostelecom}, 2},
+	}
+	res := &SurveyResult{List: "ties"}
+	for _, g := range regions {
+		for i := 0; i < g.n; i++ {
+			v := DomainVerdict{TSPUBlocked: g.tspu, ISPBlocked: map[string]bool{}}
+			for _, isp := range g.isps {
+				v.ISPBlocked[isp] = true
+			}
+			res.Verdicts = append(res.Verdicts, v)
+		}
+	}
+	want := []string{
+		"tspu",
+		"(none)",
+		"ertelecom+obit",
+		"ertelecom+obit+rostelecom+tspu",
+		"ertelecom+tspu",
+		"obit",
+		"obit+tspu",
+		"rostelecom",
+	}
+	var got []string
+	for _, line := range strings.Split(res.RenderVenn().String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			if _, err := strconv.Atoi(f[1]); err == nil {
+				got = append(got, f[0])
+			}
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Venn rows = %v, want %v\n%s", got, want, res.RenderVenn())
 	}
 }

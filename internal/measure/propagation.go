@@ -76,7 +76,7 @@ func PolicyPropagation(lab *topo.Lab, jitter time.Duration) *PropagationResult {
 		}
 	}
 	for _, v := range vantages {
-		res.ISPResolverAdopted[v] = lab.Vantages[v].ISPBlocklist.Contains(domain)
+		res.ISPResolverAdopted[v] = lab.Vantages[v].ISPBlocklist().Contains(domain)
 	}
 	return res
 }

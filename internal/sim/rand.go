@@ -129,13 +129,19 @@ func Pick[T any](r *Rand, xs []T) T {
 }
 
 // Sample returns k distinct elements sampled without replacement. If
-// k >= len(xs) a shuffled copy of xs is returned.
+// k >= len(xs) a shuffled copy of xs is returned. It shuffles a permutation
+// of indices, with the draws a shuffle of xs itself would take, and copies
+// only the k elements it returns.
 func Sample[T any](r *Rand, xs []T, k int) []T {
-	cp := make([]T, len(xs))
-	copy(cp, xs)
-	r.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-	if k >= len(cp) {
-		return cp
+	k = min(k, len(xs))
+	idx := make([]int32, len(xs))
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	return cp[:k]
+	r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	out := make([]T, k)
+	for i := range out {
+		out[i] = xs[idx[i]]
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -206,6 +207,28 @@ func TestSampleDistinct(t *testing.T) {
 	// Oversampling returns everything.
 	if len(Sample(r, xs, 1000)) != 100 {
 		t.Fatal("oversample did not return all elements")
+	}
+}
+
+// TestSampleMatchesShuffledCopy pins Sample to the draws and result of
+// shuffling a copy of xs and keeping its first k elements.
+func TestSampleMatchesShuffledCopy(t *testing.T) {
+	xs := make([]string, 57)
+	for i := range xs {
+		xs[i] = string(rune('A' + i))
+	}
+	for _, k := range []int{0, 1, 20, 57, 90} {
+		a, b := NewRand(uint64(k)+5), NewRand(uint64(k)+5)
+		cp := append([]string(nil), xs...)
+		a.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
+		want := cp[:min(k, len(cp))]
+		got := Sample(b, xs, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: Sample = %v, want %v", k, got, want)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("k=%d: Sample took a different number of draws", k)
+		}
 	}
 }
 

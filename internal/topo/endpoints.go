@@ -47,6 +47,7 @@ func sampleDepth(r *sim.Rand) int {
 func (l *Lab) buildEndpoints() {
 	r := l.Rand.Fork("endpoints")
 	core := l.Net.Node("ru-core")
+	l.Endpoints = make([]*Endpoint, 0, l.Opts.Endpoints)
 
 	// Shared "censorship-as-a-service" transit providers (Fig. 11): a
 	// symmetric device on the provider-core link serves several client ASes.
@@ -253,8 +254,11 @@ func (l *Lab) buildAS(r *sim.Rand, as *AS, core *netem.Node, providers []*netem.
 	as.lab = l
 	asr.AddLazyRoute(as.Prefix, as.buildEndpoint)
 	base := as.Prefix.Addr().As4()
-	for k := 0; k < count; k++ {
-		ep := &Endpoint{
+	records := make([]Endpoint, count)
+	as.Endpoints = make([]*Endpoint, 0, count)
+	for k := range records {
+		ep := &records[k]
+		*ep = Endpoint{
 			Addr:     netip.AddrFrom4([4]byte{base[0], base[1], base[2], byte(10 + k)}),
 			AS:       as,
 			Port:     sim.Pick(r, portMixes[as.Kind]),

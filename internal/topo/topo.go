@@ -90,12 +90,18 @@ type Vantage struct {
 	ResolverAddr netip.Addr
 	// Blockpage is this ISP's blockpage IP.
 	Blockpage netip.Addr
-	// ISPBlocklist is the ISP-maintained (stale) blocklist.
-	ISPBlocklist *tspu.DomainSet
 	// SymLink is the link carrying the first symmetric device — tap it to
 	// capture what the device sees and emits.
 	SymLink *netem.Link
+
+	blocklist ispBlocklist
 }
+
+// ISPBlocklist returns the ISP-maintained (stale) blocklist the vantage's
+// resolver answers from. It is built on the first call, by this accessor or
+// by the resolver's first lookup, from a stream forked at lab build, so it is
+// the same list whenever it is first asked for.
+func (v *Vantage) ISPBlocklist() *tspu.DomainSet { return v.blocklist.get() }
 
 // ASKind is the network type of an endpoint AS.
 type ASKind int
@@ -218,10 +224,10 @@ type Lab struct {
 	// Endpoints is the scan population, deterministic order.
 	Endpoints []*Endpoint
 
-	// Tranco and Registry are the §6 testing input lists. Registry's
-	// elements must not be modified: RegistryDump reads their Name,
-	// InRegistry and AddedAfterFeb24 on first use, and no code writes them
-	// after buildWorkloadAndPolicy makes the list.
+	// Tranco and Registry are the §6 testing input lists. Their elements
+	// must not be modified: RegistryDump and Vantage.ISPBlocklist read them
+	// on first use, and no code writes them after buildWorkloadAndPolicy
+	// makes the lists.
 	Tranco   []workload.Domain
 	Registry []workload.Domain
 	// RegistryTSPUBlocked is how many registry-sample domains the TSPU

@@ -65,7 +65,7 @@ func (l *Lab) buildWorkloadAndPolicy() {
 	l.RegistryTSPUBlocked = len(registryBlocked)
 	// ...plus out-registry Tranco targets: Google services, circumvention
 	// tools, news, and pornography (§6.3).
-	var trancoBlocked []workload.Domain
+	var trancoBlocked []string
 	for _, d := range l.Tranco {
 		inReg := d.InRegistry
 		sensitive := d.Category == workload.CatCircumvention ||
@@ -73,7 +73,7 @@ func (l *Lab) buildWorkloadAndPolicy() {
 			d.Category == workload.CatInformativeMedia ||
 			d.Category == workload.CatProvocative
 		if inReg || (d.FromCLBL && sensitive && r.Bool(0.75)) || (!d.FromCLBL && sensitive && r.Bool(0.08)) {
-			trancoBlocked = append(trancoBlocked, d)
+			trancoBlocked = append(trancoBlocked, d.Name)
 		}
 	}
 
@@ -92,8 +92,10 @@ func (l *Lab) buildWorkloadAndPolicy() {
 				p.ThrottleDomains.Add(wk.Name)
 			}
 		}
-		p.SNI1Domains.Add(workload.Names(registryBlocked)...)
-		p.SNI1Domains.Add(workload.Names(trancoBlocked)...)
+		for _, d := range registryBlocked {
+			p.SNI1Domains.Add(d.Name)
+		}
+		p.SNI1Domains.Add(trancoBlocked...)
 		// The Tor entry node plus six more out-registry IPs (VPN providers
 		// and Google services in the paper).
 		p.BlockedIPs[l.TorAddr] = true
@@ -103,18 +105,36 @@ func (l *Lab) buildWorkloadAndPolicy() {
 	})
 }
 
-// ispBlocklist builds one ISP's stale blocklist: a fraction of the registry
-// sample plus whatever Tranco registry-listed names it tracked.
-func (l *Lab) ispBlocklist(name string, registryFrac float64) *tspu.DomainSet {
-	r := l.Rand.Fork("ispbl/" + name)
-	bl := tspu.NewDomainSet()
-	bl.Add(workload.Names(sim.Sample(r, l.Registry, int(registryFrac*float64(len(l.Registry)))))...)
-	for _, d := range l.Tranco {
-		if d.InRegistry && r.Bool(registryFrac) {
-			bl.Add(d.Name)
+// ispBlocklist is one ISP's stale blocklist: a fraction of the registry
+// sample plus whatever Tranco registry-listed names the ISP tracked. Only
+// experiments that resolve names read one (Fig. 6, propagation), so it is
+// built on first use from a stream forked at build, which leaves every other
+// stream's draws where they were. Building reads l.Registry and l.Tranco,
+// which no code writes after buildWorkloadAndPolicy, so a late build sees the
+// inputs the lab was built with.
+type ispBlocklist struct {
+	lab          *Lab
+	registryFrac float64
+	rng          *sim.Rand
+	set          *tspu.DomainSet
+}
+
+// get returns the list, building it on the first call.
+func (b *ispBlocklist) get() *tspu.DomainSet {
+	if b.set == nil {
+		l, r := b.lab, b.rng
+		b.set = tspu.NewDomainSet()
+		for _, d := range sim.Sample(r, l.Registry, int(b.registryFrac*float64(len(l.Registry)))) {
+			b.set.Add(d.Name)
 		}
+		for _, d := range l.Tranco {
+			if d.InRegistry && r.Bool(b.registryFrac) {
+				b.set.Add(d.Name)
+			}
+		}
+		b.rng = nil
 	}
-	return bl
+	return b.set
 }
 
 func (l *Lab) buildVantages() {
@@ -300,21 +320,19 @@ func (l *Lab) finishVantage(spec vantageSpec, vp *netem.Node, access *netem.Node
 
 	stack := hostnet.NewStack(n, vp)
 	resolverStack := hostnet.NewStack(n, res)
-	bl := l.ispBlocklist(spec.name, spec.regFraction)
-	resolver := ispdpi.NewBlockpageResolver(resolverStack, spec.name, spec.blockpage, bl, func(name string) []netip.Addr {
-		return []netip.Addr{realAddrFor(name)}
-	})
-
-	l.Vantages[spec.name] = &Vantage{
+	v := &Vantage{
 		Name:         spec.name,
 		Stack:        stack,
 		Devices:      devices,
 		SymDeviceHop: 2,
-		Resolver:     resolver,
 		ResolverAddr: spec.resolver,
 		Blockpage:    spec.blockpage,
-		ISPBlocklist: bl,
+		blocklist:    ispBlocklist{lab: l, registryFrac: spec.regFraction, rng: l.Rand.Fork("ispbl/" + spec.name)},
 	}
+	v.Resolver = ispdpi.NewBlockpageResolver(resolverStack, spec.name, spec.blockpage, v.ISPBlocklist, func(name string) []netip.Addr {
+		return []netip.Addr{realAddrFor(name)}
+	})
+	l.Vantages[spec.name] = v
 }
 
 // realAddrFor deterministically maps a domain to an uncensored "real" IP in

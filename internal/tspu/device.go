@@ -107,6 +107,7 @@ type devLane struct {
 	frags *fragEngine
 	// reasm holds per-flow upstream byte buffers for the ReassembleTCP
 	// ablation; flows never change lanes, so per-lane maps stay disjoint.
+	// It is made on the lane's first reassembled segment.
 	reasm map[packet.FlowKey4][]byte
 	// fold is the case-normalization scratch threaded into DomainSet
 	// matching, replacing the set's shared internal buffer on this lane.
@@ -162,9 +163,7 @@ func NewDevice(cfg Config) *Device {
 	}
 	d.lanes = make([]devLane, d.ct.numShards())
 	for i := range d.lanes {
-		ln := &d.lanes[i]
-		ln.frags = newFragEngine(cfg.FragLimit, cfg.Timeouts.Frag)
-		ln.reasm = make(map[packet.FlowKey4][]byte)
+		d.lanes[i].frags = newFragEngine(cfg.FragLimit, cfg.Timeouts.Frag)
 	}
 	return d
 }
@@ -525,6 +524,9 @@ func (d *Device) classifySNI(e *flowEntry, pkt *packet.Packet, ln *devLane) (Cla
 		acc := append(ln.reasm[e.key], pkt.TCP.Payload...)
 		if len(acc) > 4096 {
 			acc = acc[:4096]
+		}
+		if ln.reasm == nil {
+			ln.reasm = make(map[packet.FlowKey4][]byte)
 		}
 		ln.reasm[e.key] = acc
 		if info, err := tlsx.ParseClientHelloDeep(acc); err == nil && info.ServerName != "" {

@@ -24,7 +24,8 @@ import (
 type fragEngine struct {
 	limit   int
 	timeout time.Duration
-	queues  map[packet.FragKey]*fragQueue
+	// queues is made on the first fragment; most devices never see one.
+	queues map[packet.FragKey]*fragQueue
 	// discards counts queues dropped for any reason.
 	discards int
 	// forwarded counts complete queues released.
@@ -50,7 +51,7 @@ func newFragEngine(limit int, timeout time.Duration) *fragEngine {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	return &fragEngine{limit: limit, timeout: timeout, queues: make(map[packet.FragKey]*fragQueue)}
+	return &fragEngine{limit: limit, timeout: timeout}
 }
 
 // handle consumes one fragment. It always returns Drop: surviving fragments
@@ -62,6 +63,9 @@ func (fe *fragEngine) handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Dire
 	q, ok := fe.queues[key]
 	if !ok {
 		q = &fragQueue{pipe: pipe, dir: dir, total: -1}
+		if fe.queues == nil {
+			fe.queues = make(map[packet.FragKey]*fragQueue)
+		}
 		fe.queues[key] = q
 		// The timeout closure checks queue identity, so a released or
 		// replaced queue makes it a no-op; no cancellation handle needed.

@@ -89,17 +89,18 @@ func NewDomainSet(domains ...string) *DomainSet {
 	return s
 }
 
-// Add inserts domains.
+// Add inserts domains. Every trailing dot is stripped, as lookups strip
+// them, so an entry never ends in a dot that no lookup could match.
 func (s *DomainSet) Add(domains ...string) {
 	for _, d := range domains {
-		s.exact[asciiLower(strings.TrimSuffix(d, "."))] = true
+		s.exact[asciiLower(strings.TrimRight(d, "."))] = true
 	}
 }
 
 // Remove deletes domains.
 func (s *DomainSet) Remove(domains ...string) {
 	for _, d := range domains {
-		delete(s.exact, asciiLower(strings.TrimSuffix(d, ".")))
+		delete(s.exact, asciiLower(strings.TrimRight(d, ".")))
 	}
 }
 
@@ -129,7 +130,7 @@ func (s *DomainSet) Contains(name string) bool {
 	if s == nil {
 		return false
 	}
-	name = asciiLower(strings.TrimSuffix(name, "."))
+	name = asciiLower(strings.TrimRight(name, "."))
 	for name != "" {
 		if s.exact[name] {
 			return true
@@ -144,7 +145,7 @@ func (s *DomainSet) Contains(name string) bool {
 }
 
 // Match reports whether name (raw SNI bytes: any ASCII case, optional
-// trailing dot) or any parent domain of it is in the set. It is the
+// trailing dots) or any parent domain of it is in the set. It is the
 // allocation-free hot-path form of Contains: suffix candidates index the set
 // as byte slices (m[string(b)] map accesses do not allocate), and case
 // folding — ASCII only, which is all DNS names on the wire can carry — runs
@@ -164,8 +165,8 @@ func (s *DomainSet) matchWith(name []byte, lower *[]byte) bool {
 	if s == nil || len(s.exact) == 0 {
 		return false
 	}
-	if n := len(name); n > 0 && name[n-1] == '.' {
-		name = name[:n-1]
+	for len(name) > 0 && name[len(name)-1] == '.' {
+		name = name[:len(name)-1]
 	}
 	for i := 0; i < len(name); i++ {
 		if c := name[i]; 'A' <= c && c <= 'Z' {

@@ -130,20 +130,35 @@ func WellKnownDomains() []WellKnown {
 
 var tlds = []string{".com", ".ru", ".org", ".net", ".io", ".tv", ".me", ".su", ".info", ".biz"}
 
-// nameFor synthesizes a plausible domain name, keyword-suffixSERIAL.tld,
-// from a category keyword and a serial number. The three draws happen in
-// this order; reordering them renames every generated domain.
-func nameFor(rng *sim.Rand, c Category, i int) string {
+// nameFor appends a synthesized, plausible domain name,
+// keyword-suffixSERIAL.tld, to b: a category keyword and a serial number. The
+// three draws happen in this order; reordering them renames every generated
+// domain.
+func nameFor(b []byte, rng *sim.Rand, c Category, i int) []byte {
 	kw := sim.Pick(rng, categoryKeywords[c])
 	tld := sim.Pick(rng, tlds)
 	suffix := suffixes[rng.Intn(len(suffixes))]
-	var buf [48]byte
-	b := append(buf[:0], kw...)
+	b = append(b, kw...)
 	b = append(b, '-')
 	b = append(b, suffix...)
 	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, tld...)
-	return string(b)
+	return append(b, tld...)
+}
+
+// avgNameLen sizes the buffer a generated list's names are appended to; the
+// default lists average 20 to 22 bytes a name.
+const avgNameLen = 24
+
+// setNames sets ds[i].Name to the i-th name appended to buf, which ends at
+// ends[i]. Every name is a substring of one string, so a generated list costs
+// one allocation for its names instead of one per name.
+func setNames(ds []Domain, buf []byte, ends []int) {
+	all := string(buf)
+	start := 0
+	for i, end := range ends {
+		ds[i].Name = all[start:end]
+		start = end
+	}
 }
 
 var suffixes = []string{"hub", "zone", "portal", "club", "base", "center", "point", "world", "city", "lab"}
@@ -179,9 +194,14 @@ func GenTranco(rng *sim.Rand, opts TrancoOptions) []Domain {
 		CatInformativeMedia, CatInformativeMedia, CatFinance, CatPornography,
 		CatProvocative,
 	}
+	generated := len(out)
+	n := max(opts.N-generated, 0) + opts.CLBL
+	names, ends := make([]byte, 0, n*avgNameLen), make([]int, 0, n)
 	for i := len(out); i < opts.N; i++ {
 		c := sim.Pick(r, mix)
-		out = append(out, Domain{Name: nameFor(r, c, i), Category: c, Rank: i + 1})
+		names = nameFor(names, r, c, i)
+		ends = append(ends, len(names))
+		out = append(out, Domain{Category: c, Rank: i + 1})
 	}
 	// CLBL: deliberately sensitive categories.
 	clblMix := []Category{
@@ -190,8 +210,11 @@ func GenTranco(rng *sim.Rand, opts TrancoOptions) []Domain {
 	}
 	for i := 0; i < opts.CLBL; i++ {
 		c := sim.Pick(r, clblMix)
-		out = append(out, Domain{Name: nameFor(r, c, opts.N+i), Category: c, FromCLBL: true})
+		names = nameFor(names, r, c, opts.N+i)
+		ends = append(ends, len(names))
+		out = append(out, Domain{Category: c, FromCLBL: true})
 	}
+	setNames(out[generated:], names, ends)
 	return out
 }
 
@@ -224,15 +247,18 @@ func GenRegistry(rng *sim.Rand, opts RegistryOptions) []Domain {
 		CatService, CatCircumvention,
 	}
 	out := make([]Domain, 0, opts.N)
+	names, ends := make([]byte, 0, opts.N*avgNameLen), make([]int, 0, opts.N)
 	for i := 0; i < opts.N; i++ {
 		c := sim.Pick(r, mix)
+		names = nameFor(names, r, c, 100000+i)
+		ends = append(ends, len(names))
 		out = append(out, Domain{
-			Name:            nameFor(r, c, 100000+i),
 			Category:        c,
 			InRegistry:      true,
 			AddedAfterFeb24: r.Bool(opts.AfterFeb24Fraction),
 		})
 	}
+	setNames(out, names, ends)
 	return out
 }
 

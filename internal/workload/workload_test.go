@@ -130,7 +130,7 @@ func TestLDARecoverCategories(t *testing.T) {
 	var ds []Domain
 	for i := 0; i < 120; i++ {
 		c := cats[i%len(cats)]
-		ds = append(ds, Domain{Name: nameFor(rng, c, i), Category: c})
+		ds = append(ds, Domain{Name: string(nameFor(nil, rng, c, i)), Category: c})
 	}
 	pred := CategorizeDomains(rng, ds, 8, 60)
 	correct := 0
@@ -201,7 +201,7 @@ func TestLDAPerplexityImprovesWithFit(t *testing.T) {
 	cats := []Category{CatGambling, CatInformativeMedia, CatCircumvention}
 	for i := 0; i < 60; i++ {
 		c := cats[i%len(cats)]
-		ds = append(ds, Domain{Name: nameFor(rng, c, i), Category: c})
+		ds = append(ds, Domain{Name: string(nameFor(nil, rng, c, i)), Category: c})
 	}
 	docs := make([][]string, len(ds))
 	for i, d := range ds {
