@@ -200,10 +200,13 @@ armsrace:
 # Internet checksum to the 16-bit RFC 1071 reference; FuzzGenome guards the
 # evasion-corpus serialization contract (circumvent.Decode/String
 # round-trip); FuzzPolicyMatch holds the domain matcher to its contract
-# (an added name matches itself and its subdomains, removal clears it).
+# (an added name matches itself and its subdomains, removal clears it);
+# FuzzReassembler holds the shared fragment reassembler to one-shot
+# packet.Reassemble over permuted fragment orders and queue limits.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 10s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzReassembler$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 10s ./internal/tlsx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/circumvent

@@ -6,6 +6,7 @@ import (
 
 	"tspusim/internal/circumvent"
 	"tspusim/internal/evolve"
+	"tspusim/internal/measure"
 	"tspusim/internal/report"
 	"tspusim/internal/sim"
 )
@@ -287,7 +288,7 @@ func (l *Ledger) Render() *report.Doc {
 	doc := new(report.Doc).
 		Text("== Arms race: evasion search vs. counter-evolving censors ==\n").
 		Textf("stimulus: %s; search %d rounds x pop %d x gen %d per family; corpus seed %#x\n\n",
-			BlockedDomain, l.Config.Rounds, l.Config.Population, l.Config.Generations, CorpusSeed)
+			measure.CrossBlockedDomain, l.Config.Rounds, l.Config.Population, l.Config.Generations, CorpusSeed)
 
 	rounds := report.NewTable("Rounds (posture entering the round; pins frozen post-shrink)",
 		"Censor", "Round", "Posture", "Cands", "New pins", "Defeated", "Counter-move")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tspusim/internal/circumvent"
+	"tspusim/internal/measure"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
 )
@@ -42,19 +43,6 @@ func TestSlug(t *testing.T) {
 	} {
 		if got := slug(in); got != want {
 			t.Errorf("slug(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestVerdictEncodeRoundTrip(t *testing.T) {
-	for _, v := range []circumvent.Verdict{
-		{},
-		{Evaded: true, ServerSawTrigger: true, ClientGotReply: true, FollowUps: 4, Probed: 4},
-		{ServerSawTrigger: true, ResetSeen: true, FollowUps: 1, Probed: 4},
-	} {
-		got, err := parseVerdict(encodeVerdict(v))
-		if err != nil || got != v {
-			t.Errorf("verdict %+v did not round-trip: %+v %v", v, got, err)
 		}
 	}
 }
@@ -196,8 +184,8 @@ func TestFragReassembler(t *testing.T) {
 	if got := m.Handle(pipe, frags[0], netem.AtoB); got != netem.Drop {
 		t.Fatalf("first fragment: got %v, want Drop", got)
 	}
-	if len(m.queues) != 1 {
-		t.Fatalf("queue not buffered: %d queues", len(m.queues))
+	if m.reasm.Pending() != 1 {
+		t.Fatalf("queue not buffered: %d queues", m.reasm.Pending())
 	}
 	if got := m.Handle(pipe, frags[1], netem.AtoB); got != netem.Drop {
 		t.Fatalf("second fragment: got %v, want Drop", got)
@@ -208,7 +196,7 @@ func TestFragReassembler(t *testing.T) {
 	if got := pipe.injected[0].TCP; got == nil || !strings.Contains(string(got.Payload), "rferl.org") {
 		t.Fatal("reassembled packet lost its payload")
 	}
-	if len(m.queues) != 0 {
+	if m.reasm.Pending() != 0 {
 		t.Fatal("completed queue not deleted")
 	}
 
@@ -220,11 +208,11 @@ func TestFragReassembler(t *testing.T) {
 	// Incomplete queue: one fragment, then the timeout collects it.
 	pipe.timers = nil
 	m.Handle(pipe, frags[0].Clone(), netem.AtoB)
-	if len(m.queues) != 1 || len(pipe.timers) != 1 {
-		t.Fatalf("want 1 pending queue with 1 timer, got %d/%d", len(m.queues), len(pipe.timers))
+	if m.reasm.Pending() != 1 || len(pipe.timers) != 1 {
+		t.Fatalf("want 1 pending queue with 1 timer, got %d/%d", m.reasm.Pending(), len(pipe.timers))
 	}
 	pipe.timers[0]()
-	if len(m.queues) != 0 {
+	if m.reasm.Pending() != 0 {
 		t.Fatal("incomplete queue not garbage collected by timeout")
 	}
 
@@ -241,7 +229,7 @@ func TestFragReassembler(t *testing.T) {
 // across two segments and tear the flow down with a TM-style RST pair.
 func TestStreamScanCrossPacket(t *testing.T) {
 	src, dst := packet.MustAddr("10.0.0.2"), packet.MustAddr("203.0.113.10")
-	m := newStreamScan(BlockedDomain, netem.AtoB)
+	m := newStreamScan(measure.CrossBlockedDomain, netem.AtoB)
 	pipe := &recordPipe{}
 
 	a := packet.NewTCP(src, dst, 40000, 443, packet.FlagsPSHACK, 100, 200, []byte("xxRFER"))

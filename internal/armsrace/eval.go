@@ -10,21 +10,8 @@ import (
 	"tspusim/internal/netem"
 	"tspusim/internal/sim"
 	"tspusim/internal/topo"
+	"tspusim/internal/tspu"
 )
-
-// encodeVerdict/parseVerdict carry a Verdict through a fleet job's string
-// output, the only channel worker goroutines report through.
-func encodeVerdict(v circumvent.Verdict) string {
-	return fmt.Sprintf("evaded=%t server=%t reply=%t rst=%t followups=%d/%d",
-		v.Evaded, v.ServerSawTrigger, v.ClientGotReply, v.ResetSeen, v.FollowUps, v.Probed)
-}
-
-func parseVerdict(s string) (circumvent.Verdict, error) {
-	var v circumvent.Verdict
-	_, err := fmt.Sscanf(s, "evaded=%t server=%t reply=%t rst=%t followups=%d/%d",
-		&v.Evaded, &v.ServerSawTrigger, &v.ClientGotReply, &v.ResetSeen, &v.FollowUps, &v.Probed)
-	return v, err
-}
 
 // runTrial evaluates one genome against one family under one posture on a
 // fresh testbed: the applied countermeasures configure the censor and put
@@ -40,8 +27,15 @@ func runTrial(fam Family, probe circumvent.Probe, applied []Countermeasure, g ci
 			pre = append(pre, func(s *sim.Sim) netem.Middlebox { return mk() })
 		}
 	}
+	tune := func(c *tspu.Config) {
+		for _, cm := range applied {
+			if cm.Reconfig != nil {
+				cm.Reconfig(c)
+			}
+		}
+	}
 	t := topo.BuildCensorTestbedBare(func(s *sim.Sim) censor.Censor {
-		return fam.Build(s, applied)
+		return fam.Build(s, tune)
 	}, pre...)
 	if capt != nil {
 		t.Link.Tap(capt)
@@ -86,19 +80,19 @@ func (ec *evalCtx) evalAll(gs []circumvent.Genome) {
 	if len(uniq) == 0 {
 		return
 	}
+	// Each job writes its verdict into its own slot. The runner has no
+	// timeout, so every job has returned before Run does.
+	verdicts := make([]circumvent.Verdict, len(uniq))
 	jobs := fleet.Plan(CorpusSeed, []string{ec.label}, 1, len(uniq))
 	rep := fleet.NewRunner(fleet.Config{Workers: ec.workers}).Run(jobs, func(job fleet.Job) (string, []fleet.Stat, error) {
-		return encodeVerdict(runTrial(ec.fam, ec.fam.Probe, ec.applied, uniq[job.Shard], nil)), nil, nil
+		verdicts[job.Shard] = runTrial(ec.fam, ec.fam.Probe, ec.applied, uniq[job.Shard], nil)
+		return "", nil, nil
 	})
 	for i, res := range rep.Results {
 		if res.Err != nil {
 			panic(fmt.Sprintf("armsrace: trial %s genome %q: %v", ec.label, uniq[i], res.Err))
 		}
-		v, err := parseVerdict(res.Output)
-		if err != nil {
-			panic(fmt.Sprintf("armsrace: trial %s genome %q: bad verdict %q: %v", ec.label, uniq[i], res.Output, err))
-		}
-		ec.cache[uniq[i]] = v
+		ec.cache[uniq[i]] = verdicts[i]
 	}
 }
 

@@ -12,21 +12,12 @@
 package armsrace
 
 import (
-	"tspusim/internal/censor"
-	"tspusim/internal/censor/in"
-	"tspusim/internal/censor/tm"
 	"tspusim/internal/circumvent"
-	"tspusim/internal/ispdpi"
+	"tspusim/internal/measure"
 	"tspusim/internal/netem"
-	"tspusim/internal/sim"
 	"tspusim/internal/topo"
 	"tspusim/internal/tspu"
 )
-
-// BlockedDomain is the stimulus installed in every family's trigger tables —
-// the same honest common denominator the cross-censor battery uses
-// (measure.CrossBlockedDomain; the root-package tests pin the equality).
-const BlockedDomain = "rferl.org"
 
 // CorpusSeed seeds every simulation the arms race runs. The evasion corpus is
 // a conformance artifact like the fingerprint matrix: it describes the model
@@ -43,7 +34,7 @@ const followUpCount = 4
 // probeFor maps a trigger plane to the race's probe on it: the shared
 // stimulus on the plane's standard port.
 func probeFor(kind circumvent.ProbeKind) circumvent.Probe {
-	p := circumvent.Probe{Kind: kind, Port: 443, Domain: BlockedDomain, FollowUps: followUpCount}
+	p := circumvent.Probe{Kind: kind, Port: 443, Domain: measure.CrossBlockedDomain, FollowUps: followUpCount}
 	if kind == circumvent.ProbeHTTP {
 		p.Port = 80
 	}
@@ -70,16 +61,13 @@ type Countermeasure struct {
 	Watcher func() netem.Middlebox
 }
 
-// Family is one censor lineage in the race: a base model, the probe that its
-// tables block, and the bounded menu it may counter-evolve from.
+// Family is one censor lineage in the race: a model of the cross-censor
+// table (its Build gets the applied countermeasures' Reconfig as tune;
+// watchers attach separately), the probe its tables block, and the bounded
+// menu it may counter-evolve from.
 type Family struct {
-	Name string
-	// Cite is the paper establishing the base model.
-	Cite  string
+	measure.CensorModel
 	Probe circumvent.Probe
-	// Build constructs a fresh censor on the testbed's simulator with the
-	// applied countermeasures' config changes (watchers attach separately).
-	Build func(s *sim.Sim, applied []Countermeasure) censor.Censor
 	Menu  []Countermeasure
 }
 
@@ -120,7 +108,7 @@ func tspuMenu() []Countermeasure {
 			Name:    "byte-scan",
 			Note:    "raw per-packet byte scan beside the record parser (kills record-prepending)",
 			Defeats: func(g circumvent.Genome) bool { return g.PrependRecord },
-			Watcher: func() netem.Middlebox { return newByteScan(BlockedDomain, topo.CensorTestbedLocalDir) },
+			Watcher: func() netem.Middlebox { return newByteScan(measure.CrossBlockedDomain, topo.CensorTestbedLocalDir) },
 		},
 	}
 }
@@ -142,94 +130,29 @@ func scanMenu() []Countermeasure {
 			Defeats: func(g circumvent.Genome) bool {
 				return g.SegmentSize > 0 || g.ServerWindow > 0 || g.PrependRecord || g.PadBeforeSNI > 0
 			},
-			Watcher: func() netem.Middlebox { return newStreamScan(BlockedDomain, topo.CensorTestbedLocalDir) },
+			Watcher: func() netem.Middlebox { return newStreamScan(measure.CrossBlockedDomain, topo.CensorTestbedLocalDir) },
 		},
 	}
 }
 
-// Families returns the race's lineages in corpus order: the same six models
-// as the cross-censor battery, each probed on the plane its tables block
-// (the pinned fingerprint matrix shows tspu/tm/jio/keyword block the TLS SNI
-// and airtel/mtnl block the HTTP Host for the shared stimulus).
+// Families returns the race's lineages in corpus order: the cross-censor
+// battery's six models, with the TSPU's rand stream and the keyword DPI's
+// label under "armsrace", each probed on the plane its tables block (the
+// pinned fingerprint matrix shows tspu/tm/jio/keyword block the TLS SNI and
+// airtel/mtnl block the HTTP Host for the shared stimulus).
 func Families() []Family {
-	return []Family{
-		{
-			Name:  "tspu",
-			Cite:  "TSPU (IMC '22)",
-			Probe: probeFor(circumvent.ProbeTLS),
-			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
-				cfg := tspu.Config{
-					Name:     "tspu",
-					Sim:      s,
-					Rand:     sim.NewRand(sim.StreamSeed(CorpusSeed, "armsrace/tspu")),
-					LocalDir: topo.CensorTestbedLocalDir,
-				}
-				for _, cm := range applied {
-					if cm.Reconfig != nil {
-						cm.Reconfig(&cfg)
-					}
-				}
-				d := tspu.NewDevice(cfg)
-				ctl := tspu.NewController(nil)
-				ctl.Register(d)
-				ctl.Update(func(p *tspu.Policy) {
-					p.SNI1Domains.Add(BlockedDomain)
-					p.QUICFilter = true
-				})
-				return d
-			},
-			Menu: tspuMenu(),
-		},
-		{
-			Name:  "ispdpi-keyword",
-			Cite:  "pre-2019 RU ISP DPI (§2 [81])",
-			Probe: probeFor(circumvent.ProbeTLS),
-			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
-				return &ispdpi.KeywordDPI{ISP: "armsrace", Keywords: []string{BlockedDomain}}
-			},
-			Menu: scanMenu(),
-		},
-		{
-			Name:  "tm",
-			Cite:  "arXiv:2304.04835",
-			Probe: probeFor(circumvent.ProbeTLS),
-			Build: func(s *sim.Sim, applied []Countermeasure) censor.Censor {
-				c := tm.New(tm.Config{})
-				c.Rules().AddAll(BlockedDomain)
-				return c
-			},
-			Menu: scanMenu(),
-		},
-		{
-			Name:  "in-airtel",
-			Cite:  "arXiv:1808.01708",
-			Probe: probeFor(circumvent.ProbeHTTP),
-			Build: buildIN("airtel"),
-			Menu:  scanMenu(),
-		},
-		{
-			Name:  "in-jio",
-			Cite:  "arXiv:1808.01708",
-			Probe: probeFor(circumvent.ProbeTLS),
-			Build: buildIN("jio"),
-			Menu:  scanMenu(),
-		},
-		{
-			Name:  "in-mtnl",
-			Cite:  "arXiv:1808.01708",
-			Probe: probeFor(circumvent.ProbeHTTP),
-			Build: buildIN("mtnl"),
-			Menu:  scanMenu(),
-		},
+	var out []Family
+	for _, m := range measure.CensorModels(CorpusSeed, "armsrace") {
+		f := Family{CensorModel: m, Probe: probeFor(circumvent.ProbeTLS), Menu: scanMenu()}
+		switch m.Name {
+		case "tspu":
+			f.Menu = tspuMenu()
+		case "in-airtel", "in-mtnl":
+			f.Probe = probeFor(circumvent.ProbeHTTP)
+		}
+		out = append(out, f)
 	}
-}
-
-func buildIN(isp string) func(s *sim.Sim, applied []Countermeasure) censor.Censor {
-	return func(s *sim.Sim, applied []Countermeasure) censor.Censor {
-		p := in.ProfileFor(isp)
-		p.Blocklist.Add(BlockedDomain)
-		return in.New(in.Config{Profile: p, LocalDir: topo.CensorTestbedLocalDir})
-	}
+	return out
 }
 
 // FamilyByName returns the named lineage; the golden-trace replayer resolves

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tspusim/internal/circumvent"
+	"tspusim/internal/measure"
 	"tspusim/internal/netem"
 	"tspusim/internal/report"
 )
@@ -76,7 +77,7 @@ func Trace(h TraceHeader) (string, error) {
 	var b strings.Builder
 	b.WriteString("# arms-race golden trace (regenerate: go test -run TestArmsRaceLedgerGolden -update .)\n")
 	fmt.Fprintf(&b, "censor: %s (%s)\n", fam.Name, fam.Cite)
-	fmt.Fprintf(&b, "probe: %s port %d, domain %s\n", fam.Probe.Kind, fam.Probe.Port, BlockedDomain)
+	fmt.Fprintf(&b, "probe: %s port %d, domain %s\n", fam.Probe.Kind, fam.Probe.Port, measure.CrossBlockedDomain)
 	fmt.Fprintf(&b, "round: %d\n", h.Round)
 	fmt.Fprintf(&b, "posture: %s\n", postureLabel(h.Posture))
 	fmt.Fprintf(&b, "strategy: %s\n", h.Genome)

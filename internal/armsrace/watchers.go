@@ -6,8 +6,7 @@
 package armsrace
 
 import (
-	"time"
-
+	"tspusim/internal/censor"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
 )
@@ -18,16 +17,14 @@ import (
 // packet in front of the censor. It only watches the client→server
 // direction — the direction the probed triggers travel.
 type fragReassembler struct {
-	dir    netem.Direction
-	queues map[packet.FragKey]*fragQueue
+	dir   netem.Direction
+	reasm packet.Reassembler
 	// Reassembled counts whole packets re-injected.
 	Reassembled int
 }
 
-type fragQueue struct{ frags []*packet.Packet }
-
 func newFragReassembler(dir netem.Direction) *fragReassembler {
-	return &fragReassembler{dir: dir, queues: make(map[packet.FragKey]*fragQueue)}
+	return &fragReassembler{dir: dir}
 }
 
 // Name implements netem.Middlebox.
@@ -38,34 +35,16 @@ func (m *fragReassembler) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.
 	if dir != m.dir || !pkt.IsFragment() {
 		return netem.Pass
 	}
-	key := packet.FragKeyOf(pkt)
-	q, ok := m.queues[key]
-	if !ok {
-		q = &fragQueue{}
-		m.queues[key] = q
-		// The timeout closure checks queue identity, so a completed or
-		// replaced queue makes it a no-op (the ispdpi comparator's idiom).
-		timeoutKey := key
-		pipe.After(30*time.Second, func() {
-			if cur, live := m.queues[timeoutKey]; live && cur == q {
-				delete(m.queues, timeoutKey)
-			}
-		})
+	if whole, _ := m.reasm.Add(pkt, pipe.After); whole != nil {
+		m.Reassembled++
+		pipe.Inject(whole, dir)
 	}
-	q.frags = append(q.frags, pkt.Clone())
-	whole, err := packet.Reassemble(q.frags)
-	if err != nil {
-		return netem.Drop // buffered, waiting for the rest
-	}
-	delete(m.queues, key)
-	m.Reassembled++
-	pipe.Inject(whole, dir)
 	return netem.Drop
 }
 
 // streamScan is the "add stream reassembly" countermeasure: it accumulates
 // each flow's censor-ward payload bytes and tears the connection down
-// TM-style (RST+ACK to both ends) once the blocked name appears anywhere in
+// TM-style (censor.InjectRSTPair) once the blocked name appears anywhere in
 // the accumulated stream — across TCP segment boundaries, behind a prepended
 // record, inside a padded ClientHello. The per-flow buffer is capped;
 // legitimate flows never accumulate more than the cap before the name would
@@ -115,7 +94,7 @@ func (m *streamScan) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direc
 	m.fired[key] = true
 	delete(m.bufs, key)
 	m.Hits++
-	injectRSTPair(pipe, pkt, dir)
+	censor.InjectRSTPair(pipe, pkt, dir)
 	return netem.Drop
 }
 
@@ -148,21 +127,8 @@ func (m *byteScan) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Directi
 		return netem.Pass
 	}
 	m.Hits++
-	injectRSTPair(pipe, pkt, dir)
+	censor.InjectRSTPair(pipe, pkt, dir)
 	return netem.Drop
-}
-
-// injectRSTPair tears a connection down from the middle the way the TM model
-// does (§5): RST+ACK toward the sender acknowledging the consumed payload,
-// RST+ACK toward the receiver carrying the sender's sequence.
-func injectRSTPair(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) {
-	payloadLen := uint32(len(pkt.TCP.Payload))
-	toSender := packet.NewTCP(pkt.IP.Dst, pkt.IP.Src, pkt.TCP.DstPort, pkt.TCP.SrcPort,
-		packet.FlagsRSTACK, pkt.TCP.Ack, pkt.TCP.Seq+payloadLen, nil)
-	toReceiver := packet.NewTCP(pkt.IP.Src, pkt.IP.Dst, pkt.TCP.SrcPort, pkt.TCP.DstPort,
-		packet.FlagsRSTACK, pkt.TCP.Seq, pkt.TCP.Ack, nil)
-	pipe.Inject(toSender, dir.Reverse())
-	pipe.Inject(toReceiver, dir)
 }
 
 // foldBytes lowercases an ASCII needle once at construction.

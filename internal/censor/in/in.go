@@ -17,11 +17,9 @@ package in
 
 import (
 	"tspusim/internal/censor"
-	"tspusim/internal/dnsx"
 	"tspusim/internal/httpx"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
-	"tspusim/internal/tlsx"
 )
 
 // Config configures one ISP middlebox instance.
@@ -84,7 +82,14 @@ func (c *Censor) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 	if pkt.TCP == nil || len(pkt.TCP.Payload) == 0 {
 		return netem.Pass
 	}
-	name, ok := c.match(pkt.TCP.Payload)
+	var http, sni censor.Blocklist
+	if p.TriggerHTTP {
+		http = p.Blocklist
+	}
+	if p.TriggerSNI {
+		sni = p.Blocklist
+	}
+	name, ok := censor.MatchTrigger(pkt.TCP.Payload, http, sni)
 	if !ok {
 		return netem.Pass
 	}
@@ -92,45 +97,22 @@ func (c *Censor) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 	case ActionBlockpage:
 		c.injectBlockpage(pipe, pkt, dir, name)
 	case ActionRST:
-		c.injectRST(pipe, pkt, dir)
+		// A bare reset kills the connection from the client's point of
+		// view (§5.3).
+		c.RSTInjections++
+		censor.InjectRSTToSender(pipe, pkt, dir)
 	}
 	return netem.Drop
 }
 
-// match applies the profile's trigger fields to a TCP payload.
-func (c *Censor) match(payload []byte) (string, bool) {
-	p := &c.cfg.Profile
-	if p.TriggerHTTP {
-		if req, err := httpx.ParseRequest(payload); err == nil && p.Blocklist.Contains(req.Host) {
-			return req.Host, true
-		}
-	}
-	if p.TriggerSNI {
-		if sni, ok := tlsx.ExtractSNI(payload); ok {
-			name := string(sni)
-			if p.Blocklist.Contains(name) {
-				return name, true
-			}
-		}
-	}
-	return "", false
-}
-
 // handleDNS forges an answer pointing at the ISP's blockpage server (§5.1 —
-// the DNS-based ISPs return their own blockpage host, not NXDOMAIN).
+// the DNS-based ISPs return their own blockpage host, not NXDOMAIN) and
+// consumes the query.
 func (c *Censor) handleDNS(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
-	m, err := dnsx.Decode(pkt.UDP.Payload)
-	if err != nil || m.Response || !c.cfg.Profile.Blocklist.Contains(m.Question) {
+	if !censor.InjectDNSAnswer(pipe, pkt, dir, c.cfg.Profile.Blocklist, c.cfg.Profile.BlockpageAddr) {
 		return netem.Pass
 	}
-	forged := dnsx.NewQuery(m.ID, m.Question).Respond(c.cfg.Profile.BlockpageAddr)
-	wire, err := forged.Encode()
-	if err != nil {
-		return netem.Pass
-	}
-	reply := packet.NewUDP(pkt.IP.Dst, pkt.IP.Src, pkt.UDP.DstPort, pkt.UDP.SrcPort, wire)
 	c.DNSInjections++
-	pipe.Inject(reply, dir.Reverse())
 	return netem.Drop
 }
 
@@ -150,15 +132,6 @@ func (c *Censor) injectBlockpage(pipe netem.Pipe, pkt *packet.Packet, dir netem.
 	c.BlockpageInjections++
 	pipe.Inject(page, dir.Reverse())
 	pipe.Inject(fin, dir.Reverse())
-}
-
-// injectRST kills the connection from the client's point of view (§5.3).
-func (c *Censor) injectRST(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) {
-	payloadLen := uint32(len(pkt.TCP.Payload))
-	rst := packet.NewTCP(pkt.IP.Dst, pkt.IP.Src, pkt.TCP.DstPort, pkt.TCP.SrcPort,
-		packet.FlagsRSTACK, pkt.TCP.Ack, pkt.TCP.Seq+payloadLen, nil)
-	c.RSTInjections++
-	pipe.Inject(rst, dir.Reverse())
 }
 
 var _ censor.Censor = (*Censor)(nil)

@@ -18,11 +18,8 @@ package tm
 
 import (
 	"tspusim/internal/censor"
-	"tspusim/internal/dnsx"
-	"tspusim/internal/httpx"
 	"tspusim/internal/netem"
 	"tspusim/internal/packet"
-	"tspusim/internal/tlsx"
 )
 
 // Config configures one TMC instance.
@@ -92,18 +89,9 @@ func (c *Censor) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 // the injected answer first because it originates mid-path (§4.1). The query
 // itself is forwarded, again matching the observed race.
 func (c *Censor) handleDNS(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
-	m, err := dnsx.Decode(pkt.UDP.Payload)
-	if err != nil || m.Response || !c.rules.DNS.Contains(m.Question) {
-		return netem.Pass
+	if censor.InjectDNSAnswer(pipe, pkt, dir, c.rules.DNS, BlockedAnswer) {
+		c.DNSInjections++
 	}
-	forged := dnsx.NewQuery(m.ID, m.Question).Respond(BlockedAnswer)
-	wire, err := forged.Encode()
-	if err != nil {
-		return netem.Pass
-	}
-	reply := packet.NewUDP(pkt.IP.Dst, pkt.IP.Src, pkt.UDP.DstPort, pkt.UDP.SrcPort, wire)
-	c.DNSInjections++
-	pipe.Inject(reply, dir.Reverse())
 	return netem.Pass
 }
 
@@ -111,26 +99,11 @@ func (c *Censor) handleDNS(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direct
 // both endpoints and consumes the trigger, tearing the connection down from
 // the middle (§5.1, §5.2).
 func (c *Censor) handleTCP(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction) netem.Action {
-	matched := false
-	if req, err := httpx.ParseRequest(pkt.TCP.Payload); err == nil {
-		matched = c.rules.HTTP.Contains(req.Host)
-	}
-	if !matched {
-		if sni, ok := tlsx.ExtractSNI(pkt.TCP.Payload); ok {
-			matched = c.rules.SNI.Contains(string(sni))
-		}
-	}
-	if !matched {
+	if _, hit := censor.MatchTrigger(pkt.TCP.Payload, c.rules.HTTP, c.rules.SNI); !hit {
 		return netem.Pass
 	}
-	payloadLen := uint32(len(pkt.TCP.Payload))
-	toSender := packet.NewTCP(pkt.IP.Dst, pkt.IP.Src, pkt.TCP.DstPort, pkt.TCP.SrcPort,
-		packet.FlagsRSTACK, pkt.TCP.Ack, pkt.TCP.Seq+payloadLen, nil)
-	toReceiver := packet.NewTCP(pkt.IP.Src, pkt.IP.Dst, pkt.TCP.SrcPort, pkt.TCP.DstPort,
-		packet.FlagsRSTACK, pkt.TCP.Seq, pkt.TCP.Ack, nil)
 	c.RSTInjections += 2
-	pipe.Inject(toSender, dir.Reverse())
-	pipe.Inject(toReceiver, dir)
+	censor.InjectRSTPair(pipe, pkt, dir)
 	return netem.Drop
 }
 

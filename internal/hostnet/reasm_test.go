@@ -37,24 +37,6 @@ func TestHostReassemblesFragmentedSYN(t *testing.T) {
 	}
 }
 
-func TestHostFragmentLimit(t *testing.T) {
-	s, client, server := pair(t)
-	server.SetReassembly(ReassemblyProfile{MaxFragments: 10, Timeout: 30 * time.Second})
-	server.Listen(443, ListenOptions{})
-	responses := 0
-	client.Tap(func(p *packet.Packet) {
-		if p.TCP != nil && p.TCP.Flags.Has(packet.FlagsSYNACK) {
-			responses++
-		}
-	})
-	sendFragmentedSYN(t, client, server, 10, 1) // at limit: responds
-	sendFragmentedSYN(t, client, server, 11, 2) // over limit: silence
-	s.Run()
-	if responses != 1 {
-		t.Fatalf("responses = %d, want 1 (limit 10)", responses)
-	}
-}
-
 func TestLinuxDefaultLimit64(t *testing.T) {
 	s, client, server := pair(t)
 	server.Listen(443, ListenOptions{})
@@ -88,7 +70,7 @@ func TestIncompleteQueueTimesOut(t *testing.T) {
 	client.Send(frags[0])
 	client.Send(frags[1]) // final fragment withheld
 	s.RunUntil(60 * time.Second)
-	if len(server.reasmQueues) != 0 {
+	if server.reasm.Pending() != 0 {
 		t.Fatal("incomplete queue survived timeout")
 	}
 }

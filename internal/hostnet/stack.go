@@ -34,8 +34,11 @@ type Stack struct {
 	onICMP    func(*packet.Packet)
 	taps      []func(*packet.Packet)
 
-	reasm       ReassemblyProfile
-	reasmQueues map[packet.FragKey]*reasmQueue
+	// reasm holds inbound fragment queues with Linux's limit. The limit is
+	// what the paper's remote fingerprint reads (§7.2): Linux buffers 64
+	// fragments per packet, Cisco boxes 24, Juniper 250, the TSPU 45. It is
+	// nil until the first fragment arrives.
+	reasm *packet.Reassembler
 
 	// rawBinds receive all TCP packets to a port with no stack processing —
 	// no auto-RST, no connection handling. Measurement scripts use them to
@@ -47,6 +50,9 @@ type Stack struct {
 	nextIPID uint16
 }
 
+// linuxFragLimit is the Linux host's fragment-queue limit.
+const linuxFragLimit = 64
+
 // UDPHandler consumes inbound UDP packets for a bound port.
 type UDPHandler func(pkt *packet.Packet)
 
@@ -57,7 +63,6 @@ func NewStack(n *netem.Network, node *netem.Node) *Stack {
 		node:     node,
 		net:      n,
 		icmpEcho: true,
-		reasm:    DefaultReassembly(),
 		nextPort: 33000,
 		nextIPID: 1,
 	}
@@ -185,11 +190,19 @@ func (st *Stack) handle(pkt *packet.Packet) {
 		tap(pkt)
 	}
 	if pkt.IsFragment() {
-		st.handleFragment(pkt)
+		if st.reasm == nil {
+			st.reasm = &packet.Reassembler{Limit: linuxFragLimit}
+		}
+		if whole, _ := st.reasm.Add(pkt, st.after); whole != nil {
+			st.dispatch(whole)
+		}
 		return
 	}
 	st.dispatch(pkt)
 }
+
+// after schedules fn on the network's simulator.
+func (st *Stack) after(d time.Duration, fn func()) { st.net.Sim.After(d, fn) }
 
 // dispatch demultiplexes a whole (unfragmented or reassembled) packet.
 func (st *Stack) dispatch(pkt *packet.Packet) {

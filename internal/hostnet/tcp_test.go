@@ -311,7 +311,7 @@ func TestFreshStackAnswersWithoutState(t *testing.T) {
 		t.Fatalf("replies: %d echo, %d RST, %d other; want 1, 1, 0", echoes, rsts, other)
 	}
 	if server.conns != nil || server.listen0 != nil || server.listeners != nil ||
-		server.udp != nil || server.rawBinds != nil || server.reasmQueues != nil {
+		server.udp != nil || server.rawBinds != nil || server.reasm != nil {
 		t.Fatal("unbound traffic allocated demultiplexing state")
 	}
 
@@ -320,8 +320,8 @@ func TestFreshStackAnswersWithoutState(t *testing.T) {
 	if rsts != 2 {
 		t.Fatalf("fragmented SYN to a closed port drew %d RSTs, want 1", rsts-1)
 	}
-	if len(server.reasmQueues) != 0 {
-		t.Fatalf("%d reassembly queues left after the datagram completed", len(server.reasmQueues))
+	if n := server.reasm.Pending(); n != 0 {
+		t.Fatalf("%d reassembly queues left after the datagram completed", n)
 	}
 }
 

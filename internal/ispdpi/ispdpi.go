@@ -10,7 +10,6 @@ package ispdpi
 import (
 	"net/netip"
 	"strings"
-	"time"
 
 	"tspusim/internal/censor"
 	"tspusim/internal/dnsx"
@@ -103,21 +102,16 @@ func (k *KeywordDPI) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direc
 // packet, discarding over-limit queues.
 type FragLimitMiddlebox struct {
 	Label string
-	Limit int // Cisco 24, Juniper 250, etc.
 
-	queues map[packet.FragKey]*fragBuf
+	reasm packet.Reassembler
 	// Discarded counts dropped queues.
 	Discarded int
 }
 
-type fragBuf struct {
-	frags    []*packet.Packet
-	poisoned bool
-}
-
-// NewFragLimitMiddlebox builds a comparator with the given queue limit.
+// NewFragLimitMiddlebox builds a comparator with the given queue limit
+// (Cisco 24, Juniper 250, etc.).
 func NewFragLimitMiddlebox(label string, limit int) *FragLimitMiddlebox {
-	return &FragLimitMiddlebox{Label: label, Limit: limit, queues: make(map[packet.FragKey]*fragBuf)}
+	return &FragLimitMiddlebox{Label: label, reasm: packet.Reassembler{Limit: limit}}
 }
 
 // Name implements netem.Middlebox.
@@ -128,7 +122,7 @@ func (m *FragLimitMiddlebox) Name() string { return "fraglimit/" + m.Label }
 func (m *FragLimitMiddlebox) ConntrackSize() int { return 0 }
 
 // PendingFragQueues implements censor.Censor.
-func (m *FragLimitMiddlebox) PendingFragQueues() int { return len(m.queues) }
+func (m *FragLimitMiddlebox) PendingFragQueues() int { return m.reasm.Pending() }
 
 // Both ISP-era comparators are censor models the cross-censor battery can
 // drive alongside the TSPU and the TM/IN profiles.
@@ -142,32 +136,12 @@ func (m *FragLimitMiddlebox) Handle(pipe netem.Pipe, pkt *packet.Packet, dir net
 	if !pkt.IsFragment() {
 		return netem.Pass
 	}
-	key := packet.FragKeyOf(pkt)
-	q, ok := m.queues[key]
-	if !ok {
-		q = &fragBuf{}
-		m.queues[key] = q
-		pipe.After(30*time.Second, func() {
-			if cur, live := m.queues[key]; live && cur == q {
-				delete(m.queues, key)
-			}
-		})
-	}
-	if q.poisoned {
-		return netem.Drop
-	}
-	if len(q.frags)+1 > m.Limit {
-		q.poisoned = true
-		q.frags = nil
+	whole, poisoned := m.reasm.Add(pkt, pipe.After)
+	if poisoned {
 		m.Discarded++
-		return netem.Drop
 	}
-	q.frags = append(q.frags, pkt.Clone())
-	whole, err := packet.Reassemble(q.frags)
-	if err != nil {
-		return netem.Drop // buffered, waiting
+	if whole != nil {
+		pipe.Inject(whole, dir)
 	}
-	delete(m.queues, key)
-	pipe.Inject(whole, dir)
 	return netem.Drop
 }

@@ -40,29 +40,46 @@ import (
 // and a subset of Indian ISPs, making it the honest common denominator.
 const CrossBlockedDomain = "rferl.org"
 
-// CensorModel is one column of the fingerprint matrix.
+// CensorModel is one column of the fingerprint matrix, and one lineage of
+// the arms race (armsrace.Family embeds it).
 type CensorModel struct {
 	Name string
 	// Cite is the paper establishing the modeled behavior.
 	Cite string
-	// Build constructs a fresh instance configured with the battery's
-	// canonical blocked domain, on the testbed's simulator.
-	Build func(s *sim.Sim) censor.Censor
+	// Build constructs a fresh instance configured with the canonical
+	// blocked domain, on the testbed's simulator. A non-nil tune edits the
+	// TSPU's config before the device is built (the arms race's
+	// countermeasures); the other models have no config to tune.
+	Build func(s *sim.Sim, tune func(*tspu.Config)) censor.Censor
 }
 
-// CrossCensorModels returns the battery's model set in matrix column order.
-func CrossCensorModels(seed uint64) []CensorModel {
+// CensorModels returns the model set in matrix column order. label names
+// the user of the table: the TSPU draws from rand stream label+"/tspu" of
+// seed, and the keyword DPI carries label as its ISP name.
+func CensorModels(seed uint64, label string) []CensorModel {
+	india := func(isp string) CensorModel {
+		return CensorModel{Name: "in-" + isp, Cite: "arXiv:1808.01708",
+			Build: func(*sim.Sim, func(*tspu.Config)) censor.Censor {
+				p := in.ProfileFor(isp)
+				p.Blocklist.Add(CrossBlockedDomain)
+				return in.New(in.Config{Profile: p, LocalDir: topo.CensorTestbedLocalDir})
+			}}
+	}
 	return []CensorModel{
 		{
 			Name: "tspu",
 			Cite: "TSPU (IMC '22)",
-			Build: func(s *sim.Sim) censor.Censor {
-				d := tspu.NewDevice(tspu.Config{
+			Build: func(s *sim.Sim, tune func(*tspu.Config)) censor.Censor {
+				cfg := tspu.Config{
 					Name:     "tspu",
 					Sim:      s,
-					Rand:     sim.NewRand(sim.StreamSeed(seed, "crosscensor/tspu")),
+					Rand:     sim.NewRand(sim.StreamSeed(seed, label+"/tspu")),
 					LocalDir: topo.CensorTestbedLocalDir,
-				})
+				}
+				if tune != nil {
+					tune(&cfg)
+				}
+				d := tspu.NewDevice(cfg)
 				ctl := tspu.NewController(nil)
 				ctl.Register(d)
 				ctl.Update(func(p *tspu.Policy) {
@@ -75,46 +92,22 @@ func CrossCensorModels(seed uint64) []CensorModel {
 		{
 			Name: "ispdpi-keyword",
 			Cite: "pre-2019 RU ISP DPI (§2 [81])",
-			Build: func(s *sim.Sim) censor.Censor {
-				return &ispdpi.KeywordDPI{ISP: "crosscensor", Keywords: []string{CrossBlockedDomain}}
+			Build: func(*sim.Sim, func(*tspu.Config)) censor.Censor {
+				return &ispdpi.KeywordDPI{ISP: label, Keywords: []string{CrossBlockedDomain}}
 			},
 		},
 		{
 			Name: "tm",
 			Cite: "arXiv:2304.04835",
-			Build: func(s *sim.Sim) censor.Censor {
+			Build: func(*sim.Sim, func(*tspu.Config)) censor.Censor {
 				c := tm.New(tm.Config{})
 				c.Rules().AddAll(CrossBlockedDomain)
 				return c
 			},
 		},
-		{
-			Name: "in-airtel",
-			Cite: "arXiv:1808.01708",
-			Build: func(s *sim.Sim) censor.Censor {
-				p := in.ProfileFor("airtel")
-				p.Blocklist.Add(CrossBlockedDomain)
-				return in.New(in.Config{Profile: p, LocalDir: topo.CensorTestbedLocalDir})
-			},
-		},
-		{
-			Name: "in-jio",
-			Cite: "arXiv:1808.01708",
-			Build: func(s *sim.Sim) censor.Censor {
-				p := in.ProfileFor("jio")
-				p.Blocklist.Add(CrossBlockedDomain)
-				return in.New(in.Config{Profile: p, LocalDir: topo.CensorTestbedLocalDir})
-			},
-		},
-		{
-			Name: "in-mtnl",
-			Cite: "arXiv:1808.01708",
-			Build: func(s *sim.Sim) censor.Censor {
-				p := in.ProfileFor("mtnl")
-				p.Blocklist.Add(CrossBlockedDomain)
-				return in.New(in.Config{Profile: p, LocalDir: topo.CensorTestbedLocalDir})
-			},
-		},
+		india("airtel"),
+		india("jio"),
+		india("mtnl"),
 	}
 }
 
@@ -165,7 +158,7 @@ type FingerprintMatrix struct {
 // CrossCensor runs the full battery.
 func CrossCensor(seed uint64) *FingerprintMatrix {
 	mx := &FingerprintMatrix{
-		Models: CrossCensorModels(seed),
+		Models: CensorModels(seed, "crosscensor"),
 		Probes: CensorProbes(),
 	}
 	for _, p := range mx.Probes {
@@ -251,7 +244,7 @@ const (
 )
 
 func newCensorTestbed(m CensorModel) *topo.CensorTestbed {
-	return topo.BuildCensorTestbed(m.Build)
+	return topo.BuildCensorTestbed(func(s *sim.Sim) censor.Censor { return m.Build(s, nil) })
 }
 
 func anyRST(got []hostnet.Arrival) bool {

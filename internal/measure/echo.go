@@ -75,9 +75,9 @@ func EchoMeasure(lab *topo.Lab, echoPackets int) *EchoResult {
 	asSeen = map[int]bool{}
 	for _, ep := range filtered {
 		v := EchoVerdict{Endpoint: ep}
-		v.ControlOK = echoTrial(lab, ep, DomainControl, echoPackets) >= echoPackets
+		v.ControlOK = echoTrial(lab, ep, 443, DomainControl, echoPackets) >= echoPackets
 		if v.ControlOK {
-			got := echoTrial(lab, ep, DomainSNI2, echoPackets)
+			got := echoTrial(lab, ep, 443, DomainSNI2, echoPackets)
 			v.EchoBlocked = got < echoPackets/2
 		}
 		v.IPBlocked = torProbe(lab, ep.Addr, 7)
@@ -91,11 +91,13 @@ func EchoMeasure(lab *topo.Lab, echoPackets int) *EchoResult {
 	return res
 }
 
-// echoTrial opens an echo connection from Paris with client port 443, sends
-// the ClientHello, waits for its echo, then streams n packets and counts the
-// echoes received.
-func echoTrial(lab *topo.Lab, ep *topo.Endpoint, domain string, n int) int {
-	conn := lab.Paris.Dial(ep.Addr, 7, hostnet.DialOptions{SrcPort: 443})
+// echoTrial opens an echo connection from Paris with client port sport,
+// sends the ClientHello, waits for its echo, then streams n packets and
+// counts the echoes received. §7.2's trick is sport 443, which makes the
+// echoed ClientHello a trigger; 0 takes an ephemeral port, as Censored
+// Planet's standard Quack probe does.
+func echoTrial(lab *topo.Lab, ep *topo.Endpoint, sport uint16, domain string, n int) int {
+	conn := lab.Paris.Dial(ep.Addr, 7, hostnet.DialOptions{SrcPort: sport})
 	defer conn.Close()
 	ch := CH(domain)
 	conn.OnEstablished = func() { conn.Send(ch) }

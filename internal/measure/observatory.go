@@ -89,7 +89,7 @@ func ObservatoryComparison(lab *topo.Lab, trials int) *ObservatoryResult {
 		anomalies = 0
 		if echoEp != nil {
 			for i := 0; i < trials; i++ {
-				got := echoTrialEphemeral(lab, echoEp, domain, 10)
+				got := echoTrial(lab, echoEp, 0, domain, 10)
 				if got < 10 {
 					anomalies++
 				}
@@ -98,22 +98,6 @@ func ObservatoryComparison(lab *topo.Lab, trials int) *ObservatoryResult {
 		}
 	}
 	return res
-}
-
-// echoTrialEphemeral is the standard Quack probe (ephemeral client port, as
-// Censored Planet runs it) — contrast with echoTrial's port-443 trick.
-func echoTrialEphemeral(lab *topo.Lab, ep *topo.Endpoint, domain string, n int) int {
-	conn := lab.Paris.Dial(ep.Addr, 7, hostnet.DialOptions{})
-	defer conn.Close()
-	ch := CH(domain)
-	conn.OnEstablished = func() { conn.Send(ch) }
-	lab.Sim.Run()
-	before := conn.Segments
-	for i := 0; i < n; i++ {
-		conn.SendRaw(packet.FlagsPSHACK, []byte(fmt.Sprintf("p%02d", i)))
-		lab.Sim.Run()
-	}
-	return conn.Segments - before
 }
 
 // Render prints the platform comparison.

@@ -46,7 +46,7 @@ func TestResidualCensorshipTable(t *testing.T) {
 func TestTechniquesAgreeAcrossPaths(t *testing.T) {
 	lab := topo.Build(topo.Options{Seed: 41, Endpoints: 40, ASes: 4, TrancoN: 100, RegistryN: 100})
 	labPath := VantagePath(lab, topo.ERTelecom)
-	tspuModel := CrossCensorModels(1)[0]
+	tspuModel := CensorModels(1, "crosscensor")[0]
 	if tspuModel.Name != "tspu" {
 		t.Fatalf("first cross-censor model is %q, want tspu", tspuModel.Name)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 )
 
 // Fragment splits p into IP fragments whose payloads are at most mtuPayload
@@ -155,3 +156,65 @@ func Reassemble(frags []*Packet) (*Packet, error) {
 	}
 	return parsed, nil
 }
+
+// ReassemblyTimeout is how long a Reassembler keeps an incomplete queue
+// (Linux's ipfrag_time, 30 s).
+const ReassemblyTimeout = 30 * time.Second
+
+// Reassembler buffers IP fragments per FragKey and returns the whole packet
+// once a queue completes: what a host stack or a reassembling middlebox
+// does, and what the TSPU's fragment engine does not. The zero value is
+// ready to use and has no limit.
+type Reassembler struct {
+	// Limit caps the fragments one queue may hold; the fragment past it
+	// poisons the queue, which then swallows every later fragment until its
+	// timeout. 0 means no limit.
+	Limit  int
+	queues map[FragKey]*reasmQueue
+}
+
+type reasmQueue struct {
+	frags    []*Packet
+	poisoned bool
+}
+
+// Add buffers a copy of fragment f. It returns the reassembled packet when
+// f completes its queue, and poisoned true when f is the fragment that
+// poisons it. A queue's first fragment schedules its timeout with after
+// (the caller's Sim.After or Pipe.After); the timeout deletes the queue only
+// if it is still the same queue, so a completed queue's timer never deletes
+// a newer queue under the same key.
+func (r *Reassembler) Add(f *Packet, after func(time.Duration, func())) (whole *Packet, poisoned bool) {
+	key := FragKeyOf(f)
+	q, ok := r.queues[key]
+	if !ok {
+		q = &reasmQueue{}
+		if r.queues == nil {
+			r.queues = make(map[FragKey]*reasmQueue)
+		}
+		r.queues[key] = q
+		after(ReassemblyTimeout, func() {
+			if cur, live := r.queues[key]; live && cur == q {
+				delete(r.queues, key)
+			}
+		})
+	}
+	if q.poisoned {
+		return nil, false
+	}
+	if r.Limit > 0 && len(q.frags)+1 > r.Limit {
+		q.poisoned = true
+		q.frags = nil
+		return nil, true
+	}
+	q.frags = append(q.frags, f.Clone())
+	whole, err := Reassemble(q.frags)
+	if err != nil {
+		return nil, false // incomplete (or inconsistent): keep waiting
+	}
+	delete(r.queues, key)
+	return whole, false
+}
+
+// Pending reports how many queues are buffered, poisoned ones included.
+func (r *Reassembler) Pending() int { return len(r.queues) }

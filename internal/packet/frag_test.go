@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func bigTCP(n int) *Packet {
@@ -205,5 +206,80 @@ func TestPropertyFragmentCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// timerQueue is a scheduler for Reassembler.Add that holds every timeout
+// until the test fires it.
+type timerQueue []func()
+
+func (q *timerQueue) after(_ time.Duration, fn func()) { *q = append(*q, fn) }
+
+// TestReassembler drives the shared reassembler through scripted steps: each
+// step adds fragment frag of the case's packet, or, with fire, runs the
+// oldest unfired timeout, then checks Add's results and the queue count.
+func TestReassembler(t *testing.T) {
+	type step struct {
+		frag    int
+		fire    bool
+		whole   bool // Add returns the reassembled packet
+		poison  bool // Add reports that this fragment poisoned its queue
+		pending int
+	}
+	for _, tc := range []struct {
+		name  string
+		limit int
+		n     int // fragments of the packet
+		steps []step
+	}{
+		{"out-of-order completion", 0, 4, []step{
+			{frag: 3, pending: 1}, {frag: 1, pending: 1}, {frag: 0, pending: 1},
+			{frag: 2, whole: true, pending: 0},
+		}},
+		{"at limit completes", 4, 4, []step{
+			{frag: 0, pending: 1}, {frag: 1, pending: 1}, {frag: 2, pending: 1},
+			{frag: 3, whole: true, pending: 0},
+		}},
+		{"over limit poisons until timeout", 4, 5, []step{
+			{frag: 0, pending: 1}, {frag: 1, pending: 1}, {frag: 2, pending: 1}, {frag: 3, pending: 1},
+			{frag: 4, poison: true, pending: 1},
+			{frag: 0, pending: 1}, // a poisoned queue swallows its retransmits
+			{fire: true, pending: 0},
+			{frag: 0, pending: 1}, {frag: 1, pending: 1}, {frag: 2, pending: 1}, {frag: 3, pending: 1},
+		}},
+		{"completed queue's timeout spares a newer queue", 0, 3, []step{
+			{frag: 0, pending: 1}, {frag: 1, pending: 1}, {frag: 2, whole: true, pending: 0},
+			{frag: 1, pending: 1},    // same FragKey, new queue
+			{fire: true, pending: 1}, // the completed queue's timer
+			{fire: true, pending: 0}, // the new queue's own timer
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := bigTCP(200)
+			frags, err := FragmentCount(p, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := Reassembler{Limit: tc.limit}
+			var timers timerQueue
+			fired := 0
+			for i, s := range tc.steps {
+				var whole *Packet
+				var poisoned bool
+				if s.fire {
+					timers[fired]()
+					fired++
+				} else {
+					whole, poisoned = r.Add(frags[s.frag], timers.after)
+				}
+				if (whole != nil) != s.whole || poisoned != s.poison || r.Pending() != s.pending {
+					t.Fatalf("step %d: whole %v, poisoned %v, pending %d; want %v, %v, %d",
+						i, whole != nil, poisoned, r.Pending(), s.whole, s.poison, s.pending)
+				}
+				if whole != nil && !bytes.Equal(whole.TCP.Payload, p.TCP.Payload) {
+					t.Fatalf("step %d: reassembled payload differs from the original", i)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"testing"
+	"time"
 )
 
 // FuzzParse drives the wire parser with arbitrary bytes. The invariant is a
@@ -118,6 +119,68 @@ func FuzzChecksum(f *testing.F) {
 		sa, da := netip.AddrFrom4(s), netip.AddrFrom4(d)
 		if got, want := pseudoChecksum(sa, da, Protocol(proto), data), pseudoChecksumRef(sa, da, Protocol(proto), data); got != want {
 			t.Fatalf("pseudoChecksum(%v, %v, %d) over %d bytes = %#04x, reference %#04x", sa, da, proto, len(data), got, want)
+		}
+	})
+}
+
+// FuzzReassembler feeds a packet's fragments to a Reassembler in a permuted
+// order and holds the result to one-shot Reassemble: the queue completes on
+// its last fragment with the same bytes, unless limit (0 for none) is below
+// the fragment count, in which case fragment limit+1 poisons the queue and
+// nothing completes. Run with: go test -fuzz=FuzzReassembler
+func FuzzReassembler(f *testing.F) {
+	f.Add([]byte("GET / HTTP/1.1\r\nHost: rferl.org\r\n\r\n"), uint8(3), uint8(0), []byte{2, 0, 1})
+	f.Add([]byte{}, uint8(45), uint8(45), []byte{7, 3, 9})
+	f.Add([]byte("x"), uint8(46), uint8(45), []byte{})
+	f.Fuzz(func(t *testing.T, payload []byte, n, limit uint8, perm []byte) {
+		count := 2 + int(n)%63
+		if len(payload) > 1024 {
+			payload = payload[:1024]
+		}
+		p := NewTCP(MustAddr("10.0.0.2"), MustAddr("203.0.113.10"), 40000, 443, FlagsPSHACK, 1, 2, payload)
+		frags, err := FragmentCount(p, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reassemble(frags)
+		if err != nil {
+			t.Fatalf("one-shot Reassemble: %v", err)
+		}
+		wantWire, _ := want.Marshal()
+		for i := len(frags) - 1; i > 0; i-- { // Fisher-Yates driven by perm
+			var b byte
+			if len(perm) > 0 {
+				b, perm = perm[0], perm[1:]
+			}
+			j := int(b) % (i + 1)
+			frags[i], frags[j] = frags[j], frags[i]
+		}
+		poisonAt := -1
+		if limit > 0 && int(limit) < count {
+			poisonAt = int(limit)
+		}
+		r := Reassembler{Limit: int(limit)}
+		for i, fr := range frags {
+			whole, poisoned := r.Add(fr, func(time.Duration, func()) {})
+			if poisoned != (i == poisonAt) {
+				t.Fatalf("fragment %d of %d (limit %d): poisoned = %v", i+1, count, limit, poisoned)
+			}
+			if whole == nil {
+				continue
+			}
+			if i != count-1 || poisonAt >= 0 {
+				t.Fatalf("queue completed at fragment %d of %d (limit %d)", i+1, count, limit)
+			}
+			if got, _ := whole.Marshal(); !bytes.Equal(got, wantWire) {
+				t.Fatal("reassembled packet differs from one-shot Reassemble")
+			}
+			if r.Pending() != 0 {
+				t.Fatal("completed queue left pending")
+			}
+			return
+		}
+		if poisonAt < 0 {
+			t.Fatalf("all %d fragments added, queue never completed", count)
 		}
 	})
 }
