@@ -202,7 +202,9 @@ armsrace:
 # round-trip); FuzzPolicyMatch holds the domain matcher to its contract
 # (an added name matches itself and its subdomains, removal clears it);
 # FuzzReassembler holds the shared fragment reassembler to one-shot
-# packet.Reassemble over permuted fragment orders and queue limits.
+# packet.Reassemble over permuted fragment orders and queue limits;
+# FuzzTraceParse holds the conformance trace format to never panicking and
+# to Parse inverting Marshal on generated scenarios.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 10s ./internal/packet
@@ -211,3 +213,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/circumvent
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyMatch$$' -fuzztime 10s ./internal/tspu
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/conformance

@@ -152,12 +152,7 @@ func main() {
 //
 //tspuvet:impure fleet metrics and progress are wall-clocked diagnostics on stderr; stdout is seed-pure
 func runFleet(ids []string, opts tspusim.Options, seeds, shards, workers int, timeout time.Duration, outDir string) bool {
-	cfg := fleet.Config{
-		Workers: workers,
-		Timeout: timeout,
-		Retries: 1,
-		Backoff: 100 * time.Millisecond,
-	}
+	cfg := fleet.Config{Workers: workers, Timeout: timeout}
 	total := len(ids) * seeds * shards
 	if stderrIsTerminal() {
 		cfg.OnUpdate = func(s fleet.Snapshot) {

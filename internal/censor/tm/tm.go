@@ -22,17 +22,8 @@ import (
 	"tspusim/internal/packet"
 )
 
-// Config configures one TMC instance.
-type Config struct {
-	// Name identifies the instance (default "tm").
-	Name string
-	// Rules is the trigger table; nil gets DefaultRules().
-	Rules *Rules
-}
-
 // Censor is the Turkmenistan censor model. It implements censor.Censor.
 type Censor struct {
-	cfg   Config
 	rules *Rules
 
 	// DNSInjections counts forged DNS answers emitted (§4).
@@ -41,24 +32,16 @@ type Censor struct {
 	RSTInjections int
 }
 
-// New builds a TMC instance.
-func New(cfg Config) *Censor {
-	if cfg.Rules == nil {
-		cfg.Rules = DefaultRules()
-	}
-	return &Censor{cfg: cfg, rules: cfg.Rules}
+// New builds a TMC instance with DefaultRules().
+func New() *Censor {
+	return &Censor{rules: DefaultRules()}
 }
 
 // Rules returns the live trigger table (mutable, like a tspu.Policy).
 func (c *Censor) Rules() *Rules { return c.rules }
 
 // Name implements netem.Middlebox.
-func (c *Censor) Name() string {
-	if c.cfg.Name != "" {
-		return c.cfg.Name
-	}
-	return "tm"
-}
+func (c *Censor) Name() string { return "tm" }
 
 // ConntrackSize implements censor.Censor: the TMC keeps no flow state (§6.2).
 func (c *Censor) ConntrackSize() int { return 0 }

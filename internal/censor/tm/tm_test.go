@@ -34,7 +34,7 @@ func chPayload(domain string) []byte {
 }
 
 func TestSNITriggerInjectsBothEnds(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	pipe := &capturePipe{}
 	pkt := packet.NewTCP(clientAddr, serverAddr, 40000, 443, packet.FlagsPSHACK, 1000, 5000, chPayload("twitter.com"))
 	if act := c.Handle(pipe, pkt, netem.AtoB); act != netem.Drop {
@@ -73,7 +73,7 @@ func TestSNITriggerInjectsBothEnds(t *testing.T) {
 // TestBidirectional is the TMC's defining property (§3.1): the same trigger
 // fires on traffic flowing into the country.
 func TestBidirectional(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	pipe := &capturePipe{}
 	pkt := packet.NewTCP(serverAddr, clientAddr, 443, 40000, packet.FlagsPSHACK, 5000, 1000, chPayload("twitter.com"))
 	if act := c.Handle(pipe, pkt, netem.BtoA); act != netem.Drop {
@@ -85,7 +85,7 @@ func TestBidirectional(t *testing.T) {
 }
 
 func TestHTTPHostTrigger(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	pipe := &capturePipe{}
 	req := []byte("GET / HTTP/1.1\r\nHost: facebook.com\r\n\r\n")
 	pkt := packet.NewTCP(clientAddr, serverAddr, 40000, 80, packet.FlagsPSHACK, 1, 1, req)
@@ -100,7 +100,7 @@ func TestHTTPHostTrigger(t *testing.T) {
 }
 
 func TestDNSInjectionRacesQuery(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	pipe := &capturePipe{}
 	wire, err := dnsx.NewQuery(42, "youtube.com").Encode()
 	if err != nil {
@@ -129,7 +129,7 @@ func TestDNSInjectionRacesQuery(t *testing.T) {
 }
 
 func TestFragmentsPassUninspected(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	pipe := &capturePipe{}
 	pkt := packet.NewTCP(clientAddr, serverAddr, 40000, 443, packet.FlagsPSHACK, 1, 1, chPayload("twitter.com"))
 	frags, err := packet.FragmentCount(pkt, 2)

@@ -120,7 +120,6 @@ tcp R flow=0 flags=0x18 data=100
 	}
 	res := Check(keyword, Options{
 		Middlebox: &ispdpi.KeywordDPI{ISP: "test", Keywords: []string{"dw.com"}},
-		NoState:   true,
 	})
 	if res.DiffLine < 0 {
 		t.Errorf("keyword DPI indistinguishable from TSPU oracle:\n%s", res.DeviceLog)
@@ -138,7 +137,6 @@ frag L id=11 off=0 len=8 mf=1 ttl=64
 	}
 	res = Check(frags, Options{
 		Middlebox: ispdpi.NewFragLimitMiddlebox("cisco", 24),
-		NoState:   true,
 	})
 	if res.DiffLine < 0 {
 		t.Errorf("reassembling middlebox indistinguishable from TSPU oracle:\n%s", res.DeviceLog)

@@ -44,11 +44,10 @@ type Options struct {
 	// uses to prove the harness catches an off-by-one.
 	DeviceTimeouts *tspu.StateTimeouts
 	// Middlebox replaces the TSPU device under test (comparator runs against
-	// the ispdpi middleboxes). Policy and flow-bound steps become no-ops.
+	// the ispdpi middleboxes). Policy and flow-bound steps become no-ops, and
+	// both logs omit the per-step device-state lines: a comparator exposes no
+	// TSPU-shaped counters.
 	Middlebox netem.Middlebox
-	// NoState omits the per-step device-state lines; required for comparator
-	// middleboxes, which expose no TSPU-shaped counters.
-	NoState bool
 	// WrapDevice, if set, wraps the constructed middlebox before it is
 	// attached to the link. The censor-interface conformance test uses it to
 	// route every Handle call through interface dispatch (censor.Censor)
@@ -79,8 +78,8 @@ func Check(tr *Trace, opts Options) *Result {
 
 // RunDevice replays tr against a real tspu.Device (or Options.Middlebox) on
 // a two-host netem link and returns the observation log: one line per packet
-// delivered at either endpoint, plus (unless NoState) one device-state line
-// per step.
+// delivered at either endpoint, plus (unless Options.Middlebox is set) one
+// device-state line per step.
 func RunDevice(tr *Trace, opts Options) string {
 	s := sim.New()
 	net := netem.New(s)
@@ -147,7 +146,7 @@ func RunDevice(tr *Trace, opts Options) string {
 			}
 			s.RunUntil(s.Now())
 		}
-		if !opts.NoState && dev != nil {
+		if dev != nil {
 			stats := dev.Stats()
 			log = append(log, fmtStateObs(s.Now(), dev.ConntrackSize(), dev.PendingFragQueues(),
 				stats.Handled, stats.FragBuffers, stats.Dropped, stats.Rewritten, stats.Throttled,
@@ -171,7 +170,7 @@ func RunOracle(tr *Trace, opts Options) string {
 	var log []string
 	for _, st := range tr.Steps {
 		log = append(log, o.Apply(st)...)
-		if !opts.NoState {
+		if opts.Middlebox == nil {
 			log = append(log, o.StateLine())
 		}
 	}

@@ -91,6 +91,9 @@ func Parse(text string) (*Trace, error) {
 		}
 		fields := strings.Fields(line)
 		if fields[0] == "seed" {
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("conformance: line %d: missing seed value", ln+1)
+			}
 			v, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
 			if err != nil {
 				return nil, fmt.Errorf("conformance: line %d: bad seed: %v", ln+1, err)

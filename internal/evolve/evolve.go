@@ -110,7 +110,6 @@ type Discovered struct {
 type SearchOptions struct {
 	Population  int // default 14
 	Generations int // default 6
-	Vantage     string
 }
 
 // sortDiscovered orders candidates by fitness (descending), then simplicity,
@@ -124,17 +123,14 @@ func sortDiscovered(ds []Discovered) {
 	})
 }
 
-// Search runs the genetic search against the lab and returns all evaluated
-// candidates sorted by fitness (descending), then simplicity. Full-fitness
-// winners are ddmin-shrunk to one-minimal genomes before reporting, so the
-// top of the list names the necessary mechanisms, not whatever junk genes a
-// random draw happened to carry along.
+// Search runs the genetic search from the ER-Telecom vantage against the lab
+// and returns all evaluated candidates sorted by fitness (descending), then
+// simplicity. Full-fitness winners are ddmin-shrunk to one-minimal genomes
+// before reporting, so the top of the list names the necessary mechanisms,
+// not whatever junk genes a random draw happened to carry along.
 func Search(lab *topo.Lab, server *hostnet.Stack, opts SearchOptions) []Discovered {
-	if opts.Vantage == "" {
-		opts.Vantage = topo.ERTelecom
-	}
 	r := lab.Rand.Fork("evolve")
-	path := measure.Path{Sim: lab.Sim, Local: lab.Vantages[opts.Vantage].Stack, Remote: server}
+	path := measure.Path{Sim: lab.Sim, Local: lab.Vantages[topo.ERTelecom].Stack, Remote: server}
 	targets := circumvent.Targets()
 
 	fitness := func(g circumvent.Genome) int {

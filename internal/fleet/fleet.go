@@ -10,12 +10,12 @@
 // 16-worker run byte-identical in their aggregate reports.
 //
 // A panicking job is captured as that job's error — with its stack preserved
-// for diagnostics — and never kills the fleet; timeouts and errors marked
-// Transient get a bounded retry with exponential backoff.
+// for diagnostics — and never kills the fleet. A timed-out attempt is retried
+// once after a 100 ms pause; every other failure is final, because in a
+// deterministic simulation it would only repeat.
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -106,41 +106,33 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// transientError marks a failure the runner's bounded retry applies to.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err to mark it retryable (timeouts, external flakes). In a
-// deterministic simulation most failures are permanent; only opt-in failures
-// burn retry budget.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
+// timeoutError reports an attempt that outlived Config.Timeout, the one
+// failure the runner retries.
+type timeoutError struct {
+	label string
+	limit time.Duration
 }
 
-// IsTransient reports whether err (or anything it wraps) was marked Transient.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
+func (e *timeoutError) Error() string {
+	return fmt.Sprintf("fleet: job %s exceeded timeout %v", e.label, e.limit)
 }
+
+const (
+	// retries is how many extra attempts a timed-out job gets.
+	retries = 1
+	// retryBackoff is the pause before a retry.
+	retryBackoff = 100 * time.Millisecond
+)
 
 // Config tunes a Runner. The zero value is a sequential runner with no
-// timeout and no retries.
+// timeout.
 type Config struct {
 	// Workers is the goroutine pool size; values below 1 run sequentially.
 	Workers int
 	// Timeout caps one attempt's wall time; 0 disables. A timed-out attempt
-	// counts as a Transient failure (its goroutine is abandoned, never
-	// joined — acceptable because jobs share no mutable state).
+	// is retried once (its goroutine is abandoned, never joined — acceptable
+	// because jobs share no mutable state).
 	Timeout time.Duration
-	// Retries is how many extra attempts a Transient failure gets.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling each attempt.
-	Backoff time.Duration
 	// OnUpdate, if set, receives a progress snapshot after every job
 	// transition. It is called from worker goroutines and must be
 	// goroutine-safe.
@@ -207,13 +199,11 @@ func (r *Runner) runJob(job Job, fn RunFunc) JobResult {
 			break
 		}
 		res.Err = err
-		if attempt >= r.cfg.Retries || !IsTransient(err) {
+		if _, timedOut := err.(*timeoutError); !timedOut || attempt >= retries {
 			break
 		}
 		r.m.jobRetried()
-		if r.cfg.Backoff > 0 {
-			time.Sleep(r.cfg.Backoff << uint(attempt)) //tspuvet:allow walltime: retry backoff paces real goroutines, not simulation events
-		}
+		time.Sleep(retryBackoff) //tspuvet:allow walltime: retry backoff paces real goroutines, not simulation events
 	}
 	res.Wall = time.Since(start) //tspuvet:allow walltime: diagnostic only; RenderAggregate never includes Wall
 	r.m.jobDone(res.Wall, res.Failed())
@@ -256,6 +246,6 @@ func (r *Runner) attempt(job Job, fn RunFunc) (string, []Stat, error) {
 	case oc := <-ch:
 		return oc.out, oc.stats, oc.err
 	case <-timer.C:
-		return "", nil, Transient(fmt.Errorf("fleet: job %s exceeded timeout %v", job.Label(), r.cfg.Timeout))
+		return "", nil, &timeoutError{label: job.Label(), limit: r.cfg.Timeout}
 	}
 }

@@ -90,8 +90,8 @@ func TestPanicIsolation(t *testing.T) {
 	if pe.Value != "shard exploded" || !strings.Contains(pe.Stack, "goroutine") {
 		t.Fatalf("panic not captured: value=%v stack=%q", pe.Value, pe.Stack[:40])
 	}
-	if IsTransient(failed[0].Err) {
-		t.Fatal("panics must not be retried as transient")
+	if failed[0].Attempts != 1 {
+		t.Fatalf("panic retried: %d attempts", failed[0].Attempts)
 	}
 	agg := rep.RenderAggregate()
 	if !strings.Contains(agg, "FAILED boom/seed=1/shard=0: panic: shard exploded") {
@@ -122,7 +122,8 @@ func TestPanicAggregateStable(t *testing.T) {
 	}
 }
 
-func TestTimeoutIsTransientAndRetried(t *testing.T) {
+// TestTimeoutRetriedOnce: a timed-out attempt gets exactly one retry.
+func TestTimeoutRetriedOnce(t *testing.T) {
 	jobs := Plan(1, []string{"slow"}, 1, 1)
 	var mu sync.Mutex
 	calls := 0
@@ -133,44 +134,22 @@ func TestTimeoutIsTransientAndRetried(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		return "never", nil, nil
 	}
-	rep := NewRunner(Config{Workers: 1, Timeout: 10 * time.Millisecond, Retries: 2, Backoff: time.Millisecond}).Run(jobs, run)
+	rep := NewRunner(Config{Workers: 1, Timeout: 10 * time.Millisecond}).Run(jobs, run)
 	res := rep.Results[0]
-	if !res.Failed() || !IsTransient(res.Err) {
-		t.Fatalf("timeout should be a transient failure, got %v", res.Err)
+	var te *timeoutError
+	if !res.Failed() || !errors.As(res.Err, &te) {
+		t.Fatalf("want a timeout failure, got %v", res.Err)
 	}
-	if res.Attempts != 3 {
-		t.Fatalf("want 3 attempts (1 + 2 retries), got %d", res.Attempts)
+	if res.Attempts != 2 {
+		t.Fatalf("want 2 attempts (1 + 1 retry), got %d", res.Attempts)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if calls != 3 {
-		t.Fatalf("run func called %d times, want 3", calls)
+	if calls != 2 {
+		t.Fatalf("run func called %d times, want 2", calls)
 	}
-	if rep.Metrics.Retried != 2 {
-		t.Fatalf("metrics recorded %d retries, want 2", rep.Metrics.Retried)
-	}
-}
-
-func TestTransientRetrySucceeds(t *testing.T) {
-	jobs := Plan(1, []string{"flaky"}, 2, 1)
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	run := func(job Job) (string, []Stat, error) {
-		mu.Lock()
-		attempts[job.Index]++
-		n := attempts[job.Index]
-		mu.Unlock()
-		if job.SeedIndex == 0 && n == 1 {
-			return "", nil, Transient(errors.New("blip"))
-		}
-		return fakeRun(job)
-	}
-	rep := NewRunner(Config{Workers: 2, Retries: 1}).Run(jobs, run)
-	if len(rep.Failed()) != 0 {
-		t.Fatalf("transient blip should recover, failures: %v", rep.Failed()[0].Err)
-	}
-	if rep.Results[0].Attempts != 2 || rep.Results[1].Attempts != 1 {
-		t.Fatalf("attempts = %d,%d; want 2,1", rep.Results[0].Attempts, rep.Results[1].Attempts)
+	if rep.Metrics.Retried != 1 {
+		t.Fatalf("metrics recorded %d retries, want 1", rep.Metrics.Retried)
 	}
 }
 
@@ -179,7 +158,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	run := func(job Job) (string, []Stat, error) {
 		return "", nil, errors.New("permanently broken")
 	}
-	rep := NewRunner(Config{Workers: 1, Retries: 5}).Run(jobs, run)
+	rep := NewRunner(Config{Workers: 1}).Run(jobs, run)
 	if rep.Results[0].Attempts != 1 {
 		t.Fatalf("permanent error retried %d times", rep.Results[0].Attempts-1)
 	}

@@ -43,12 +43,13 @@ func (s TCPState) String() string {
 	return "?"
 }
 
+// dialISN is the initial sequence number of every active open.
+const dialISN = 1000
+
 // DialOptions configure an active open.
 type DialOptions struct {
 	// SrcPort pins the source port; 0 picks an ephemeral one.
 	SrcPort uint16
-	// ISN pins the initial sequence number (default 1000).
-	ISN uint32
 	// MSS caps segment size (default 1400).
 	MSS int
 	// TTL overrides the IP TTL (default 64).
@@ -182,12 +183,8 @@ func (st *Stack) Dial(dst netip.Addr, port uint16, opts DialOptions) *TCPConn {
 	if sport == 0 {
 		sport = st.EphemeralPort()
 	}
-	isn := opts.ISN
-	if isn == 0 {
-		isn = 1000
-	}
 	c := st.newConn(dst, sport, port, opts.MSS, opts.TTL)
-	c.SndNxt = isn
+	c.SndNxt = dialISN
 	c.State = StateSynSent
 	c.sendFlags(packet.FlagSYN, c.SndNxt, 0, nil)
 	c.SndNxt++

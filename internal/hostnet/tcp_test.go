@@ -194,12 +194,12 @@ func TestDialOptionsPinned(t *testing.T) {
 		}
 	})
 	server.Listen(443, ListenOptions{})
-	client.Dial(server.Addr(), 443, DialOptions{SrcPort: 4444, ISN: 12345, TTL: 9})
+	client.Dial(server.Addr(), 443, DialOptions{SrcPort: 4444, TTL: 9})
 	s.Run()
 	if syn == nil {
 		t.Fatal("no SYN seen")
 	}
-	if syn.TCP.SrcPort != 4444 || syn.TCP.Seq != 12345 {
+	if syn.TCP.SrcPort != 4444 || syn.TCP.Seq != 1000 {
 		t.Fatalf("SYN fields: port=%d seq=%d", syn.TCP.SrcPort, syn.TCP.Seq)
 	}
 	if syn.IP.TTL != 8 { // one router hop decrements 9 -> 8

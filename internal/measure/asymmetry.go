@@ -38,11 +38,11 @@ func RoutingAsymmetry(lab *topo.Lab) *AsymmetryResult {
 	lab.US1.Listen(80, hostnet.ListenOptions{})
 	for _, name := range []string{topo.Rostelecom, topo.ERTelecom, topo.OBIT} {
 		v := lab.Vantages[name]
-		fwd := trace.Traceroute(lab, v.Stack, lab.US1.Addr(), 80, 24)
+		fwd := trace.Traceroute(lab.Sim, v.Stack, lab.US1.Addr(), 80, 24)
 		// Reverse: the US machine traceroutes back to the vantage. The
 		// vantage must answer TCP probes; any unused port gets an RST,
 		// which marks arrival just as well.
-		rev := trace.Traceroute(lab, lab.US1, v.Stack.Addr(), 19999, 24)
+		rev := trace.Traceroute(lab.Sim, lab.US1, v.Stack.Addr(), 19999, 24)
 
 		row := AsymmetryRow{Vantage: name, ForwardHops: fwd.Hops, ReverseHops: rev.Hops}
 		// Compare at the address level, exactly what traceroute shows: a

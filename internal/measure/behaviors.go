@@ -223,7 +223,7 @@ func RunTracerouteStudy(lab *topo.Lab, scan *FragScanResult) *TracerouteStudy {
 		if !v.TSPULike || v.LocalizedHops == 0 {
 			continue
 		}
-		tr := trace.Traceroute(lab, lab.Paris, v.Endpoint.Addr, v.Endpoint.Port, 32)
+		tr := trace.Traceroute(lab.Sim, lab.Paris, v.Endpoint.Addr, v.Endpoint.Port, 32)
 		study.Traces = append(study.Traces, tr)
 		link, ok := trace.LinkFromTrace(tr, v.LocalizedHops)
 		if !ok {

@@ -100,7 +100,7 @@ func CensorModels(seed uint64, label string) []CensorModel {
 			Name: "tm",
 			Cite: "arXiv:2304.04835",
 			Build: func(*sim.Sim, func(*tspu.Config)) censor.Censor {
-				c := tm.New(tm.Config{})
+				c := tm.New()
 				c.Rules().AddAll(CrossBlockedDomain)
 				return c
 			},
@@ -346,19 +346,30 @@ func probeDivergentHosts(m CensorModel) string {
 // of India's; the TSPU does not touch DNS (its DNS-era predecessor did).
 func probeDNSBlocked(m CensorModel) string {
 	t := newCensorTestbed(m)
+	answers, err := dnsQuery(t.Sim, t.Client, t.Server, 7)
+	if err != nil {
+		return "query encode failed"
+	}
+	return classifyDNSAnswers(answers)
+}
+
+// dnsQuery sends an A query for the blocked name from one testbed host to
+// port 53 at the other, runs the sim, and returns every answer that came
+// back to the querier.
+func dnsQuery(s *sim.Sim, from, to *hostnet.Stack, id uint16) ([]*dnsx.Message, error) {
 	var answers []*dnsx.Message
-	t.Client.BindUDP(5353, func(p *packet.Packet) {
+	from.BindUDP(5353, func(p *packet.Packet) {
 		if msg, err := dnsx.Decode(p.UDP.Payload); err == nil {
 			answers = append(answers, msg)
 		}
 	})
-	wire, err := dnsx.NewQuery(7, CrossBlockedDomain).Encode()
+	wire, err := dnsx.NewQuery(id, CrossBlockedDomain).Encode()
 	if err != nil {
-		return "query encode failed"
+		return nil, err
 	}
-	t.Client.SendUDP(t.ServerAddr(), 5353, 53, wire)
-	t.Sim.Run()
-	return classifyDNSAnswers(answers)
+	from.SendUDP(to.Addr(), 5353, 53, wire)
+	s.Run()
+	return answers, nil
 }
 
 func classifyDNSAnswers(answers []*dnsx.Message) string {
@@ -382,18 +393,10 @@ func classifyDNSAnswers(answers []*dnsx.Message) string {
 // exactly how the TM paper measured Turkmenistan from outside (§3.1).
 func probeDNSReverse(m CensorModel) string {
 	t := newCensorTestbed(m)
-	var answers []*dnsx.Message
-	t.Server.BindUDP(5353, func(p *packet.Packet) {
-		if msg, err := dnsx.Decode(p.UDP.Payload); err == nil {
-			answers = append(answers, msg)
-		}
-	})
-	wire, err := dnsx.NewQuery(9, CrossBlockedDomain).Encode()
+	answers, err := dnsQuery(t.Sim, t.Server, t.Client, 9)
 	if err != nil {
 		return "query encode failed"
 	}
-	t.Server.SendUDP(t.Client.Addr(), 5353, 53, wire)
-	t.Sim.Run()
 	if len(answers) == 0 {
 		return "no answer (inbound queries not inspected)"
 	}

@@ -24,6 +24,18 @@ import (
 // leaking, does steady-state churn run on recycled entries, and does every
 // byte of state drain once the flood ages out.
 
+const (
+	// exhaustDuration is the flood length in virtual time. It must stay
+	// below the SNI-I hold lifetime (75 s) so the survival probe measures
+	// eviction pressure, not the hold's own clock; and above the SYN-sent
+	// timeout (60 s) so the tail of the flood churns through expired entries.
+	exhaustDuration = 70 * time.Second
+	// exhaustShards and exhaustBatch shape the engine: shards per device and
+	// packets per batch.
+	exhaustShards = 8
+	exhaustBatch  = 512
+)
+
 // ExhaustScaleConfig sizes the flood. The defaults in DefaultExhaustScale
 // reach ~2M concurrent flows; tests shrink Rate to run in milliseconds.
 type ExhaustScaleConfig struct {
@@ -31,17 +43,8 @@ type ExhaustScaleConfig struct {
 	Seed uint64
 	// Rate is the offered load in new flows per virtual second.
 	Rate int
-	// Duration is the flood length in virtual time. It must stay below the
-	// SNI-I hold lifetime (75 s) so the survival probe measures eviction
-	// pressure, not the hold's own clock; and above the SYN-sent timeout
-	// (60 s) so the tail of the flood churns through expired entries.
-	Duration time.Duration
 	// Bounds are the flow-table provisioning levels to test (0 = unlimited).
 	Bounds []int
-	// Shards and BatchSize shape the engine; zero values take the defaults
-	// (8 shards, 512-packet batches).
-	Shards    int
-	BatchSize int
 }
 
 // DefaultExhaustScale is the paper-scale run: 35k flows/s for 70 virtual
@@ -49,10 +52,9 @@ type ExhaustScaleConfig struct {
 // the 60 s SYN timeout starts reclaiming the flood's tail.
 func DefaultExhaustScale() ExhaustScaleConfig {
 	return ExhaustScaleConfig{
-		Seed:     1,
-		Rate:     35000,
-		Duration: 70 * time.Second,
-		Bounds:   []int{0, 1 << 22, 1 << 18, 1 << 14},
+		Seed:   1,
+		Rate:   35000,
+		Bounds: []int{0, 1 << 22, 1 << 18, 1 << 14},
 	}
 }
 
@@ -97,12 +99,6 @@ var (
 // StateExhaustionAtScale runs the flood once per provisioning bound, each
 // against a fresh device and engine so rows are independent.
 func StateExhaustionAtScale(cfg ExhaustScaleConfig) *ExhaustScaleResult {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 512
-	}
 	res := &ExhaustScaleResult{Config: cfg}
 	for _, bound := range cfg.Bounds {
 		res.Rows = append(res.Rows, exhaustScaleRow(cfg, bound))
@@ -116,7 +112,7 @@ func exhaustScaleRow(cfg ExhaustScaleConfig, bound int) ExhaustScaleRow {
 		Name:        "exhaust",
 		Sim:         s,
 		LocalDir:    netem.AtoB,
-		Shards:      cfg.Shards,
+		Shards:      exhaustShards,
 		PerFlowRand: true,
 		FlowSeed:    cfg.Seed,
 	})
@@ -125,7 +121,7 @@ func exhaustScaleRow(cfg ExhaustScaleConfig, bound int) ExhaustScaleRow {
 	ctl.Update(func(p *tspu.Policy) { p.SNI1Domains.Add(DomainSNI1) })
 	dev.SetMaxFlows(bound)
 	dev.EnableAutoSweep(time.Second)
-	e := engine.New(engine.Config{Sim: s, Devices: []*tspu.Device{dev}, BatchSize: cfg.BatchSize})
+	e := engine.New(engine.Config{Sim: s, Devices: []*tspu.Device{dev}, BatchSize: exhaustBatch})
 
 	// Install the victim hold: handshake, then a triggering ClientHello. No
 	// FailureRates are configured, so the trigger fires deterministically.
@@ -149,13 +145,13 @@ func exhaustScaleRow(cfg ExhaustScaleConfig, bound int) ExhaustScaleRow {
 	// so the experiment measures the device's allocation behavior, not the
 	// load generator's.
 	row := ExhaustScaleRow{MaxFlows: bound}
-	batch := make([]*packet.Packet, cfg.BatchSize)
+	batch := make([]*packet.Packet, exhaustBatch)
 	for i := range batch {
 		batch[i] = packet.NewTCP(exhaustVictimSrc, exhaustFloodDst, 30000, 80, packet.FlagSYN, 1, 0, nil)
 	}
 	start := s.Now()
-	step := time.Duration(float64(cfg.BatchSize) / float64(cfg.Rate) * float64(time.Second))
-	total := cfg.Rate * int(cfg.Duration/time.Second)
+	step := time.Duration(float64(exhaustBatch) / float64(cfg.Rate) * float64(time.Second))
+	total := cfg.Rate * int(exhaustDuration/time.Second)
 	for n := 0; n < total; {
 		m := len(batch)
 		if total-n < m {
@@ -170,7 +166,7 @@ func exhaustScaleRow(cfg ExhaustScaleConfig, bound int) ExhaustScaleRow {
 		n += m
 		// RunUntil, not engine.Advance: the flood schedules no events, so the
 		// clock must be moved explicitly for timeouts to churn the tail.
-		s.RunUntil(start + time.Duration(n/cfg.BatchSize)*step)
+		s.RunUntil(start + time.Duration(n/exhaustBatch)*step)
 		if sz := dev.ConntrackSize(); sz > row.PeakTable {
 			row.PeakTable = sz
 		}
@@ -205,7 +201,7 @@ func exhaustProbe(e *engine.Engine, sport uint16) bool {
 func (r *ExhaustScaleResult) Render() *report.Doc {
 	t := report.NewTable(
 		fmt.Sprintf("State exhaustion at scale (§8): SNI-I hold vs %d flows/s x %v flood",
-			r.Config.Rate, r.Config.Duration),
+			r.Config.Rate, exhaustDuration),
 		"Flow-table bound", "Offered", "Peak table", "Hold survived",
 		"Pressure evict", "Timeout evict", "Pool allocs", "Pool reuses", "Leaked")
 	for i, row := range r.Rows {

@@ -3,19 +3,16 @@ package measure
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// A shrunk run of the at-scale exhaustion experiment: same shape as the
-// paper-scale config (Duration above the 60 s SYN timeout so the tail
-// churns, below the 75 s hold), offered load small enough to finish in
-// milliseconds.
+// A shrunk run of the at-scale exhaustion experiment: the paper-scale
+// flood shape (70 s, above the 60 s SYN timeout so the tail churns, below
+// the 75 s hold), offered load small enough to finish in milliseconds.
 func TestStateExhaustionAtScale(t *testing.T) {
 	cfg := ExhaustScaleConfig{
-		Seed:     1,
-		Rate:     500,
-		Duration: 70 * time.Second,
-		Bounds:   []int{0, 1 << 16, 1 << 7},
+		Seed:   1,
+		Rate:   500,
+		Bounds: []int{0, 1 << 16, 1 << 7},
 	}
 	res := StateExhaustionAtScale(cfg)
 	if len(res.Rows) != 3 {

@@ -5,6 +5,7 @@ import (
 	"tspusim/internal/packet"
 	"tspusim/internal/report"
 	"tspusim/internal/topo"
+	"tspusim/internal/trace"
 )
 
 // fragProbe sends a SYN to the remote's port over p, split into n
@@ -126,8 +127,10 @@ func FragScan(lab *topo.Lab, withTor, localize bool) *FragScanResult {
 // first fragment's (Fig. 3). Returns the device distance from the
 // destination in hops, derived from the probe TTL and the path length.
 func fragLocalize(p Path, port uint16) int {
-	pathLen := pathRouterCount(p, port)
-	if pathLen == 0 {
+	// A plain (unfragmented) traceroute counts the routers on the path.
+	tr := trace.Traceroute(p.Sim, p.Local, p.Remote.Addr(), port, 32)
+	pathLen := tr.HopCount()
+	if !tr.Reached || pathLen == 0 {
 		return 0
 	}
 	for ttl := 1; ttl <= pathLen+1; ttl++ {
@@ -136,22 +139,6 @@ func fragLocalize(p Path, port uint16) int {
 			// the device link follows router ttl-1 (source side). Convert to
 			// distance from the destination.
 			return pathLen - ttl + 2
-		}
-	}
-	return 0
-}
-
-// pathRouterCount counts routers on p using a plain (unfragmented) TTL
-// ladder — a traceroute without needing ICMP bookkeeping: the destination
-// answers once the TTL clears the path.
-func pathRouterCount(p Path, port uint16) int {
-	for ttl := 1; ttl <= 32; ttl++ {
-		conn := p.Local.Dial(p.Remote.Addr(), port, hostnet.DialOptions{TTL: uint8(ttl)})
-		p.Sim.Run()
-		reached := len(conn.Packets) > 0
-		conn.Close()
-		if reached {
-			return ttl - 1
 		}
 	}
 	return 0

@@ -89,10 +89,7 @@ func trialBlocked(lab *topo.Lab, v *topo.Vantage, typ tspu.BlockType, us1, us2 *
 	case tspu.IPBlock:
 		port := v.Stack.EphemeralPort()
 		ln := v.Stack.Listen(port, hostnet.ListenOptions{})
-		conn := lab.Tor.Dial(v.Stack.Addr(), port, hostnet.DialOptions{})
-		lab.Sim.Run()
-		blocked := conn.ResetSeen
-		conn.Close()
+		blocked := torProbe(lab, v.Stack.Addr(), port)
 		ln.Close()
 		return blocked
 	}

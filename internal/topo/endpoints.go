@@ -316,7 +316,7 @@ func (ep *Endpoint) Stack() *hostnet.Stack {
 	hi := host.AddIface(ep.Addr)
 	ra, _ := transferAddrs(ep.transfer)
 	ri := as.Router.AddIface(ra)
-	link := n.ConnectAt(ep.linkPos, hi, ri, l.Opts.LinkDelay)
+	link := n.ConnectAt(ep.linkPos, hi, ri, linkDelay)
 	host.AddDefaultRoute(hi)
 	as.Router.AddRoute(netip.PrefixFrom(ep.Addr, 32), ri)
 	if ep.cpe != nil {
@@ -386,7 +386,7 @@ func (l *Lab) BuildUSPopulation(n int) []*USEndpoint {
 		hi := host.AddIface(addr)
 		ra, _ := l.transferPair()
 		ri := usr.AddIface(ra)
-		link := l.Net.Connect(hi, ri, l.Opts.LinkDelay)
+		link := l.Net.Connect(hi, ri, linkDelay)
 		host.AddDefaultRoute(hi)
 		usr.AddRoute(netip.PrefixFrom(addr, 32), ri)
 		ep := &USEndpoint{Addr: addr, Stack: hostnet.NewStack(l.Net, host)}

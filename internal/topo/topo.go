@@ -41,9 +41,10 @@ type Options struct {
 	EchoServers int
 	// TrancoN and RegistryN size the §6 domain lists.
 	TrancoN, RegistryN int
-	// LinkDelay is the per-hop one-way delay.
-	LinkDelay time.Duration
 }
+
+// linkDelay is the per-hop one-way delay of every lab link.
+const linkDelay = time.Millisecond
 
 // Defaults fills every zero-valued option with its laptop-scale default.
 func (o *Options) Defaults() {
@@ -61,9 +62,6 @@ func (o *Options) Defaults() {
 	}
 	if o.RegistryN == 0 {
 		o.RegistryN = 2000
-	}
-	if o.LinkDelay == 0 {
-		o.LinkDelay = time.Millisecond
 	}
 }
 
@@ -302,7 +300,7 @@ func (l *Lab) link(from, to *netem.Node) (*netem.Link, *netem.Iface, *netem.Ifac
 	fa, ta := l.transferPair()
 	fi := from.AddIface(fa)
 	ti := to.AddIface(ta)
-	return l.Net.Connect(fi, ti, l.Opts.LinkDelay), fi, ti
+	return l.Net.Connect(fi, ti, linkDelay), fi, ti
 }
 
 // Build assembles the lab on a fresh Sim.
@@ -357,10 +355,10 @@ func (l *Lab) buildExternal() {
 	pr1 := paris.AddIface(packet.MustAddr("198.51.100.1"))
 	pr2 := paris.AddIface(packet.MustAddr("198.51.100.2"))
 
-	n.Connect(us1i, usr1, l.Opts.LinkDelay)
-	n.Connect(us2i, usr2, l.Opts.LinkDelay)
-	n.Connect(pmi, pr1, l.Opts.LinkDelay)
-	n.Connect(tori, pr2, l.Opts.LinkDelay)
+	n.Connect(us1i, usr1, linkDelay)
+	n.Connect(us2i, usr2, linkDelay)
+	n.Connect(pmi, pr1, linkDelay)
+	n.Connect(tori, pr2, linkDelay)
 
 	us1.AddDefaultRoute(us1i)
 	us2.AddDefaultRoute(us2i)
@@ -377,7 +375,7 @@ func (l *Lab) buildExternal() {
 	farmAddr, _ := l.transferPair()
 	fi := farm.AddIface(farmAddr)
 	usFarm := us.AddIface(packet.MustAddr("203.0.113.3"))
-	n.Connect(fi, usFarm, l.Opts.LinkDelay)
+	n.Connect(fi, usFarm, linkDelay)
 	farm.AddDefaultRoute(fi)
 	farm.SetPromiscuous(true)
 	us.AddRoute(netem.MustPrefix("203.0.113.0/24"), usFarm)

@@ -477,7 +477,7 @@ func planDigest(l *Lab) string {
 			mbs = append(mbs, mb.Name())
 		}
 		a, b := link.A(), link.B()
-		lines = append(lines, fmt.Sprintf("link %s/%s %s/%s %v %v", a.Node().Name(), a.Addr(), b.Node().Name(), b.Addr(), l.Opts.LinkDelay, mbs))
+		lines = append(lines, fmt.Sprintf("link %s/%s %s/%s %v %v", a.Node().Name(), a.Addr(), b.Node().Name(), b.Addr(), linkDelay, mbs))
 		for _, ifc := range []*netem.Iface{a, b} {
 			nd := ifc.Node()
 			lines = append(lines, "iface "+nd.Name()+" "+ifc.Addr().String())

@@ -189,7 +189,7 @@ func (l *Lab) buildVantage(spec vantageSpec) {
 
 	vpi := vp.AddIface(spec.vpAddr)
 	accDown := access.AddIface(firstAddr(spec.prefix, 1))
-	n.Connect(vpi, accDown, l.Opts.LinkDelay)
+	n.Connect(vpi, accDown, linkDelay)
 	vp.AddDefaultRoute(vpi)
 
 	symLink, accUp, aggDown := l.link(access, agg)
@@ -246,7 +246,7 @@ func (l *Lab) buildOBIT(core *netem.Node) {
 
 	vpi := vp.AddIface(spec.vpAddr)
 	accDown := access.AddIface(firstAddr(spec.prefix, 1))
-	n.Connect(vpi, accDown, l.Opts.LinkDelay)
+	n.Connect(vpi, accDown, linkDelay)
 	vp.AddDefaultRoute(vpi)
 
 	symLink, accUp, aggDown := l.link(access, agg)
@@ -295,7 +295,7 @@ func (l *Lab) finishVantage(spec vantageSpec, vp *netem.Node, access *netem.Node
 	res := n.AddHost(spec.name + "-resolver")
 	resi := res.AddIface(spec.resolver)
 	accRes := access.AddIface(firstAddr(spec.prefix, 54))
-	n.Connect(resi, accRes, l.Opts.LinkDelay)
+	n.Connect(resi, accRes, linkDelay)
 	res.AddDefaultRoute(resi)
 	access.AddRoute(netip.PrefixFrom(spec.resolver, 32), accRes)
 
@@ -305,7 +305,7 @@ func (l *Lab) finishVantage(spec vantageSpec, vp *netem.Node, access *netem.Node
 	core := n.Node("ru-core")
 	coreAddr, _ := l.transferPair()
 	corei := core.AddIface(coreAddr)
-	n.Connect(bpi, corei, l.Opts.LinkDelay)
+	n.Connect(bpi, corei, linkDelay)
 	bp.AddDefaultRoute(bpi)
 	core.AddRoute(netip.PrefixFrom(spec.blockpage, 32), corei)
 

@@ -13,7 +13,7 @@ import (
 
 	"tspusim/internal/hostnet"
 	"tspusim/internal/packet"
-	"tspusim/internal/topo"
+	"tspusim/internal/sim"
 )
 
 // Result is one traceroute.
@@ -30,9 +30,9 @@ type Result struct {
 func (r *Result) HopCount() int { return len(r.Hops) }
 
 // Traceroute runs a TCP-SYN traceroute from st to dst:port, probing TTLs
-// 1..maxTTL. It drives the lab simulator to completion for each probe, so it
-// must run while the sim is otherwise quiescent.
-func Traceroute(lab *topo.Lab, st *hostnet.Stack, dst netip.Addr, port uint16, maxTTL int) *Result {
+// 1..maxTTL. It drives s, the simulator st runs in, to completion for each
+// probe, so it must run while the sim is otherwise quiescent.
+func Traceroute(s *sim.Sim, st *hostnet.Stack, dst netip.Addr, port uint16, maxTTL int) *Result {
 	res := &Result{Dst: dst}
 	for ttl := 1; ttl <= maxTTL; ttl++ {
 		var hop netip.Addr
@@ -50,7 +50,7 @@ func Traceroute(lab *topo.Lab, st *hostnet.Stack, dst netip.Addr, port uint16, m
 				}
 			}
 		})
-		lab.Sim.Run()
+		s.Run()
 		reached := len(conn.Packets) > 0
 		conn.Close()
 		if reached {

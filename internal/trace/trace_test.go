@@ -11,7 +11,7 @@ import (
 func TestTracerouteToUS(t *testing.T) {
 	l := topo.Build(topo.Options{Seed: 2, Endpoints: 100, ASes: 8, TrancoN: 100, RegistryN: 100})
 	v := l.Vantages[topo.ERTelecom]
-	r := Traceroute(l, v.Stack, l.US1.Addr(), 443, 20)
+	r := Traceroute(l.Sim, v.Stack, l.US1.Addr(), 443, 20)
 	if !r.Reached {
 		t.Fatalf("traceroute did not reach US: hops=%v", r.Hops)
 	}
@@ -31,7 +31,7 @@ func TestTracerouteToEndpoint(t *testing.T) {
 	// Pick an endpoint without a device on path so the SYN probe isn't
 	// interfered with (plain SYNs pass TSPUs anyway, but keep it clean).
 	ep := l.Endpoints[0]
-	r := Traceroute(l, l.Paris, ep.Addr, ep.Port, 25)
+	r := Traceroute(l.Sim, l.Paris, ep.Addr, ep.Port, 25)
 	if !r.Reached {
 		t.Fatalf("traceroute to endpoint failed: %v", r.Hops)
 	}

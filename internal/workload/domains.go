@@ -222,19 +222,17 @@ func GenTranco(rng *sim.Rand, opts TrancoOptions) []Domain {
 type RegistryOptions struct {
 	// N is the sample size (paper: 10,000 domains added since 2022-01-01).
 	N int
-	// AfterFeb24Fraction is the share added after the invasion (wartime
-	// media blocks).
-	AfterFeb24Fraction float64
 }
+
+// afterFeb24Fraction is the share of the registry sample added after the
+// invasion (wartime media blocks).
+const afterFeb24Fraction = 0.12
 
 // GenRegistry generates the registry sample. The category mix follows the
 // paper's Fig. 7 finding: gambling, news/media, and streaming dominate.
 func GenRegistry(rng *sim.Rand, opts RegistryOptions) []Domain {
 	if opts.N == 0 {
 		opts.N = 10000
-	}
-	if opts.AfterFeb24Fraction == 0 {
-		opts.AfterFeb24Fraction = 0.12
 	}
 	r := rng.Fork("registry")
 	// Weighted mix approximating Fig. 7's "All Sites" bars.
@@ -255,7 +253,7 @@ func GenRegistry(rng *sim.Rand, opts RegistryOptions) []Domain {
 		out = append(out, Domain{
 			Category:        c,
 			InRegistry:      true,
-			AddedAfterFeb24: r.Bool(opts.AfterFeb24Fraction),
+			AddedAfterFeb24: r.Bool(afterFeb24Fraction),
 		})
 	}
 	setNames(out, names, ends)
