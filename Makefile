@@ -103,7 +103,9 @@ race-focus:
 # drives the throttle, IP-block rewrite, ICMP, sweep, bounded-table and
 # reassembly branches) and the sharded device driven one goroutine per lane,
 # under the race detector. A lane that reads a sibling shard or bumps a
-# shared word shows up here as a data race.
+# shared word shows up here as a data race. Every lane matches SNIs against
+# one shared Policy (TestShardLanesShareOnePolicy), so a lookup that writes
+# the policy is a race too.
 race-lanes:
 	$(GO) test -race -count=1 -run 'Engine|Shard' ./internal/engine ./internal/tspu
 

@@ -24,7 +24,7 @@ type Stack struct {
 	// The demultiplexing maps are created on first write: most hosts of a
 	// lab never receive a connection, a datagram or a fragment, and a nil
 	// map reads as empty.
-	conns map[packet.FlowKey]*TCPConn
+	conns map[packet.FlowKey4]*TCPConn
 	// listen0 is the first port's listener and listeners holds the others:
 	// most hosts listen on one port and never need the map.
 	listen0   *Listener
@@ -230,7 +230,7 @@ func (st *Stack) handleTCP(pkt *packet.Packet) {
 		fn(pkt)
 		return
 	}
-	key := packet.FlowOf(pkt).Reverse() // our local flow key is our->their
+	key := packet.FlowKey4Of(pkt)
 	if c, ok := st.conns[key]; ok {
 		// A fresh bare SYN on a listener-spawned connection is a new
 		// connection attempt from a reused 4-tuple (e.g. Quack probing

@@ -158,7 +158,7 @@ func (st *Stack) newConn(remote netip.Addr, lport, rport uint16, mss int, ttl ui
 
 func (st *Stack) addConn(c *TCPConn) {
 	if st.conns == nil {
-		st.conns = make(map[packet.FlowKey]*TCPConn)
+		st.conns = make(map[packet.FlowKey4]*TCPConn)
 	}
 	st.conns[c.key()] = c
 }
@@ -167,12 +167,8 @@ func (st *Stack) addConn(c *TCPConn) {
 // can send raw packets (fragments, TTL-limited probes) on its behalf.
 func (c *TCPConn) Stack() *Stack { return c.stack }
 
-func (c *TCPConn) key() packet.FlowKey {
-	return packet.FlowKey{
-		Proto: packet.ProtoTCP,
-		Src:   c.LocalAddr, Dst: c.RemoteAddr,
-		SrcPort: c.LocalPort, DstPort: c.RemotePort,
-	}
+func (c *TCPConn) key() packet.FlowKey4 {
+	return packet.FlowKey4For(packet.ProtoTCP, c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort)
 }
 
 // Dial initiates an active open to dst:port and returns the connection. The

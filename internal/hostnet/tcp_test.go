@@ -236,6 +236,43 @@ func TestCloseRemovesConn(t *testing.T) {
 	}
 }
 
+// TestConnsSwappedPortsStayDistinct: two connections to one remote whose
+// ports are swapped (L:a→R:b and L:b→R:a) get distinct entries in both
+// stacks' tables and carry their own data, and a fresh SYN on a reused
+// 4-tuple still recycles the listener's old connection.
+func TestConnsSwappedPortsStayDistinct(t *testing.T) {
+	s, client, server := pair(t)
+	l443 := server.Listen(443, ListenOptions{Echo: true})
+	server.Listen(4443, ListenOptions{Echo: true})
+	c1 := client.Dial(server.Addr(), 443, DialOptions{SrcPort: 4443})
+	c2 := client.Dial(server.Addr(), 4443, DialOptions{SrcPort: 443})
+	c1.OnEstablished = func() { c1.Send([]byte("one")) }
+	c2.OnEstablished = func() { c2.Send([]byte("two")) }
+	s.Run()
+	if string(c1.Received) != "one" || string(c2.Received) != "two" {
+		t.Fatalf("echoes crossed: c1 got %q, c2 got %q", c1.Received, c2.Received)
+	}
+	if len(client.conns) != 2 || len(server.conns) != 2 {
+		t.Fatalf("tables hold %d client and %d server conns, want 2 each", len(client.conns), len(server.conns))
+	}
+
+	c3 := client.Dial(server.Addr(), 443, DialOptions{SrcPort: 4443})
+	s.Run()
+	if c3.State != StateEstablished {
+		t.Fatalf("redial over a reused 4-tuple: state = %v", c3.State)
+	}
+	if len(l443.Conns) != 2 {
+		t.Fatalf("listener accepted %d conns, want 2", len(l443.Conns))
+	}
+	old, fresh := l443.Conns[0], l443.Conns[1]
+	if server.conns[fresh.key()] != fresh || server.conns[old.key()] == old {
+		t.Fatal("the reused 4-tuple did not recycle the listener's old conn")
+	}
+	if len(server.conns) != 2 {
+		t.Fatalf("server table holds %d conns after the recycle, want 2", len(server.conns))
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s, client, server := pair(t)
 	var serverConn *TCPConn

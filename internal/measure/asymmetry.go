@@ -110,19 +110,6 @@ func onHostAccessLink(lab *topo.Lab, addr netip.Addr) bool {
 	return false
 }
 
-// nodeOfAddr reverse-maps an interface address to its node name.
-func nodeOfAddr(lab *topo.Lab, a netip.Addr) string {
-	for _, l := range lab.Net.Links() {
-		if l.A().Addr() == a {
-			return l.A().Node().Name()
-		}
-		if l.B().Addr() == a {
-			return l.B().Node().Name()
-		}
-	}
-	return ""
-}
-
 // Render prints the comparison.
 func (r *AsymmetryResult) Render() *report.Doc {
 	t := report.NewTable("Routing asymmetry (§7.1.1): bidirectional TCP traceroutes",

@@ -21,7 +21,6 @@
 package measure
 
 import (
-	"net/netip"
 	"sync"
 	"time"
 
@@ -294,19 +293,4 @@ func vantageOf(lab *topo.Lab, name string) *topo.Vantage {
 		panic("measure: unknown vantage " + name)
 	}
 	return v
-}
-
-// pingBlocked pings dst from st, runs the sim, and reports whether no echo
-// reply from dst came back — true means the ping was blocked.
-func pingBlocked(lab *topo.Lab, st *hostnet.Stack, dst netip.Addr) bool {
-	got := false
-	st.OnICMP(func(p *packet.Packet) {
-		if p.ICMP.Type == packet.ICMPEchoReply && p.IP.Src == dst {
-			got = true
-		}
-	})
-	st.Ping(dst, 99, 1)
-	lab.Sim.Run()
-	st.OnICMP(nil)
-	return !got
 }

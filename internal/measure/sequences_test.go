@@ -188,9 +188,9 @@ func TestTable1TrialAllocs(t *testing.T) {
 // (server connections, the IP-block trial's listener), so a lab's live heap
 // after 300 trials per cell is within 5% of its live heap after 100. Each
 // device's table is bounded: a device keeps a flow for its Table 2 lifetime
-// (up to 480 s) and a lab's devices reclaim expired flows only on lookup,
-// so an unbounded table grows by every trial's flows however the endpoints
-// behave.
+// (up to 480 s), so over this short window an unbounded table grows by
+// every trial's flows however the endpoints behave
+// (TestTable1ConntrackPlateaus covers the long run).
 func TestTable1LiveHeapFlat(t *testing.T) {
 	lab := topo.Build(topo.Options{Seed: 1})
 	for _, d := range lab.Devices {
@@ -210,6 +210,37 @@ func TestTable1LiveHeapFlat(t *testing.T) {
 	t.Logf("live heap %.0f B after 100 trials/cell, %.0f B after 300", at100, at300)
 	if growth := at300/at100 - 1; growth >= 0.05 || growth <= -0.05 {
 		t.Fatalf("live heap %.0f B after 100 trials/cell, %.0f B after 300 (%+.1f%%), want within 5%%", at100, at300, 100*growth)
+	}
+}
+
+// TestTable1ConntrackPlateaus: a lab's devices sweep the conntrack entries
+// whose Table 2 lifetime has passed, so once trials have run longer than the
+// longest lifetime the flows a lab holds stop growing: the sum of
+// ConntrackSize over the lab's devices after 2,400 trials per cell is
+// within 1% of the sum after 1,600. A device that reclaimed an expired
+// entry only when its own key came back would hold every trial's flows.
+func TestTable1ConntrackPlateaus(t *testing.T) {
+	lab := topo.Build(topo.Options{Seed: 1})
+	flows := func() int {
+		n := 0
+		for _, d := range lab.Devices {
+			n += d.ConntrackSize()
+		}
+		return n
+	}
+	// Trials run 400 per cell at a time, so both sums are read at the same
+	// point of a call's cell order, after the same cell.
+	for range 4 {
+		Reliability(lab, 400)
+	}
+	at1600 := flows()
+	for range 2 {
+		Reliability(lab, 400)
+	}
+	at2400 := flows()
+	t.Logf("conntrack entries over all devices: %d after 1,600 trials/cell, %d after 2,400", at1600, at2400)
+	if growth := float64(at2400)/float64(at1600) - 1; growth >= 0.01 || growth <= -0.01 {
+		t.Fatalf("conntrack entries %d after 1,600 trials/cell, %d after 2,400 (%+.1f%%), want within 1%%", at1600, at2400, 100*growth)
 	}
 }
 

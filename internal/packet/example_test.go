@@ -23,10 +23,10 @@ func ExampleFragment() {
 	// reassembled payload: 3000
 }
 
-func ExampleFlowKey_Canonical() {
+func ExampleFlowKey4Of() {
 	a := packet.NewTCP(packet.MustAddr("10.0.0.2"), packet.MustAddr("203.0.113.10"), 40000, 443, packet.FlagSYN, 0, 0, nil)
 	b := packet.NewTCP(packet.MustAddr("203.0.113.10"), packet.MustAddr("10.0.0.2"), 443, 40000, packet.FlagsSYNACK, 0, 0, nil)
-	fmt.Println(packet.FlowOf(a).Canonical() == packet.FlowOf(b).Canonical())
+	fmt.Println(packet.FlowKey4Of(a) == packet.FlowKey4Of(b))
 	// Output: true
 }
 

@@ -2,62 +2,19 @@ package packet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"net/netip"
 )
 
-// FlowKey identifies a transport flow by 5-tuple. Following the gopacket
-// Flow model, a key and its Reverse describe the two directions of one
-// connection; Canonical gives a direction-independent form for map lookups.
-type FlowKey struct {
-	Proto            Protocol
-	Src, Dst         netip.Addr
-	SrcPort, DstPort uint16
-}
-
-// FlowOf extracts the flow key of a packet. For ICMP and raw packets the
-// ports are zero, so all ICMP between two hosts shares one key — matching
-// how the TSPU applies IP-based blocking "regardless of packet payload or
-// TCP ports" (§5.2).
-func FlowOf(p *Packet) FlowKey {
-	return FlowKey{
-		Proto:   p.IP.Protocol,
-		Src:     p.IP.Src,
-		Dst:     p.IP.Dst,
-		SrcPort: p.SrcPort(),
-		DstPort: p.DstPort(),
-	}
-}
-
-// Reverse returns the key of the opposite direction.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Proto: k.Proto, Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort}
-}
-
-// Canonical returns a direction-independent key: the endpoint with the lower
-// (addr, port) sorts first. Both directions of a flow canonicalize to the
-// same value.
-func (k FlowKey) Canonical() FlowKey {
-	if k.Src.Compare(k.Dst) < 0 {
-		return k
-	}
-	if k.Src.Compare(k.Dst) == 0 && k.SrcPort <= k.DstPort {
-		return k
-	}
-	return k.Reverse()
-}
-
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%s %s:%d>%s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
-}
-
-// FlowKey4 is a compact, direction-independent IPv4 flow key: the full
-// 5-tuple packed into 16 bytes with the lower (addr, port) endpoint first.
-// It identifies exactly the same equivalence classes as
-// FlowOf(p).Canonical() for IPv4 packets (the only kind this module models)
-// but hashes and compares as two machine words instead of a 56-byte struct
-// holding netip.Addr values, which is what makes it the conntrack map key on
-// the per-packet hot path.
+// FlowKey4 is the flow key: an IPv4 5-tuple packed into 16 bytes with the
+// lower (addr, port) endpoint first, so both directions of a flow share one
+// key. It hashes and compares as two machine words, which is what makes it
+// the key of the TSPU's conntrack, the batch engine's lanes and the host
+// stacks' connection tables.
+//
+// Because the key is direction-independent, L:a→L:b and L:b→L:a (one
+// address talking to itself with the ports swapped) share an entry. A host
+// stack would see that only when dialing its own address, which no
+// simulated host does.
 type FlowKey4 struct {
 	// hi is src<<32|dst of the canonical direction; lo packs
 	// proto<<32|srcPort<<16|dstPort.
@@ -76,17 +33,30 @@ func addr4(a netip.Addr) uint32 {
 	return 0
 }
 
-// FlowKey4Of extracts the canonical compact flow key of a packet.
+// FlowKey4Of extracts the flow key of a packet. For ICMP and raw packets the
+// ports are zero, so all ICMP between two hosts shares one key — matching
+// how the TSPU applies IP-based blocking "regardless of packet payload or
+// TCP ports" (§5.2).
 func FlowKey4Of(p *Packet) FlowKey4 {
-	src, dst := addr4(p.IP.Src), addr4(p.IP.Dst)
-	sp, dp := p.SrcPort(), p.DstPort()
+	return flowKey4(p.IP.Protocol, addr4(p.IP.Src), addr4(p.IP.Dst), p.SrcPort(), p.DstPort())
+}
+
+// FlowKey4For builds the flow key of the 5-tuple src:sport → dst:dport; it
+// equals FlowKey4Of of any packet of that flow, in either direction.
+func FlowKey4For(proto Protocol, src, dst netip.Addr, sport, dport uint16) FlowKey4 {
+	return flowKey4(proto, addr4(src), addr4(dst), sport, dport)
+}
+
+// flowKey4 canonicalizes and packs a 5-tuple. It is small enough to inline,
+// so FlowKey4Of, on the per-packet path, pays no extra call for sharing it.
+func flowKey4(proto Protocol, src, dst uint32, sp, dp uint16) FlowKey4 {
 	if src > dst || (src == dst && sp > dp) {
 		src, dst = dst, src
 		sp, dp = dp, sp
 	}
 	return FlowKey4{
 		hi: uint64(src)<<32 | uint64(dst),
-		lo: uint64(p.IP.Protocol)<<32 | uint64(sp)<<16 | uint64(dp),
+		lo: uint64(proto)<<32 | uint64(sp)<<16 | uint64(dp),
 	}
 }
 

@@ -3,7 +3,6 @@ package packet
 import (
 	"bytes"
 	"errors"
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -179,25 +178,23 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestFlowKeys(t *testing.T) {
-	p := NewTCP(srcA, dstA, 1111, 443, FlagSYN, 0, 0, nil)
-	k := FlowOf(p)
-	if k.Reverse().Reverse() != k {
-		t.Fatal("double reverse not identity")
+	k := FlowKey4Of(NewTCP(srcA, dstA, 1111, 443, FlagSYN, 0, 0, nil))
+	if FlowKey4For(ProtoTCP, srcA, dstA, 1111, 443) != k {
+		t.Fatal("FlowKey4For disagrees with FlowKey4Of")
 	}
-	if k.Canonical() != k.Reverse().Canonical() {
+	if FlowKey4For(ProtoTCP, dstA, srcA, 443, 1111) != k {
 		t.Fatal("directions canonicalize differently")
 	}
 	// ICMP shares a portless key.
-	e := NewICMPEcho(srcA, dstA, 1, 1)
-	if FlowOf(e).SrcPort != 0 || FlowOf(e).DstPort != 0 {
+	e := FlowKey4Of(NewICMPEcho(srcA, dstA, 1, 1))
+	if e != FlowKey4For(ProtoICMP, srcA, dstA, 0, 0) || e != FlowKey4Of(NewICMPEcho(srcA, dstA, 2, 7)) {
 		t.Fatal("ICMP flow key has ports")
 	}
 }
 
 func TestFlowCanonicalSameAddr(t *testing.T) {
 	a := MustAddr("10.0.0.1")
-	k := FlowKey{Proto: ProtoTCP, Src: a, Dst: a, SrcPort: 9000, DstPort: 80}
-	if k.Canonical() != k.Reverse().Canonical() {
+	if FlowKey4For(ProtoTCP, a, a, 9000, 80) != FlowKey4For(ProtoTCP, a, a, 80, 9000) {
 		t.Fatal("same-addr flow canonicalization broken")
 	}
 }
@@ -264,13 +261,13 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func netipLess(a, b netip.Addr) bool { return a.Compare(b) < 0 }
-
 func TestCanonicalOrdering(t *testing.T) {
 	lo, hi := MustAddr("1.1.1.1"), MustAddr("2.2.2.2")
-	k := FlowKey{Proto: ProtoTCP, Src: hi, Dst: lo, SrcPort: 1, DstPort: 2}
-	c := k.Canonical()
-	if !netipLess(c.Src, c.Dst) {
-		t.Fatalf("canonical did not order addrs: %v", c)
+	k := FlowKey4For(ProtoTCP, hi, lo, 1, 2)
+	if src, dst := uint32(k.hi>>32), uint32(k.hi); src != addr4(lo) || dst != addr4(hi) {
+		t.Fatalf("canonical did not order addrs: %08x > %08x", src, dst)
+	}
+	if ports := uint32(k.lo); ports != 2<<16|1 {
+		t.Fatalf("canonical ports = %08x, want the lower endpoint's port first", ports)
 	}
 }

@@ -425,7 +425,9 @@ func (l *Lab) buildCore() {
 	l.Controller = tspu.NewController(nil)
 }
 
-// newDevice creates, registers, and records a TSPU device.
+// newDevice creates, registers, and records a TSPU device. Each lane sweeps
+// its expired conntrack entries every 30 s of virtual time, so a lab that
+// runs trial after trial holds only the flows still inside their timeouts.
 func (l *Lab) newDevice(name string, localDir netem.Direction, rates map[tspu.BlockType]float64) *tspu.Device {
 	d := tspu.NewDevice(tspu.Config{
 		Name:         name,
@@ -434,6 +436,7 @@ func (l *Lab) newDevice(name string, localDir netem.Direction, rates map[tspu.Bl
 		LocalDir:     localDir,
 		FailureRates: rates,
 	})
+	d.EnableAutoSweep(0)
 	l.Controller.Register(d)
 	l.Devices = append(l.Devices, d)
 	return d

@@ -378,12 +378,6 @@ func (ct *conntrack) observe(pkt *packet.Packet, dirLocal bool, now time.Duratio
 	return ct.shardFor(key).observe(key, pkt, dirLocal, now)
 }
 
-// observeKey is observe with the flow key already extracted — the batch path
-// computes keys once per batch for shard routing and passes them down.
-func (ct *conntrack) observeKey(key packet.FlowKey4, pkt *packet.Packet, dirLocal bool, now time.Duration) *flowEntry {
-	return ct.shardFor(key).observe(key, pkt, dirLocal, now)
-}
-
 // lookup returns the live entry for key, expiring stale state.
 func (ct *conntrack) lookup(key packet.FlowKey4, now time.Duration) *flowEntry {
 	return ct.shardFor(key).lookup(key, now)

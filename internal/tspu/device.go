@@ -109,9 +109,6 @@ type devLane struct {
 	// ablation; flows never change lanes, so per-lane maps stay disjoint.
 	// It is made on the lane's first reassembled segment.
 	reasm map[packet.FlowKey4][]byte
-	// fold is the case-normalization scratch threaded into DomainSet
-	// matching, replacing the set's shared internal buffer on this lane.
-	fold []byte
 	// lastSweep drives this lane's datapath-piggybacked housekeeping.
 	lastSweep time.Duration
 }
@@ -136,8 +133,8 @@ type Device struct {
 	sweepEvery time.Duration
 }
 
-// NewDevice creates a device. Until a controller registers it, or SetPolicy
-// installs one, it enforces emptyPolicy.
+// NewDevice creates a device. Until a controller registers it, it enforces
+// emptyPolicy.
 func NewDevice(cfg Config) *Device {
 	if cfg.InspectDepth == 0 {
 		cfg.InspectDepth = 512
@@ -177,9 +174,8 @@ func (d *Device) Name() string {
 }
 
 // emptyPolicy is the policy of every device no controller has registered:
-// NewPolicy's defaults with nothing listed. Devices share it, so it must
-// stay read-only; the datapath only reads a policy, and matching against an
-// empty DomainSet returns before touching the set's scratch buffer.
+// NewPolicy's defaults with nothing listed. Devices share it, as they share
+// a controller's policy; the datapath only reads a policy.
 var emptyPolicy = func() *Policy {
 	p := NewPolicy()
 	p.compileIPs()
@@ -187,15 +183,8 @@ var emptyPolicy = func() *Policy {
 }()
 
 // Policy returns the device's current policy (callers must not mutate; use
-// a Controller or SetPolicy).
+// a Controller).
 func (d *Device) Policy() *Policy { return d.policy }
-
-// SetPolicy installs a policy directly (tests; production path is the
-// Controller).
-func (d *Device) SetPolicy(p *Policy) {
-	p.compileIPs()
-	d.policy = p
-}
 
 // Stats folds all lane counters into the public map form. Only nonzero
 // trigger/miss types appear, matching the increment-on-demand maps the
@@ -513,9 +502,8 @@ func (d *Device) detectSNITrigger(e *flowEntry, pkt *packet.Packet, ln *devLane,
 
 // classifySNI parses the packet payload (depth-limited, single record) for a
 // ClientHello SNI and classifies it under the current policy. The fast path
-// pairs tlsx.ExtractSNI with Policy case-folding into the lane's scratch so
-// a pass-through packet — TLS or not — is inspected without a single
-// allocation and without touching shared policy buffers; slowClassifySNI is
+// pairs tlsx.ExtractSNI with Policy.ClassifyBytes so a pass-through packet —
+// TLS or not — is inspected without a single allocation; slowClassifySNI is
 // the retained reference implementation. With the ReassembleTCP ablation the
 // device instead accumulates upstream bytes per flow and parses the stream
 // prefix, which defeats TCP segmentation evasion.
@@ -549,7 +537,7 @@ func (d *Device) classifySNI(e *flowEntry, pkt *packet.Packet, ln *devLane) (Cla
 	if !ok {
 		return Classification{}, false
 	}
-	return d.policy.classifyBytesWith(sni, &ln.fold), true
+	return d.policy.ClassifyBytes(sni), true
 }
 
 // slowExtractSNI is the pre-optimization reference: a full structural parse

@@ -74,12 +74,10 @@ func (b BlockType) String() string {
 // entry (twitter.com matches api.twitter.com). Entries are stored lowercase
 // in a string-keyed set; the per-packet path queries it through Match, whose
 // byte-slice lookups compile to map accesses without a string conversion
-// allocating. Like the rest of the simulator, a DomainSet is not safe for
-// concurrent use (Match reuses a scratch buffer for case folding).
+// allocating. Lookups only read the set, so one set may be matched from
+// many goroutines at once.
 type DomainSet struct {
 	exact map[string]bool
-	// lower is Match's case-normalization scratch, reused across calls.
-	lower []byte
 }
 
 // NewDomainSet builds a set from entries.
@@ -146,43 +144,38 @@ func (s *DomainSet) Contains(name string) bool {
 
 // Match reports whether name (raw SNI bytes: any ASCII case, optional
 // trailing dots) or any parent domain of it is in the set. It is the
-// allocation-free hot-path form of Contains: suffix candidates index the set
-// as byte slices (m[string(b)] map accesses do not allocate), and case
-// folding — ASCII only, which is all DNS names on the wire can carry — runs
-// in a scratch buffer instead of strings.ToLower. Match never mutates name.
+// allocation-free form of Contains: suffix candidates index the set as byte
+// slices (m[string(b)] map accesses do not allocate), and case folding —
+// ASCII only, which is all DNS names on the wire can carry — copies the name
+// into an array on the stack instead of strings.ToLower. Match never mutates
+// name.
 func (s *DomainSet) Match(name []byte) bool {
-	if s == nil {
-		return false
-	}
-	return s.matchWith(name, &s.lower)
-}
-
-// matchWith is Match with caller-owned case-folding scratch: the batch
-// engine's lanes pass their own buffers so a policy shared by concurrent
-// lanes stays read-only on the packet path. The scratch slice is grown in
-// place through the pointer and reused across calls.
-func (s *DomainSet) matchWith(name []byte, lower *[]byte) bool {
 	if s == nil || len(s.exact) == 0 {
 		return false
 	}
 	for len(name) > 0 && name[len(name)-1] == '.' {
 		name = name[:len(name)-1]
 	}
-	for i := 0; i < len(name); i++ {
-		if c := name[i]; 'A' <= c && c <= 'Z' {
-			buf := append((*lower)[:0], name...)
+	for i, c := range name {
+		if 'A' <= c && c <= 'Z' {
+			// 256 bytes hold any DNS name; a longer one grows onto the heap.
+			var fold [256]byte
+			buf := append(fold[:0], name...)
 			for j := i; j < len(buf); j++ {
 				if c := buf[j]; 'A' <= c && c <= 'Z' {
 					buf[j] = c + ('a' - 'A')
 				}
 			}
-			// lower is the calling lane's devLane.fold scratch; each lane
-			// threads its own buffer, so the write stays lane-private.
-			*lower = buf
-			name = buf
-			break
+			return s.matchSuffixes(buf)
 		}
 	}
+	return s.matchSuffixes(name)
+}
+
+// matchSuffixes probes the set with a folded name and each parent domain
+// of it. It is Match's one probe loop; keeping it a separate function, with
+// the folded copy passed in, is what keeps Match's fold array on the stack.
+func (s *DomainSet) matchSuffixes(name []byte) bool {
 	for len(name) > 0 {
 		if s.exact[string(name)] {
 			return true
@@ -251,10 +244,10 @@ type Policy struct {
 	ThrottleRate int
 	// BlockedIPs are IP-blocked endpoints (the Tor entry node and six other
 	// IPs in the paper), none of which need be in the public registry. It
-	// is read when the policy is installed — NewController,
-	// Controller.Update, Controller.UpdateStaggered, Device.SetPolicy —
-	// which compiles it for the datapath; later edits to an installed
-	// policy's map take effect at the next install.
+	// is read when the controller takes the policy — NewController,
+	// Controller.Update, Controller.UpdateStaggered — which compiles it for
+	// the datapath; later edits to an installed policy's map take effect at
+	// the next push.
 	BlockedIPs map[netip.Addr]bool
 	// QUICFilter enables the QUIC v1 fingerprint filter (on since Mar 4).
 	QUICFilter bool
@@ -371,21 +364,6 @@ func (p *Policy) ClassifyBytes(domain []byte) Classification {
 	return c
 }
 
-// classifyBytesWith is ClassifyBytes with caller-owned fold scratch, for
-// device lanes classifying concurrently against one shared policy. One
-// buffer serves all four set lookups (they run sequentially per packet).
-func (p *Policy) classifyBytesWith(domain []byte, lower *[]byte) Classification {
-	c := Classification{
-		SNI1: p.SNI1Domains.matchWith(domain, lower),
-		SNI2: p.SNI2Domains.matchWith(domain, lower),
-		SNI4: p.SNI4Domains.matchWith(domain, lower),
-	}
-	if p.ThrottleActive && p.ThrottleDomains.matchWith(domain, lower) {
-		c.Throttle = true
-	}
-	return c
-}
-
 // IPBlocked reports whether BlockedIPs lists addr as blocked. A device
 // answers from the copy compiled when the policy was installed.
 func (p *Policy) IPBlocked(addr netip.Addr) bool { return p.BlockedIPs[addr] }
@@ -419,17 +397,10 @@ func (c *Controller) Register(d *Device) {
 	d.policy = c.policy
 }
 
-// Devices returns all registered devices.
-func (c *Controller) Devices() []*Device { return c.devices }
-
 // Update applies fn to a clone of the current policy, bumps the version, and
 // atomically installs the result on every registered device.
 func (c *Controller) Update(fn func(*Policy)) {
-	next := c.policy.Clone()
-	fn(next)
-	next.compileIPs()
-	next.Version = c.policy.Version + 1
-	c.policy = next
+	next := c.advance(fn)
 	for _, d := range c.devices {
 		d.policy = next
 	}
@@ -442,13 +413,8 @@ func (c *Controller) Update(fn func(*Policy)) {
 // uniformity... in some sort of centralized way", §2) — in contrast to ISP
 // blocklists that lag by days. The returned version identifies the push.
 func (c *Controller) UpdateStaggered(s *sim.Sim, rng *sim.Rand, maxJitter time.Duration, fn func(*Policy)) int {
-	next := c.policy.Clone()
-	fn(next)
-	next.compileIPs()
-	next.Version = c.policy.Version + 1
-	c.policy = next
+	next := c.advance(fn)
 	for _, d := range c.devices {
-		d := d
 		delay := time.Duration(0)
 		if maxJitter > 0 {
 			delay = time.Duration(rng.Uint64() % uint64(maxJitter))
@@ -456,4 +422,16 @@ func (c *Controller) UpdateStaggered(s *sim.Sim, rng *sim.Rand, maxJitter time.D
 		s.After(delay, func() { d.policy = next })
 	}
 	return next.Version
+}
+
+// advance is the one step of every push: it applies fn to a clone of the
+// current policy, compiles the clone for the datapath, bumps its version and
+// makes it the controller's policy. The caller installs it on the devices.
+func (c *Controller) advance(fn func(*Policy)) *Policy {
+	next := c.policy.Clone()
+	fn(next)
+	next.compileIPs()
+	next.Version = c.policy.Version + 1
+	c.policy = next
+	return next
 }

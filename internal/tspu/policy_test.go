@@ -188,8 +188,8 @@ func TestBlockTypeStrings(t *testing.T) {
 // TestIPBlocklistInstallPaths shows the datapath's compiled blocklist is
 // built on every way a policy reaches a device: a local SYN to the blocked
 // IP is dropped and a local ACK to it is rewritten to RST/ACK after
-// NewController+Register, Controller.Update, Controller.UpdateStaggered
-// (once its jitter fires) and Device.SetPolicy.
+// NewController+Register, Controller.Update and Controller.UpdateStaggered
+// (once its jitter fires).
 func TestIPBlocklistInstallPaths(t *testing.T) {
 	local, blocked := packet.MustAddr("10.0.0.2"), packet.MustAddr("198.51.100.9")
 	block := func(p *Policy) { p.BlockedIPs[blocked] = true }
@@ -241,20 +241,11 @@ func TestIPBlocklistInstallPaths(t *testing.T) {
 			t.Fatal("blocked IP passed")
 		}
 	})
-	t.Run("SetPolicy", func(t *testing.T) {
-		d, s := newDev()
-		p := NewPolicy()
-		block(p)
-		d.SetPolicy(p)
-		if !enforces(t, d, s) {
-			t.Fatal("blocked IP passed")
-		}
-	})
 	t.Run("FalseEntriesOnly", func(t *testing.T) {
 		d, s := newDev()
 		p := NewPolicy()
 		p.BlockedIPs[blocked] = false
-		d.SetPolicy(p)
+		NewController(p).Register(d)
 		if enforces(t, d, s) {
 			t.Fatal("a false entry blocked")
 		}

@@ -419,3 +419,45 @@ func TestShardPoolConservation(t *testing.T) {
 		t.Fatal("pool reuse counter never moved")
 	}
 }
+
+// TestShardLanesShareOnePolicy has several goroutines, as the lanes of a
+// sharded device or of the batch engine do, classify mixed-case SNIs against
+// one controller's Policy at once. Matching must only read the policy: under
+// `go test -race` (make race-lanes) a lookup that writes shared state, such
+// as a case-folding buffer kept in the set, shows up as a data race. Every
+// verdict must also equal the string reference Classify's.
+func TestShardLanesShareOnePolicy(t *testing.T) {
+	ctl := NewController(nil)
+	ctl.Update(func(p *Policy) {
+		p.SNI1Domains.Add("facebook.com", "rferl.org")
+		p.SNI2Domains.Add("play.google.com")
+		p.SNI4Domains.Add("fbcdn.net")
+		p.ThrottleDomains.Add("twitter.com")
+		p.ThrottleActive = true
+	})
+	p := ctl.Policy()
+	names := []string{"WWW.Facebook.COM", "Play.Google.Com.", "static.xx.FBCDN.NET",
+		"API.TWITTER.COM", "example.ORG", "RFERL.org", longSNI}
+	sni := make([][]byte, len(names))
+	want := make([]Classification, len(names))
+	for i, n := range names {
+		sni[i] = []byte(n)
+		want[i] = p.Classify(n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 200; r++ {
+				for i := range sni {
+					if got := p.ClassifyBytes(sni[i]); got != want[i] {
+						t.Errorf("goroutine %d: ClassifyBytes(%q) = %+v, want %+v", g, names[i], got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
