@@ -205,6 +205,8 @@ armsrace:
 # (an added name matches itself and its subdomains, removal clears it);
 # FuzzReassembler holds the shared fragment reassembler to one-shot
 # packet.Reassemble over permuted fragment orders and queue limits;
+# FuzzFlowIndex holds the conntrack's open-addressed flow index to a Go map
+# over put/get/delete sequences on a small key pool with colliding tags;
 # FuzzTraceParse holds the conformance trace format to never panicking and
 # to Parse inverting Marshal on generated scenarios.
 fuzz-smoke:
@@ -215,4 +217,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzGenome$$' -fuzztime 10s ./internal/circumvent
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyMatch$$' -fuzztime 10s ./internal/tspu
+	$(GO) test -run '^$$' -fuzz '^FuzzFlowIndex$$' -fuzztime 10s ./internal/tspu
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/conformance

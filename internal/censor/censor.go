@@ -31,8 +31,11 @@ import "tspusim/internal/netem"
 type Censor interface {
 	netem.Middlebox
 
-	// ConntrackSize reports the number of flows the censor currently
-	// tracks. Stateless injectors (TM, keyword DPI) report 0; the probe
+	// ConntrackSize reports the number of flow entries the censor holds.
+	// A model that expires flows lazily may still count an expired flow:
+	// the TSPU's entry counts until a lookup of its key or its lane's sweep
+	// reclaims it, and a lane sweeps only when it handles a packet.
+	// Stateless injectors (TM, keyword DPI) report 0; the probe
 	// battery uses the delta across a flow flood to classify a model as
 	// stateful or stateless, and residual-block probes interpret a
 	// nonzero value as "state that can outlive the triggering flow".

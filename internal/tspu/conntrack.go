@@ -116,12 +116,13 @@ type blockState struct {
 	bucket *tokenBucket
 }
 
-// flowEntry is one conntrack record. Entries are pooled per-shard: a deleted
-// entry's memory is reused by the next flow instead of going to the garbage
-// collector, so flow churn does not allocate in steady state. Each live entry
-// sits on two intrusive lists of its shard — insertion order for pressure
-// eviction (older/newer) and one timeout-wheel slot (wprev/wnext, wslot) —
-// so eviction and expiry find entries by pointer, never by key.
+// flowEntry is one conntrack record. Entries live in their shard's chunked
+// arena (flowindex.go), which never moves them, and are pooled per-shard: a
+// deleted entry's memory is reused by the next flow instead of going to the
+// garbage collector, so flow churn does not allocate in steady state. Each
+// live entry sits on two intrusive lists of its shard — insertion order for
+// pressure eviction (older/newer) and one timeout-wheel slot (wprev/wnext,
+// wslot) — so eviction and expiry find entries by pointer, never by key.
 type flowEntry struct {
 	key     packet.FlowKey4 // canonical compact 5-tuple
 	expires time.Duration
@@ -133,9 +134,13 @@ type flowEntry struct {
 	// rollSeq counts per-flow random decisions consumed in PerFlowRand mode,
 	// so each roll on a flow draws a distinct, order-independent value.
 	rollSeq uint32
-	wslot   uint16
-	origin  Origin
-	state   ConnState
+	// id is the entry's 1-based arena id, which the shard's index slots
+	// hold instead of a pointer. It is set once, when the arena hands the
+	// record out, and survives release and reuse.
+	id     uint32
+	wslot  uint16
+	origin Origin
+	state  ConnState
 	// sawRemoteSYN marks local-origin flows that later carried a SYN from
 	// the remote peer (split handshake / simultaneous open). These are the
 	// green paths of Fig. 4: the role heuristic is confused, SNI-I no longer
@@ -161,11 +166,11 @@ func (e *flowEntry) roleConfused() bool {
 func (e *flowEntry) isImmune(t BlockType) bool { return e.immune&(1<<uint(t)) != 0 }
 func (e *flowEntry) setImmune(t BlockType)     { e.immune |= 1 << uint(t) }
 
-// ctShard is one independent slice of the flow table: its own index, entry
-// pool, capacity bound, and timeout wheel. Shards share nothing, so the batch
-// engine can hand each worker a disjoint set of shards and run them with no
-// lock — the decentralized-deployment analogue of the paper's observation
-// that TSPU state is per-box, not network-global.
+// ctShard is one independent slice of the flow table: its own index and
+// entry arena, entry pool, capacity bound, and timeout wheel. Shards share
+// nothing, so the batch engine can hand each worker a disjoint set of shards
+// and run them with no lock — the decentralized-deployment analogue of the
+// paper's observation that TSPU state is per-box, not network-global.
 type ctShard struct {
 	table    flowIndex
 	timeouts StateTimeouts
@@ -225,13 +230,13 @@ func (ct *conntrack) numShards() int { return len(ct.shards) }
 // pressure eviction, the bare-ACK restart and sweeps all come here — so a
 // re-created flow always starts over at the tail of the insertion order.
 // Zeroing drops the token-bucket pointer so stopped throttles are
-// collectible.
+// collectible; the arena id stays with the record.
 func (sh *ctShard) release(e *flowEntry) {
 	e.checkLive("released")
-	sh.table.delete(e.key)
+	sh.table.delete(e)
 	sh.cap.unlink(e)
 	sh.wheel.unlink(e)
-	*e = flowEntry{}
+	*e = flowEntry{id: e.id}
 	poisonEntry(e)
 	sh.free = append(sh.free, e)
 }
@@ -257,7 +262,7 @@ func (sh *ctShard) allocEntry() *flowEntry {
 		sh.wheel.init()
 	}
 	sh.allocs++
-	return &flowEntry{} // pool miss: amortized to zero across a run
+	return sh.table.arena.alloc() // pool miss: amortized to zero across a run
 }
 
 // lookup returns the live entry for key, expiring stale state.
@@ -302,7 +307,7 @@ func (sh *ctShard) observe(key packet.FlowKey4, pkt *packet.Packet, dirLocal boo
 		ne.origin = origin
 		ne.state = state
 		ne.expires = now + sh.timeouts.forState(state)
-		sh.table.put(key, ne)
+		sh.table.put(ne)
 		sh.wheel.insert(ne)
 		sh.noteInsert(ne)
 		return ne
@@ -408,8 +413,8 @@ func (e *flowEntry) activeBlock(now time.Duration) *blockState {
 	return &e.block
 }
 
-// size reports the number of table entries (including not-yet-swept stale
-// ones) across all shards.
+// size reports the number of table entries across all shards. An expired
+// entry counts until a lookup of its key or its shard's sweep reclaims it.
 func (ct *conntrack) size() int {
 	n := 0
 	for i := range ct.shards {

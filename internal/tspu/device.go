@@ -217,7 +217,12 @@ func (d *Device) Stats() Stats {
 // battery in internal/measure drives it through this interface.
 var _ censor.Censor = (*Device)(nil)
 
-// ConntrackSize exposes the flow-table size for resource experiments.
+// ConntrackSize exposes the flow-table size for resource experiments: the
+// entries the table holds, which is not the same as the flows still alive.
+// An expired entry counts until a lookup of its key or its lane's sweep
+// reclaims it, and a lane sweeps only when it handles a packet (with auto
+// sweep on) or on an explicit Sweep, so a device whose traffic stopped
+// keeps counting the flows that expired since.
 func (d *Device) ConntrackSize() int { return d.ct.size() }
 
 // PendingFragQueues exposes the fragment-engine queue count across lanes.

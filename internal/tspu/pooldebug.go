@@ -26,9 +26,9 @@ func poisonEntry(e *flowEntry) {
 }
 
 // unpoisonEntry restores a pooled entry to the zero state allocEntry's
-// callers expect.
+// callers expect, keeping its arena id.
 func unpoisonEntry(e *flowEntry) {
-	*e = flowEntry{}
+	*e = flowEntry{id: e.id}
 }
 
 // checkLive panics when a poisoned (already released) entry is used. Wired
